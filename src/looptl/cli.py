@@ -109,7 +109,7 @@ def _cmd_tl(args):
     elif args.action == "radical":
         if args.ell is None:
             raise ConfigInvalid("radical needs --ell")
-        vecs = radical_vectors(args.n, args.ell)
+        vecs, _, _ = radical_vectors(args.n, args.ell)
         report["n"] = args.n
         report["radical_dimension"] = len(vecs)
     elif args.action == "ideal":
@@ -232,11 +232,24 @@ def _cmd_lattice(args):
     return report
 
 
+def _census_info(lat, cached_before):
+    """States, build seconds and prior caching of the lattice census,
+    or zeros when the command did not need it."""
+    from .lattice import census, census_cached
+    if not census_cached(lat):
+        return {"states": 0, "seconds": 0.0, "cached": False}
+    cen = census(lat)
+    return {"states": cen.states, "seconds": cen.seconds,
+            "cached": cached_before}
+
+
 def _cmd_gas(args):
     from . import gas
+    from .lattice import census_cached
 
     lat = _lattice_from_args(args)
-    model = gas.potts_params(args.ell or 2)
+    model = gas.potts_params(2 if args.ell is None else args.ell)
+    cached_before = census_cached(lat)
     report = {"command": "gas", "action": args.action,
               "lattice": lat.spec_dict(), "ell": model.ell,
               "q": model.q_float, "p": model.p_float,
@@ -269,6 +282,7 @@ def _cmd_gas(args):
                                   buf.getvalue(), kind="csv")
     else:
         raise ConfigInvalid("unknown gas action %r" % args.action)
+    report["census"] = _census_info(lat, cached_before)
     return report
 
 

@@ -19,9 +19,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigInvalid, StateSpaceTooLarge
+from .lattice import ENUM_STATE_CAP, census
 from .scalars import SpecialField
 
-ENUM_STATE_CAP = 1 << 20
 RECOUNT_EVERY = 1000
 
 
@@ -86,69 +86,42 @@ def fk_weight(config, model):
     Returns (loop_form, cluster_form, census) with loop_form =
     (d^2)^L over all loops and cluster_form = q^C p^E (1-p)^{E*}.
     """
-    census = config.lattice.extract_walls(config)
-    loop_form = model.d_float ** (2 * census.loops)
-    cluster_form = (model.q_float ** census.clusters
-                    * model.p_float ** census.plus_edges
-                    * (1 - model.p_float) ** census.minus_edges)
-    return loop_form, cluster_form, census
+    walls = config.lattice.extract_walls(config)
+    loop_form = model.d_float ** (2 * walls.loops)
+    cluster_form = (model.q_float ** walls.clusters
+                    * model.p_float ** walls.plus_edges
+                    * (1 - model.p_float) ** walls.minus_edges)
+    return loop_form, cluster_form, walls
 
 
-def cluster_weight_exact(census, model):
-    """Cluster-form weight as an exact field element."""
-    one = model.field.one
-    w = one
-    for _ in range(census.clusters):
-        w = w * model.q
-    for _ in range(census.plus_edges):
-        w = w * model.p
-    for _ in range(census.minus_edges):
-        w = w * (one - model.p)
-    return w
+def _cluster_forms(cen, model):
+    """Cluster-form weight q^C p^E (1-p)^{E*} of every state as floats,
+    multiplied in the order fk_weight uses."""
+    q, p = model.q_float, model.p_float
+    plus, minus = cen.edge_counts()
+    top = int(max(cen.clusters.max(), plus.max(), minus.max())) + 1
+    q_pow = np.array([q ** k for k in range(top)])
+    p_pow = np.array([p ** k for k in range(top)])
+    m_pow = np.array([(1 - p) ** k for k in range(top)])
+    return q_pow[cen.clusters] * p_pow[plus] * m_pow[minus]
 
 
 def exact_distribution(lat, model, keep_censuses=False):
     """Exhaustive cluster-form distribution over all configurations.
 
     Returns (probabilities array indexed by state bits, weights array,
-    censuses list or None).  Without censuses only the cluster count
-    is needed per state, which keeps the full 2^18 enumeration fast.
+    censuses list or None).  The weights come from the cached census of
+    the lattice (lattice.census): C and E per state, the same float
+    products as fk_weight.  With keep_censuses the per-state WallCensus
+    objects of extract_walls are returned too, which costs one
+    extract_walls call per state.  Raises StateSpaceTooLarge past
+    ENUM_STATE_CAP.
     """
-    n = 1 << lat.nsites
-    if n > ENUM_STATE_CAP:
-        raise StateSpaceTooLarge("enumeration capped at %d states"
-                                 % ENUM_STATE_CAP)
-    nb = lat.nsites
-    weights = np.empty(n)
-    censuses = [] if keep_censuses else None
+    weights = _cluster_forms(census(lat), model)
+    censuses = None
     if keep_censuses:
-        for bits in range(n):
-            _, w, census = fk_weight(lat.config(bits), model)
-            weights[bits] = w
-            censuses.append(census)
-    else:
-        q, p = model.q_float, model.p_float
-        nv = lat.w * lat.h
-        ends = [_bond_ends(lat, bond) for bond in range(nb)]
-        for bits in range(n):
-            parent = list(range(nv))
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            comps = nv
-            e = 0
-            for bond in range(nb):
-                if (bits >> bond) & 1:
-                    e += 1
-                    ra, rb = find(ends[bond][0]), find(ends[bond][1])
-                    if ra != rb:
-                        parent[ra] = rb
-                        comps -= 1
-            weights[bits] = (q ** comps) * (p ** e) * ((1 - p) ** (nb - e))
+        censuses = [lat.extract_walls(lat.config(bits))
+                    for bits in range(len(weights))]
     probs = weights / weights.sum()
     return probs, weights, censuses
 
@@ -157,22 +130,21 @@ def extensive_constant_report(lat, model):
     """Loop-form / cluster-form ratio across all configurations,
     grouped by the number of wrapping clusters and wrapping dual
     clusters; in the plane (and in the non-wrapping torus sector) the
-    ratio is one fixed constant."""
-    n = 1 << lat.nsites
-    if n > ENUM_STATE_CAP:
-        raise StateSpaceTooLarge("enumeration capped at %d states"
-                                 % ENUM_STATE_CAP)
-    groups = {}
-    for bits in range(n):
-        loop_form, cluster_form, census = fk_weight(lat.config(bits), model)
-        key = (census.wrapping_clusters, census.wrapping_dual_clusters)
-        groups.setdefault(key, []).append(loop_form / cluster_form)
+    ratio is one fixed constant.  "constant" is the ratio of the first
+    state of each group in bits order."""
+    cen = census(lat)
+    d = model.d_float
+    loop_pow = np.array([d ** (2 * k)
+                         for k in range(int(cen.loops.max()) + 1)])
+    ratios = loop_pow[cen.loops] / _cluster_forms(cen, model)
+    keys = cen.wrapping_clusters.astype(np.int32) * 256 \
+        + cen.wrapping_dual_clusters
     report = {}
-    for key in sorted(groups):
-        vals = groups[key]
-        lo, hi = min(vals), max(vals)
-        report[key] = {"constant": vals[0], "count": len(vals),
-                       "spread": (hi - lo) / vals[0]}
+    for key in np.unique(keys).tolist():
+        vals = ratios[keys == key]
+        report[(key // 256, key % 256)] = {
+            "constant": float(vals[0]), "count": len(vals),
+            "spread": float((vals.max() - vals.min()) / vals[0])}
     return report
 
 
@@ -180,17 +152,11 @@ def homology_rule_report(lat):
     """Empirical trivial-loop count rule on the torus: across the full
     enumeration, trivial loops = C + C* - (wrapping C) - (wrapping C*).
     Returns (holds_everywhere, number of violations)."""
-    n = 1 << lat.nsites
-    if n > ENUM_STATE_CAP:
-        raise StateSpaceTooLarge("enumeration capped at %d states"
-                                 % ENUM_STATE_CAP)
-    bad = 0
-    for bits in range(n):
-        c = lat.extract_walls(lat.config(bits))
-        expect = (c.clusters + c.dual_clusters
-                  - c.wrapping_clusters - c.wrapping_dual_clusters)
-        if c.trivial_loops != expect:
-            bad += 1
+    cen = census(lat)
+    trivial = cen.loops.astype(np.int16) - cen.essential_loops
+    expect = (cen.clusters.astype(np.int16) + cen.dual_clusters
+              - cen.wrapping_clusters - cen.wrapping_dual_clusters)
+    bad = int(np.count_nonzero(trivial != expect))
     return bad == 0, bad
 
 
@@ -223,63 +189,74 @@ class SampleRecord:
                 "sample_size": self.sample_size}
 
 
-def _bond_ends(lat, bond):
-    orient, i, j = lat.bond_coords(bond)
-    a = lat.vertex_index(i, j)
-    b = lat.vertex_index(i + 1, j) if orient == 0 else lat.vertex_index(i, j + 1)
-    return a, b
-
-
-def _plus_adjacency(lat, bits):
-    """Vertex adjacency over |+> bonds as an index -> neighbors map."""
-    adj = {v: [] for v in range(lat.w * lat.h)}
-    for bond in range(lat.nsites):
-        if (bits >> bond) & 1:
-            a, b = _bond_ends(lat, bond)
-            adj[a].append(b)
-            adj[b].append(a)
-    return adj
-
-
-def _count_clusters(lat, bits):
-    adj = _plus_adjacency(lat, bits)
-    seen = set()
+def _count_clusters(bits, incident):
+    """C of a state by depth-first search over its |+> bonds."""
+    seen = 0
     comps = 0
-    for v in adj:
-        if v in seen:
+    for v in range(len(incident)):
+        if (seen >> v) & 1:
             continue
         comps += 1
+        seen |= 1 << v
         stack = [v]
-        seen.add(v)
         while stack:
             x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
+            for bd, y in incident[x]:
+                if (bits >> bd) & 1 and not (seen >> y) & 1:
+                    seen |= 1 << y
                     stack.append(y)
     return comps
 
 
-def _delta_clusters(lat, bits, bond):
-    """Change in C if the given bond is flipped, by a local
-    connectivity search between its endpoints."""
-    a, b = _bond_ends(lat, bond)
+def _dfs_delta_clusters(bits, bond, ends, incident):
+    """Change in C if the given bond is flipped, by a depth-first
+    search from one end of the bond to the other without it."""
+    a, b = ends[bond]
     without = bits & ~(1 << bond)
-    adj = _plus_adjacency(lat, without)
-    stack, seen = [a], {a}
-    connected = False
+    stack = [a]
+    seen = 1 << a
     while stack:
         x = stack.pop()
         if x == b:
-            connected = True
-            break
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
+            return 0
+        for bd, y in incident[x]:
+            if (without >> bd) & 1 and not (seen >> y) & 1:
+                seen |= 1 << y
                 stack.append(y)
-    if (bits >> bond) & 1:   # removing a + bond
-        return 0 if connected else 1
-    return 0 if connected else -1
+    return 1 if (bits >> bond) & 1 else -1
+
+
+def _bond_graph(lat):
+    """Bond ends and, per vertex, its (bond, other end) pairs."""
+    ends = []
+    for bond in range(lat.nsites):
+        orient, i, j = lat.bond_coords(bond)
+        ends.append((lat.vertex_index(i, j),
+                     lat.vertex_index(i + 1 - orient, j + orient)))
+    incident = [[] for _ in range(lat.w * lat.h)]
+    for bond, (a, b) in enumerate(ends):
+        incident[a].append((bond, b))
+        incident[b].append((bond, a))
+    return ends, incident
+
+
+def _cluster_table(lat, sweeps):
+    """C of every state as bytes when the census is cheaper than the
+    chain's searches (2^N <= sweeps * N, within ENUM_STATE_CAP), else
+    None."""
+    states = 1 << lat.nsites
+    if states > ENUM_STATE_CAP or states > sweeps * lat.nsites:
+        return None
+    return census(lat).clusters.tobytes()
+
+
+def acceptance_table(model):
+    """Metropolis ratio q^dC (p/(1-p))^(-1 if the bond is |+> else 1)
+    of a single-bond flip, keyed by (dC in {-1, 0, 1}, current spin)."""
+    q, p = model.q_float, model.p_float
+    ratio_e = p / (1 - p)
+    return {(dc, s): (q ** dc) * (ratio_e ** (-1 if s else 1))
+            for dc in (-1, 0, 1) for s in (0, 1)}
 
 
 def metropolis_sample(lat, model, sweeps, seed, record_rows=False,
@@ -287,30 +264,26 @@ def metropolis_sample(lat, model, sweeps, seed, record_rows=False,
     """Single-bond-flip Metropolis chain for the cluster-form weight.
 
     One sweep proposes every bond once.  The acceptance ratio for a
-    flip changing (dC, dE, dE*) is q^dC p^dE (1-p)^dE*.  The running
-    cluster count is tracked incrementally with a full recount (and
-    drift check) every 1000 accepted moves.  The generator is
+    flip changing (dC, dE, dE*) is q^dC p^dE (1-p)^dE*
+    (acceptance_table).  dC is C[flipped] - C[current] read from the
+    lattice census when 2^N <= sweeps * N (_cluster_table), and
+    otherwise found by a depth-first search between the bond's ends.
+    The running cluster count is tracked incrementally with a full
+    recount (and drift check) every 1000 accepted moves, and checked
+    against extract_walls at every measurement.  The generator is
     counter-based (Philox) so chains are reproducible and
-    parallelizable by seed.
+    parallelizable by seed; both ways of finding dC give the same chain.
     """
     rng = np.random.Generator(np.random.Philox(seed))
     nb = lat.nsites
-    nv = lat.w * lat.h
-    ends = [_bond_ends(lat, bond) for bond in range(nb)]
-    incident = [[] for _ in range(nv)]
-    for bond, (a, b) in enumerate(ends):
-        incident[a].append((bond, b))
-        incident[b].append((bond, a))
+    ends, incident = _bond_graph(lat)
     if measure_every is None:
         measure_every = max(1, sweeps // 10_000)
 
     bits = int(rng.integers(0, 1 << nb))
-    clusters = _count_clusters(lat, bits)
-    q, p = model.q_float, model.p_float
-    ratio_e = p / (1 - p)
-    # acceptance ratio lookup by (dC in {-1,0,1}, current spin of bond)
-    acc = {(dc, s): (q ** dc) * (ratio_e ** (-1 if s else 1))
-           for dc in (-1, 0, 1) for s in (0, 1)}
+    clusters = _count_clusters(bits, incident)
+    table = _cluster_table(lat, sweeps)
+    acc = acceptance_table(model)
 
     tallies = {}
     accepted = proposed = 0
@@ -325,30 +298,15 @@ def metropolis_sample(lat, model, sweeps, seed, record_rows=False,
         us = rng.random(nb)
         proposed += nb
         for bond, u in zip(bonds.tolist(), us.tolist()):
-            a, b = ends[bond]
             spin = (bits >> bond) & 1
-            without = bits & ~(1 << bond)
-            # is b reachable from a without this bond?
-            stack = [a]
-            seen = 1 << a
-            connected = False
-            while stack:
-                x = stack.pop()
-                if x == b:
-                    connected = True
-                    break
-                for bd, y in incident[x]:
-                    if (without >> bd) & 1 and not (seen >> y) & 1:
-                        seen |= 1 << y
-                        stack.append(y)
-            if connected:
-                dc = 0
+            flipped = bits ^ (1 << bond)
+            if table is None:
+                dc = _dfs_delta_clusters(bits, bond, ends, incident)
             else:
-                dc = 1 if spin else -1
+                dc = table[flipped] - table[bits]
             r = acc[(dc, spin)]
             # waste-recycling tally: average over the accept/reject
             # outcome instead of recording only the realized state
-            flipped = bits ^ (1 << bond)
             ra = r if r < 1.0 else 1.0
             tallies[flipped] = tallies.get(flipped, 0.0) + ra
             if ra < 1.0:
@@ -359,20 +317,20 @@ def metropolis_sample(lat, model, sweeps, seed, record_rows=False,
                 accepted += 1
                 since_recount += 1
                 if since_recount >= RECOUNT_EVERY:
-                    true_count = _count_clusters(lat, bits)
+                    true_count = _count_clusters(bits, incident)
                     assert true_count == clusters, \
                         "incremental cluster count drifted"
                     since_recount = 0
         if sweep % measure_every == 0:
-            census = lat.extract_walls(lat.config(bits))
-            assert census.clusters == clusters, "cluster count drifted"
-            sum_loops += census.loops
-            sum_c += census.clusters
-            sum_cstar += census.dual_clusters
+            walls = lat.extract_walls(lat.config(bits))
+            assert walls.clusters == clusters, "cluster count drifted"
+            sum_loops += walls.loops
+            sum_c += walls.clusters
+            sum_cstar += walls.dual_clusters
             n_meas += 1
             if record_rows:
-                rows.append((sweep, census.loops, census.clusters,
-                             census.dual_clusters,
+                rows.append((sweep, walls.loops, walls.clusters,
+                             walls.dual_clusters,
                              accepted / max(proposed, 1)))
     return SampleRecord(seed, sweeps, tallies, accepted, proposed,
                         sum_loops / n_meas, sum_c / n_meas,
@@ -395,50 +353,52 @@ def tv_distance(record, probs):
 def detailed_balance_check(lat, model):
     """Exact detailed balance of the sampler on every single-flip pair.
 
-    For rational parameters (levels 1 and 2) the check is symbolic over
-    the rationals; otherwise exact in the level's number field via the
-    weight ratio.  Returns (ok, pairs_checked).
+    For each pair a -> b = a with one bond flipped, with (C, E) from the
+    lattice census, checks exactly that the cluster-form weights satisfy
+    w_b = w_a q^dC (p/(1-p))^(-1 if the bond is |+> in a else 1) -- over
+    the rationals at levels 1 and 2, in the level's number field
+    otherwise -- and both ways round.  Then Metropolis acceptance
+    min(1, w_b/w_a) balances the flows.  The sampler's float entry
+    acceptance_table(model)[(dC, spin)] must lie within 1e-12 relative
+    of that exact ratio, and the sampler's depth-first dC must equal
+    the census difference.  Returns (ok, pairs_checked).
     """
-    rational = model.field.degree == 1
     n = 1 << lat.nsites
     if n > 4096:
         raise StateSpaceTooLarge("balance check is exhaustive")
-
-    def weight(bits):
-        census = lat.extract_walls(lat.config(bits))
-        if rational:
-            qf = model.q.coeffs[0]
-            pf = model.p.coeffs[0]
-            return (qf ** census.clusters * pf ** census.plus_edges
-                    * (1 - pf) ** census.minus_edges)
-        return cluster_weight_exact(census, model)
-
+    cen = census(lat)
+    plus, minus = cen.edge_counts()
+    if model.field.degree == 1:
+        q, p = model.q.coeffs[0], model.p.coeffs[0]
+        one = Fraction(1)
+    else:
+        q, p, one = model.q, model.p, model.field.one
+    ratio_e = p / (one - p)
+    exact = {(dc, s): q ** dc * ratio_e ** (-1 if s else 1)
+             for dc in (-1, 0, 1) for s in (0, 1)}
+    floats = acceptance_table(model)
+    for key, r in exact.items():
+        if abs(floats[key] - float(r)) > 1e-12 * abs(float(r)):
+            return False, 0
+    top = int(max(cen.clusters.max(), plus.max(), minus.max())) + 1
+    q_pow, p_pow, m_pow = ([x ** k for k in range(top)]
+                           for x in (q, p, one - p))
+    weight = [q_pow[c] * p_pow[e] * m_pow[m] for c, e, m in
+              zip(cen.clusters.tolist(), plus.tolist(), minus.tolist())]
+    clusters = cen.clusters.tolist()
+    ends, incident = _bond_graph(lat)
     pairs = 0
-    for bits in range(n):
-        wa = weight(bits)
+    for a in range(n):
         for bond in range(lat.nsites):
-            other = bits ^ (1 << bond)
-            if other < bits:
+            b = a ^ (1 << bond)
+            if b < a:
                 continue
-            wb = weight(other)
-            # acceptance a->b is min(1, wb/wa); flow wa*min(1,wb/wa)
-            # must equal wb*min(1,wa/wb) -- i.e. min(wa, wb) twice
-            if rational:
-                flow_ab = min(wa, wb)
-                flow_ba = min(wb, wa)
-                if flow_ab != flow_ba:
-                    return False, pairs
-            else:
-                fa, fb = float(wa), float(wb)
-                lhs = fa * min(1.0, fb / fa)
-                rhs = fb * min(1.0, fa / fb)
-                if abs(lhs - rhs) > 1e-12 * max(lhs, rhs):
-                    return False, pairs
-            # incremental dC must match the census difference
-            dc = _delta_clusters(lat, bits, bond)
-            ca = lat.extract_walls(lat.config(bits)).clusters
-            cb = lat.extract_walls(lat.config(other)).clusters
-            if cb - ca != dc:
+            dc = clusters[b] - clusters[a]
+            spin = (a >> bond) & 1
+            if weight[b] != weight[a] * exact[(dc, spin)] or \
+                    weight[a] != weight[b] * exact[(-dc, 1 - spin)]:
+                return False, pairs
+            if _dfs_delta_clusters(a, bond, ends, incident) != dc:
                 return False, pairs
             pairs += 1
     return True, pairs
@@ -446,17 +406,18 @@ def detailed_balance_check(lat, model):
 
 def gibbs_law_check(basis, component, lat):
     """Measurement probabilities on one kernel component follow the
-    loop-count Gibbs law: -log p = const - 2 log(d) * (#loops).
+    loop-count Gibbs law: -log p = const - 2 log(d) * (#loops), with
+    the loop counts read from the lattice census.
     Returns the largest absolute residual."""
     probs = measurement_distribution(basis, component)
     logd2 = 2.0 * math.log(basis.d) if basis.d != 1.0 else 0.0
+    loops = census(lat).loops
     worst = 0.0
     items = list(probs.items())
     bits0, p0 = items[0]
-    n0 = lat.extract_walls(lat.config(bits0)).loops
+    n0 = int(loops[bits0])
     for bits, p in items[1:]:
-        nloops = lat.extract_walls(lat.config(bits)).loops
         lhs = math.log(p) - math.log(p0)
-        rhs = logd2 * (nloops - n0)
+        rhs = logd2 * (int(loops[bits]) - n0)
         worst = max(worst, abs(lhs - rhs))
     return worst

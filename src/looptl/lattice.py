@@ -13,17 +13,23 @@ Domain walls live on the mid lattice separating |+> clusters from
 |-> dual clusters; isolated vertices and isolated dual vertices
 count as clusters.  extract_walls traces every mid-lattice loop and
 classifies it as trivial or essential by its winding pair, measured
-as net displacement across the two fundamental periods.
+as net displacement across the two fundamental periods.  census
+tabulates the same counts for every state of a lattice at once.
 """
 
 from __future__ import annotations
 
 import json
+import time
 from collections import deque
 
-from .errors import ComponentCapExceeded, ConfigInvalid
+import numpy as np
+
+from .errors import ComponentCapExceeded, ConfigInvalid, StateSpaceTooLarge
 
 COMPONENT_CAP = 5_000_000
+ENUM_STATE_CAP = 1 << 20
+CENSUS_CHUNK = 1 << 10
 
 # port indices on a mid-lattice vertex (a bond midpoint)
 NE, NW, SW, SE = 0, 1, 2, 3
@@ -752,6 +758,104 @@ class HexTorusLattice:
 
     def spec_dict(self):
         return {"kind": self.kind, "w": self.w, "h": self.h}
+
+
+# -- census of the whole state space ----------------------------------------
+
+CENSUS_FIELDS = ("clusters", "dual_clusters", "wrapping_clusters",
+                 "wrapping_dual_clusters", "loops", "essential_loops")
+_CENSUS_CACHE = {}
+
+
+class StateCensus:
+    """Counts of every configuration of one lattice, indexed by state bits.
+
+    Each name of CENSUS_FIELDS is a uint8 array of length 2^nsites.
+    ``seconds`` is the time the build took.
+    """
+
+    def __init__(self, lattice, columns, seconds):
+        self.nsites = lattice.nsites
+        for name in CENSUS_FIELDS:
+            setattr(self, name, columns[name])
+        self.states = len(self.clusters)
+        self.seconds = seconds
+        # E and E* are stored only where E is not the popcount of the bits
+        self._edges = (columns["plus_edges"], columns["minus_edges"]) \
+            if "plus_edges" in columns else None
+
+    def edge_counts(self):
+        """(E, E*) per state: |+> and |-> edges, as uint8 arrays."""
+        if self._edges is not None:
+            return self._edges
+        states = np.arange(self.states, dtype=np.uint32)
+        plus = np.zeros(self.states, np.uint8)
+        for site in range(self.nsites):
+            plus += ((states >> site) & 1).astype(np.uint8)
+        return plus, np.uint8(self.nsites) - plus
+
+
+def _spec_key(lat):
+    return tuple(sorted(lat.spec_dict().items()))
+
+
+def census_cached(lat):
+    """Whether census(lat) would be answered from the cache."""
+    return _spec_key(lat) in _CENSUS_CACHE
+
+
+def census(lat):
+    """Census of all 2^N configurations of a lattice, built once.
+
+    Returns a StateCensus whose uint8 arrays hold, per state bits,
+    the cluster and dual-cluster counts, how many of each wrap the
+    torus, the loop count and how many loops are essential.  The result
+    is cached by ``lat.spec_dict()``.  Raises StateSpaceTooLarge, before
+    allocating anything, when 2^N exceeds ENUM_STATE_CAP.
+
+    The square torus is tabulated by the numpy kernels of
+    torus_census over chunks of CENSUS_CHUNK states; other lattices call
+    extract_walls per state (tabulate_by_walls), which also serves as
+    the independent oracle of the kernels.
+    """
+    key = _spec_key(lat)
+    hit = _CENSUS_CACHE.get(key)
+    if hit is not None:
+        return hit
+    n = 1 << lat.nsites
+    if n > ENUM_STATE_CAP:
+        raise StateSpaceTooLarge("enumeration capped at %d states"
+                                 % ENUM_STATE_CAP)
+    t0 = time.perf_counter()
+    if isinstance(lat, SquareTorusLattice):
+        from .torus_census import tabulate_states
+        columns = {name: np.empty(n, np.uint8) for name in CENSUS_FIELDS}
+        for start in range(0, n, CENSUS_CHUNK):
+            states = np.arange(start, min(n, start + CENSUS_CHUNK),
+                               dtype=np.int64)
+            for name, col in tabulate_states(lat, states).items():
+                columns[name][start:start + len(states)] = col
+    else:
+        columns = tabulate_by_walls(lat, range(n))
+    result = StateCensus(lat, columns, time.perf_counter() - t0)
+    _CENSUS_CACHE[key] = result
+    return result
+
+
+def tabulate_by_walls(lat, states):
+    """Census columns of the given states, one extract_walls call each.
+
+    Besides CENSUS_FIELDS it returns plus_edges and minus_edges.
+    """
+    names = CENSUS_FIELDS + ("plus_edges", "minus_edges")
+    rows = []
+    for bits in states:
+        c = lat.extract_walls(lat.config(int(bits)))
+        rows.append((c.clusters, c.dual_clusters, c.wrapping_clusters,
+                     c.wrapping_dual_clusters, c.loops,
+                     len(c.essential_loops), c.plus_edges, c.minus_edges))
+    table = np.array(rows, dtype=np.uint8)
+    return {name: table[:, k].copy() for k, name in enumerate(names)}
 
 
 class ComponentGraph:

@@ -117,3 +117,46 @@ def test_report_bundle_merges_flags():
     assert bundle["flags"] == ["note"]
     assert bundle["seed"] == 3
     assert "wall_clock_seconds" not in bundle
+
+
+@pytest.mark.parametrize("ell", ["0", "-3"])
+def test_gas_nonpositive_level_is_config_error(capsys, ell):
+    # --ell 0 once ran level 2 silently
+    code, out, err = _run(capsys, "gas", "exact", "--torus", "2x2",
+                          "--ell", ell)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert json.loads(err)["type"] == "ConfigInvalid"
+
+
+def test_tl_radical_dimension(capsys):
+    from looptl.structure import ideal_span
+    from looptl.tlcat import jones_wenzl
+    code, out, _ = _run(capsys, "tl", "radical", "--n", "1", "--ell", "1")
+    assert code == EXIT_OK
+    assert json.loads(out)["results"][0]["radical_dimension"] == 0
+    code, out, _ = _run(capsys, "tl", "radical", "--n", "4", "--ell", "2")
+    assert code == EXIT_OK
+    dim = json.loads(out)["results"][0]["radical_dimension"]
+    span, _ = ideal_span(jones_wenzl(3, "special", ell=2), 4)
+    assert dim == len(span) == 6
+
+
+def test_gas_reports_carry_census(capsys):
+    code, out, _ = _run(capsys, "gas", "exact", "--torus", "2x2")
+    assert code == EXIT_OK
+    info = json.loads(out)["results"][0]["census"]
+    assert info["states"] == 256 and info["seconds"] >= 0.0
+    assert isinstance(info["cached"], bool)
+    # the census of the 2x2 torus is now cached in this process
+    code, out, _ = _run(capsys, "gas", "sample", "--torus", "2x2",
+                        "--sweeps", "50")
+    assert code == EXIT_OK
+    info = json.loads(out)["results"][0]["census"]
+    assert info["states"] == 256 and info["cached"] is True
+    # 2^24 states lie past the cap: the chain builds no census
+    code, out, _ = _run(capsys, "gas", "sample", "--torus", "4x3",
+                        "--sweeps", "2")
+    assert code == EXIT_OK
+    info = json.loads(out)["results"][0]["census"]
+    assert info == {"states": 0, "seconds": 0.0, "cached": False}
