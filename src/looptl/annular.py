@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 
 from .errors import IndexOutOfRange, SignatureMismatch
-from .modular import s_matrix
-from .scalars import SpecialField
+from .scalars import SpecialField, _pdivmod, _trim
 from .tlcat import Morphism, jones_wenzl
 from .structure import ideal_span
 
@@ -92,9 +91,6 @@ class RPolynomial:
             acc = acc * r + scalar_to_float(c)
         return acc
 
-    def float_coeffs(self, scalar_to_float=float):
-        return [scalar_to_float(c) for c in self.coeffs]
-
 
 def _eq_lists(a, b):
     if len(a) != len(b):
@@ -160,36 +156,13 @@ def annular_closure(a):
 # ---------------------------------------------------------------------------
 
 
-def _poly_gcd_field(polys, field):
+def _poly_gcd_field(polys):
     """Monic gcd of field-coefficient polynomials (coefficient lists)."""
-    def trim(a):
-        a = list(a)
-        while a and not a[-1]:
-            a.pop()
-        return a
-
-    def pmod(a, b):
-        a, b = trim(a), trim(b)
-        while a and len(a) >= len(b):
-            f = a[-1] / b[-1]
-            k = len(a) - len(b)
-            a = [x - (f * y if i >= k else field.zero - field.zero)
-                 for i, (x, y) in enumerate(
-                     zip(a, [field.zero] * k + b))]
-            a = trim(a[:-1])
-        return a
-
     g = []
     for p in polys:
-        p = trim(p)
-        if not p:
-            continue
-        if not g:
-            g = p
-            continue
-        x, y = g, p
+        x, y = g, _trim(p)
         while y:
-            x, y = y, pmod(x, y)
+            x, y = y, _pdivmod(x, y)[1]
         g = x
         if len(g) == 1:
             break
@@ -205,24 +178,6 @@ class AnnularIdeal:
         self.generator = generator
         self.grade_cap = grade_cap
 
-    def reduce(self, poly):
-        """Remainder of an RPolynomial modulo the generator (same backend)."""
-        g = self.generator.coeffs
-        if not g:
-            return poly
-        r = list(poly.coeffs)
-        while len(r) >= len(g) and any(bool(c) for c in r):
-            while r and not r[-1]:
-                r.pop()
-            if len(r) < len(g):
-                break
-            f = r[-1] / g[-1]
-            k = len(r) - len(g)
-            for i in range(len(g)):
-                r[k + i] = r[k + i] - f * g[i]
-            r.pop()
-        return RPolynomial(r)
-
 
 def annular_ideal(ell, grade_cap):
     """Monic generator of the closed-curve ideal of the padded projector.
@@ -235,19 +190,14 @@ def annular_ideal(ell, grade_cap):
     field = SpecialField(ell)
     p = jones_wenzl(ell + 1, "special", ell=ell)
     polys = []
-    maxdeg = 0
     for n in range(ell + 1, grade_cap + 1):
         vecs, basis = ideal_span(p, n)
-        d = field.delta
         for vec in vecs:
-            mor = Morphism(n, n,
-                           {basis[i]: vec[i] for i in range(len(basis))
-                            if vec[i]}, d)
-            poly = annular_closure(mor)
+            poly = annular_closure(Morphism(n, n, dict(zip(basis, vec)),
+                                            field.delta))
             if not poly.is_zero():
                 polys.append(poly.coeffs)
-                maxdeg = max(maxdeg, poly.degree)
-    gen = _poly_gcd_field(polys, field)
+    gen = _poly_gcd_field(polys)
     return AnnularIdeal(ell, RPolynomial(gen), grade_cap)
 
 
@@ -279,14 +229,6 @@ def eigenvalue_family(ell, parity=None):
     return sorted(vals)
 
 
-def expected_root_family(ell, count=None):
-    """Backwards-friendly alias: the distinct eigenvalue family for ell."""
-    vals = eigenvalue_family(ell)
-    if count is not None:
-        vals = vals[:count]
-    return vals
-
-
 def even_sector_polynomial(ell):
     """prod over even labels p of (R - lambda_p), exactly over Q(delta).
 
@@ -313,27 +255,6 @@ def even_sector_polynomial(ell):
 # ---------------------------------------------------------------------------
 # beta projectors in the quotient
 # ---------------------------------------------------------------------------
-
-
-class FloatIdeal:
-    """Float-coefficient view of an annular ideal for quotient arithmetic."""
-
-    def __init__(self, ideal):
-        self.gen = [float(c) for c in ideal.generator.coeffs]
-
-    def reduce(self, coeffs):
-        r = list(coeffs)
-        g = self.gen
-        while len(r) >= len(g):
-            if abs(r[-1]) < 1e-14:
-                r.pop()
-                continue
-            f = r[-1] / g[-1]
-            k = len(r) - len(g)
-            for i in range(len(g)):
-                r[k + i] -= f * g[i]
-            r.pop()
-        return r
 
 
 def jw_closure_coeffs(jmax):
@@ -431,14 +352,6 @@ def beta_projector(n, ell, convention="shifted", ideal=None, sector="full"):
     """
     gen = _sector_modulus(ell, ideal, sector)
     return _float_reduce(_beta_coeffs(n, ell, convention), gen)
-
-
-def beta_table(ell, convention="shifted", ideal=None, sector="full"):
-    if ideal is None and sector == "full":
-        ideal = annular_ideal(ell, ell + 2)
-    top = (ell + 2) // 2
-    return ideal, [beta_projector(n, ell, convention, ideal, sector)
-                   for n in range(top + 1)]
 
 
 def _projector_check(betas, gen, tol=1e-9):

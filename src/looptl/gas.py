@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigInvalid, StateSpaceTooLarge
-from .lattice import ENUM_STATE_CAP, census
+from .lattice import ENUM_STATE_CAP, SquareTorusLattice, census
 from .scalars import SpecialField
 
 RECOUNT_EVERY = 1000
@@ -31,8 +31,6 @@ class GibbsModel:
     q = d^4, p = sqrt(q)/(1+sqrt(q))."""
 
     def __init__(self, ell):
-        if ell < 1:
-            raise ConfigInvalid("level must be >= 1")
         self.ell = ell
         self.field = SpecialField(ell)
         d = self.field.delta
@@ -189,25 +187,6 @@ class SampleRecord:
                 "sample_size": self.sample_size}
 
 
-def _count_clusters(bits, incident):
-    """C of a state by depth-first search over its |+> bonds."""
-    seen = 0
-    comps = 0
-    for v in range(len(incident)):
-        if (seen >> v) & 1:
-            continue
-        comps += 1
-        seen |= 1 << v
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for bd, y in incident[x]:
-                if (bits >> bd) & 1 and not (seen >> y) & 1:
-                    seen |= 1 << y
-                    stack.append(y)
-    return comps
-
-
 def _dfs_delta_clusters(bits, bond, ends, incident):
     """Change in C if the given bond is flipped, by a depth-first
     search from one end of the bond to the other without it."""
@@ -268,12 +247,15 @@ def metropolis_sample(lat, model, sweeps, seed, record_rows=False,
     (acceptance_table).  dC is C[flipped] - C[current] read from the
     lattice census when 2^N <= sweeps * N (_cluster_table), and
     otherwise found by a depth-first search between the bond's ends.
-    The running cluster count is tracked incrementally with a full
-    recount (and drift check) every 1000 accepted moves, and checked
-    against extract_walls at every measurement.  The generator is
-    counter-based (Philox) so chains are reproducible and
+    The running cluster count is tracked incrementally, recounted by
+    extract_walls (with a drift check) every 1000 accepted moves and
+    checked against extract_walls at every measurement.  The generator
+    is counter-based (Philox) so chains are reproducible and
     parallelizable by seed; both ways of finding dC give the same chain.
+    Runs on the square torus only; other lattices raise ConfigInvalid.
     """
+    if not isinstance(lat, SquareTorusLattice):
+        raise ConfigInvalid("the sampler runs on the square torus")
     rng = np.random.Generator(np.random.Philox(seed))
     nb = lat.nsites
     ends, incident = _bond_graph(lat)
@@ -281,7 +263,7 @@ def metropolis_sample(lat, model, sweeps, seed, record_rows=False,
         measure_every = max(1, sweeps // 10_000)
 
     bits = int(rng.integers(0, 1 << nb))
-    clusters = _count_clusters(bits, incident)
+    clusters = lat.extract_walls(lat.config(bits)).clusters
     table = _cluster_table(lat, sweeps)
     acc = acceptance_table(model)
 
@@ -317,7 +299,7 @@ def metropolis_sample(lat, model, sweeps, seed, record_rows=False,
                 accepted += 1
                 since_recount += 1
                 if since_recount >= RECOUNT_EVERY:
-                    true_count = _count_clusters(bits, incident)
+                    true_count = lat.extract_walls(lat.config(bits)).clusters
                     assert true_count == clusters, \
                         "incremental cluster count drifted"
                     since_recount = 0

@@ -15,7 +15,6 @@ oracle.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from fractions import Fraction
 
@@ -23,7 +22,7 @@ import numpy as np
 
 from .errors import (ConfigInvalid, InconsistentCycle, StateSpaceTooLarge,
                      WindowDoesNotFit)
-from .lattice import HexTorusLattice, SpinConfig
+from .lattice import ENUM_STATE_CAP, HexTorusLattice
 from .scalars import SpecialField, minimal_polynomial, special_weight
 from .tlcat import Morphism, compose, enumerate_diagrams, jones_wenzl
 
@@ -95,12 +94,6 @@ class KernelBasis:
 
     def component_states(self, k):
         return np.nonzero(self.comp == k)[0]
-
-    def amplitude(self, k, state):
-        """Float amplitude of basis vector k at a state (unnormalized)."""
-        if self.comp[state] != k:
-            return 0.0
-        return self.d ** float(self.pot[state])
 
     def __repr__(self):
         return "KernelBasis(dim=%d, %s)" % (self.dimension, self.method)
@@ -233,13 +226,17 @@ def kernel_propagate(cs):
     Every row must be a two-term ratio row carrying its d-exponent;
     the exponent field is propagated through a weighted union-find, and
     any closed cycle whose ratios do not multiply to one raises
-    InconsistentCycle.
+    InconsistentCycle.  Raises StateSpaceTooLarge, before allocating
+    anything, when 2^N exceeds ENUM_STATE_CAP.
     """
     for row in cs.rows:
         if row.dexp is None or len(row.terms) != 2:
             raise ConfigInvalid(
                 "ratio propagation needs two-term ratio rows")
     n = cs.n_states
+    if n > ENUM_STATE_CAP:
+        raise StateSpaceTooLarge("ratio propagation capped at %d states"
+                                 % ENUM_STATE_CAP)
     parent = list(range(n))
     weight = [0] * n  # d-exponent relative to parent
 

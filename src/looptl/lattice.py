@@ -66,19 +66,6 @@ class WallCensus:
     def loops(self):
         return self.trivial_loops + len(self.essential_loops)
 
-    def as_dict(self):
-        return {
-            "loops": self.loops,
-            "trivial_loops": self.trivial_loops,
-            "essential_loops": [list(wpair) for wpair in self.essential_loops],
-            "clusters": self.clusters,
-            "dual_clusters": self.dual_clusters,
-            "plus_edges": self.plus_edges,
-            "minus_edges": self.minus_edges,
-            "wrapping_clusters": self.wrapping_clusters,
-            "wrapping_dual_clusters": self.wrapping_dual_clusters,
-        }
-
     def __repr__(self):
         return ("WallCensus(L=%d, essential=%r, C=%d, C*=%d, E=%d, E*=%d)"
                 % (self.loops, self.essential_loops, self.clusters,
@@ -128,28 +115,6 @@ class SpinConfig:
 
     def __repr__(self):
         return "SpinConfig(%s)" % self.to_hex()
-
-
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-            return True
-        return False
-
-    def count(self):
-        return sum(1 for i, p in enumerate(self.parent) if self.find(i) == i)
 
 
 def _wrapping_components(n_nodes, edges, lifts):
@@ -284,12 +249,6 @@ class SquareTorusLattice:
         if x & 1:
             return self.bond_index(0, (x - 1) // 2, y // 2)
         return self.bond_index(1, x // 2, (y - 1) // 2)
-
-    def _spin(self, config, x, y):
-        return config.plus(self._bond_at(x, y))
-
-    def _orient_at(self, x, y):
-        return "h" if x & 1 else "v"
 
     def extract_walls(self, config):
         w, h = self.w, self.h
@@ -447,57 +406,37 @@ class SquareDiskLattice:
             return self.boundary_plus
         return False  # virtual bond outside the patch
 
-    def _exists(self, bond):
-        orient, i, j = bond
-        if orient == "h":
-            return 0 <= i < self.w and 0 <= j <= self.h
-        return 0 <= i <= self.w and 0 <= j < self.h
-
     def extract_walls(self, config):
         w, h = self.w, self.h
-        plus_edges = sum(self._bond_plus(config, b) for b in self.bonds())
-        minus_edges = (len(self._free) + len(self._fixed)) - plus_edges
 
-        # vertex clusters across |+> bonds (isolated vertices count)
-        nv = (w + 1) * (h + 1)
-
+        # vertex clusters across |+> bonds (isolated vertices count), and
+        # dual clusters across |-> bonds, where the outer face is one
+        # dual vertex whose component is not counted
         def vidx(i, j):
             return j * (w + 1) + i
-
-        uf = _UnionFind(nv)
-        for bond in self.bonds():
-            if self._bond_plus(config, bond):
-                orient, i, j = bond
-                if orient == "h":
-                    uf.union(vidx(i, j), vidx(i + 1, j))
-                else:
-                    uf.union(vidx(i, j), vidx(i, j + 1))
-        clusters = uf.count()
-
-        # dual clusters across |-> bonds; the outer face is one dual
-        # vertex and its component is not counted
-        outer = w * h
 
         def cidx(i, j):
             if 0 <= i < w and 0 <= j < h:
                 return j * w + i
-            return outer
+            return w * h
 
-        duf = _UnionFind(w * h + 1)
+        edges, dedges = [], []
         for bond in self.bonds():
-            if not self._bond_plus(config, bond):
-                orient, i, j = bond
-                if orient == "h":
-                    duf.union(cidx(i, j - 1), cidx(i, j))
-                else:
-                    duf.union(cidx(i - 1, j), cidx(i, j))
-        outer_root = duf.find(outer)
-        roots = {duf.find(k) for k in range(w * h + 1)}
-        dual_clusters = len(roots) - (1 if outer_root in roots else 0)
+            orient, i, j = bond
+            if self._bond_plus(config, bond):
+                edges.append((vidx(i, j), vidx(i + 1, j) if orient == "h"
+                              else vidx(i, j + 1)))
+            else:
+                dedges.append((cidx(i, j - 1) if orient == "h"
+                               else cidx(i - 1, j), cidx(i, j)))
+        clusters, _ = _wrapping_components(
+            (w + 1) * (h + 1), edges, [(0, 0)] * len(edges))
+        faces, _ = _wrapping_components(
+            w * h + 1, dedges, [(0, 0)] * len(dedges))
 
         trivial = self._trace_loops(config)
-        return WallCensus(trivial, [], clusters, dual_clusters,
-                          plus_edges, minus_edges)
+        return WallCensus(trivial, [], clusters, faces - 1,
+                          len(edges), len(dedges))
 
     def _bond_at(self, x, y):
         if x & 1:
@@ -639,15 +578,6 @@ class HexTorusLattice:
             elif blocks == 2:
                 moves.append((site, "g", config.flip(site), 0))
         return moves
-
-    def _triangles(self):
-        """All (corner triple) triangles, two per lattice site."""
-        tris = []
-        for j in range(self.h):
-            for i in range(self.w):
-                tris.append(((i, j), (i + 1, j), (i + 1, j + 1)))
-                tris.append(((i, j), (i, j + 1), (i + 1, j + 1)))
-        return tris
 
     def extract_walls(self, config):
         """Domain-wall census of the plaque model.
@@ -872,18 +802,6 @@ class ComponentGraph:
     @property
     def size(self):
         return len(self.configs)
-
-    def index_of(self, config):
-        lo, hi = 0, len(self.configs)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.configs[mid].bits < config.bits:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < len(self.configs) and self.configs[lo].bits == config.bits:
-            return lo
-        raise KeyError("configuration not in component")
 
 
 def explore_component(seed, model=None, cap=COMPONENT_CAP):

@@ -59,12 +59,6 @@ def nullspace(mat, zero, one):
     return out
 
 
-def in_rowspan(mat, vec):
-    """Whether vec lies in the row span of mat."""
-    r0 = rank(mat)
-    return rank(mat + [list(vec)]) == r0
-
-
 def same_span(a, b):
     """Whether two row collections span the same subspace."""
     ra, rb = rank(a), rank(b)

@@ -110,19 +110,6 @@ class LevelData:
         self.transparent = transparent_labels(ell)
         self.theory_singular = theory_singular(ell)
 
-    def as_dict(self):
-        return {
-            "ell": self.ell,
-            "label_count": self.label_count,
-            "color_reversing_count": self.color_reversing_count,
-            "specific_heat": self.specific_heat,
-            "even_rank": self.even_rank,
-            "even_singular": self.even_singular,
-            "doubled_even_rank": self.doubled_even_rank,
-            "transparent": self.transparent,
-            "theory_singular": self.theory_singular,
-        }
-
 
 def level_table(ell_max):
     if ell_max > 16:

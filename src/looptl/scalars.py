@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import PoleAtSpecialValue
+from .errors import ConfigInvalid, PoleAtSpecialValue
 
 # ---------------------------------------------------------------------------
 # integer polynomial helpers (little-endian coefficient lists)
@@ -26,7 +26,7 @@ from .errors import PoleAtSpecialValue
 
 def _trim(c):
     c = list(c)
-    while c and c[-1] == 0:
+    while c and not c[-1]:
         c.pop()
     return c
 
@@ -54,23 +54,28 @@ def _pmul(a, b):
     return _trim(out)
 
 
-def _pdivmod_q(a, b):
-    """Divide with Fraction arithmetic; returns (quotient, remainder)."""
-    a = [Fraction(x) for x in a]
-    b = [Fraction(x) for x in b]
+def _pdivmod(a, b):
+    """Quotient and remainder of a by b over a field whose zero is falsy
+    (Fraction or FieldElement coefficients)."""
+    a, b = _trim(a), _trim(b)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    r = a[:]
-    while len(_trim(r)) >= len(b):
-        r = _trim(r)
+    zero = b[-1] - b[-1]
+    q = [zero] * max(len(a) - len(b) + 1, 0)
+    r = a
+    while len(r) >= len(b):
         k = len(r) - len(b)
         coef = r[-1] / b[-1]
         q[k] = coef
-        for i in range(len(b)):
-            r[k + i] -= coef * b[i]
-        r = r[:-1]
-    return _trim(q), _trim(r)
+        for i in range(len(b) - 1):
+            r[k + i] = r[k + i] - coef * b[i]
+        r = _trim(r[:-1])
+    return _trim(q), r
+
+
+def _pdivmod_q(a, b):
+    """_pdivmod over the rationals, for integer or Fraction lists."""
+    return _pdivmod([Fraction(x) for x in a], [Fraction(x) for x in b])
 
 
 def _pcontent(a):
@@ -118,13 +123,6 @@ def _pgcd(a, b):
     if g and g[-1] < 0:
         g = [-c for c in g]
     return g or [1]
-
-
-def _peval_frac(a, x):
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
 
 
 def _peval_float(a, x):
@@ -292,12 +290,6 @@ class RationalFunc:
         den = _peval_float(self.den, d)
         return _peval_float(self.num, d) / den
 
-    def eval_fraction(self, d):
-        den = _peval_frac(self.den, Fraction(d))
-        if den == 0:
-            raise ZeroDivisionError("pole at the requested rational value")
-        return _peval_frac(self.num, Fraction(d)) / den
-
 
 D_GENERIC = RationalFunc([0, 1])
 ONE = RationalFunc(1)
@@ -357,6 +349,8 @@ class SpecialField:
     def __new__(cls, ell):
         if ell in cls._cache:
             return cls._cache[ell]
+        if not isinstance(ell, int) or ell < 1:
+            raise ConfigInvalid(f"level must be an integer >= 1, not {ell!r}")
         self = super().__new__(cls)
         self.ell = ell
         self.minpoly = minimal_polynomial(ell)
@@ -477,7 +471,7 @@ class FieldElement:
         r0, r1 = mp, a
         s0, s1 = [], [Fraction(1)]
         while True:
-            q, r = _pdivmod_q(r0, r1)
+            q, r = _pdivmod(r0, r1)
             if not r:
                 break
             s = _psub(s0, _pmul(q, s1))

@@ -1,53 +1,17 @@
 """Structure theory of the diagram algebras at special loop weights.
 
-Two-row shapes label the simple summands of the generic grade-n algebra;
-path counts on the two-row Bratteli diagram give their dimensions.  At the
-special weight for level ell the Markov-pairing radical is the unique
-proper two-sided ideal and is generated by the grade-(ell+1) projector;
-the routines here compute both sides exactly and compare them.
+At the special weight for level ell the Markov-pairing radical is the
+unique proper two-sided ideal and is generated by the grade-(ell+1)
+projector; the routines here compute both sides exactly and compare
+them.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .errors import MismatchAtGrade, SignatureMismatch
-from .linalg import rref
 from .scalars import SpecialField
-from .tlcat import (Morphism, bar_diagram, cap_diagram, compose,
-                    cup_diagram, enumerate_diagrams, gram_exponents,
-                    jones_wenzl, stack_diagrams, trace_loops)
-
-
-# ---------------------------------------------------------------------------
-# two-row shapes and the Bratteli diagram
-# ---------------------------------------------------------------------------
-
-
-def two_row_shapes(n):
-    """All two-row shapes with n boxes, widest first."""
-    return [(n - k, k) for k in range(n // 2 + 1)]
-
-
-@lru_cache(maxsize=None)
-def path_count(shape):
-    """Number of monotone paths from the empty shape (ballot sequences)."""
-    a, b = shape
-    if a < b or b < 0:
-        return 0
-    if a + b == 0:
-        return 1
-    return path_count((a - 1, b)) + path_count((a, b - 1))
-
-
-def width(shape):
-    a, b = shape
-    return a - b + 1
-
-
-def is_critical(shape, ell):
-    """Whether the shape's width is a multiple of ell + 2."""
-    return width(shape) % (ell + 2) == 0
+from .tlcat import (Morphism, cap_diagram, compose, cup_diagram,
+                    enumerate_diagrams, jones_wenzl, radical_vectors)
 
 
 def catalan(k):
@@ -88,14 +52,6 @@ def expectation_to_grade(a, n):
 # ---------------------------------------------------------------------------
 # ideal generated by a square morphism, inside a fixed grade
 # ---------------------------------------------------------------------------
-
-
-def _morphism_vector(mor, index):
-    zero = None
-    vec = [None] * len(index)
-    for diag, c in mor.terms.items():
-        vec[index[diag]] = c
-    return vec
 
 
 def ideal_span(gen, n, stop_at_dim=None):
@@ -165,16 +121,6 @@ def ideal_span(gen, n, stop_at_dim=None):
     for _, pv in pivots:
         vecs.append(pv)
     return vecs, basis
-
-
-def radical_vectors(n, ell):
-    """Radical of the Markov pairing at grade n as exact null vectors."""
-    from .linalg import nullspace
-    field = SpecialField(ell)
-    basis, expo = gram_exponents(n, n)
-    delta = field.delta
-    mat = [[delta ** e for e in row] for row in expo]
-    return nullspace(mat, field.zero, field.one), basis, mat
 
 
 def verify_ideal_theorem(ell, n_max):

@@ -9,11 +9,11 @@ produced by stacking contributes a factor of the loop weight d.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from .errors import IndexOutOfRange, PoleAtSpecialValue, SignatureMismatch
-from .scalars import (D_GENERIC, RationalFunc, SpecialField, quantum_int,
-                      specialize)
+from .errors import (ConfigInvalid, IndexOutOfRange, PoleAtSpecialValue,
+                     SignatureMismatch)
+from .linalg import nullspace
+from .scalars import (D_GENERIC, RationalFunc, SpecialField, _pdivmod_q,
+                      _pgcd, _pmul, quantum_int)
 
 
 class Diagram:
@@ -428,123 +428,81 @@ def markov_trace(a):
 
 
 # ---------------------------------------------------------------------------
-# rectangular <-> square embedding
-# ---------------------------------------------------------------------------
-
-
-def embed_rectangular(a):
-    """Embed a: (m, n) with m < n into the square algebra at grade n.
-
-    Pads the top edge with (n - m) / 2 nested arcs on the right.
-    """
-    if a.m >= a.n or (a.n - a.m) % 2:
-        raise SignatureMismatch("embedding expects m < n of equal parity")
-    k = (a.n - a.m) // 2
-    cup = Morphism.from_diagram(cup_diagram(), a.d)
-    pad = cup
-    for _ in range(k - 1):
-        pad = pad.tensor(cup)
-    return a.tensor(pad)
-
-
-def restrict_square(ahat, m):
-    """Left inverse of embed_rectangular: recover the (m, n) morphism."""
-    n = ahat.n
-    if ahat.m != n:
-        raise SignatureMismatch("restriction expects a square morphism")
-    k = (n - m) // 2
-    d = ahat.d
-    cap = Morphism.from_diagram(cap_diagram(), d)
-    pad = Morphism.identity(m, d)
-    for _ in range(k):
-        pad = pad.tensor(cap)
-    # pad: (m, n); stack it above ahat and divide by d^k
-    out = compose(ahat, pad)
-    one = _one_like(d)
-    scale = one
-    for _ in range(k):
-        scale = scale / d
-    return out.scale(scale)
-
-
-# ---------------------------------------------------------------------------
 # Jones-Wenzl projectors
 # ---------------------------------------------------------------------------
 
 
-def _backend_key(backend, ell, d_value):
+def _backend(backend, ell=None, d_value=None):
+    """(cache key, loop weight d, m -> [m]) of a scalar backend.
+
+    Raises ConfigInvalid for an unknown backend, for "special" without
+    an integer level >= 1 and for "float" without d_value.
+    """
     if backend == "generic":
-        return ("generic",)
+        return ("generic",), D_GENERIC, quantum_int
     if backend == "special":
-        return ("special", ell)
+        field = SpecialField(ell)
+        return ("special", ell), field.delta, field.quantum_int
     if backend == "float":
-        return ("float", float(d_value))
-    raise ValueError(f"unknown backend {backend!r}")
+        if d_value is None:
+            raise ConfigInvalid("the float backend needs d_value")
+        d = float(d_value)
+        return ("float", d), d, lambda m: quantum_int(m).eval_float(d)
+    raise ConfigInvalid(f"unknown backend {backend!r}")
 
 
 _jw_cache = {}
-
-
-def _loop_weight(backend, ell=None, d_value=None):
-    if backend == "generic":
-        return D_GENERIC
-    if backend == "special":
-        return SpecialField(ell).delta
-    if backend == "float":
-        return float(d_value)
-    raise ValueError(f"unknown backend {backend!r}")
-
-
-def _qint(m, backend, ell=None, d_value=None):
-    if backend == "generic":
-        return quantum_int(m)
-    if backend == "special":
-        return SpecialField(ell).quantum_int(m)
-    return quantum_int(m).eval_float(float(d_value))
-
-
-def _jw_generic_cleared(k):
-    """Denominator-cleared projector: (N, delta) with p_k = N / delta.
-
-    N has polynomial coefficients and delta is a polynomial; the pair is
-    reduced so the overall content is trivial.  Working with cleared
-    numerators keeps the Wenzl recursion free of per-product gcd work.
-    """
-    if k in _jw_cleared_cache:
-        return _jw_cleared_cache[k]
-    d = D_GENERIC
-    if k == 1:
-        out = (Morphism.identity(1, d), RationalFunc(1))
-    else:
-        N, delta = _jw_generic_cleared(k - 1)
-        qk, qk1 = quantum_int(k - 1), quantum_int(k)
-        N1 = N.tensor(Morphism.identity(1, d))
-        hook = Morphism.hook(k, k - 2, d)
-        corr = compose(compose(N1, hook), N1)
-        num = N1.scale(delta * qk1) - corr.scale(qk)
-        den = delta * delta * qk1
-        # strip common polynomial content
-        from .scalars import _pgcd, _pdivmod_q
-        g = list(den.num)
-        for c in num.terms.values():
-            g = _pgcd(g, list(c.num))
-            if g == [1]:
-                break
-        if g != [1]:
-            def reduce_poly(rf):
-                q, _ = _pdivmod_q(list(rf.num), g)
-                return RationalFunc([int(x) for x in q], [1],
-                                    _normalized=True)
-            num = Morphism(num.m, num.n,
-                           {kk: reduce_poly(v) for kk, v in num.terms.items()},
-                           d)
-            den = reduce_poly(den)
-        out = (num, den)
-    _jw_cleared_cache[k] = out
-    return out
-
-
 _jw_cleared_cache = {}
+
+
+def _jw_cleared(k, backend, ell, d_value):
+    """Denominator-cleared projector: (N, den) with p_k = N / den.
+
+    With N' = N_{k-1} x 1 and U the last hook, the Wenzl recursion reads
+        N_k = den [k] N' - [k-1] N' U N',   den_k = den^2 [k].
+    Over the generic backend N and den are polynomials and the pair is
+    divided by its common polynomial content, which keeps the recursion
+    free of per-product gcd work; over the special and float backends
+    den is folded into N at every step, so den is always one.
+    """
+    key, d, qint = _backend(backend, ell, d_value)
+    if (key, k) in _jw_cleared_cache:
+        return _jw_cleared_cache[(key, k)]
+    if k == 1:
+        out = (Morphism.identity(1, d), _one_like(d))
+    else:
+        N, den = _jw_cleared(k - 1, backend, ell, d_value)
+        qk, qk1 = qint(k - 1), qint(k)
+        if backend == "special" and not qk1:
+            raise PoleAtSpecialValue(
+                f"projector grade {k} does not exist at level {ell}")
+        if backend == "float" and abs(qk1) < 1e-12:
+            raise PoleAtSpecialValue(
+                f"projector grade {k} is singular at d={d_value}")
+        N1 = N.tensor(Morphism.identity(1, d))
+        corr = compose(compose(N1, Morphism.hook(k, k - 2, d)), N1)
+        num = N1.scale(den * qk1) - corr.scale(qk)
+        den = den * den * qk1
+        if backend == "generic":
+            g = list(den.num)
+            for c in num.terms.values():
+                g = _pgcd(g, list(c.num))
+                if g == [1]:
+                    break
+            if g != [1]:
+                def reduce_poly(rf):
+                    q, _ = _pdivmod_q(list(rf.num), g)
+                    return RationalFunc([int(x) for x in q], [1],
+                                        _normalized=True)
+                num = Morphism(num.m, num.n,
+                               {kk: reduce_poly(v)
+                                for kk, v in num.terms.items()}, d)
+                den = reduce_poly(den)
+        else:
+            num, den = num.scale(1 / den), _one_like(d)
+        out = (num, den)
+    _jw_cleared_cache[(key, k)] = out
+    return out
 
 
 def jones_wenzl(k, backend="generic", ell=None, d_value=None):
@@ -555,32 +513,13 @@ def jones_wenzl(k, backend="generic", ell=None, d_value=None):
     In the special backend this exists for k <= ell + 1 and raises
     PoleAtSpecialValue beyond, where [k+1] = 0.
     """
-    key = (_backend_key(backend, ell, d_value), k)
+    key = (_backend(backend, ell, d_value)[0], k)
     if key in _jw_cache:
         return _jw_cache[key]
-    d = _loop_weight(backend, ell, d_value)
     if k < 1:
         raise IndexOutOfRange("projector grade must be >= 1")
-    if backend == "generic":
-        N, delta = _jw_generic_cleared(k)
-        inv = RationalFunc(list(delta.den), list(delta.num))
-        p = N.scale(inv)
-    elif k == 1:
-        p = Morphism.identity(1, d)
-    else:
-        p_prev = jones_wenzl(k - 1, backend, ell, d_value)
-        qk, qk1 = _qint(k - 1, backend, ell, d_value), \
-            _qint(k, backend, ell, d_value)
-        if backend == "special" and not qk1:
-            raise PoleAtSpecialValue(
-                f"projector grade {k} does not exist at level {ell}")
-        if backend == "float" and abs(qk1) < 1e-12:
-            raise PoleAtSpecialValue(
-                f"projector grade {k} is singular at d={d_value}")
-        pk1 = p_prev.tensor(Morphism.identity(1, d))
-        hook = Morphism.hook(k, k - 2, d)
-        corr = compose(compose(pk1, hook), pk1)
-        p = pk1 - corr.scale(qk / qk1)
+    N, den = _jw_cleared(k, backend, ell, d_value)
+    p = N.scale(1 / den)
     _jw_cache[key] = p
     return p
 
@@ -591,7 +530,6 @@ def common_denominator(a):
     Returns (delta, cleared) where delta is a polynomial scalar and
     cleared = delta * a has polynomial coefficients only.
     """
-    from .scalars import _pgcd, _pmul, _pdivmod_q  # internal poly helpers
     lcm = (1,)
     for c in a.terms.values():
         g = _pgcd(list(lcm), list(c.den))
@@ -627,23 +565,21 @@ def gram_exponents(m, n):
 
 def gram_matrix(m, n, backend="generic", ell=None, d_value=None):
     """Gram matrix of the Markov pairing over the chosen backend."""
-    d = _loop_weight(backend, ell, d_value)
+    d = _backend(backend, ell, d_value)[1]
     basis, expo = gram_exponents(m, n)
     return basis, [[d ** e for e in row] for row in expo]
 
 
-def radical_basis(n, ell):
-    """Exact basis of the Markov-pairing radical of the grade-n algebra
-    at the level-ell special weight.  Returned as square morphisms."""
-    from .linalg import nullspace
+def radical_vectors(n, ell):
+    """Radical of the Markov pairing at grade n and the level-ell special
+    weight: (exact null vectors, diagram basis, Gram matrix)."""
     field = SpecialField(ell)
-    basis, expo = gram_exponents(n, n)
-    delta = field.delta
-    mat = [[delta ** e for e in row] for row in expo]
-    null = nullspace(mat, field.zero, field.one)
-    d = field.delta
-    out = []
-    for vec in null:
-        terms = {basis[i]: vec[i] for i in range(len(basis)) if vec[i]}
-        out.append(Morphism(n, n, terms, d))
-    return out
+    basis, mat = gram_matrix(n, n, "special", ell)
+    return nullspace(mat, field.zero, field.one), basis, mat
+
+
+def radical_basis(n, ell):
+    """The radical_vectors of grade n at level ell as square morphisms."""
+    vecs, basis, _ = radical_vectors(n, ell)
+    d = SpecialField(ell).delta
+    return [Morphism(n, n, dict(zip(basis, vec)), d) for vec in vecs]

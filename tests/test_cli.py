@@ -160,3 +160,35 @@ def test_gas_reports_carry_census(capsys):
     assert code == EXIT_OK
     info = json.loads(out)["results"][0]["census"]
     assert info == {"states": 0, "seconds": 0.0, "cached": False}
+
+
+@pytest.mark.parametrize("argv", [
+    ("tl", "jw", "--backend", "special", "--k", "3"),
+    ("tl", "jw", "--backend", "bogus"),
+    ("tl", "jw", "--backend", "float"),
+    ("annulus", "ideal", "--ell", "0"),
+], ids=["special-without-ell", "unknown-backend", "float-without-d",
+        "level-0"])
+def test_bad_backend_or_level_is_config_error(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert json.loads(err)["type"] == "ConfigInvalid"
+
+
+def test_gas_sample_on_hex_torus_is_config_error(capsys):
+    code, out, err = _run(capsys, "gas", "sample", "--hex", "3x3",
+                          "--sweeps", "10")
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "square torus" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("action", ["kernel", "joint-kernel"])
+def test_kernel_past_state_cap_is_capacity_error(capsys, action):
+    # 4x3 torus: 2^24 states, past the enumeration cap
+    code, out, err = _run(capsys, "lattice", action, "--torus", "4x3",
+                          "--ell", "2")
+    assert code == EXIT_CAPACITY
+    assert out == ""
+    assert json.loads(err)["type"] == "StateSpaceTooLarge"

@@ -130,3 +130,8 @@ def test_measurement_distribution_gibbs_ratio():
     bits_b = move[2].bits
     assert probs[bits_b] / probs[bits_a] == pytest.approx(
         float(kb.d) ** (2 * move[3]))
+
+
+def test_sampler_rejects_lattices_other_than_square_torus():
+    with pytest.raises(ConfigInvalid, match="square torus"):
+        metropolis_sample(SquareDiskLattice(2, 2), potts_params(2), 10, 0)

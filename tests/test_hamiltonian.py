@@ -135,3 +135,22 @@ def test_uniform_state_energy_vanishes_at_level_one():
 def test_h0_rejects_square_lattice():
     with pytest.raises(ConfigInvalid):
         build_h0(SquareTorusLattice(2, 2), 1)
+
+
+def test_kernel_propagate_caps_state_space_before_allocating():
+    import tracemalloc
+    lat = SquareTorusLattice(4, 3)  # 2^24 states
+    cs = build_hprime(lat, 2)
+    skein = compile_skein_instances(lat, 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(StateSpaceTooLarge):
+            kernel_propagate(cs)
+        with pytest.raises(StateSpaceTooLarge):
+            joint_kernel(cs, skein)
+        with pytest.raises(StateSpaceTooLarge):
+            containment_check(cs, build_ring_exchange(lat))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
