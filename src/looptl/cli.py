@@ -212,9 +212,11 @@ def _cmd_lattice(args):
     if args.action == "kernel":
         kb = ham.kernel_propagate(cs)
         report["kernel_dimension"] = kb.dimension
-        if args.backend == "float" or (1 << lat.nsites) <= 4096:
+        report["oracle_dimension"] = report["oracle_method"] = None
+        if cs.n_states <= ham.DENSE_STATE_CAP:
             ko = ham.kernel_dense(cs)
             report["oracle_dimension"] = ko.dimension
+            report["oracle_method"] = ko.method
             if ko.dimension != kb.dimension:
                 raise OracleMismatch("kernel solvers disagree")
     elif args.action == "joint-kernel":
@@ -262,6 +264,8 @@ def _cmd_gas(args):
         report["constants"] = {
             "%d,%d" % k: v for k, v in
             gas.extensive_constant_report(lat, model).items()}
+        report["constants_hold"] = all(
+            v["spread"] < 1e-12 for v in report["constants"].values())
         holds, bad = gas.homology_rule_report(lat)
         report["homology_rule_holds"] = holds
         report["homology_rule_violations"] = bad

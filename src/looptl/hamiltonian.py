@@ -10,11 +10,16 @@ sites.
 
 Two independent kernel solvers are provided: ratio propagation along
 move graphs (exact d-exponents) and a numeric/modular row-reduction
-oracle.
+oracle.  Ratio propagation and the oracle's GF(p) rank of two-term
+systems both run hook-and-compress label propagation (Shiloach and
+Vishkin, J. Algorithms 3, 1982) over numpy arrays, one row at a time;
+each is written separately so that neither can share a defect with the
+other.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from fractions import Fraction
 
@@ -23,6 +28,7 @@ import numpy as np
 from .errors import (ConfigInvalid, InconsistentCycle, StateSpaceTooLarge,
                      WindowDoesNotFit)
 from .lattice import ENUM_STATE_CAP, HexTorusLattice
+from .linalg import rank as exact_rank
 from .scalars import SpecialField, minimal_polynomial, special_weight
 from .tlcat import Morphism, compose, enumerate_diagrams, jones_wenzl
 
@@ -80,7 +86,10 @@ class KernelBasis:
     For the propagation solver the basis is one vector per consistent
     component with exact amplitudes d**(pot[s]); comp[s] and pot[s]
     are arrays over all states (comp = -1 never occurs on the full
-    space).  Numeric solvers may carry dense float vectors instead.
+    space).  Components are numbered in the order of their smallest
+    states, and pot is canonical: 0 at the smallest state of each
+    component, so neither depends on the order of the rows.  Numeric
+    solvers may carry dense float vectors instead.
     """
 
     def __init__(self, dimension, method, comp=None, pot=None,
@@ -191,14 +200,20 @@ def build_ring_exchange(lat):
 
 
 def _scatter_contexts(nsites, sites):
-    """All context words for a row: array of state masks with zeros at
-    the row's sites."""
-    free = [p for p in range(nsites) if p not in sites]
-    ctx = np.zeros(1 << len(free), dtype=np.int64)
-    k = np.arange(1 << len(free), dtype=np.int64)
-    for idx, pos in enumerate(free):
-        ctx |= ((k >> idx) & 1) << pos
+    """All context words for a row's site set: a read-only array of
+    state masks with zeros at those sites, in increasing order."""
+    ctx = np.arange(1 << (nsites - len(sites)), dtype=np.int64)
+    for pos in sorted(sites):
+        # insert a zero bit at pos; lower positions are already final
+        ctx = (ctx >> pos << (pos + 1)) | (ctx & ((1 << pos) - 1))
+    ctx.flags.writeable = False
     return ctx
+
+
+# contexts of up to 2^16 words (512 kB) are cached per site set; larger
+# ones, which single-site windows make on the 3x3 torus, are rebuilt
+_CACHED_CONTEXTS = 1 << 16
+_cached_contexts = functools.lru_cache(maxsize=64)(_scatter_contexts)
 
 
 def _pattern_state(pattern, sites):
@@ -211,7 +226,9 @@ def _pattern_state(pattern, sites):
 
 def concrete_states(row, nsites):
     """Arrays of global states per term of a pattern row."""
-    ctx = _scatter_contexts(nsites, row.sites)
+    sites = frozenset(row.sites)
+    ctx = (_cached_contexts if 1 << (nsites - len(sites)) <= _CACHED_CONTEXTS
+           else _scatter_contexts)(nsites, sites)
     return [ctx | _pattern_state(pat, row.sites) for pat, _ in row.terms]
 
 
@@ -220,14 +237,27 @@ def concrete_states(row, nsites):
 # ---------------------------------------------------------------------------
 
 
+# pack[s] = label << _POT_SHIFT | (pot[s] - pot[label] + _POT_BIAS): the
+# state s is tied to with its d-exponent relative to it, so one minimum
+# carries both
+_POT_SHIFT = 32
+_POT_BIAS = 1 << (_POT_SHIFT - 1)
+_POT_MASK = (1 << _POT_SHIFT) - 1
+
+
 def kernel_propagate(cs):
     """One exact kernel vector per consistent ergodic component.
 
-    Every row must be a two-term ratio row carrying its d-exponent;
-    the exponent field is propagated through a weighted union-find, and
-    any closed cycle whose ratios do not multiply to one raises
-    InconsistentCycle.  Raises StateSpaceTooLarge, before allocating
-    anything, when 2^N exceeds ENUM_STATE_CAP.
+    Every row must be a two-term ratio row carrying its d-exponent.
+    Rows are hooked one at a time: the states of each pair (a, b) are
+    followed up to their roots, and where the roots differ the larger
+    takes the smaller as its label, with the exponent that makes
+    pot[b] - pot[a] = dexp.  Pointer jumping then points every state
+    at its root.  Roots are component minima, so pot ends canonical
+    (0 at each smallest state).  Every pair is then checked exactly,
+    and the first whose ratio does not close raises InconsistentCycle.
+    Raises StateSpaceTooLarge, before allocating anything, when 2^N
+    exceeds ENUM_STATE_CAP.
     """
     for row in cs.rows:
         if row.dexp is None or len(row.terms) != 2:
@@ -237,54 +267,61 @@ def kernel_propagate(cs):
     if n > ENUM_STATE_CAP:
         raise StateSpaceTooLarge("ratio propagation capped at %d states"
                                  % ENUM_STATE_CAP)
-    parent = list(range(n))
-    weight = [0] * n  # d-exponent relative to parent
-
-    def find(x):
-        """Root of x and the exponent of x relative to that root, with
-        path compression."""
-        root = x
-        acc = 0
-        while parent[root] != root:
-            acc += weight[root]
-            root = parent[root]
-        px = acc
-        while parent[x] != root:
-            nxt = parent[x]
-            wx = weight[x]
-            parent[x] = root
-            weight[x] = acc
-            acc -= wx
-            x = nxt
-        return root, px
-
     nsites = cs.lattice.nsites
+    pack = (np.arange(n, dtype=np.int64) << _POT_SHIFT) + _POT_BIAS
     for row in cs.rows:
         sa, sb = concrete_states(row, nsites)
-        dexp = row.dexp
-        for a, b in zip(sa.tolist(), sb.tolist()):
-            ra, pa = find(a)
-            rb, pb = find(b)
-            # pot[b] - pot[a] must equal dexp
-            if ra == rb:
-                if pb - pa != dexp:
-                    raise InconsistentCycle(
-                        "ratio cycle through states %d, %d" % (a, b))
-            else:
-                # attach rb under ra: pot_b' = pot_a + dexp
-                parent[rb] = ra
-                weight[rb] = pa + dexp - pb
-    roots = {}
-    comp = np.empty(n, dtype=np.int64)
-    pot = np.empty(n, dtype=np.int64)
-    for s in range(n):
-        r, ps = find(s)
-        if r not in roots:
-            roots[r] = len(roots)
-        comp[s] = roots[r]
-        pot[s] = ps
+        while True:
+            pa, pb = _root_pots(pack, sa), _root_pots(pack, sb)
+            split = (pa >> _POT_SHIFT) != (pb >> _POT_SHIFT)
+            if not split.any():
+                break
+            pa, pb = pa[split], pb[split]
+            qa = (pa & _POT_MASK) - _POT_BIAS
+            qb = (pb & _POT_MASK) - _POT_BIAS
+            # an offer with the larger label loses to the root's own
+            np.minimum.at(pack, pb >> _POT_SHIFT, pa + row.dexp - qb)
+            np.minimum.at(pack, pa >> _POT_SHIFT, pb - row.dexp - qa)
+    _jump_pots(pack)
+    for row in cs.rows:
+        sa, sb = concrete_states(row, nsites)
+        # labels sit above the exponent bits: equal labels and the
+        # right exponent difference leave exactly dexp
+        bad = np.flatnonzero(pack[sb] - pack[sa] != row.dexp)
+        if len(bad):
+            raise InconsistentCycle("ratio cycle through states %d, %d"
+                                    % (sa[bad[0]], sb[bad[0]]))
+    label = pack >> _POT_SHIFT
+    roots = label == np.arange(n)
+    comp = (np.cumsum(roots) - 1)[label]
+    pot = (pack & _POT_MASK) - _POT_BIAS
     d = float(special_weight(cs.ell)) if cs.ell is not None else 1.0
-    return KernelBasis(len(roots), "propagate", comp=comp, pot=pot, d=d)
+    return KernelBasis(int(roots.sum()), "propagate", comp=comp, pot=pot,
+                       d=d)
+
+
+def _root_pots(pack, states):
+    """Packed root and exponent relative to it of the given states,
+    following labels up to the roots; the states keep what was found."""
+    val = pack[states]
+    todo = np.arange(len(val))
+    while len(todo):
+        up = pack[val[todo] >> _POT_SHIFT]
+        moved = (up >> _POT_SHIFT) != (val[todo] >> _POT_SHIFT)
+        todo = todo[moved]
+        val[todo] = up[moved] + (val[todo] & _POT_MASK) - _POT_BIAS
+    pack[states] = val
+    return val
+
+
+def _jump_pots(pack):
+    """Point every state at its root, adding up exponents on the way."""
+    while True:
+        label = pack >> _POT_SHIFT
+        up = pack[label]
+        if np.array_equal(up >> _POT_SHIFT, label):
+            return
+        pack[:] = up + (pack & _POT_MASK) - _POT_BIAS
 
 
 # ---------------------------------------------------------------------------
@@ -333,13 +370,15 @@ def _find_prime_with_root(poly, start=1_000_003):
     while True:
         while not is_prime(p):
             p += 2
-        xs = np.arange(p, dtype=np.int64)
-        acc = np.zeros(p, dtype=np.int64)
-        for c in reversed(poly):
-            acc = (acc * xs + int(c)) % p
-        roots = np.nonzero(acc == 0)[0]
-        if len(roots):
-            return p, int(roots[0])
+        # smallest root first, evaluated in blocks to keep memory small
+        for lo in range(0, p, 1 << 16):
+            xs = np.arange(lo, min(p, lo + (1 << 16)), dtype=np.int64)
+            acc = np.zeros_like(xs)
+            for c in reversed(poly):
+                acc = (acc * xs + int(c)) % p
+            roots = np.flatnonzero(acc == 0)
+            if len(roots):
+                return p, lo + int(roots[0])
         p += 2
 
 
@@ -347,10 +386,8 @@ def _modular_rank(cs):
     """Rank of the expanded system over GF(p) with d mapped to a root
     of its minimal polynomial.
 
-    Two-term rows stay two-term under elimination, so each pivot is a
-    substitution x_a = coeff * x_b (or x_a = 0) and the reduction is a
-    chain-following pass with path compression; rows with more terms
-    fall back to dictionary elimination.
+    Systems of two-term rows go to a label-propagation rank; rows with
+    more terms fall back to dictionary elimination.
     """
     poly = minimal_polynomial(cs.ell) if cs.ell is not None else [-1, 1]
     p, droot = _find_prime_with_root([int(c) for c in poly])
@@ -360,63 +397,97 @@ def _modular_rank(cs):
     return _modular_rank_generic(cs, p, droot, nsites)
 
 
+# pack[s] = label << _FACTOR_SHIFT | f with x_s = f * x_label in GF(p)
+_FACTOR_SHIFT = 32
+_FACTOR_MASK = (1 << _FACTOR_SHIFT) - 1
+
+
 def _modular_rank_two_term(cs, p, droot, nsites):
-    # pivot[c] = (t, f): x_c = f * x_t;  pivot[c] = (None, 0): x_c = 0
-    pivot = {}
-    rank = 0
+    """Rank over GF(p) of a system of two-term rows.
 
-    def resolve(c):
-        f = 1
-        path = []
-        while c in pivot:
-            nxt, g = pivot[c]
-            path.append((c, f))
-            if nxt is None:
-                f = 0
-                c = None
-                break
-            f = f * g % p
-            c = nxt
-        # path compression: everything on the path maps straight to c
-        for node, fn in path:
-            if f == 0:
-                pivot[node] = (None, 0)
-            else:
-                inv = pow(fn, p - 2, p)
-                pivot[node] = (c, f * inv % p)
-        return c, f
-
-    for row in cs.rows:
+    A row va*x_a + vb*x_b with both coefficients nonzero mod p ties
+    x_b = -va/vb * x_a; with one nonzero coefficient it forces that
+    state to zero.  Ties are hooked row by row, each state carrying
+    (label, f) with x = f * x_label, the ratios read from the
+    coefficients alone.  A component keeps one free amplitude unless
+    a pair contradicts its factors or a forced zero lands in it, and
+    rank = n - (free components).
+    """
+    n = cs.n_states
+    pack = (np.arange(n, dtype=np.int64) << _FACTOR_SHIFT) | 1
+    coeffs = [(row, _coeff_mod(row.terms[0][1], p, droot),
+               _coeff_mod(row.terms[1][1], p, droot)) for row in cs.rows]
+    for row, va, vb in coeffs:
+        if not (va and vb):
+            continue
+        ratio = (p - va) * pow(vb, p - 2, p) % p
         sa, sb = concrete_states(row, nsites)
-        va = _coeff_mod(row.terms[0][1], p, droot)
-        vb = _coeff_mod(row.terms[1][1], p, droot)
-        for a, b in zip(sa.tolist(), sb.tolist()):
-            ta, fa = resolve(a)
-            tb, fb = resolve(b)
-            ca = va * fa % p if ta is not None else 0
-            cb = vb * fb % p if tb is not None else 0
-            if ta == tb:
-                if ta is None:
-                    continue
-                if (ca + cb) % p:
-                    pivot[ta] = (None, 0)
-                    rank += 1
-                continue
-            if ca == 0 and cb == 0:
-                continue
-            if ca == 0:
-                pivot[tb] = (None, 0)
-                rank += 1
-                continue
-            if cb == 0:
-                pivot[ta] = (None, 0)
-                rank += 1
-                continue
-            hi, lo, chi, clo = (ta, tb, ca, cb) if ta > tb else \
-                (tb, ta, cb, ca)
-            pivot[hi] = (lo, (p - clo) * pow(chi, p - 2, p) % p)
-            rank += 1
-    return rank
+        while True:
+            pa = _root_factors(pack, sa, p)
+            pb = _root_factors(pack, sb, p)
+            split = (pa >> _FACTOR_SHIFT) != (pb >> _FACTOR_SHIFT)
+            if not split.any():
+                break
+            la, lb = pa[split] >> _FACTOR_SHIFT, pb[split] >> _FACTOR_SHIFT
+            # x_lb = (ratio * fa / fb) * x_la
+            num = ratio * (pa[split] & _FACTOR_MASK) % p
+            den = pb[split] & _FACTOR_MASK
+            np.minimum.at(pack, lb, (la << _FACTOR_SHIFT)
+                          | num * _inverse_mod(den, p) % p)
+            np.minimum.at(pack, la, (lb << _FACTOR_SHIFT)
+                          | den * _inverse_mod(num, p) % p)
+    _jump_factors(pack, p)
+    label, f = pack >> _FACTOR_SHIFT, pack & _FACTOR_MASK
+    dead = np.zeros(n, dtype=bool)
+    for row, va, vb in coeffs:
+        sa, sb = concrete_states(row, nsites)
+        if va and vb:
+            hit = sa[(va * f[sa] + vb * f[sb]) % p != 0]
+        else:
+            hit = sa if va else sb if vb else sa[:0]
+        dead[label[hit]] = True
+    return n - int(np.count_nonzero((label == np.arange(n)) & ~dead))
+
+
+def _root_factors(pack, states, p):
+    """Packed root and factor to it of the given states, following
+    labels up to the roots; the states keep what was found."""
+    val = pack[states]
+    todo = np.arange(len(val))
+    while len(todo):
+        up = pack[val[todo] >> _FACTOR_SHIFT]
+        moved = (up >> _FACTOR_SHIFT) != (val[todo] >> _FACTOR_SHIFT)
+        todo = todo[moved]
+        val[todo] = ((up[moved] >> _FACTOR_SHIFT) << _FACTOR_SHIFT
+                     | (val[todo] & _FACTOR_MASK)
+                     * (up[moved] & _FACTOR_MASK) % p)
+    pack[states] = val
+    return val
+
+
+def _jump_factors(pack, p):
+    """Point every state at its root, multiplying factors on the way."""
+    while True:
+        label = pack >> _FACTOR_SHIFT
+        up = pack[label]
+        if np.array_equal(up >> _FACTOR_SHIFT, label):
+            return
+        pack[:] = ((up >> _FACTOR_SHIFT) << _FACTOR_SHIFT
+                   | (pack & _FACTOR_MASK) * (up & _FACTOR_MASK) % p)
+
+
+def _inverse_mod(x, p):
+    """Elementwise inverse of a nonzero int64 array mod the prime p,
+    by Fermat's little theorem on its distinct values."""
+    base, where = np.unique(x % p, return_inverse=True)
+    out = np.ones_like(base)
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * base % p
+        base = base * base % p
+        e >>= 1
+    return out[where]
 
 
 def _modular_rank_generic(cs, p, droot, nsites):
@@ -690,51 +761,62 @@ def joint_kernel(cs, skein_rows, target=None):
     """Kernel of the union of a ratio system and multi-term skein rows.
 
     The skein rows are restricted to the span of the ratio system's
-    kernel (one amplitude per component), solved there by two
-    independent reductions whose dimensions are hard-checked against
-    each other, and reported against the trichotomy: zero, all of the
-    ratio kernel, or the doubled-theory torus dimension.
+    kernel (one amplitude per component): context k of a row becomes
+    sum_t coeff_t * d**pot_t at component comp_t.  Contexts are
+    deduplicated on integer keys (components and pots shifted by their
+    minimum), and each distinct key becomes one row built exactly in
+    the system's field, normalised by its leading entry and
+    deduplicated again.  Its rank is taken exactly and, independently,
+    by a float SVD of the same rows; the two are hard-checked against
+    each other, and the SVD's singular values on either side of the
+    rank are reported as sv_gap.  The verdict follows the trichotomy:
+    zero, all of the ratio kernel, or the doubled-theory torus
+    dimension.
     """
     base = kernel_propagate(cs)
     g0 = base.dimension
     nsites = cs.lattice.nsites
     comp, pot = base.comp, base.pot
-    d = base.d
-
+    # amplitudes are d**pot, with d = 1 for a system without a level
+    delta = cs.field.delta if cs.ell is not None else 1
+    scaled = functools.cache(lambda coeff, e: coeff * delta ** e)
+    inverse = functools.cache(lambda v: 1 / v)
     reduced = set()
     for row in skein_rows:
-        cols = concrete_states(row, nsites)
-        coeffs = [float(c) for _, c in row.terms]
-        amps = [d ** pot[arr].astype(float) for arr in cols]
-        for k in range(len(cols[0])):
+        cols = np.array(concrete_states(row, nsites))
+        comps, pots = comp[cols], pot[cols]
+        pots -= pots.min(axis=0)
+        _, first = np.unique(_column_keys(np.concatenate([comps, pots])),
+                             return_index=True)
+        for k in first.tolist():
             vec = {}
-            for t in range(len(cols)):
-                c = int(comp[cols[t][k]])
-                vec[c] = vec.get(c, 0.0) + coeffs[t] * float(amps[t][k])
-            vec = {c: v for c, v in vec.items() if abs(v) > 1e-13}
-            if not vec:
-                continue
-            # normalize for deduplication
-            lead = vec[min(vec)]
-            key = tuple(sorted((c, round(v / lead, 10))
-                               for c, v in vec.items()))
-            reduced.add(key)
+            for t, (_, coeff) in enumerate(row.terms):
+                c = int(comps[t, k])
+                vec[c] = vec.get(c, 0) + scaled(coeff, int(pots[t, k]))
+            vec = {c: v for c, v in vec.items() if v}
+            if vec:
+                lead = inverse(vec[min(vec)])
+                reduced.add(tuple(sorted((c, v * lead)
+                                         for c, v in vec.items())))
 
-    mat = np.zeros((max(len(reduced), 1), g0))
-    for r, key in enumerate(sorted(reduced)):
+    rows = sorted(reduced, key=lambda r: [(c, repr(v)) for c, v in r])
+    exact = [[0] * g0 for _ in rows]
+    for r, key in enumerate(rows):
         for c, v in key:
-            mat[r, c] = v
-    u, s, vt = np.linalg.svd(mat, full_matrices=True)
+            exact[r][c] = v
+    rank = exact_rank(exact)
+    mat = np.array([[float(v) for v in r] for r in exact] or [[0.0] * g0])
+    _, s, vt = np.linalg.svd(mat, full_matrices=True)
     tol = 1e-8 * (s[0] if s.size and s[0] > 0 else 1.0)
-    rank = int(np.sum(s > tol))
+    svd_rank = int(np.sum(s > tol))
+    assert svd_rank == rank, "joint-kernel solvers disagree: %d vs %d" % (
+        svd_rank, rank)
     dim = g0 - rank
     null = vt[rank:].T  # g0 x dim, coefficients per component
-
-    # independent confirmation: rank by rational Gaussian elimination
-    # on the deduplicated rows with exact d-power entries
-    rank2 = _exact_component_rank(sorted(reduced), g0)
-    assert rank2 == rank, "joint-kernel solvers disagree: %d vs %d" % (
-        rank2, rank)
+    # singular values beyond the matrix's own rows are exact zeros
+    sv = list(s) + [0.0] * (g0 - len(s))
+    sv_gap = [float(sv[rank - 1]) if rank else None,
+              float(sv[rank]) if rank < g0 else None]
 
     verdict = "partial constraint"
     if dim == 0:
@@ -745,30 +827,25 @@ def joint_kernel(cs, skein_rows, target=None):
         verdict = "doubled-theory dimension"
     report = {"dimension": dim, "g0_dimension": g0, "target": target,
               "verdict": verdict, "skein_rows": len(skein_rows),
-              "reduced_rows": len(reduced)}
+              "reduced_rows": len(reduced), "sv_gap": sv_gap}
     return KernelBasis(dim, "joint", comp=comp, pot=pot,
-                       vectors=null, d=d), report
+                       vectors=null, d=base.d), report
 
 
-def _exact_component_rank(keys, g0):
-    rows = [{c: Fraction(v).limit_denominator(10 ** 12) for c, v in key}
-            for key in keys]
-    pivots = {}
-    rank = 0
-    for work in rows:
-        work = dict(work)
-        while work:
-            c = max(work)
-            if c in pivots:
-                f = work[c] / pivots[c][c]
-                for pc, pv in pivots[c].items():
-                    work[pc] = work.get(pc, Fraction(0)) - f * pv
-                work = {cc: v for cc, v in work.items() if v}
-            else:
-                pivots[c] = work
-                rank += 1
-                break
-    return rank
+def _column_keys(digits):
+    """One int64 key per column of a non-negative integer array, equal
+    exactly when the columns are; when the mixed-radix key would
+    overflow, the keys so far are renumbered densely first."""
+    key = np.zeros(digits.shape[1], dtype=np.int64)
+    span = 1
+    for digit in digits:
+        radix = int(digit.max()) + 1
+        if span * radix >= 1 << 62:
+            _, key = np.unique(key, return_inverse=True)
+            span = int(key.max()) + 1
+        key = key * radix + digit
+        span *= radix
+    return key
 
 
 def joint_vectors_dense(basis):

@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from looptl.cli import (EXIT_CAPACITY, EXIT_CONFIG, EXIT_OK, main,
-                        report_bundle)
+from looptl.cli import (EXIT_CAPACITY, EXIT_CONFIG, EXIT_OK, EXIT_ORACLE,
+                        main, report_bundle)
 
 
 def _run(capsys, *argv):
@@ -192,3 +192,42 @@ def test_kernel_past_state_cap_is_capacity_error(capsys, action):
     assert code == EXIT_CAPACITY
     assert out == ""
     assert json.loads(err)["type"] == "StateSpaceTooLarge"
+
+
+def test_lattice_kernel_always_cross_checks_on_3x3(capsys):
+    code, out, _ = _run(capsys, "lattice", "kernel", "--torus", "3x3",
+                        "--ell", "2")
+    assert code == EXIT_OK
+    rep = json.loads(out)["results"][0]
+    assert rep["kernel_dimension"] == rep["oracle_dimension"] == 22
+    assert rep["oracle_method"] == "modular-elimination"
+
+
+def test_lattice_kernel_oracle_mismatch_exit_code(capsys, monkeypatch):
+    from looptl import hamiltonian
+    monkeypatch.setattr(hamiltonian, "kernel_dense", lambda cs:
+                        hamiltonian.KernelBasis(0, "modular-elimination"))
+    code, out, err = _run(capsys, "lattice", "kernel", "--torus", "2x2",
+                          "--ell", "2")
+    assert code == EXIT_ORACLE
+    assert out == ""
+    assert json.loads(err)["error"] == "oracle-mismatch"
+
+
+def test_lattice_joint_kernel_prints_singular_value_gap(capsys):
+    code, out, _ = _run(capsys, "lattice", "joint-kernel", "--torus", "2x2",
+                        "--ell", "1")
+    assert code == EXIT_OK
+    rep = json.loads(out)["results"][0]
+    kept, dropped = rep["sv_gap"]
+    assert rep["dimension"] == 1 and kept > 1e-3 > 1e-12 > dropped
+
+
+@pytest.mark.parametrize("flag,holds", [("--torus", True), ("--hex", False)])
+def test_gas_exact_flags_non_constant_ratios(capsys, flag, holds):
+    code, out, _ = _run(capsys, "gas", "exact", flag, "3x3", "--ell", "2")
+    assert code == EXIT_OK
+    rep = json.loads(out)["results"][0]
+    assert rep["constants_hold"] is holds
+    spreads = [c["spread"] for c in rep["constants"].values()]
+    assert holds == (max(spreads) < 1e-12)

@@ -1,17 +1,21 @@
+import random
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from looptl.errors import (ConfigInvalid, InconsistentCycle,
                            StateSpaceTooLarge, WindowDoesNotFit)
-from looptl.hamiltonian import (ConstraintSystem, Row, build_h0,
-                                build_hprime, build_ring_exchange,
-                                code_space_probe, compile_skein_instances,
-                                containment_check, joint_kernel,
-                                joint_vectors_dense, kernel_dense,
-                                kernel_propagate, pauli_expand_check,
-                                uniform_state_energy)
-from looptl.lattice import HexTorusLattice, SquareTorusLattice
-from looptl.scalars import SpecialField
+from looptl.hamiltonian import (ConstraintSystem, Row, _coeff_mod,
+                                _column_keys, _find_prime_with_root,
+                                _modular_rank, build_h0, build_hprime,
+                                build_ring_exchange, code_space_probe,
+                                compile_skein_instances, containment_check,
+                                joint_kernel, joint_vectors_dense,
+                                kernel_dense, kernel_propagate,
+                                pauli_expand_check, uniform_state_energy)
+from looptl.lattice import HexTorusLattice, SquareTorusLattice, census
+from looptl.scalars import SpecialField, minimal_polynomial
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3])
@@ -154,3 +158,186 @@ def test_kernel_propagate_caps_state_space_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+# ---------------------------------------------------------------------------
+# the vectorised solvers against plain references
+# ---------------------------------------------------------------------------
+
+
+def _prime_and_root(cs):
+    poly = minimal_polynomial(cs.ell) if cs.ell is not None else [-1, 1]
+    return _find_prime_with_root([int(c) for c in poly])
+
+
+def _dense_rank_mod_p(cs):
+    """Rank of the expanded system by plain Gaussian elimination over
+    GF(p), one matrix row per (pattern row, context), built state by
+    state without the package's row expansion."""
+    p, droot = _prime_and_root(cs)
+    n = cs.n_states
+    lines = []
+    for row in cs.rows:
+        mask = sum(1 << pos for pos in row.sites)
+        for s in range(n):
+            if s & mask:
+                continue  # one line per context: the site bits all clear
+            line = np.zeros(n, dtype=np.int64)
+            for pat, coeff in row.terms:
+                state = s | sum(1 << pos for k, pos in enumerate(row.sites)
+                                if (pat >> k) & 1)
+                line[state] = (line[state] + _coeff_mod(coeff, p, droot)) % p
+            lines.append(line)
+    m = np.array(lines)
+    rank = 0
+    for col in range(n):
+        nz = np.flatnonzero(m[rank:, col])
+        if not len(nz):
+            continue
+        m[[rank, rank + nz[0]]] = m[[rank + nz[0], rank]]
+        m[rank] = m[rank] * pow(int(m[rank, col]), p - 2, p) % p
+        others = np.flatnonzero(m[:, col])
+        others = others[others != rank]
+        m[others] = (m[others] - m[others, col][:, None] * m[rank]) % p
+        rank += 1
+        if rank == len(m):
+            break
+    return rank
+
+
+def _random_two_term_system(seed, ell):
+    """Seeded two-term rows on the 2x2 torus: random sites, distinct
+    patterns and coefficients, a row whose coefficient is p (zero mod
+    p), a cycle of ratios that does not close, and dexp annotations
+    unrelated to the coefficients."""
+    rng = random.Random(seed)
+    lat = SquareTorusLattice(2, 2)
+    p, _ = _prime_and_root(ConstraintSystem(lat, ell, [], "synthetic"))
+    field = SpecialField(ell) if ell is not None else None
+
+    def scalar(a, b=0):
+        return field.element([a, b]) if field else Fraction(a) + b
+
+    choices = [scalar(1), scalar(-1), scalar(2), scalar(Fraction(1, 3)),
+               scalar(0, 1), scalar(-3, 2)]
+    rows = []
+    for k in range(8):
+        sites = rng.sample(range(lat.nsites), rng.choice((4, 5, 6)))
+        pa, pb = rng.sample(range(1 << len(sites)), 2)
+        rows.append(Row("rand", k, sites, [(pa, rng.choice(choices)),
+                                           (pb, rng.choice(choices))],
+                        dexp=rng.choice((-1, 0, 2))))
+    # coefficient p: forces the other pattern's states to zero mod p
+    rows.append(Row("rand", "p", (0, 5), [(1, scalar(p)), (2, scalar(1))],
+                    dexp=0))
+    # x_b = x_a on one row and x_b = 2 x_a on another: the cycle fails
+    cycle = (3, 1, 2, 4)
+    rows.append(Row("rand", "c1", cycle, [(0, scalar(1)), (1, scalar(-1))],
+                    dexp=0))
+    rows.append(Row("rand", "c2", cycle, [(0, scalar(2)), (1, scalar(-1))],
+                    dexp=0))
+    rng.shuffle(rows)
+    return ConstraintSystem(lat, ell, rows, "synthetic")
+
+
+_MODULAR_CASES = {
+    "hprime-l1": lambda: build_hprime(SquareTorusLattice(2, 2), 1),
+    "hprime-l2": lambda: build_hprime(SquareTorusLattice(2, 2), 2),
+    "hprime-l3": lambda: build_hprime(SquareTorusLattice(2, 2), 3),
+    "ring": lambda: build_ring_exchange(SquareTorusLattice(2, 2)),
+    "hex-h0": lambda: build_h0(HexTorusLattice(3, 3), 2),
+    **{"random-%d" % seed: (lambda seed=seed: _random_two_term_system(
+        seed, None if seed % 2 else 2)) for seed in range(6)},
+}
+
+
+@pytest.mark.parametrize("case", list(_MODULAR_CASES))
+def test_modular_rank_matches_dense_elimination(case):
+    cs = _MODULAR_CASES[case]()
+    assert _modular_rank(cs) == _dense_rank_mod_p(cs)
+
+
+def test_modular_rank_reads_coefficients_not_dexp():
+    # wrong d-exponents: propagation finds the broken cycle, while the
+    # oracle still sees the consistent coefficients
+    cs = build_hprime(SquareTorusLattice(2, 2), 2)
+    for row in cs.rows[::3]:
+        row.dexp = 2
+    with pytest.raises(InconsistentCycle):
+        kernel_propagate(cs)
+    assert cs.n_states - _modular_rank(cs) == 10
+
+
+def _shuffled_system(cs, seed):
+    rows = list(cs.rows)
+    random.Random(seed).shuffle(rows)
+    return ConstraintSystem(cs.lattice, cs.ell, rows, cs.model, cs.field)
+
+
+@pytest.mark.parametrize("model", ["ring-2x2", "hprime-3x3"])
+def test_propagation_is_canonical_under_row_shuffles(model):
+    cs = (build_ring_exchange(SquareTorusLattice(2, 2))
+          if model == "ring-2x2" else build_hprime(SquareTorusLattice(3, 3),
+                                                    2))
+    ref = kernel_propagate(cs)
+    for seed in (1, 2):
+        kb = kernel_propagate(_shuffled_system(cs, seed))
+        assert kb.comp.tobytes() == ref.comp.tobytes()
+        assert kb.pot.tobytes() == ref.pot.tobytes()
+    # components numbered by their smallest state, pot 0 there
+    _, smallest = np.unique(ref.comp, return_index=True)
+    assert np.array_equal(ref.comp[smallest], np.arange(ref.dimension))
+    assert np.all(np.diff(smallest) > 0)
+    assert np.all(ref.pot[smallest] == 0)
+
+
+@pytest.mark.parametrize("size,pinned", [
+    # (state, component, smallest state, pot): the parent union-find's
+    # pot differences within each component
+    (2, [(0, 0, 0, 0), (7, 1, 5, -1), (100, 0, 0, -3), (200, 2, 34, -1),
+         (255, 3, 39, 2)]),
+    (3, [(0, 0, 0, 0), (1, 0, 0, -1), (4097, 0, 0, -2), (12345, 0, 0, -6),
+         (100000, 0, 0, -6), (200000, 1, 21, -3), (262143, 4, 8343, 4)])])
+def test_propagation_pots_are_loop_count_differences(size, pinned):
+    lat = SquareTorusLattice(size, size)
+    kb = kernel_propagate(build_hprime(lat, 2))
+    _, smallest = np.unique(kb.comp, return_index=True)
+    for state, comp, low, pot in pinned:
+        assert (kb.comp[state], smallest[comp], kb.pot[state]) == \
+            (comp, low, pot)
+    # amplitude d^pot: pot is the loop count relative to the component's
+    # smallest state, read from the census
+    loops = census(lat).loops.astype(np.int64)
+    assert np.array_equal(kb.pot, loops - loops[smallest[kb.comp]])
+
+
+def test_propagation_raises_on_a_broken_cycle_of_a_real_system():
+    cs = build_hprime(SquareTorusLattice(2, 2), 2)
+    cs.rows[5].dexp = -1
+    with pytest.raises(InconsistentCycle):
+        kernel_propagate(_shuffled_system(cs, 3))
+
+
+@pytest.mark.parametrize("model,g0,reduced", [("hprime", 10, 14),
+                                               ("ring", 40, 82)])
+def test_joint_kernel_reports_singular_value_gap(model, g0, reduced):
+    lat = SquareTorusLattice(2, 2)
+    cs = build_hprime(lat, 1) if model == "hprime" \
+        else build_ring_exchange(lat)
+    basis, report = joint_kernel(cs, compile_skein_instances(lat, 1),
+                                 target=1)
+    kept, dropped = report["sv_gap"]
+    assert report["dimension"] == basis.dimension == 1
+    assert (report["g0_dimension"], report["reduced_rows"]) == (g0, reduced)
+    assert kept > 1e-3 and dropped < 1e-12
+
+
+def test_column_keys_renumber_before_overflowing():
+    # three digits of radix 2^40 would need 120 bits as one mixed-radix key
+    rng = np.random.default_rng(5)
+    digits = rng.integers(0, 3, size=(3, 200)) << 39
+    keys = _column_keys(digits)
+    cols = [tuple(c) for c in digits.T.tolist()]
+    for i in range(0, 200, 7):
+        for j in range(200):
+            assert (keys[i] == keys[j]) == (cols[i] == cols[j])
