@@ -301,16 +301,6 @@ def _beta_coeffs(n, ell, convention):
     return coeffs
 
 
-def _sector_modulus(ell, ideal, sector):
-    if sector == "full":
-        if ideal is None:
-            ideal = annular_ideal(ell, ell + 2)
-        return [float(c) for c in ideal.generator.coeffs]
-    if sector == "even":
-        return [float(c) for c in even_sector_polynomial(ell).coeffs]
-    raise ValueError(f"unknown sector {sector!r}")
-
-
 def _float_reduce(coeffs, gen):
     r = list(coeffs)
     while len(r) >= len(gen):
@@ -335,23 +325,6 @@ def _float_mul(a, b):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
-
-
-def beta_projector(n, ell, convention="shifted", ideal=None, sector="full"):
-    """beta_n = sum_x S_{2n,2x} c_{2x}, reduced modulo the annular ideal.
-
-    c_{2x} is the annular closure of the projector p_{2x}, an integer
-    polynomial in R (c_0 = 1, c_2 = R^2 - 1, ...).  Float coefficients:
-    the S entries are generally outside the exact field.  The valid index
-    range is 0 <= n <= floor((ell+2)/2).  With sector="even" the reduction
-    is modulo the even-label factor of the generator, where at odd ell the
-    nonzero betas are orthogonal eigenspace projectors up to scale.  At
-    even ell the label ell has the same even-restricted S row as the
-    vacuum, so beta_{ell/2} = beta_0 and orthogonality fails whatever the
-    basis; at ell = 2 every beta is +-one and the same element.
-    """
-    gen = _sector_modulus(ell, ideal, sector)
-    return _float_reduce(_beta_coeffs(n, ell, convention), gen)
 
 
 def _projector_check(betas, gen, tol=1e-9):
@@ -393,9 +366,17 @@ def _projector_check(betas, gen, tol=1e-9):
 def beta_report(ell, grade_cap=None, tol=1e-9):
     """Empirically select the S convention (and sector) for the betas.
 
-    Tries both index conventions in the full quotient and in the
-    even-label sector and records which combinations give pairwise
-    orthogonal, idempotent-up-to-nonzero-scalar projectors.
+    beta_n = sum_x S_{2n,2x} c_{2x}, 0 <= n <= floor((ell+2)/2), with c_{2x}
+    the annular closure of p_{2x}, is reduced in floats (the S entries are
+    generally outside the exact field) modulo the generator of the annular
+    ideal ("full") or its even-label factor ("even").  Tries both index
+    conventions in both sectors and records which combinations give
+    pairwise orthogonal, idempotent-up-to-nonzero-scalar projectors.  At
+    odd ell the nonzero even-sector betas are orthogonal eigenspace
+    projectors up to scale.  At even ell the label ell has the same
+    even-restricted S row as the vacuum, so beta_{ell/2} = beta_0 and
+    orthogonality fails whatever the basis; at ell = 2 every beta is +-one
+    and the same element.
     """
     if grade_cap is None:
         grade_cap = ell + 2
@@ -403,8 +384,9 @@ def beta_report(ell, grade_cap=None, tol=1e-9):
     top = (ell + 2) // 2
     results = {}
     chosen = None
-    for sector in ("full", "even"):
-        gen = _sector_modulus(ell, ideal, sector)
+    moduli = {"full": ideal.generator, "even": even_sector_polynomial(ell)}
+    for sector, modulus in moduli.items():
+        gen = [float(c) for c in modulus.coeffs]
         for conv in ("shifted", "unshifted"):
             betas = [_float_reduce(_beta_coeffs(n, ell, conv), gen)
                      for n in range(top + 1)]

@@ -14,7 +14,6 @@ emitted in reports, never silently absorbed.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -337,10 +336,9 @@ def detailed_balance_check(lat, model):
 
     For each pair a -> b = a with one bond flipped, with (C, E) from the
     lattice census, checks exactly that the cluster-form weights satisfy
-    w_b = w_a q^dC (p/(1-p))^(-1 if the bond is |+> in a else 1) -- over
-    the rationals at levels 1 and 2, in the level's number field
-    otherwise -- and both ways round.  Then Metropolis acceptance
-    min(1, w_b/w_a) balances the flows.  The sampler's float entry
+    w_b = w_a q^dC (p/(1-p))^(-1 if the bond is |+> in a else 1) -- in
+    the level's number field -- and both ways round.  Then Metropolis
+    acceptance min(1, w_b/w_a) balances the flows.  The sampler's float entry
     acceptance_table(model)[(dC, spin)] must lie within 1e-12 relative
     of that exact ratio, and the sampler's depth-first dC must equal
     the census difference.  Returns (ok, pairs_checked).
@@ -350,11 +348,7 @@ def detailed_balance_check(lat, model):
         raise StateSpaceTooLarge("balance check is exhaustive")
     cen = census(lat)
     plus, minus = cen.edge_counts()
-    if model.field.degree == 1:
-        q, p = model.q.coeffs[0], model.p.coeffs[0]
-        one = Fraction(1)
-    else:
-        q, p, one = model.q, model.p, model.field.one
+    q, p, one = model.q, model.p, model.field.one
     ratio_e = p / (one - p)
     exact = {(dc, s): q ** dc * ratio_e ** (-1 if s else 1)
              for dc in (-1, 0, 1) for s in (0, 1)}

@@ -29,7 +29,8 @@ from .errors import (ConfigInvalid, InconsistentCycle, StateSpaceTooLarge,
                      WindowDoesNotFit)
 from .lattice import ENUM_STATE_CAP, HexTorusLattice
 from .linalg import rank as exact_rank
-from .scalars import SpecialField, minimal_polynomial, special_weight
+from .scalars import (FieldElement, SpecialField, minimal_polynomial,
+                      special_weight)
 from .tlcat import Morphism, compose, enumerate_diagrams, jones_wenzl
 
 DENSE_STATE_CAP = 300_000
@@ -523,13 +524,11 @@ def _coeff_mod(c, p, droot):
         return c % p
     if isinstance(c, Fraction):
         return c.numerator * pow(c.denominator % p, p - 2, p) % p
-    coeffs = getattr(c, "coeffs", None)
-    if coeffs is not None:  # special-field element
+    if isinstance(c, FieldElement):
         acc = 0
-        for q in reversed(coeffs):
-            acc = (acc * droot + q.numerator
-                   * pow(q.denominator % p, p - 2, p)) % p
-        return acc
+        for q in reversed(c.num):
+            acc = (acc * droot + q) % p
+        return acc * pow(c.den % p, p - 2, p) % p
     raise ConfigInvalid("cannot reduce coefficient %r mod p" % (c,))
 
 
@@ -862,7 +861,12 @@ def joint_vectors_dense(basis):
 
 def code_space_probe(vectors, lat, tol=1e-9):
     """Whether every single-bond sigma_x and sigma_z compresses to a
-    scalar on the span of the given (orthonormal) state vectors."""
+    scalar on the span of the given state vectors.
+
+    The deviation of a compression m = V^T O V from its scalar part is
+    the spectral norm of m - (tr m / dim) I, which depends on the span
+    only, not on the orthonormal basis V chosen in it.  Returns
+    (largest deviation <= tol, largest deviation)."""
     if not vectors:
         return True, 0.0
     V, _ = np.linalg.qr(np.stack(vectors, axis=1))
@@ -876,7 +880,8 @@ def code_space_probe(vectors, lat, tol=1e-9):
         comp_x = V.T @ V[flipped]
         for m in (comp_z, comp_x):
             scalar = np.trace(m) / dim
-            worst = max(worst, float(np.max(np.abs(m - scalar * np.eye(dim)))))
+            worst = max(worst, float(np.linalg.norm(m - scalar * np.eye(dim),
+                                                    2)))
     return worst <= tol, worst
 
 

@@ -25,12 +25,13 @@ def rref(mat):
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                rows[i] = [x - f * y if y else x
+                           for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -60,6 +61,18 @@ def nullspace(mat, zero, one):
 
 
 def same_span(a, b):
-    """Whether two row collections span the same subspace."""
-    ra, rb = rank(a), rank(b)
-    return ra == rb == rank(a + b)
+    """Whether two row collections span the same subspace.
+
+    One rref of a: every row of b must reduce to zero against its pivot
+    rows, and then b spans all of span(a) exactly when its coordinates on
+    those rows, its entries in the pivot columns, have full rank.
+    """
+    rows, pivots = rref(a)
+    for vec in b:
+        for row, pc in zip(rows, pivots):
+            f = vec[pc]
+            if f:
+                vec = [x - f * y if y else x for x, y in zip(vec, row)]
+        if any(vec):
+            return False
+    return rank([[vec[pc] for pc in pivots] for vec in b]) == len(pivots)

@@ -356,26 +356,41 @@ class SpecialField:
         self.minpoly = minimal_polynomial(ell)
         self.degree = len(self.minpoly) - 1
         self.delta_float = 2.0 * math.cos(math.pi / (ell + 2))
+        # _powers[k] holds delta^(degree + k) on the power basis; the
+        # minimal polynomial is monic over Z, so every entry is an integer
+        self._powers = [[-c for c in self.minpoly[:-1]]]
         cls._cache[ell] = self
         return self
 
     def element(self, coeffs):
-        c = [Fraction(x) for x in coeffs]
-        c = c[:self.degree] + [Fraction(0)] * max(0, self.degree - len(c))
-        if len(coeffs) > self.degree:
-            c = self._reduce([Fraction(x) for x in coeffs])
-        return FieldElement(self, tuple(c))
+        """The element sum_k coeffs[k] delta^k, for int or rational coeffs
+        (any length)."""
+        coeffs = [x if type(x) is int else Fraction(x) for x in coeffs]
+        den = math.lcm(*(x.denominator for x in coeffs))
+        nums = [x.numerator * (den // x.denominator) for x in coeffs]
+        return _canonical(self, self._reduce(nums), den)
 
-    def _reduce(self, coeffs):
-        c = list(coeffs)
-        mp = self.minpoly
-        while len(c) > self.degree:
-            k = len(c) - 1 - self.degree
-            lead = c[-1]
-            for i in range(len(mp)):
-                c[k + i] -= lead * mp[i]
-            c.pop()
-        return c + [Fraction(0)] * (self.degree - len(c))
+    def _reduce(self, nums):
+        """Fold the integers sum_k nums[k] delta^k onto the power basis
+        (a list of `degree` ints) through the table of delta^k mod the
+        minimal polynomial."""
+        n = self.degree
+        out = nums[:n]
+        if len(out) < n:
+            return out + [0] * (n - len(out))
+        powers = self._powers
+        while len(powers) < len(nums) - n:
+            prev = powers[-1]
+            top = prev[-1]
+            powers.append([top * a + b for a, b in
+                           zip(powers[0], [0] + prev[:-1])])
+        for k in range(n, len(nums)):
+            c = nums[k]
+            if c:
+                row = powers[k - n]
+                for i in range(n):
+                    out[i] += c * row[i]
+        return out
 
     @property
     def zero(self):
@@ -387,9 +402,6 @@ class SpecialField:
 
     @property
     def delta(self):
-        if self.degree == 1:
-            # delta is rational (ell = 1: delta = 1)
-            return self.element([Fraction(-self.minpoly[0], self.minpoly[1])])
         return self.element([0, 1])
 
     def quantum_int(self, m):
@@ -404,14 +416,32 @@ class SpecialField:
         return f"SpecialField(ell={self.ell})"
 
 
+def _canonical(field, nums, den):
+    """FieldElement with numerators nums over den > 0 in lowest terms."""
+    g = math.gcd(den, *nums)
+    if g != 1:
+        nums = [x // g for x in nums]
+        den //= g
+    return FieldElement(field, tuple(nums), den)
+
+
 class FieldElement:
-    """Element of Q(delta) stored on the power basis of delta."""
+    """Element of Q(delta) on the power basis of delta: the integer
+    numerators `num` (one per power, `degree` of them) over one positive
+    integer denominator `den`, with gcd(*num, den) == 1, so equal elements
+    have equal (num, den)."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "num", "den")
 
-    def __init__(self, field, coeffs):
+    def __init__(self, field, num, den=1):
         self.field = field
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
+
+    @property
+    def coeffs(self):
+        """The power-basis coefficients as Fractions (read-only view)."""
+        return tuple(Fraction(x, self.den) for x in self.num)
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
@@ -426,20 +456,32 @@ class FieldElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return FieldElement(self.field, tuple(a + b for a, b in
-                                              zip(self.coeffs, o.coeffs)))
+        if self.den == o.den:
+            nums = [a + b for a, b in zip(self.num, o.num)]
+            if self.den == 1:
+                return FieldElement(self.field, tuple(nums))
+            return _canonical(self.field, nums, self.den)
+        da, db = self.den, o.den
+        return _canonical(self.field, [a * db + b * da for a, b in
+                                       zip(self.num, o.num)], da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, tuple(-a for a in self.coeffs))
+        return FieldElement(self.field, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return FieldElement(self.field, tuple(a - b for a, b in
-                                              zip(self.coeffs, o.coeffs)))
+        if self.den == o.den:
+            nums = [a - b for a, b in zip(self.num, o.num)]
+            if self.den == 1:
+                return FieldElement(self.field, tuple(nums))
+            return _canonical(self.field, nums, self.den)
+        da, db = self.den, o.den
+        return _canonical(self.field, [a * db - b * da for a, b in
+                                       zip(self.num, o.num)], da * db)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -448,37 +490,45 @@ class FieldElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        n = self.field.degree
-        if n == 1:
-            return FieldElement(self.field,
-                                (self.coeffs[0] * o.coeffs[0],))
-        prod = [Fraction(0)] * (2 * n - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(o.coeffs):
-                    if b:
-                        prod[i + j] += a * b
-        return FieldElement(self.field, tuple(self.field._reduce(prod)))
+        a, b = self.num, o.num
+        prod = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    prod[i + j] += x * y
+        return _canonical(self.field, self.field._reduce(prod),
+                          self.den * o.den)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if not any(self.coeffs):
+        if not any(self.num):
             raise ZeroDivisionError("inverse of zero field element")
-        # extended Euclid in Q[x] against the minimal polynomial
-        mp = [Fraction(c) for c in self.field.minpoly]
-        a = _trim(list(self.coeffs))
-        r0, r1 = mp, a
-        s0, s1 = [], [Fraction(1)]
-        while True:
-            q, r = _pdivmod(r0, r1)
-            if not r:
-                break
-            s = _psub(s0, _pmul(q, s1))
-            r0, r1, s0, s1 = r1, r, s1, s
-        lead = r1[-1]
-        inv = [c / lead for c in s1]
-        return FieldElement(self.field, tuple(self.field._reduce(inv)))
+        # num * y = 1 is the integer system M y = e_0, M the matrix of
+        # multiplication by num.  Fraction-free Gauss-Jordan (Bareiss,
+        # Math. Comp. 22, 1968): every division is exact, and it ends with
+        # the last pivot, det M, on the whole diagonal.
+        field, n = self.field, self.field.degree
+        cols, col = [], list(self.num)
+        for _ in range(n):
+            cols.append(col)
+            col = field._reduce([0] + col)
+        m = [[c[i] for c in cols] + [int(i == 0)] for i in range(n)]
+        prev = 1
+        for k in range(n):
+            piv = next(i for i in range(k, n) if m[i][k])
+            m[k], m[piv] = m[piv], m[k]
+            row = m[k]
+            pk = row[k]
+            for i in range(n):
+                if i != k:
+                    f = m[i][k]
+                    m[i] = [(pk * a - f * b) // prev
+                            for a, b in zip(m[i], row)]
+            prev = pk
+        sign = 1 if prev > 0 else -1
+        return _canonical(field, [sign * self.den * r[n] for r in m],
+                          sign * prev)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -500,20 +550,21 @@ class FieldElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.num == o.num and self.den == o.den
 
     def __hash__(self):
-        return hash((id(self.field), self.coeffs))
+        return hash((id(self.field), self.num, self.den))
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     def __float__(self):
-        return _peval_float([float(c) for c in self.coeffs],
+        # int / int is correctly rounded, as float(Fraction) is
+        return _peval_float([x / self.den for x in self.num],
                             self.field.delta_float)
 
     def __repr__(self):
-        return _pstr([c for c in self.coeffs], var="delta") \
+        return _pstr(self.coeffs, var="delta") \
             if self.field.degree > 1 else str(self.coeffs[0])
 
 

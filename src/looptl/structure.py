@@ -84,7 +84,7 @@ def ideal_span(gen, n, stop_at_dim=None):
         for col, pv in pivots:
             if vec[col]:
                 f = vec[col]
-                vec = [x - f * y for x, y in zip(vec, pv)]
+                vec = [x - f * y if y else x for x, y in zip(vec, pv)]
         return vec
 
     def try_add(mor):

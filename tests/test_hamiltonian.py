@@ -118,6 +118,23 @@ def test_code_space_probe_on_joint_kernel():
         assert worst >= 0.0
 
 
+def test_code_space_probe_does_not_depend_on_the_basis():
+    # the 4-dimensional l=2 joint kernel of the 3x3 torus, where the probe
+    # is far from zero, in its own basis and in randomly rotated ones
+    lat = SquareTorusLattice(3, 3)
+    basis, _ = joint_kernel(build_hprime(lat, 2),
+                            compile_skein_instances(lat, 2))
+    vecs = np.stack(joint_vectors_dense(basis), axis=1)
+    assert vecs.shape[1] == 4
+    _, worst = code_space_probe(list(vecs.T), lat)
+    assert worst > 0.1
+    rng = np.random.default_rng(12)
+    for _ in range(3):
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        _, rotated = code_space_probe(list((vecs @ q).T), lat)
+        assert abs(rotated - worst) < 1e-12
+
+
 def test_uniform_state_energy_exact_value():
     lat = SquareTorusLattice(2, 2)
     cs = build_hprime(lat, 2)

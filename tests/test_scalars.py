@@ -1,7 +1,9 @@
+import functools
 import math
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -85,3 +87,75 @@ def test_serialize_roundtrip_strings():
     s = serialize_scalar(field.delta)
     assert "delta" in s
     assert serialize_scalar(Fraction(3, 4)) == "3/4"
+
+
+# -- Q(delta) against an independent reference -------------------------------
+# sympy polynomials over QQ, reduced by sympy's own minimal polynomial of
+# 2cos(pi/(ell+2)); nothing below the field API comes from looptl.scalars.
+
+_X = sympy.Symbol("x")
+
+
+@functools.lru_cache(maxsize=None)
+def _sympy_minpoly(ell):
+    return sympy.Poly(sympy.minimal_polynomial(
+        2 * sympy.cos(sympy.pi / (ell + 2)), _X), _X, domain="QQ")
+
+
+def _ref(coeffs, ell):
+    """Reference element: the rational polynomial sum c_k x^k mod the
+    minimal polynomial."""
+    big = [sympy.Rational(c.numerator, c.denominator) for c in coeffs]
+    return sympy.Poly(big[::-1], _X, domain="QQ").rem(_sympy_minpoly(ell))
+
+
+def _ref_fractions(poly, ell):
+    """Power-basis coefficients of a reference element as Fractions."""
+    degree = _sympy_minpoly(ell).degree()
+    little = [Fraction(int(c.p), int(c.q)) for c in poly.all_coeffs()[::-1]]
+    return tuple(little + [Fraction(0)] * (degree - len(little)))
+
+
+def _canonical(x, degree):
+    return (len(x.num) == degree and all(type(c) is int for c in x.num)
+            and type(x.den) is int and x.den > 0
+            and math.gcd(x.den, *x.num) == 1)
+
+
+_FRACS = st.lists(st.fractions(min_value=-6, max_value=6,
+                               max_denominator=12), min_size=1, max_size=9)
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3, 4, 5, 6])
+@given(ca=_FRACS, cb=_FRACS, k=st.integers(min_value=-4, max_value=4))
+@settings(max_examples=30, deadline=None)
+def test_field_matches_sympy_reference(ell, ca, cb, k):
+    field = SpecialField(ell)
+    degree = field.degree
+    a, b = field.element(ca), field.element(cb)
+    ra, rb = _ref(ca, ell), _ref(cb, ell)
+    results = [(a, ra), (b, rb), (a + b, ra + rb), (a - b, ra - rb),
+               (a * b, (ra * rb).rem(_sympy_minpoly(ell))),
+               (a * k, ra * k), (k - a, k - ra)]
+    if not rb.is_zero:
+        inv = sympy.invert(rb, _sympy_minpoly(ell))
+        results += [(b.inverse(), inv),
+                    (a / b, (ra * inv).rem(_sympy_minpoly(ell)))]
+    else:
+        with pytest.raises(ZeroDivisionError):
+            b.inverse()
+    for got, want in results:
+        assert _canonical(got, degree)
+        # the Fraction view equals the exact power-basis coefficients, the
+        # values a one-Fraction-per-coefficient store holds
+        assert got.coeffs == _ref_fractions(want, ell)
+        assert all(type(c) is Fraction for c in got.coeffs)
+    assert (a == b) == (ra == rb)
+    # the same element written with an added multiple of the minimal
+    # polynomial is equal and hashes equal
+    shift = [Fraction(int(c)) * k
+             for c in _sympy_minpoly(ell).all_coeffs()[::-1]]
+    padded = list(ca) + [Fraction(0)] * len(shift)
+    again = field.element([x + y for x, y in zip(padded, shift)] +
+                          padded[len(shift):])
+    assert again == a and hash(again) == hash(a)
