@@ -1,7 +1,9 @@
 """Batch front-end: experiment configs in, CSV/JSON artifacts out.
 
 Exit codes: 0 ok, 2 config error, 3 capacity error, 4 invariant
-violation, 5 oracle mismatch.
+violation (a failed internal consistency check, such as the sampler's
+cluster-count drift check), 5 oracle mismatch, 6 internal error (any
+other exception).  Every error is one JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -24,10 +26,13 @@ EXIT_CONFIG = 2
 EXIT_CAPACITY = 3
 EXIT_INVARIANT = 4
 EXIT_ORACLE = 5
+EXIT_INTERNAL = 6
 
 _CAPACITY_ERRORS = (StateSpaceTooLarge, ComponentCapExceeded)
 _CONFIG_ERRORS = (ConfigInvalid, IndexOutOfRange, PoleAtSpecialValue,
                   WindowDoesNotFit)
+# AssertionError is how the package's consistency checks fail, e.g. the
+# sampler's "cluster count drifted" recount
 _INVARIANT_ERRORS = (InconsistentCycle, SignatureMismatch, MismatchAtGrade,
                      AssertionError)
 
@@ -85,6 +90,10 @@ def _cmd_tl(args):
         report["count"] = len(diagrams)
         report["catalan"] = catalan(n)
     elif args.action == "jw":
+        # the float backend needs a numeric loop weight, which no flag gives
+        if args.backend not in ("generic", "special"):
+            raise ConfigInvalid("tl jw takes --backend generic or special, "
+                                "not %r" % args.backend)
         proj = jones_wenzl(args.k, backend=args.backend, ell=args.ell)
         report["k"] = args.k
         report["terms"] = {repr(diag): _scal(c)
@@ -448,6 +457,9 @@ def main(argv=None):
     except _INVARIANT_ERRORS as exc:
         _fail("invariant", exc)
         return EXIT_INVARIANT
+    except Exception as exc:
+        _fail("internal", exc)
+        return EXIT_INTERNAL
 
 
 def _fail(kind, exc):

@@ -73,9 +73,33 @@ def _pdivmod(a, b):
     return _trim(q), r
 
 
-def _pdivmod_q(a, b):
-    """_pdivmod over the rationals, for integer or Fraction lists."""
-    return _pdivmod([Fraction(x) for x in a], [Fraction(x) for x in b])
+def _pexact_div(a, b):
+    """Quotient a / b of integer polynomials when b divides a in Z[d].
+
+    The quotient is found top down as r[-1] / lc(b) for the running
+    remainder r; when it has integer coefficients each of these divisions
+    is exact.  A division that leaves a residue, or a nonzero final
+    remainder, raises ArithmeticError: the result is never truncated.
+    (By Gauss's lemma a primitive b that divides a over Q divides it over
+    Z, so dividing by a primitive gcd is always exact.)
+    """
+    a, b = _trim(a), _trim(b)
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    db, lb = len(b) - 1, b[-1]
+    r = a
+    q = [0] * max(len(r) - db, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c, rest = divmod(r[k + db], lb)
+        if rest:
+            raise ArithmeticError("inexact polynomial division")
+        if c:
+            q[k] = c
+            for i in range(db):
+                r[k + i] -= c * b[i]
+    if any(r[:db]):
+        raise ArithmeticError("inexact polynomial division")
+    return q
 
 
 def _pcontent(a):
@@ -163,8 +187,11 @@ def _pstr(a, var="d"):
 class RationalFunc:
     """Rational function of the loop weight with integer coefficients.
 
-    Kept in lowest terms; the denominator content is 1 and its leading
-    coefficient is positive, so representations are canonical.
+    Kept in lowest terms over Z[d]: numerator and denominator share no
+    factor, neither a polynomial nor an integer one, and the leading
+    coefficient of the denominator is positive, so representations are
+    canonical.  Normalisation divides by the polynomial gcd with
+    _pexact_div and never leaves the integers.
     """
 
     __slots__ = ("num", "den")
@@ -182,11 +209,8 @@ class RationalFunc:
                 den = [1]
             else:
                 g = _pgcd(num, den)
-                if len(g) > 1 or g[0] != 1:
-                    num, _ = _pdivmod_q(num, g)
-                    num = [int(c) for c in num]
-                    den, _ = _pdivmod_q(den, g)
-                    den = [int(c) for c in den]
+                if len(g) > 1:
+                    num, den = _pexact_div(num, g), _pexact_div(den, g)
                 cn, cd = _pcontent(num), _pcontent(den)
                 g = math.gcd(cn, cd)
                 if g > 1:
@@ -318,9 +342,7 @@ def _cyclotomic(n):
     poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
-            q, r = _pdivmod_q(poly, _cyclotomic(d))
-            assert not r
-            poly = [int(c) for c in q]
+            poly = _pexact_div(poly, _cyclotomic(d))
     return poly
 
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 from .errors import (ConfigInvalid, IndexOutOfRange, PoleAtSpecialValue,
                      SignatureMismatch)
 from .linalg import nullspace
-from .scalars import (D_GENERIC, RationalFunc, SpecialField, _pdivmod_q,
-                      _pgcd, _pmul, quantum_int)
+from .scalars import (D_GENERIC, RationalFunc, SpecialField, _padd,
+                      _pexact_div, _pgcd, _pmul, quantum_int)
 
 
 class Diagram:
@@ -125,62 +125,55 @@ def stack_diagrams(upper, lower):
     """Glue upper's bottom edge to lower's top edge.
 
     Requires upper.n == lower.m; returns (diagram, closed_loop_count).
+    Each strand of the result is followed from one outer end through
+    upper.pairs and lower.pairs, crossing the interface between them;
+    every interface point that no such strand crosses lies on a closed
+    loop, and each loop is walked once to count it.
     """
     if upper.n != lower.m:
         raise SignatureMismatch(
             f"cannot stack ({upper.m},{upper.n}) on ({lower.m},{lower.n})")
     l, mid, n = upper.m, upper.n, lower.n
-    # Node labels: 0..l-1 result top; l..l+n-1 result bottom;
-    # l+n..l+n+mid-1 interface strands.  Each external node carries one
-    # strand end, each interface node two (one per glued diagram).
-    NT, NB, NI = l, n, mid
-
-    def up_label(p):
-        return p if p < l else NT + NB + (p - l)
-
-    def low_label(p):
-        return NT + NB + p if p < mid else NT + (p - mid)
-
-    adj = [[] for _ in range(NT + NB + NI)]
-    for p in range(l + mid):
-        q = upper.pairs[p]
-        if p < q:
-            a, b = up_label(p), up_label(q)
-            adj[a].append(b)
-            adj[b].append(a)
-    for p in range(mid + n):
-        q = lower.pairs[p]
-        if p < q:
-            a, b = low_label(p), low_label(q)
-            adj[a].append(b)
-            adj[b].append(a)
-
-    pairs = [None] * (NT + NB)
-    seen = [False] * (NT + NB + NI)
-    for start in range(NT + NB):
-        if seen[start]:
+    up, low = upper.pairs, lower.pairs
+    # interface point i is upper's bottom point l + i and lower's top point i
+    crossed = [False] * mid
+    pairs = [-1] * (l + n)
+    for start in range(l + n):
+        if pairs[start] >= 0:
             continue
-        seen[start] = True
-        prev, cur = start, adj[start][0]
-        while cur >= NT + NB:
-            seen[cur] = True
-            nei = adj[cur]
-            nxt = nei[1] if nei[0] == prev else nei[0]
-            prev, cur = cur, nxt
-        seen[cur] = True
-        pairs[start], pairs[cur] = cur, start
+        if start < l:
+            q = up[start]
+        else:
+            q = low[mid + start - l]
+            if q >= mid:
+                end = l + q - mid
+                pairs[start], pairs[end] = end, start
+                continue
+            crossed[q] = True
+            q = up[l + q]
+        # q is a point of upper: a result top end or an interface point
+        while q >= l:
+            i = q - l
+            crossed[i] = True
+            q = low[i]
+            if q >= mid:
+                q = l + q - mid
+                break
+            crossed[q] = True
+            q = up[l + q]
+        pairs[start], pairs[q] = q, start
     loops = 0
-    for start in range(NT + NB, NT + NB + NI):
-        if seen[start]:
+    for i in range(mid):
+        if crossed[i]:
             continue
         loops += 1
-        seen[start] = True
-        prev, cur = start, adj[start][0]
-        while cur != start:
-            seen[cur] = True
-            nei = adj[cur]
-            nxt = nei[1] if nei[0] == prev else nei[0]
-            prev, cur = cur, nxt
+        j = i
+        while True:
+            k = up[l + j] - l
+            crossed[j] = crossed[k] = True
+            j = low[k]
+            if j == i:
+                break
     return Diagram(l, n, pairs), loops
 
 
@@ -319,6 +312,9 @@ class Morphism:
             raise SignatureMismatch(
                 f"cannot stack ({upper.m},{upper.n}) over ({self.m},{self.n})")
         d = self.d
+        if isinstance(d, RationalFunc):
+            return Morphism(upper.m, self.n,
+                            _stack_ratfunc(upper.terms, self.terms, d), d)
         powers = {}
         out = {}
         for da, ca in upper.terms.items():
@@ -349,11 +345,76 @@ class Morphism:
 
     def markov_trace(self):
         d = self.d
+        if isinstance(d, RationalFunc):
+            parts = {}
+            for diag, c in self.terms.items():
+                key = (c.den, trace_loops(diag))
+                parts[key] = _padd(parts.get(key, []), c.num)
+            return _ratfunc_sum(parts, d)
         total = None
         for diag, c in self.terms.items():
             val = c * d ** trace_loops(diag)
             total = val if total is None else total + val
         return total if total is not None else _zero_like(d)
+
+
+def _stack_ratfunc(upper, lower, d):
+    """The terms of `lower` stacked under `upper` over RationalFunc.
+
+    Each product of coefficients is an integer numerator product, summed
+    into a bucket of its output diagram keyed by the two denominators and
+    the loop count; every output coefficient is then normalised once, by
+    _ratfunc_sum, instead of after each product and each sum.
+    """
+    out = {}
+    for da, ca in upper.items():
+        an = ca.num
+        for db, cb in lower.items():
+            diag, loops = stack_diagrams(da, db)
+            acc = out.setdefault(diag, {}).setdefault(
+                (ca.den, cb.den, loops), [])
+            bn = cb.num
+            need = len(an) + len(bn) - 1
+            if len(acc) < need:
+                acc.extend([0] * (need - len(acc)))
+            for i, x in enumerate(an):
+                if x:
+                    for j, y in enumerate(bn):
+                        acc[i + j] += x * y
+    prods = {}
+    for diag, buckets in out.items():
+        parts = {}
+        for (ad, bd, loops), num in buckets.items():
+            if (ad, bd) not in prods:
+                prods[ad, bd] = tuple(_pmul(ad, bd))
+            key = (prods[ad, bd], loops)
+            parts[key] = _padd(parts.get(key, []), num)
+        out[diag] = _ratfunc_sum(parts, d)
+    return out
+
+
+def _ratfunc_sum(parts, d):
+    """The RationalFunc sum of num * d^loops / den over the items
+    ((den, loops), num) of parts, with integer polynomial num and den,
+    normalised once."""
+    by_den = {}
+    for (den, loops), num in parts.items():
+        if loops:
+            dl = d ** loops
+            num = _pmul(dl.num, num)
+            if dl.den != (1,):
+                den = tuple(_pmul(den, dl.den))
+        by_den[den] = _padd(by_den.get(den, []), num)
+    if len(by_den) == 1:
+        (den, num), = by_den.items()
+        return RationalFunc(num, den)
+    lcm = [1]
+    for den in by_den:
+        lcm = _pmul(lcm, _pexact_div(list(den), _pgcd(lcm, list(den))))
+    total = []
+    for den, num in by_den.items():
+        total = _padd(total, _pmul(num, _pexact_div(list(lcm), list(den))))
+    return RationalFunc(total, lcm)
 
 
 def _one_like(d):
@@ -491,8 +552,7 @@ def _jw_cleared(k, backend, ell, d_value):
                     break
             if g != [1]:
                 def reduce_poly(rf):
-                    q, _ = _pdivmod_q(list(rf.num), g)
-                    return RationalFunc([int(x) for x in q], [1],
+                    return RationalFunc(_pexact_div(list(rf.num), g), [1],
                                         _normalized=True)
                 num = Morphism(num.m, num.n,
                                {kk: reduce_poly(v)
@@ -530,12 +590,10 @@ def common_denominator(a):
     Returns (delta, cleared) where delta is a polynomial scalar and
     cleared = delta * a has polynomial coefficients only.
     """
-    lcm = (1,)
+    lcm = [1]
     for c in a.terms.values():
-        g = _pgcd(list(lcm), list(c.den))
-        q, _ = _pdivmod_q(list(c.den), g)
-        lcm = tuple(int(x) for x in _pmul(list(lcm), [int(v) for v in q]))
-    delta = RationalFunc(list(lcm))
+        lcm = _pmul(lcm, _pexact_div(list(c.den), _pgcd(lcm, list(c.den))))
+    delta = RationalFunc(lcm)
     return delta, a.scale(delta)
 
 

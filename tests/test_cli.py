@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from looptl.cli import (EXIT_CAPACITY, EXIT_CONFIG, EXIT_OK, EXIT_ORACLE,
-                        main, report_bundle)
+from looptl.cli import (EXIT_CAPACITY, EXIT_CONFIG, EXIT_INTERNAL,
+                        EXIT_INVARIANT, EXIT_OK, EXIT_ORACLE, main,
+                        report_bundle)
 
 
 def _run(capsys, *argv):
@@ -231,3 +232,48 @@ def test_gas_exact_flags_non_constant_ratios(capsys, flag, holds):
     assert rep["constants_hold"] is holds
     spreads = [c["spread"] for c in rep["constants"].values()]
     assert holds == (max(spreads) < 1e-12)
+
+
+@pytest.mark.parametrize("backend", ["float", "exact", "Generic"])
+def test_tl_jw_takes_only_the_exact_backends(capsys, backend):
+    code, out, err = _run(capsys, "tl", "jw", "--backend", backend)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    rep = json.loads(err)
+    assert rep["error"] == "config"
+    assert "generic or special" in rep["message"]
+    code, out, _ = _run(capsys, "tl", "jw", "--backend", "special",
+                        "--ell", "2", "--k", "3")
+    assert code == EXIT_OK
+    assert len(json.loads(out)["results"][0]["terms"]) == 5
+
+
+def test_sampler_drift_is_invariant_error(capsys, monkeypatch):
+    from looptl import gas
+    # a census that reports one cluster for every state makes each
+    # incremental dC zero, so the running count drifts from the recount
+    monkeypatch.setattr(gas, "_cluster_table",
+                        lambda lat, sweeps: bytes([1]) * (1 << lat.nsites))
+    code, out, err = _run(capsys, "gas", "sample", "--torus", "2x2",
+                          "--sweeps", "50", "--seed", "3")
+    assert code == EXIT_INVARIANT
+    assert out == ""
+    rep = json.loads(err)
+    assert rep["error"] == "invariant"
+    assert rep["type"] == "AssertionError"
+    assert "drifted" in rep["message"]
+
+
+def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
+    from looptl import tlcat
+
+    def broken(m, n):
+        raise RuntimeError("enumeration broke")
+    monkeypatch.setattr(tlcat, "enumerate_diagrams", broken)
+    code, out, err = _run(capsys, "tl", "diagrams", "--n", "3")
+    assert code == EXIT_INTERNAL
+    assert EXIT_INTERNAL not in (EXIT_OK, EXIT_CONFIG, EXIT_CAPACITY,
+                                 EXIT_INVARIANT, EXIT_ORACLE)
+    assert out == ""
+    assert json.loads(err) == {"error": "internal", "type": "RuntimeError",
+                               "message": "enumeration broke"}

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from looptl.errors import PoleAtSpecialValue
-from looptl.scalars import (RationalFunc, SpecialField, minimal_polynomial,
-                            quantum_int, serialize_scalar, special_weight,
-                            specialize, to_float)
+from looptl.scalars import (RationalFunc, SpecialField, _pexact_div,
+                            minimal_polynomial, quantum_int, serialize_scalar,
+                            special_weight, specialize, to_float)
 
 
 def test_quantum_integers_generic():
@@ -159,3 +159,79 @@ def test_field_matches_sympy_reference(ell, ca, cb, k):
     again = field.element([x + y for x, y in zip(padded, shift)] +
                           padded[len(shift):])
     assert again == a and hash(again) == hash(a)
+
+
+# -- Q(d) against an independent reference -----------------------------------
+# sympy polynomials over ZZ in the loop weight; a RationalFunc is compared by
+# cross-multiplication, so nothing below the API comes from looptl.scalars.
+
+_D = sympy.Symbol("d")
+_POLYS = st.lists(st.integers(min_value=-6, max_value=6), max_size=5)
+_NONZERO = _POLYS.filter(any)
+
+
+def _zz(coeffs):
+    return sympy.Poly(list(coeffs)[::-1] or [0], _D, domain="ZZ")
+
+
+def _rf_ref(x):
+    return _zz(x.num), _zz(x.den)
+
+
+def _same(x, ref):
+    """x equals the reference fraction (num, den) and is canonical: no
+    common factor in Z[d] (polynomial or integer) and a denominator with
+    positive leading coefficient."""
+    num, den = _rf_ref(x)
+    canon = (all(type(c) is int for c in x.num + x.den)
+             and (not x.num or x.num[-1] != 0) and x.den[-1] > 0
+             and sympy.gcd(num, den) == _zz([1])
+             and (x.num or x.den == (1,)))
+    return canon and num * ref[1] == ref[0] * den
+
+
+@given(an=_POLYS, ad=_NONZERO, bn=_POLYS, bd=_NONZERO, f=_NONZERO)
+@settings(max_examples=150, deadline=None)
+def test_ratfunc_matches_sympy_reference(an, ad, bn, bd, f):
+    a, b = RationalFunc(an, ad), RationalFunc(bn, bd)
+    (pa, qa), (pb, qb) = (_zz(an), _zz(ad)), (_zz(bn), _zz(bd))
+    assert _same(a, (pa, qa)) and _same(b, (pb, qb))
+    assert _same(a + b, (pa * qb + pb * qa, qa * qb))
+    assert _same(a - b, (pa * qb - pb * qa, qa * qb))
+    assert _same(a * b, (pa * pb, qa * qb))
+    if pb.is_zero:
+        with pytest.raises(ZeroDivisionError):
+            a / b
+    else:
+        assert _same(a / b, (pa * qb, qa * pb))
+    assert (a == b) == (pa * qb == pb * qa)
+    # the same fraction with a common factor f on both sides is equal and
+    # hashes equal
+    ff = _zz(f)
+    again = RationalFunc(list((pa * ff).all_coeffs()[::-1]),
+                         list((qa * ff).all_coeffs()[::-1]))
+    assert again == a and hash(again) == hash(a)
+    assert again.num == a.num and again.den == a.den
+
+
+@given(a=_POLYS, b=_NONZERO)
+@settings(max_examples=150, deadline=None)
+def test_exact_division_matches_sympy_or_raises(a, b):
+    q, r = sympy.div(_zz(a).set_domain("QQ"), _zz(b).set_domain("QQ"))
+    integral = r.is_zero and all(c.q == 1 for c in q.all_coeffs())
+    if integral:
+        assert _zz(_pexact_div(a, b)) == q.set_domain("ZZ")
+    else:
+        with pytest.raises(ArithmeticError):
+            _pexact_div(a, b)
+    # a multiple is always divided exactly, back to the factor
+    prod = list((_zz(a) * _zz(b)).all_coeffs()[::-1])
+    assert _zz(_pexact_div(prod, b)) == _zz(a)
+
+
+def test_exact_division_never_truncates():
+    with pytest.raises(ArithmeticError):
+        _pexact_div([1, 0, 1], [0, 2])  # (d^2 + 1) / 2d
+    with pytest.raises(ArithmeticError):
+        _pexact_div([3], [2])
+    assert _pexact_div([-2, 0, 2], [2, 2]) == [-1, 1]  # 2(d^2-1) / 2(d+1)

@@ -3,11 +3,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from looptl.errors import PoleAtSpecialValue
-from looptl.scalars import SpecialField, quantum_int, specialize
+from looptl.scalars import (D_GENERIC, RationalFunc, SpecialField,
+                            quantum_int, specialize)
 from looptl.structure import catalan
-from looptl.tlcat import (Morphism, bar, compose, enumerate_diagrams,
-                          gram_matrix, is_noncrossing, jones_wenzl,
-                          markov_trace, radical_basis, u_diagram)
+from looptl.tlcat import (Diagram, Morphism, bar, compose,
+                          enumerate_diagrams, gram_matrix, is_noncrossing,
+                          jones_wenzl, markov_trace, radical_basis,
+                          stack_diagrams, u_diagram)
 
 
 @pytest.mark.parametrize("m,n", [(0, 2), (1, 3), (2, 2), (3, 3), (2, 4)])
@@ -116,3 +118,106 @@ def test_gram_matrix_entries_are_loop_powers():
     assert len(g) == 2
     flat = sorted(x for row in g for x in row)
     assert flat == [2.0, 2.0, 4.0, 4.0]
+
+
+# -- stacking against an independent reference --------------------------------
+
+
+def _stack_reference(upper, lower):
+    """Union-find over every point of both diagrams, each arc a union and
+    each glued interface pair a union; returns (diagram, loops)."""
+    l, mid, n = upper.m, upper.n, lower.n
+    points = [("u", p) for p in range(l + mid)] + \
+        [("w", p) for p in range(mid + n)]
+    parent = {p: p for p in points}
+
+    def find(p):
+        while parent[p] != p:
+            parent[p] = parent[parent[p]]
+            p = parent[p]
+        return p
+
+    def union(a, b):
+        parent[find(a)] = find(b)
+
+    for p, q in enumerate(upper.pairs):
+        union(("u", p), ("u", q))
+    for p, q in enumerate(lower.pairs):
+        union(("w", p), ("w", q))
+    for i in range(mid):
+        union(("u", l + i), ("w", i))
+    ends = {}  # component root -> result indices of its outer ends
+    for p in range(l):
+        ends.setdefault(find(("u", p)), []).append(p)
+    for q in range(n):
+        ends.setdefault(find(("w", mid + q)), []).append(l + q)
+    pairs = [None] * (l + n)
+    for a, b in ends.values():
+        pairs[a], pairs[b] = b, a
+    loops = len({find(p) for p in points} - set(ends))
+    return Diagram(l, n, pairs), loops
+
+
+def test_stack_diagrams_matches_union_find_reference():
+    checked = loop_cases = 0
+    for l in range(5):
+        for m in range(5):
+            for n in range(5):
+                for a in enumerate_diagrams(l, m):
+                    for b in enumerate_diagrams(m, n):
+                        want = _stack_reference(a, b)
+                        assert stack_diagrams(a, b) == want, (a, b)
+                        checked += 1
+                        loop_cases += want[1] > 0
+    assert checked == 579 and loop_cases > 100
+    # m = 0 is a plain juxtaposition, l = n = 0 a closed diagram
+    assert stack_diagrams(Diagram(2, 0, [1, 0]), Diagram(0, 2, [1, 0])) \
+        == (Diagram(2, 2, [1, 0, 3, 2]), 0)
+    assert stack_diagrams(Diagram(0, 4, [3, 2, 1, 0]),
+                          Diagram(4, 0, [1, 0, 3, 2])) == (Diagram(0, 0, []), 1)
+
+
+# denominators chosen from a small pool, so that different pairs of them
+# have equal products and land in one bucket of the generic stacking
+_DENS = ((1,), (0, 1), (1, 1), (2,), (-1, 0, 1))
+
+
+def _random_generic(rng, m, n):
+    basis = enumerate_diagrams(m, n)
+    terms = {}
+    for diag in rng.sample(basis, min(4, len(basis))):
+        num = [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))]
+        terms[diag] = RationalFunc(num, list(rng.choice(_DENS)))
+    return Morphism(m, n, terms, D_GENERIC)
+
+
+def _at(x, d):
+    return Morphism(x.m, x.n, {k: v.eval_float(d) for k, v in
+                               x.terms.items()}, d)
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6))
+@settings(max_examples=40, deadline=None)
+def test_generic_compose_associative_on_random_triples(seed):
+    import random
+    rng = random.Random(seed)
+    l = rng.randint(0, 4)
+    m = rng.choice(range(l % 2, 5, 2))
+    n = rng.choice(range(m % 2, 5, 2))
+    p = rng.choice(range(n % 2, 5, 2))
+    # compose(x, y) is y stacked over x, so c: (l, m), b: (m, n), a: (n, p)
+    a, b, c = (_random_generic(rng, n, p), _random_generic(rng, m, n),
+               _random_generic(rng, l, m))
+    left, right = compose(compose(a, b), c), compose(a, compose(b, c))
+    assert left == right
+    # the generic product agrees with the plain float path at d = 2.5
+    d = 2.5
+    want = compose(compose(_at(a, d), _at(b, d)), _at(c, d))
+    got = _at(left, d)
+    for diag in set(got.terms) | set(want.terms):
+        x, y = got.terms.get(diag, 0.0), want.terms.get(diag, 0.0)
+        assert abs(x - y) <= 1e-9 * max(1.0, abs(y))
+    if l == p:
+        tr = markov_trace(want)
+        assert abs(markov_trace(left).eval_float(d) - tr) \
+            <= 1e-9 * max(1.0, abs(tr))
