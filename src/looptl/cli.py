@@ -3,7 +3,8 @@
 Exit codes: 0 ok, 2 config error, 3 capacity error, 4 invariant
 violation (a failed internal consistency check, such as the sampler's
 cluster-count drift check), 5 oracle mismatch, 6 internal error (any
-other exception).  Every error is one JSON object on stderr.
+other exception).  Past argument parsing, every error is one JSON
+object on stderr; argparse itself prints its usage message (exit 2).
 """
 
 from __future__ import annotations
