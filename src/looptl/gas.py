@@ -14,6 +14,8 @@ emitted in reports, never silently absorbed.
 from __future__ import annotations
 
 import math
+from array import array
+from collections.abc import ItemsView, Mapping, ValuesView
 
 import numpy as np
 
@@ -22,6 +24,8 @@ from .lattice import ENUM_STATE_CAP, SquareTorusLattice, census
 from .scalars import SpecialField
 
 RECOUNT_EVERY = 1000
+# sweeps of proposals buffered before they are folded into the tallies
+TALLY_BLOCK = 1024
 
 
 class GibbsModel:
@@ -157,14 +161,138 @@ def homology_rule_report(lat):
     return bad == 0, bad
 
 
+class Tallies(Mapping):
+    """Read-only waste-recycling tallies of one chain: state bits ->
+    summed weight, iterated in first-visit order.
+
+    ``states`` (int64) and ``weights`` (float64) are aligned arrays in
+    that order.  Lookup by state builds an index on first use.
+    """
+
+    def __init__(self, states, weights):
+        states.flags.writeable = weights.flags.writeable = False
+        self.states = states
+        self.weights = weights
+        self._index = None
+
+    def __len__(self):
+        return len(self.states)
+
+    def __iter__(self):
+        return iter(self.states.tolist())
+
+    def __getitem__(self, state):
+        if self._index is None:
+            self._index = {s: k for k, s in enumerate(self.states.tolist())}
+        return float(self.weights[self._index[state]])
+
+    def items(self):
+        return _TallyItems(self)
+
+    def values(self):
+        return _TallyValues(self)
+
+
+class _TallyItems(ItemsView):
+    def __iter__(self):
+        t = self._mapping
+        return zip(t.states.tolist(), t.weights.tolist())
+
+
+class _TallyValues(ValuesView):
+    def __iter__(self):
+        return iter(self._mapping.weights.tolist())
+
+
+class _TallyStore:
+    """Buffers a chain's proposals and folds them into float64 tallies.
+
+    Per proposal the chain appends the pre-move state and the index
+    3*spin + dC + 1 of its acceptance ratio r; per sweep, the bond
+    order.  fold() adds, in proposal order, min(r, 1) to the flipped
+    state and 1 - min(r, 1) to the pre-move state where r < 1, so every
+    state's sum is taken in the order a running dict would take it.
+    Slots are given in first-visit order: through an int32 array over
+    all 2^N states when 2^N <= ENUM_STATE_CAP, else through a dict.
+    """
+
+    def __init__(self, nsites, ratios):
+        self.before = array("q")
+        self.index = bytearray()
+        self.bonds = []
+        self._capped = np.minimum(np.array(ratios), 1.0)
+        self._masks = np.left_shift(1, np.arange(nsites, dtype=np.int64))
+        self._weights = np.zeros(0)
+        self._visited = 0
+        self._new = []  # states given slots, one array per fold
+        if (1 << nsites) <= ENUM_STATE_CAP:
+            self._slot = np.full(1 << nsites, -1, np.int32)
+        else:
+            self._slot = {}
+
+    def fold(self):
+        n = len(self.index)
+        if not n:
+            return
+        before = np.array(self.before, dtype=np.int64)
+        after = before ^ self._masks[np.concatenate(self.bonds)]
+        ra = self._capped[np.frombuffer(self.index, np.uint8)]
+        del self.before[:], self.index[:], self.bonds[:]
+        keys = np.empty(2 * n, np.int64)
+        keys[0::2], keys[1::2] = after, before
+        vals = np.empty(2 * n)
+        vals[0::2], vals[1::2] = ra, 1.0 - ra
+        keep = np.ones(2 * n, bool)
+        keep[1::2] = ra < 1.0
+        keys, vals = keys[keep], vals[keep]
+        slots = self._slots(keys)
+        if self._visited > len(self._weights):
+            grown = np.zeros(max(self._visited, 2 * len(self._weights)))
+            grown[:len(self._weights)] = self._weights
+            self._weights = grown
+        np.add.at(self._weights, slots, vals)
+
+    def _slots(self, keys):
+        """Slot of every key; keys not seen before take the next slots
+        in the order of their first occurrence."""
+        if isinstance(self._slot, dict):
+            slot, new, slots = self._slot, [], []
+            for k in keys.tolist():
+                if k not in slot:
+                    slot[k] = len(slot)
+                    new.append(k)
+                slots.append(slot[k])
+            new, slots = np.array(new, np.int64), np.array(slots, np.intp)
+        else:
+            unseen = keys[self._slot[keys] < 0]
+            uniq, first = np.unique(unseen, return_index=True)
+            new = uniq[np.argsort(first)]
+            self._slot[new] = np.arange(self._visited,
+                                        self._visited + len(new))
+            slots = self._slot[keys]
+        self._new.append(new)
+        self._visited += len(new)
+        return slots
+
+    def tallies(self):
+        """Fold what is left and return the tallies."""
+        self.fold()
+        states = np.concatenate(self._new + [np.zeros(0, np.int64)])
+        return Tallies(states, self._weights[:self._visited].copy())
+
+
 class SampleRecord:
-    """Outcome of one Metropolis chain."""
+    """Outcome of one Metropolis chain.  oracle_checks counts the chain's
+    extract_walls calls: the starting cluster count and every drift
+    check."""
 
     def __init__(self, seed, sweeps, tallies, accepted, proposed,
-                 mean_loops, mean_clusters, mean_dual_clusters, rows):
+                 mean_loops, mean_clusters, mean_dual_clusters, rows,
+                 oracle_checks):
         self.seed = seed
         self.sweeps = sweeps
         self.tallies = tallies
+        self.oracle_checks = oracle_checks
         self.accepted = accepted
         self.proposed = proposed
         self.acceptance_rate = accepted / proposed if proposed else 0.0
@@ -175,7 +303,9 @@ class SampleRecord:
 
     @property
     def sample_size(self):
-        return sum(self.tallies.values())
+        """Total tally weight, summed left to right in first-visit
+        order."""
+        return float(np.cumsum(self.tallies.weights)[-1])
 
     def summary(self):
         return {"seed": self.seed, "sweeps": self.sweeps,
@@ -183,7 +313,9 @@ class SampleRecord:
                 "mean_loops": self.mean_loops,
                 "mean_clusters": self.mean_clusters,
                 "mean_dual_clusters": self.mean_dual_clusters,
-                "sample_size": self.sample_size}
+                "sample_size": self.sample_size,
+                "states_visited": len(self.tallies),
+                "oracle_checks": self.oracle_checks}
 
 
 def _dfs_delta_clusters(bits, bond, ends, incident):
@@ -247,9 +379,12 @@ def metropolis_sample(lat, model, sweeps, seed, record_rows=False,
     lattice census when 2^N <= sweeps * N (_cluster_table), and
     otherwise found by a depth-first search between the bond's ends.
     The running cluster count is tracked incrementally, recounted by
-    extract_walls (with a drift check) every 1000 accepted moves and
-    checked against extract_walls at every measurement.  The generator
-    is counter-based (Philox) so chains are reproducible and
+    extract_walls every 1000 accepted moves and checked against
+    extract_walls at every measurement; a drift raises AssertionError
+    (an explicit check, kept under python -O).  The waste-recycling
+    tallies are buffered per proposal and folded every TALLY_BLOCK
+    sweeps (_TallyStore) into a read-only Tallies mapping.  The
+    generator is counter-based (Philox) so chains are reproducible and
     parallelizable by seed; both ways of finding dC give the same chain.
     Runs on the square torus only; other lattices raise ConfigInvalid.
     """
@@ -263,10 +398,14 @@ def metropolis_sample(lat, model, sweeps, seed, record_rows=False,
 
     bits = int(rng.integers(0, 1 << nb))
     clusters = lat.extract_walls(lat.config(bits)).clusters
+    oracle_checks = 1
     table = _cluster_table(lat, sweeps)
-    acc = acceptance_table(model)
+    ratio = acceptance_table(model)
+    # flat acceptance table, indexed by 3*spin + dC + 1
+    acc = [ratio[(dc, spin)] for spin in (0, 1) for dc in (-1, 0, 1)]
+    store = _TallyStore(nb, acc)
+    push_state, push_index = store.before.append, store.index.append
 
-    tallies = {}
     accepted = proposed = 0
     since_recount = 0
     sum_loops = sum_c = sum_cstar = 0.0
@@ -278,6 +417,7 @@ def metropolis_sample(lat, model, sweeps, seed, record_rows=False,
         bonds = rng.permutation(nb)
         us = rng.random(nb)
         proposed += nb
+        store.bonds.append(bonds)
         for bond, u in zip(bonds.tolist(), us.tolist()):
             spin = (bits >> bond) & 1
             flipped = bits ^ (1 << bond)
@@ -285,26 +425,30 @@ def metropolis_sample(lat, model, sweeps, seed, record_rows=False,
                 dc = _dfs_delta_clusters(bits, bond, ends, incident)
             else:
                 dc = table[flipped] - table[bits]
-            r = acc[(dc, spin)]
-            # waste-recycling tally: average over the accept/reject
-            # outcome instead of recording only the realized state
-            ra = r if r < 1.0 else 1.0
-            tallies[flipped] = tallies.get(flipped, 0.0) + ra
-            if ra < 1.0:
-                tallies[bits] = tallies.get(bits, 0.0) + (1.0 - ra)
-            if r >= 1.0 or u < r:
+            k = 3 * spin + dc + 1
+            # waste-recycling tally (store.fold): average over the
+            # accept/reject outcome instead of recording only the
+            # realized state
+            push_state(bits)
+            push_index(k)
+            # u lies in [0, 1), so a ratio of 1 or more always accepts
+            if u < acc[k]:
                 bits = flipped
                 clusters += dc
                 accepted += 1
                 since_recount += 1
                 if since_recount >= RECOUNT_EVERY:
                     true_count = lat.extract_walls(lat.config(bits)).clusters
-                    assert true_count == clusters, \
-                        "incremental cluster count drifted"
+                    oracle_checks += 1
+                    if true_count != clusters:
+                        raise AssertionError(
+                            "incremental cluster count drifted")
                     since_recount = 0
         if sweep % measure_every == 0:
             walls = lat.extract_walls(lat.config(bits))
-            assert walls.clusters == clusters, "cluster count drifted"
+            oracle_checks += 1
+            if walls.clusters != clusters:
+                raise AssertionError("cluster count drifted")
             sum_loops += walls.loops
             sum_c += walls.clusters
             sum_cstar += walls.dual_clusters
@@ -313,21 +457,22 @@ def metropolis_sample(lat, model, sweeps, seed, record_rows=False,
                 rows.append((sweep, walls.loops, walls.clusters,
                              walls.dual_clusters,
                              accepted / max(proposed, 1)))
-    return SampleRecord(seed, sweeps, tallies, accepted, proposed,
+        if (sweep + 1) % TALLY_BLOCK == 0:
+            store.fold()
+    return SampleRecord(seed, sweeps, store.tallies(), accepted, proposed,
                         sum_loops / n_meas, sum_c / n_meas,
-                        sum_cstar / n_meas, rows)
+                        sum_cstar / n_meas, rows, oracle_checks)
 
 
 def tv_distance(record, probs):
     """Total-variation distance between a chain's empirical
-    distribution and an exact probability vector indexed by state."""
-    total = record.sample_size
-    acc = 0.0
-    seen = 0.0
-    for bits, count in record.tallies.items():
-        acc += abs(count / total - probs[bits])
-        seen += probs[bits]
-    acc += 1.0 - seen  # states never visited
+    distribution and an exact probability vector indexed by state.
+    The sums run in first-visit order, left to right (np.cumsum), as
+    a running loop over the tallies would take them."""
+    tallies = record.tallies
+    p = probs[tallies.states]
+    acc = np.cumsum(np.abs(tallies.weights / record.sample_size - p))[-1]
+    acc += 1.0 - np.cumsum(p)[-1]  # states never visited
     return acc / 2.0
 
 

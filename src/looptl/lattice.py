@@ -19,6 +19,7 @@ tabulates the same counts for every state of a lattice at once.
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from collections import deque
@@ -251,77 +252,42 @@ class SquareTorusLattice:
         return self.bond_index(1, x // 2, (y - 1) // 2)
 
     def extract_walls(self, config):
-        w, h = self.w, self.h
-        plus_edges = bin(config.bits).count("1")
-        minus_edges = self.nsites - plus_edges
-
-        # clusters of |+> bonds on vertices, with universal-cover lifts
-        edges, lifts = [], []
-        for j in range(self.h):
-            for i in range(self.w):
-                if config.plus(self.bond_index(0, i, j)):
-                    edges.append((self.vertex_index(i, j),
-                                  self.vertex_index(i + 1, j)))
-                    lifts.append((1, 0))
-                if config.plus(self.bond_index(1, i, j)):
-                    edges.append((self.vertex_index(i, j),
-                                  self.vertex_index(i, j + 1)))
-                    lifts.append((0, 1))
-        clusters, wrap_c = _wrapping_components(w * h, edges, lifts)
-
-        # dual clusters across |-> bonds; dual vertex of cell (i, j)
-        # sits at (i + 1/2, j + 1/2); horizontal bond (i, j) separates
-        # cells (i, j-1) and (i, j), vertical bond (i, j) separates
-        # cells (i-1, j) and (i, j)
-        def cell_idx(i, j):
-            return (j % h) * w + (i % w)
-
-        dedges, dlifts = [], []
-        for j in range(self.h):
-            for i in range(self.w):
-                if not config.plus(self.bond_index(0, i, j)):
-                    dedges.append((cell_idx(i, j - 1), cell_idx(i, j)))
-                    dlifts.append((0, 1))
-                if not config.plus(self.bond_index(1, i, j)):
-                    dedges.append((cell_idx(i - 1, j), cell_idx(i, j)))
-                    dlifts.append((1, 0))
-        dual_clusters, wrap_d = _wrapping_components(w * h, dedges, dlifts)
-
-        trivial, essential = self._trace_loops(config)
+        bits = config.bits
+        primal, dual, arcs = _square_wall_tables(self.w, self.h)
+        spins = [(bits >> site) & 1 for site in range(self.nsites)]
+        plus_edges = bin(bits).count("1")
+        clusters, wrap_c = _masked_components(primal, spins, 1)
+        dual_clusters, wrap_d = _masked_components(dual, spins, 0)
+        trivial, essential = self._trace_loops(spins, arcs)
         return WallCensus(trivial, essential, clusters, dual_clusters,
-                          plus_edges, minus_edges, wrap_c, wrap_d)
+                          plus_edges, self.nsites - plus_edges,
+                          wrap_c, wrap_d)
 
-    def _trace_loops(self, config):
-        """Trace every mid-lattice loop; return (trivial count, windings)."""
-        visited = set()
+    def _trace_loops(self, spins, arcs):
+        """Trace every mid-lattice loop one arc at a time; return
+        (trivial count, windings)."""
+        visited = bytearray(4 * self.nsites)
         trivial = 0
         essential = []
         px, py = 2 * self.w, 2 * self.h
-        for site in range(self.nsites):
-            for port0 in (NE, NW, SW, SE):
-                if (site, port0) in visited:
-                    continue
-                x, y = self._midpoint(site)
-                cur, port_in = site, port0
-                dx = dy = 0
-                while True:
-                    orient = "h" if self.bond_coords(cur)[0] == 0 else "v"
-                    port_out = _PAIRING[(orient, config.plus(cur))][port_in]
-                    visited.add((cur, port_in))
-                    visited.add((cur, port_out))
-                    sx, sy = _PORT_STEP[port_out]
-                    x, y = x + sx, y + sy
-                    dx, dy = dx + sx, dy + sy
-                    cur = self._bond_at(x, y)
-                    port_in = _OPPOSITE[port_out]
-                    if cur == site and port_in == port0 and dx % px == 0 \
-                            and dy % py == 0:
-                        break
-                wind = (dx // px, dy // py)
-                if wind == (0, 0):
-                    trivial += 1
-                else:
-                    essential.append(wind)
+        for start in range(4 * self.nsites):
+            if visited[start]:
+                continue
+            entry = start
+            dx = dy = 0
+            while True:
+                nxt, exit_, sx, sy = arcs[2 * entry + spins[entry >> 2]]
+                visited[entry] = visited[exit_] = 1
+                dx += sx
+                dy += sy
+                entry = nxt
+                if entry == start and dx % px == 0 and dy % py == 0:
+                    break
+            wind = (dx // px, dy // py)
+            if wind == (0, 0):
+                trivial += 1
+            else:
+                essential.append(wind)
         return trivial, essential
 
     def local_moves(self, config, model="hprime"):
@@ -358,6 +324,88 @@ class SquareTorusLattice:
 
     def spec_dict(self):
         return {"kind": self.kind, "w": self.w, "h": self.h}
+
+
+def _masked_components(incident, spins, keep):
+    """Components and wrapping components of the torus graph whose
+    edges are the bonds with spins[bond] == keep; incident[v] lists (bond,
+    other end, dx, dy) as in _square_wall_tables.  Depth-first search
+    carrying universal-cover positions: a component wraps when it
+    reaches a vertex at two different lifts."""
+    seen = [None] * len(incident)
+    comps = wrapping = 0
+    for start in range(len(incident)):
+        if seen[start] is not None:
+            continue
+        comps += 1
+        wraps = False
+        seen[start] = (0, 0)
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            ux, uy = seen[u]
+            for bond, v, dx, dy in incident[u]:
+                if spins[bond] != keep:
+                    continue
+                pos = (ux + dx, uy + dy)
+                if seen[v] is None:
+                    seen[v] = pos
+                    stack.append(v)
+                elif seen[v] != pos:
+                    wraps = True
+        if wraps:
+            wrapping += 1
+    return comps, wrapping
+
+
+@functools.cache
+def _square_wall_tables(w, h):
+    """Static geometry of the w x h square torus for extract_walls,
+    built on first use from the lattice's own _midpoint, _bond_at and
+    _PAIRING.
+
+    primal[v] (dual[c]) lists, for every bond at vertex v (dual vertex
+    c, the cell with lower-left vertex c), (bond, other end, dx, dy)
+    with (dx, dy) the lift of the step in universal-cover units; a
+    bond joins its ends when |+> (primal) or |-> (dual).  arcs[2*k +
+    spin], for every entry k = 4*site + port_in of the mid lattice, is
+    (next entry, exit 4*site + port_out, step dx, step dy) in half
+    units.
+    """
+    lat = SquareTorusLattice(w, h)
+    primal = [[] for _ in range(w * h)]
+    dual = [[] for _ in range(w * h)]
+    for bond in range(lat.nsites):
+        orient, i, j = lat.bond_coords(bond)
+        if orient == 0:
+            # horizontal bond (i, j) joins vertices (i, j), (i+1, j) and
+            # separates cells (i, j-1) and (i, j)
+            ends = ((lat.vertex_index(i, j), lat.vertex_index(i + 1, j),
+                     1, 0),
+                    (lat.vertex_index(i, j - 1), lat.vertex_index(i, j),
+                     0, 1))
+        else:
+            # vertical bond (i, j) joins vertices (i, j), (i, j+1) and
+            # separates cells (i-1, j) and (i, j)
+            ends = ((lat.vertex_index(i, j), lat.vertex_index(i, j + 1),
+                     0, 1),
+                    (lat.vertex_index(i - 1, j), lat.vertex_index(i, j),
+                     1, 0))
+        for graph, (a, b, dx, dy) in zip((primal, dual), ends):
+            graph[a].append((bond, b, dx, dy))
+            graph[b].append((bond, a, -dx, -dy))
+    arcs = []
+    for entry in range(4 * lat.nsites):
+        site, port_in = divmod(entry, 4)
+        orient = "h" if lat.bond_coords(site)[0] == 0 else "v"
+        x, y = lat._midpoint(site)
+        for spin in (0, 1):
+            port_out = _PAIRING[(orient, bool(spin))][port_in]
+            sx, sy = _PORT_STEP[port_out]
+            nxt = 4 * lat._bond_at(x + sx, y + sy) + _OPPOSITE[port_out]
+            arcs.append((nxt, 4 * site + port_out, sx, sy))
+    return (tuple(map(tuple, primal)), tuple(map(tuple, dual)),
+            tuple(arcs))
 
 
 class SquareDiskLattice:

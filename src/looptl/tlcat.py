@@ -584,19 +584,6 @@ def jones_wenzl(k, backend="generic", ell=None, d_value=None):
     return p
 
 
-def common_denominator(a):
-    """Clear denominators of a generic-backend morphism.
-
-    Returns (delta, cleared) where delta is a polynomial scalar and
-    cleared = delta * a has polynomial coefficients only.
-    """
-    lcm = [1]
-    for c in a.terms.values():
-        lcm = _pmul(lcm, _pexact_div(list(c.den), _pgcd(lcm, list(c.den))))
-    delta = RationalFunc(lcm)
-    return delta, a.scale(delta)
-
-
 # ---------------------------------------------------------------------------
 # Markov pairing and its radical
 # ---------------------------------------------------------------------------

@@ -31,9 +31,9 @@ from looptl.modular import (color_reversing_count, label_count, label_count
 from looptl.scalars import SpecialField, quantum_int
 from looptl.structure import (catalan, conditional_expectation, ideal_span,
                               radical_vectors, verify_ideal_theorem)
-from looptl.tlcat import (Morphism, common_denominator, compose,
-                          compose_factored, enumerate_diagrams, gram_matrix,
-                          jones_wenzl, markov_trace, radical_basis)
+from looptl.tlcat import (Morphism, compose, compose_factored,
+                          enumerate_diagrams, gram_matrix, jones_wenzl,
+                          markov_trace, radical_basis)
 
 SAMPLER_SEED = 20260826  # pinned; criterion 11 is deterministic given it
 

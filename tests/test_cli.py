@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -262,6 +265,42 @@ def test_sampler_drift_is_invariant_error(capsys, monkeypatch):
     assert rep["error"] == "invariant"
     assert rep["type"] == "AssertionError"
     assert "drifted" in rep["message"]
+
+
+def test_sampler_drift_is_invariant_error_under_optimize():
+    # python -O strips assert statements; the drift checks must survive
+    import looptl
+    src = os.path.dirname(os.path.dirname(looptl.__file__))
+    script = (
+        "import sys\n"
+        "from looptl import cli, gas\n"
+        "gas._cluster_table = "
+        "lambda lat, sweeps: bytes([1]) * (1 << lat.nsites)\n"
+        "sys.exit(cli.main(['gas', 'sample', '--torus', '2x2',"
+        " '--sweeps', '50', '--seed', '3']))\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_INVARIANT, proc.stderr
+    assert proc.stdout == ""
+    rep = json.loads(proc.stderr)
+    assert rep["type"] == "AssertionError"
+    assert "drifted" in rep["message"]
+
+
+@pytest.mark.parametrize("sweeps,seed,visited,checks", [
+    ("50", "3", 169, 51), ("500", "13", 256, 503)])
+def test_gas_sample_reports_states_visited_and_oracle_checks(
+        capsys, sweeps, seed, visited, checks):
+    code, out, _ = _run(capsys, "gas", "sample", "--torus", "2x2",
+                        "--sweeps", sweeps, "--seed", seed)
+    assert code == EXIT_OK
+    rep = json.loads(out)["results"][0]
+    assert (rep["states_visited"], rep["oracle_checks"]) == (visited, checks)
+    # one starting count, one check per measured sweep (every sweep at
+    # this length) and one recount per 1000 accepted moves
+    accepted = round(rep["acceptance_rate"] * 8 * int(sweeps))
+    assert checks == 1 + int(sweeps) + accepted // 1000
 
 
 def test_unexpected_exception_is_internal_error(capsys, monkeypatch):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from looptl import gas
 from looptl.errors import ConfigInvalid, StateSpaceTooLarge
 from looptl.gas import (GibbsModel, detailed_balance_check,
                         exact_distribution, extensive_constant_report,
@@ -10,7 +11,7 @@ from looptl.gas import (GibbsModel, detailed_balance_check,
                         measurement_distribution, metropolis_sample,
                         potts_params, tv_distance)
 from looptl.hamiltonian import build_hprime, kernel_propagate
-from looptl.lattice import SquareDiskLattice, SquareTorusLattice
+from looptl.lattice import SquareDiskLattice, SquareTorusLattice, census
 
 
 def test_potts_params_exact():
@@ -135,3 +136,90 @@ def test_measurement_distribution_gibbs_ratio():
 def test_sampler_rejects_lattices_other_than_square_torus():
     with pytest.raises(ConfigInvalid, match="square torus"):
         metropolis_sample(SquareDiskLattice(2, 2), potts_params(2), 10, 0)
+
+
+def _reference_chain(lat, model, sweeps, seed):
+    """The sampler as a plain loop with running dict tallies, on the
+    same Philox draws; dC and the measured counts are read from the
+    census.  Returns (tallies, accepted, mean L, mean C, mean C*)."""
+    cen = census(lat)
+    clusters, loops = cen.clusters.tolist(), cen.loops.tolist()
+    dual = cen.dual_clusters.tolist()
+    acc = gas.acceptance_table(model)
+    rng = np.random.Generator(np.random.Philox(seed))
+    nb = lat.nsites
+    measure_every = max(1, sweeps // 10_000)
+    bits = int(rng.integers(0, 1 << nb))
+    tallies, accepted, sums, n_meas = {}, 0, [0.0, 0.0, 0.0], 0
+    for sweep in range(sweeps):
+        bonds = rng.permutation(nb)
+        us = rng.random(nb)
+        for bond, u in zip(bonds.tolist(), us.tolist()):
+            flipped = bits ^ (1 << bond)
+            r = acc[(clusters[flipped] - clusters[bits], (bits >> bond) & 1)]
+            ra = r if r < 1.0 else 1.0
+            tallies[flipped] = tallies.get(flipped, 0.0) + ra
+            if ra < 1.0:
+                tallies[bits] = tallies.get(bits, 0.0) + (1.0 - ra)
+            if r >= 1.0 or u < r:
+                bits = flipped
+                accepted += 1
+        if sweep % measure_every == 0:
+            for k, col in enumerate((loops, clusters, dual)):
+                sums[k] += col[bits]
+            n_meas += 1
+    return (tallies, accepted) + tuple(s / n_meas for s in sums)
+
+
+def _reference_tv(tallies, probs):
+    total = 0.0
+    for count in tallies.values():
+        total += count
+    acc = seen = 0.0
+    for bits, count in tallies.items():
+        acc += abs(count / total - probs[bits])
+        seen += probs[bits]
+    acc += 1.0 - seen
+    return acc / 2.0
+
+
+@pytest.mark.parametrize("path", ["table", "dfs", "dict-slots"])
+@pytest.mark.parametrize("size,sweeps,seed", [(2, 3000, 5), (3, 2500, 11)])
+def test_sampler_matches_dict_reference_bit_for_bit(monkeypatch, path,
+                                                    size, sweeps, seed):
+    lat = SquareTorusLattice(size, size)
+    g = potts_params(2)
+    assert sweeps > 2 * gas.TALLY_BLOCK  # several folds, one partial
+    tallies, accepted, *means = _reference_chain(lat, g, sweeps, seed)
+    if path == "dfs":
+        monkeypatch.setattr(gas, "_cluster_table", lambda lat, sweeps: None)
+    elif path == "dict-slots":
+        # the sampler's view of the cap: dC by search, slots by dict
+        monkeypatch.setattr(gas, "ENUM_STATE_CAP", 1)
+    rec = metropolis_sample(lat, g, sweeps, seed)
+    assert list(rec.tallies) == list(tallies)
+    assert list(rec.tallies.values()) == list(tallies.values())
+    assert rec.tallies == tallies and len(rec.tallies) == len(tallies)
+    assert rec.accepted == accepted
+    assert rec.proposed == sweeps * lat.nsites
+    assert [rec.mean_loops, rec.mean_clusters, rec.mean_dual_clusters] \
+        == means
+    total = 0.0
+    for count in tallies.values():
+        total += count
+    assert rec.sample_size == total
+    probs, _, _ = exact_distribution(lat, g)
+    assert tv_distance(rec, probs) == _reference_tv(tallies, probs)
+
+
+def test_tallies_are_a_read_only_mapping():
+    lat = SquareTorusLattice(2, 2)
+    rec = metropolis_sample(lat, potts_params(2), 200, seed=1)
+    t = rec.tallies
+    first = next(iter(t))
+    assert t[first] == dict(t.items())[first]
+    assert first in t and (1 << 40) not in t
+    with pytest.raises(TypeError):
+        t[first] = 0.0
+    with pytest.raises(ValueError):
+        t.weights[0] = 0.0
