@@ -26,6 +26,8 @@ from .scalars import SpecialField
 RECOUNT_EVERY = 1000
 # sweeps of proposals buffered before they are folded into the tallies
 TALLY_BLOCK = 1024
+# the chain's state is an int64 (start-state draw, proposal buffers)
+SAMPLER_BOND_CAP = 62
 
 
 class GibbsModel:
@@ -386,10 +388,17 @@ def metropolis_sample(lat, model, sweeps, seed, record_rows=False,
     sweeps (_TallyStore) into a read-only Tallies mapping.  The
     generator is counter-based (Philox) so chains are reproducible and
     parallelizable by seed; both ways of finding dC give the same chain.
-    Runs on the square torus only; other lattices raise ConfigInvalid.
+    Runs on the square torus only; other lattices and sweeps < 1 raise
+    ConfigInvalid, and more than SAMPLER_BOND_CAP bonds raise
+    StateSpaceTooLarge, before anything is drawn or allocated.
     """
     if not isinstance(lat, SquareTorusLattice):
         raise ConfigInvalid("the sampler runs on the square torus")
+    if sweeps < 1:
+        raise ConfigInvalid("the sampler needs at least one sweep")
+    if lat.nsites > SAMPLER_BOND_CAP:
+        raise StateSpaceTooLarge("the sampler is capped at %d bonds"
+                                 % SAMPLER_BOND_CAP)
     rng = np.random.Generator(np.random.Philox(seed))
     nb = lat.nsites
     ends, incident = _bond_graph(lat)

@@ -3,9 +3,11 @@
 tabulate_states computes, for a batch of states at once and without
 extract_walls, the cluster and dual-cluster counts with their wrapping
 counts (min-label propagation carrying universal-cover offsets) and
-the loop and essential-loop counts (pointer doubling over the arc
-permutation of the mid lattice).  lattice.census imports this module
-only when it builds a square-torus census.
+the loop and essential-loop counts (pointer doubling over the mid
+lattice walked with the primal vertex on the left, as in Baxter,
+Kelland and Wu, J. Phys. A 9, 1976, so that each loop is one cycle).
+lattice.census imports this module only when it builds a square-torus
+census.
 """
 
 from __future__ import annotations
@@ -23,17 +25,17 @@ def tabulate_states(lat, states):
 
     states is an integer array; each column is a uint8 array aligned
     with it.  Computed without extract_walls: clusters by label
-    propagation, loops as cycles of the arc permutation.
+    propagation, loops as cycles of the oriented walk.
     """
     plus = ((states[None, :] >> np.arange(lat.nsites)[:, None]) & 1)
     plus = plus.astype(bool)
-    primal, dual, steps = _torus_tables(lat.w, lat.h)
+    primal, dual, walk = _torus_tables(lat.w, lat.h)
     out = {}
     out["clusters"], out["wrapping_clusters"] = \
         _wrapping_components_batch(plus, primal)
     out["dual_clusters"], out["wrapping_dual_clusters"] = \
         _wrapping_components_batch(~plus, dual)
-    out["loops"], out["essential_loops"] = _loop_cycles_batch(plus, steps)
+    out["loops"], out["essential_loops"] = _loop_cycles_batch(states, walk)
     return out
 
 
@@ -42,9 +44,10 @@ def _torus_tables(w, h):
     """Static geometry of the w x h torus for tabulate_states.
 
     primal/dual: the cluster graph (bonds kept when |+>) and dual graph
-    (kept when |->) as _TorusGraph.  steps[spin]: for every entry state
-    k = 4*site + port_in of the mid lattice, the next entry state and
-    the half-unit step (dx, dy) taken to reach it.
+    (kept when |->) as _TorusGraph.  walk = (nxt, dx, dy): each site
+    keeps the two ports whose edge, walked into the site, has the
+    primal vertex on its left, as entries 2*site and 2*site + 1; at
+    2*entry + spin, the next entry and the half-unit step taken to it.
     """
     lat = SquareTorusLattice(w, h)
     primal, dual = [], []
@@ -60,22 +63,28 @@ def _torus_tables(w, h):
                            lat.vertex_index(i, j + 1), 0, 1))
             dual.append((site, lat.vertex_index(i - 1, j),
                          lat.vertex_index(i, j), 1, 0))
-    steps = []
-    for spin in (False, True):
-        nxt, dxs, dys = [], [], []
-        for site in range(lat.nsites):
-            orient = "h" if site & 1 == 0 else "v"
-            x, y = lat._midpoint(site)
-            for port_in in (NE, NW, SW, SE):
-                port_out = _PAIRING[(orient, spin)][port_in]
-                sx, sy = _PORT_STEP[port_out]
-                nxt.append(4 * lat._bond_at(x + sx, y + sy)
-                           + _OPPOSITE[port_out])
-                dxs.append(sx)
-                dys.append(sy)
-        steps.append((np.array(nxt), np.array(dxs), np.array(dys)))
-    return (_TorusGraph(primal, w * h), _TorusGraph(dual, w * h),
-            steps)
+    entry_of = {}
+    for site in range(lat.nsites):
+        x, y = lat._midpoint(site)
+        for port, (sx, sy) in _PORT_STEP.items():
+            # walked in from (x+sx, y+sy), the edge has the corner
+            # (x+(sx+sy)/2, y+(sy-sx)/2) on its left; primal ones are even
+            if (x + (sx + sy) // 2) % 2 == (y + (sy - sx) // 2) % 2 == 0:
+                entry_of[site, port] = len(entry_of)
+        assert len(entry_of) == 2 * site + 2, "need two incoming ports"
+    nxt, steps = [], []
+    for site, port_in in entry_of:
+        orient = "h" if site & 1 == 0 else "v"
+        x, y = lat._midpoint(site)
+        for spin in (False, True):
+            port_out = _PAIRING[(orient, spin)][port_in]
+            sx, sy = _PORT_STEP[port_out]
+            reached = (lat._bond_at(x + sx, y + sy), _OPPOSITE[port_out])
+            assert reached in entry_of, "the walk left the incoming ports"
+            nxt.append(entry_of[reached])
+            steps.append((sx, sy))
+    walk = (np.array(nxt), *np.array(steps).T)
+    return _TorusGraph(primal, w * h), _TorusGraph(dual, w * h), walk
 
 
 # node offsets are packed as 64*x + y in the low _LABEL_SHIFT bits of
@@ -138,33 +147,34 @@ def _wrapping_components_batch(keep, graph):
                                                              dtype=np.uint8)
 
 
-def _loop_cycles_batch(plus, steps):
-    """Loops and essential loops per state, from the arc permutation.
+def _loop_cycles_batch(states, walk):
+    """Loops and essential loops per state, from the oriented walk.
 
-    Each state's mid-lattice walk is a permutation of the 4N entry
-    states; every loop is two oriented cycles of it, each at most 2N
-    long.  Pointer doubling finds each entry's cycle minimum together
-    with the displacement to it; a cycle is essential iff its summed
-    step displacement is non-zero.  Label and x/y displacements are
-    packed in one int32, label highest, so one minimum carries all
+    Each state's oriented walk is a permutation of the 2N entries, and
+    every loop is one cycle of it, at most 2N long.  Pointer doubling
+    finds each entry's cycle minimum together with the displacement to
+    it; every minimum (root) is one loop, essential iff the cycle's
+    summed step displacement is non-zero.  Label and x/y displacements
+    are packed in one int32, label highest, so one minimum carries all
     three.  Rows are states, so every gather stays inside one row.
     """
-    count, entries = plus.shape[1], 4 * plus.shape[0]
-    rounds = (entries // 2 - 1).bit_length()
+    nxt, dx, dy = walk
+    count, entries = len(states), len(nxt) // 2
+    rounds = (entries - 1).bit_length()
     # a window of 2^rounds steps moves at most 2^rounds each way
     width = rounds + 2
     low = 1 << (2 * width)
+    # labels 0..entries-1 sit above the two width-bit displacements
     assert entries << (2 * width) < 1 << 31, "lattice too large to pack"
     bias = (1 << (width - 1)) * ((1 << width) + 1)
-    spin = np.repeat(plus.T, 4, axis=1)
-    (nxt0, dx0, dy0), (nxt1, dx1, dy1) = steps
+    labels = np.arange(entries, dtype=np.int32)
+    site_of = labels >> 1
+    arc = 2 * labels + ((states[:, None] >> site_of) & 1)
     rows = np.arange(count)[:, None] * entries
-    succ = (np.where(spin, nxt1, nxt0) + rows).ravel()
-    step = np.where(spin, (dx1 << width) + dy1, (dx0 << width) + dy0)
-    step = step.astype(np.int32).ravel()
+    succ = (nxt[arc] + rows).ravel()
+    step = ((dx << width) + dy).astype(np.int32)[arc].ravel()
     # entry k's window [k, ptr(k)): lowest label seen plus displacement
     # from k to it, and the window's total displacement
-    labels = np.arange(entries, dtype=np.int32)
     best = np.tile(labels * low + bias, count)
     ptr, span = succ, step
     for _ in range(rounds):
@@ -175,5 +185,5 @@ def _loop_cycles_batch(plus, steps):
     # at a root, the cycle's displacement is its step plus the way back
     total = step + (best[succ] & (low - 1)) - bias
     essential = roots & (total != 0)
-    return (roots.reshape(count, entries).sum(1) // 2).astype(np.uint8), \
-        (essential.reshape(count, entries).sum(1) // 2).astype(np.uint8)
+    return roots.reshape(count, entries).sum(1, dtype=np.uint8), \
+        essential.reshape(count, entries).sum(1, dtype=np.uint8)

@@ -50,6 +50,17 @@ def test_cached_census_matches_walls_on_seeded_3x3_states():
                            for name in CENSUS_FIELDS}, want)
 
 
+@pytest.mark.parametrize("w,h", [(4, 4), (5, 3), (3, 5)])
+def test_vectorised_census_matches_walls_past_the_census(w, h):
+    # no whole census exists at these sizes; seeded states still check
+    # the oriented walk and its packing on larger and non-square tori
+    lat = SquareTorusLattice(w, h)
+    states = np.random.default_rng(20261019).integers(0, 1 << lat.nsites,
+                                                      1500)
+    _assert_columns_equal(tabulate_states(lat, states),
+                          tabulate_by_walls(lat, states))
+
+
 @pytest.mark.parametrize("lat", [SquareDiskLattice(2, 3),
                                  SquareDiskLattice(2, 2, boundary_plus=True),
                                  HexTorusLattice(3, 3)])

@@ -188,6 +188,25 @@ def test_gas_sample_on_hex_torus_is_config_error(capsys):
     assert "square torus" in json.loads(err)["message"]
 
 
+@pytest.mark.parametrize("sweeps", ["0", "-3"])
+def test_gas_sample_without_sweeps_is_config_error(capsys, sweeps):
+    code, out, err = _run(capsys, "gas", "sample", "--torus", "2x2",
+                          "--sweeps", sweeps)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert json.loads(err)["type"] == "ConfigInvalid"
+
+
+def test_gas_sample_past_bond_cap_is_capacity_error(capsys):
+    # 6x6 torus: 72 bonds, past the chain's int64 state
+    code, out, err = _run(capsys, "gas", "sample", "--torus", "6x6",
+                          "--sweeps", "2")
+    assert code == EXIT_CAPACITY
+    assert out == "" and "Traceback" not in err
+    rep = json.loads(err)
+    assert (rep["error"], rep["type"]) == ("capacity", "StateSpaceTooLarge")
+
+
 @pytest.mark.parametrize("action", ["kernel", "joint-kernel"])
 def test_kernel_past_state_cap_is_capacity_error(capsys, action):
     # 4x3 torus: 2^24 states, past the enumeration cap

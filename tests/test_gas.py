@@ -138,6 +138,26 @@ def test_sampler_rejects_lattices_other_than_square_torus():
         metropolis_sample(SquareDiskLattice(2, 2), potts_params(2), 10, 0)
 
 
+def _no_philox(seed):
+    raise AssertionError("the chain drew before it checked its input")
+
+
+@pytest.mark.parametrize("sweeps", [0, -3])
+def test_sampler_rejects_fewer_than_one_sweep(monkeypatch, sweeps):
+    monkeypatch.setattr(gas.np.random, "Philox", _no_philox)
+    with pytest.raises(ConfigInvalid, match="sweep"):
+        metropolis_sample(SquareTorusLattice(2, 2), potts_params(2),
+                          sweeps, 0)
+
+
+def test_sampler_bond_cap():
+    # 62 bonds is the largest state the chain's int64 draw can hold
+    rec = metropolis_sample(SquareTorusLattice(31, 1), potts_params(2), 1, 5)
+    assert rec.proposed == 62 == gas.SAMPLER_BOND_CAP
+    with pytest.raises(StateSpaceTooLarge):
+        metropolis_sample(SquareTorusLattice(32, 1), potts_params(2), 1, 5)
+
+
 def _reference_chain(lat, model, sweeps, seed):
     """The sampler as a plain loop with running dict tallies, on the
     same Philox draws; dC and the measured counts are read from the
