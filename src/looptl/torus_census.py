@@ -16,8 +16,7 @@ import functools
 
 import numpy as np
 
-from .lattice import (NE, NW, SE, SW, _OPPOSITE, _PAIRING, _PORT_STEP,
-                      SquareTorusLattice)
+from .lattice import _OPPOSITE, _PAIRING, _PORT_STEP, SquareTorusLattice
 
 
 def tabulate_states(lat, states):

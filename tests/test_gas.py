@@ -150,10 +150,11 @@ def test_sampler_rejects_fewer_than_one_sweep(monkeypatch, sweeps):
                           sweeps, 0)
 
 
-def test_sampler_bond_cap():
+def test_sampler_bond_cap(monkeypatch):
     # 62 bonds is the largest state the chain's int64 draw can hold
     rec = metropolis_sample(SquareTorusLattice(31, 1), potts_params(2), 1, 5)
     assert rec.proposed == 62 == gas.SAMPLER_BOND_CAP
+    monkeypatch.setattr(gas.np.random, "Philox", _no_philox)
     with pytest.raises(StateSpaceTooLarge):
         metropolis_sample(SquareTorusLattice(32, 1), potts_params(2), 1, 5)
 
