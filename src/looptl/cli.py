@@ -84,6 +84,8 @@ def _cmd_tl(args):
     from .tlcat import enumerate_diagrams, gram_matrix, jones_wenzl
 
     report = {"command": "tl", "action": args.action}
+    if args.action in ("diagrams", "gram", "radical") and args.n < 0:
+        raise ConfigInvalid("--n must be non-negative")
     if args.action == "diagrams":
         n = args.n
         diagrams = enumerate_diagrams(n, n)
@@ -125,6 +127,8 @@ def _cmd_tl(args):
     elif args.action == "ideal":
         if args.ell is None:
             raise ConfigInvalid("ideal needs --ell")
+        if args.nmax < 1:
+            raise ConfigInvalid("ideal needs --nmax >= 1")
         ok = verify_ideal_theorem(args.ell, args.nmax)
         report["ell"] = args.ell
         report["n_max"] = args.nmax
@@ -165,12 +169,16 @@ def _cmd_table(args):
 
     report = {"command": "table", "action": args.action}
     if args.action == "fig02":
+        if args.ellmax < 1:
+            raise ConfigInvalid("fig02 needs --ellmax >= 1")
         payload = level_table_csv(args.ellmax)
         report["csv"] = _emit(args, "levels.csv", payload, kind="csv")
         report["ell_max"] = args.ellmax
     elif args.action == "smatrix":
         if args.ell is None:
             raise ConfigInvalid("smatrix needs --ell")
+        if args.ell < 1:
+            raise ConfigInvalid("smatrix needs --ell >= 1")
         mat = s_matrix(args.ell)
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -208,7 +216,11 @@ def _cmd_lattice(args):
     if args.action == "build":
         return report
     if args.action == "components":
-        seed = lat.config(int(args.seed_state, 16) if args.seed_state else 0)
+        try:
+            bits = int(args.seed_state, 16) if args.seed_state else 0
+        except ValueError:
+            raise ConfigInvalid("--seed-state must be hex digits")
+        seed = lat.config(bits)
         graph = explore_component(seed, model=model, cap=args.component_cap)
         report["component_size"] = len(graph.configs)
         report["edges"] = len(graph.edges)
@@ -387,7 +399,6 @@ def _build_parser():
     p.add_argument("--spec")
     p.add_argument("--model", choices=["hprime", "h0"])
     p.add_argument("--ell", type=int)
-    p.add_argument("--backend", default="exact", choices=["exact", "float"])
     p.add_argument("--seed-state", dest="seed_state",
                    help="hex bits of the seed configuration")
     p.add_argument("--component-cap", dest="component_cap", type=int,
@@ -434,11 +445,6 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         args = _apply_config(args, argv if argv is not None else sys.argv[1:])
-        exact_cap = 3
-        if getattr(args, "backend", "exact") == "exact" and \
-                getattr(args, "ell", None) not in (None,) and \
-                args.ell > exact_cap and args.command in ("lattice", "gas"):
-            raise ConfigInvalid("exact backend is limited to level <= 3")
         report = args.func(args)
         bundle = report_bundle([report],
                                seed=getattr(args, "seed", None),

@@ -388,14 +388,17 @@ def metropolis_sample(lat, model, sweeps, seed, record_rows=False,
     sweeps (_TallyStore) into a read-only Tallies mapping.  The
     generator is counter-based (Philox) so chains are reproducible and
     parallelizable by seed; both ways of finding dC give the same chain.
-    Runs on the square torus only; other lattices and sweeps < 1 raise
-    ConfigInvalid, and more than SAMPLER_BOND_CAP bonds raise
-    StateSpaceTooLarge, before anything is drawn or allocated.
+    Runs on the square torus only; other lattices, sweeps < 1 and a
+    negative seed raise ConfigInvalid, and more than SAMPLER_BOND_CAP
+    bonds raise StateSpaceTooLarge, before anything is drawn or
+    allocated.
     """
     if not isinstance(lat, SquareTorusLattice):
         raise ConfigInvalid("the sampler runs on the square torus")
     if sweeps < 1:
         raise ConfigInvalid("the sampler needs at least one sweep")
+    if seed < 0:
+        raise ConfigInvalid("the sampler seed must be non-negative")
     if lat.nsites > SAMPLER_BOND_CAP:
         raise StateSpaceTooLarge("the sampler is capped at %d bonds"
                                  % SAMPLER_BOND_CAP)

@@ -8,13 +8,13 @@ of sites to one of a few local patterns with scalar coefficients, and
 stands for one linear functional per assignment of the remaining
 sites.
 
-Two independent kernel solvers are provided: ratio propagation along
-move graphs (exact d-exponents) and a numeric/modular row-reduction
-oracle.  Ratio propagation and the oracle's GF(p) rank of two-term
-systems both run hook-and-compress label propagation (Shiloach and
-Vishkin, J. Algorithms 3, 1982) over numpy arrays, one row at a time;
-each is written separately so that neither can share a defect with the
-other.
+Two independent kernel solvers are provided for systems of two-term
+rows, the only kind the builders make: ratio propagation along move
+graphs (exact d-exponents) and a numeric/modular oracle that reads
+only the coefficients.  Ratio propagation and the oracle's GF(p) rank
+both run hook-and-compress label propagation (Shiloach and Vishkin,
+J. Algorithms 3, 1982) over numpy arrays, one row at a time; each is
+written separately so that neither can share a defect with the other.
 """
 
 from __future__ import annotations
@@ -383,28 +383,14 @@ def _find_prime_with_root(poly, start=1_000_003):
         p += 2
 
 
-def _modular_rank(cs):
-    """Rank of the expanded system over GF(p) with d mapped to a root
-    of its minimal polynomial.
-
-    Systems of two-term rows go to a label-propagation rank; rows with
-    more terms fall back to dictionary elimination.
-    """
-    poly = minimal_polynomial(cs.ell) if cs.ell is not None else [-1, 1]
-    p, droot = _find_prime_with_root([int(c) for c in poly])
-    nsites = cs.lattice.nsites
-    if all(len(row.terms) == 2 for row in cs.rows):
-        return _modular_rank_two_term(cs, p, droot, nsites)
-    return _modular_rank_generic(cs, p, droot, nsites)
-
-
 # pack[s] = label << _FACTOR_SHIFT | f with x_s = f * x_label in GF(p)
 _FACTOR_SHIFT = 32
 _FACTOR_MASK = (1 << _FACTOR_SHIFT) - 1
 
 
-def _modular_rank_two_term(cs, p, droot, nsites):
-    """Rank over GF(p) of a system of two-term rows.
+def _modular_rank(cs):
+    """Rank of the expanded system of two-term rows over GF(p), with d
+    mapped to a root of its minimal polynomial mod p.
 
     A row va*x_a + vb*x_b with both coefficients nonzero mod p ties
     x_b = -va/vb * x_a; with one nonzero coefficient it forces that
@@ -414,6 +400,9 @@ def _modular_rank_two_term(cs, p, droot, nsites):
     a pair contradicts its factors or a forced zero lands in it, and
     rank = n - (free components).
     """
+    poly = minimal_polynomial(cs.ell) if cs.ell is not None else [-1, 1]
+    p, droot = _find_prime_with_root([int(c) for c in poly])
+    nsites = cs.lattice.nsites
     n = cs.n_states
     pack = (np.arange(n, dtype=np.int64) << _FACTOR_SHIFT) | 1
     coeffs = [(row, _coeff_mod(row.terms[0][1], p, droot),
@@ -491,33 +480,6 @@ def _inverse_mod(x, p):
     return out[where]
 
 
-def _modular_rank_generic(cs, p, droot, nsites):
-    pivots = {}
-    rank = 0
-    for row in cs.rows:
-        cols_per_term = concrete_states(row, nsites)
-        coeffs = [_coeff_mod(c, p, droot) for _, c in row.terms]
-        for k in range(len(cols_per_term[0])):
-            work = {}
-            for t, arr in enumerate(cols_per_term):
-                c = int(arr[k])
-                work[c] = (work.get(c, 0) + coeffs[t]) % p
-            work = {c: v for c, v in work.items() if v}
-            while work:
-                c = max(work)
-                if c in pivots:
-                    prow = pivots[c]
-                    f = work[c] * pow(prow[c], p - 2, p) % p
-                    for pc, pv in prow.items():
-                        work[pc] = (work.get(pc, 0) - f * pv) % p
-                    work = {cc: v for cc, v in work.items() if v}
-                else:
-                    pivots[c] = work
-                    rank += 1
-                    break
-    return rank
-
-
 def _coeff_mod(c, p, droot):
     """Image of a scalar coefficient in GF(p) under d -> droot."""
     if isinstance(c, (int, np.integer)):
@@ -535,10 +497,17 @@ def _coeff_mod(c, p, droot):
 def kernel_dense(cs):
     """Numeric kernel oracle, independent of ratio propagation.
 
+    Every row must have exactly two terms, as every builder makes them;
+    the oracle reads only the coefficients, never the d-exponents.
     Small systems get a dense float SVD with threshold 1e-8 times the
     top singular value; larger ones (up to the state cap) get a sparse
-    modular rank computation, which fixes the dimension only.
+    modular rank computation, which fixes the dimension only.  Raises
+    ConfigInvalid on any other row and StateSpaceTooLarge past the
+    cap, both before allocating anything.
     """
+    for row in cs.rows:
+        if len(row.terms) != 2:
+            raise ConfigInvalid("the kernel oracle needs two-term rows")
     n = cs.n_states
     if n > DENSE_STATE_CAP:
         raise StateSpaceTooLarge(

@@ -118,43 +118,6 @@ class SpinConfig:
         return "SpinConfig(%s)" % self.to_hex()
 
 
-def _wrapping_components(n_nodes, edges, lifts):
-    """Count components and wrapping components of a graph on a torus.
-
-    edges is a list of (a, b); lifts[k] is the displacement of edge k in
-    universal-cover coordinates.  A component wraps when some cycle has
-    nonzero net displacement.
-    """
-    adj = [[] for _ in range(n_nodes)]
-    for k, (a, b) in enumerate(edges):
-        dx, dy = lifts[k]
-        adj[a].append((b, dx, dy))
-        adj[b].append((a, -dx, -dy))
-    seen = [None] * n_nodes
-    comps = 0
-    wrapping = 0
-    for start in range(n_nodes):
-        if seen[start] is not None:
-            continue
-        comps += 1
-        wraps = False
-        seen[start] = (0, 0)
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            ux, uy = seen[u]
-            for v, dx, dy in adj[u]:
-                pos = (ux + dx, uy + dy)
-                if seen[v] is None:
-                    seen[v] = pos
-                    queue.append(v)
-                elif seen[v] != pos:
-                    wraps = True
-        if wraps:
-            wrapping += 1
-    return comps, wrapping
-
-
 class SquareTorusLattice:
     """w x h square lattice on the torus with spins on bonds.
 
@@ -455,36 +418,16 @@ class SquareDiskLattice:
         return False  # virtual bond outside the patch
 
     def extract_walls(self, config):
-        w, h = self.w, self.h
-
-        # vertex clusters across |+> bonds (isolated vertices count), and
-        # dual clusters across |-> bonds, where the outer face is one
-        # dual vertex whose component is not counted
-        def vidx(i, j):
-            return j * (w + 1) + i
-
-        def cidx(i, j):
-            if 0 <= i < w and 0 <= j < h:
-                return j * w + i
-            return w * h
-
-        edges, dedges = [], []
-        for bond in self.bonds():
-            orient, i, j = bond
-            if self._bond_plus(config, bond):
-                edges.append((vidx(i, j), vidx(i + 1, j) if orient == "h"
-                              else vidx(i, j + 1)))
-            else:
-                dedges.append((cidx(i, j - 1) if orient == "h"
-                               else cidx(i - 1, j), cidx(i, j)))
-        clusters, _ = _wrapping_components(
-            (w + 1) * (h + 1), edges, [(0, 0)] * len(edges))
-        faces, _ = _wrapping_components(
-            w * h + 1, dedges, [(0, 0)] * len(dedges))
-
+        primal, dual = _disk_cluster_tables(self.w, self.h)
+        spins = [(config.bits >> site) & 1 for site in range(self.nsites)]
+        spins += [int(self.boundary_plus)] * len(self._fixed)
+        plus_edges = sum(spins)
+        clusters, _ = _masked_components(primal, spins, 1)
+        # the outer face is one dual vertex whose component is not counted
+        faces, _ = _masked_components(dual, spins, 0)
         trivial = self._trace_loops(config)
         return WallCensus(trivial, [], clusters, faces - 1,
-                          len(edges), len(dedges))
+                          plus_edges, len(spins) - plus_edges)
 
     def _bond_at(self, x, y):
         if x & 1:
@@ -565,6 +508,36 @@ class SquareDiskLattice:
     def spec_dict(self):
         return {"kind": self.kind, "w": self.w, "h": self.h,
                 "boundary": "+" if self.boundary_plus else "-"}
+
+
+@functools.cache
+def _disk_cluster_tables(w, h):
+    """Static graphs of the w x h square disk for extract_walls.
+
+    Bond k < nsites is free site k, and the fixed boundary bonds follow
+    in the order of SquareDiskLattice.bonds.  primal[v] lists, for every
+    bond at vertex v = j*(w+1) + i, (bond, other end, 0, 0) as in
+    _square_wall_tables; dual[c] does the same over the cells c = j*w + i
+    and the outer face c = w*h.  Nothing on a disk wraps, so every lift
+    is zero.
+    """
+    lat = SquareDiskLattice(w, h)
+
+    def cell(i, j):
+        return j * w + i if 0 <= i < w and 0 <= j < h else w * h
+
+    primal = [[] for _ in range((w + 1) * (h + 1))]
+    dual = [[] for _ in range(w * h + 1)]
+    for bond, (orient, i, j) in enumerate(lat.bonds()):
+        v = j * (w + 1) + i
+        if orient == "h":
+            ends = ((v, v + 1), (cell(i, j - 1), cell(i, j)))
+        else:
+            ends = ((v, v + w + 1), (cell(i - 1, j), cell(i, j)))
+        for graph, (a, b) in zip((primal, dual), ends):
+            graph[a].append((bond, b, 0, 0))
+            graph[b].append((bond, a, 0, 0))
+    return tuple(map(tuple, primal)), tuple(map(tuple, dual))
 
 
 _TRI_NEIGHBORS = ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1))
@@ -669,32 +642,19 @@ class HexTorusLattice:
 
         trivial, essential = self._walk_wall_loops(adj)
 
-        edges, lifts = [], []
-        dedges, dlifts = [], []
-        for j in range(h):
-            for i in range(w):
-                a = self.site_index(i, j)
-                for di, dj in ((1, 0), (1, 1), (0, 1)):
-                    b = self.site_index(i + di, j + dj)
-                    if config.plus(a) and config.plus(b):
-                        edges.append((a, b))
-                        lifts.append((di, dj))
-                    elif not config.plus(a) and not config.plus(b):
-                        dedges.append((a, b))
-                        dlifts.append((di, dj))
-        n_plus = sum(config.plus(s) for s in range(self.nsites))
-        plus_nodes = [s for s in range(self.nsites) if config.plus(s)]
-        minus_nodes = [s for s in range(self.nsites) if not config.plus(s)]
-        remap_p = {s: k for k, s in enumerate(plus_nodes)}
-        remap_m = {s: k for k, s in enumerate(minus_nodes)}
-        clusters, wrap_c = _wrapping_components(
-            len(plus_nodes), [(remap_p[a], remap_p[b]) for a, b in edges],
-            lifts)
-        dual_clusters, wrap_d = _wrapping_components(
-            len(minus_nodes), [(remap_m[a], remap_m[b]) for a, b in dedges],
-            dlifts)
-        return WallCensus(trivial, essential, clusters, dual_clusters,
-                          len(edges), len(dedges), wrap_c, wrap_d)
+        incident, ends = _hex_cluster_tables(w, h)
+        plus = [(config.bits >> site) & 1 for site in range(self.nsites)]
+        # 1: both ends |+>, 0: both ends |->, 2: mixed
+        edge = [plus[a] if plus[a] == plus[b] else 2 for a, b in ends]
+        n_plus = sum(plus)
+        # every |-> site is an isolated vertex of the |+> graph, and the
+        # other way round
+        clusters, wrap_c = _masked_components(incident, edge, 1)
+        dual_clusters, wrap_d = _masked_components(incident, edge, 0)
+        return WallCensus(trivial, essential,
+                          clusters - (self.nsites - n_plus),
+                          dual_clusters - n_plus,
+                          edge.count(1), edge.count(0), wrap_c, wrap_d)
 
     def _add_wall(self, adj, ta, ca, tb, cb):
         # lift: nearest representative of cb - ca modulo the periods
@@ -736,6 +696,28 @@ class HexTorusLattice:
 
     def spec_dict(self):
         return {"kind": self.kind, "w": self.w, "h": self.h}
+
+
+@functools.cache
+def _hex_cluster_tables(w, h):
+    """Static graph of the w x h triangular lattice for extract_walls.
+
+    Edge e = 3*site + k joins site (i, j) to its neighbor
+    (i + di, j + dj), for the k-th of the offsets (1, 0), (1, 1),
+    (0, 1); ends[e] is (site, neighbor), and incident[v] lists (edge,
+    other end, dx, dy) as in _square_wall_tables.
+    """
+    lat = HexTorusLattice(w, h)
+    incident = [[] for _ in range(lat.nsites)]
+    ends = []
+    for a in range(lat.nsites):
+        i, j = lat.site_coords(a)
+        for di, dj in _TRI_NEIGHBORS[:3]:
+            b = lat.site_index(i + di, j + dj)
+            incident[a].append((len(ends), b, di, dj))
+            incident[b].append((len(ends), a, -di, -dj))
+            ends.append((a, b))
+    return tuple(map(tuple, incident)), tuple(ends)
 
 
 # -- census of the whole state space ----------------------------------------

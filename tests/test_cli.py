@@ -71,10 +71,51 @@ def test_bad_lattice_size_is_config_error(capsys):
     assert json.loads(err)["error"] == "config"
 
 
-def test_exact_backend_level_cap(capsys):
-    code, _, err = _run(capsys, "lattice", "kernel", "--torus", "2x2",
+def test_lattice_kernel_runs_past_level_three(capsys):
+    code, out, _ = _run(capsys, "lattice", "kernel", "--torus", "2x2",
                         "--ell", "5")
+    assert code == EXIT_OK
+    bundle = json.loads(out)
+    assert "backend" not in bundle
+    rep = bundle["results"][0]
+    assert rep["kernel_dimension"] == rep["oracle_dimension"]
+
+
+def test_gas_exact_runs_past_level_three(capsys):
+    code, out, _ = _run(capsys, "gas", "exact", "--torus", "2x2",
+                        "--ell", "4")
+    assert code == EXIT_OK
+    assert json.loads(out)["results"][0]["constants_hold"]
+
+
+def test_lattice_has_no_backend_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["lattice", "kernel", "--torus", "2x2", "--ell", "2",
+              "--backend", "float"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "--backend" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("lattice", "components", "--torus", "2x2", "--seed-state", "zz"),
+    ("tl", "diagrams", "--n", "-1"),
+    ("tl", "gram", "--n", "-1", "--ell", "2"),
+    ("tl", "radical", "--n", "-1", "--ell", "2"),
+    ("tl", "ideal", "--ell", "2", "--nmax", "0"),
+    ("table", "smatrix", "--ell", "-2"),
+    ("table", "smatrix", "--ell", "0"),
+    ("table", "smatrix", "--ell", "-1"),
+    ("table", "fig02", "--ellmax", "0"),
+    ("gas", "sample", "--torus", "2x2", "--sweeps", "5", "--seed", "-1"),
+], ids=["seed-state-zz", "diagrams-negative-n", "gram-negative-n",
+        "radical-negative-n", "ideal-nmax-0", "smatrix-ell-minus-2",
+        "smatrix-ell-0", "smatrix-ell-minus-1", "fig02-ellmax-0",
+        "sample-negative-seed"])
+def test_bad_input_is_config_error(capsys, argv):
+    code, out, err = _run(capsys, *argv)
     assert code == EXIT_CONFIG
+    assert out == ""
+    assert json.loads(err)["type"] == "ConfigInvalid"
 
 
 def test_capacity_error_exit_code(capsys):

@@ -11,7 +11,8 @@ from looptl.gas import (GibbsModel, detailed_balance_check,
                         measurement_distribution, metropolis_sample,
                         potts_params, tv_distance)
 from looptl.hamiltonian import build_hprime, kernel_propagate
-from looptl.lattice import SquareDiskLattice, SquareTorusLattice, census
+from looptl.lattice import (HexTorusLattice, SquareDiskLattice,
+                            SquareTorusLattice, census)
 
 
 def test_potts_params_exact():
@@ -69,8 +70,11 @@ def test_torus_constants_per_homology_class():
         assert info["spread"] < 1e-12
 
 
-def test_homology_rule_2x2():
-    holds, bad = homology_rule_report(SquareTorusLattice(2, 2))
+@pytest.mark.parametrize("lat", [
+    SquareTorusLattice(2, 2), HexTorusLattice(3, 3), HexTorusLattice(3, 4),
+], ids=["square-2x2", "hex-3x3", "hex-3x4"])
+def test_homology_rule(lat):
+    holds, bad = homology_rule_report(lat)
     assert holds and bad == 0
 
 

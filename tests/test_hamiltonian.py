@@ -79,6 +79,25 @@ def test_state_space_cap():
         kernel_dense(cs)
 
 
+@pytest.mark.parametrize("size", [2, 3], ids=["dense-svd", "modular"])
+def test_kernel_dense_rejects_a_three_term_row(size):
+    import tracemalloc
+    cs = build_hprime(SquareTorusLattice(size, size), 2)
+    one = cs.field.one
+    cs.rows.insert(len(cs.rows) // 2, Row(
+        "rand", "three", (0, 1, 2), [(0, one), (3, one), (5, -one)]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigInvalid):
+            kernel_dense(cs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 2^18 bytes: one uint8 per state of the 3x3 torus, a quarter of
+    # the 2x2 torus's expanded float matrix
+    assert peak < 1 << 18
+
+
 def test_skein_window_shapes():
     lat = SquareTorusLattice(3, 3)
     rows1 = compile_skein_instances(lat, 1)

@@ -1,5 +1,6 @@
 import json
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -137,3 +138,59 @@ def test_lattice_from_spec_roundtrip():
     hexlat = HexTorusLattice(3, 4)
     assert lattice_from_spec(hexlat.spec_dict()).spec_dict() == \
         hexlat.spec_dict()
+
+
+def _kept_components(nodes, edges, leave_out=None):
+    """Components of the graph on nodes with the given edges, not
+    counting the one that holds leave_out."""
+    g = nx.Graph()
+    g.add_nodes_from(nodes)
+    g.add_edges_from(edges)
+    if leave_out is None:
+        return nx.number_connected_components(g)
+    return sum(1 for comp in nx.connected_components(g)
+               if leave_out not in comp)
+
+
+def _hex_clusters(lat, config, plus):
+    sites = [s for s in range(lat.nsites) if config.plus(s) == plus]
+    return _kept_components(sites, [
+        (s, t) for s in sites for t in lat.neighbors(s)
+        if config.plus(t) == plus])
+
+
+def _disk_clusters(lat, config, plus):
+    w, h = lat.w, lat.h
+
+    def cell(i, j):
+        return (i, j) if 0 <= i < w and 0 <= j < h else "outer"
+
+    edges = []
+    for bond in lat.bonds():
+        orient, i, j = bond
+        if lat._bond_plus(config, bond) != plus:
+            continue
+        if plus:
+            edges.append(((i, j), (i + 1, j) if orient == "h" else (i, j + 1)))
+        else:
+            edges.append((cell(i, j), cell(i, j - 1) if orient == "h"
+                          else cell(i - 1, j)))
+    if plus:
+        return _kept_components(
+            [(i, j) for i in range(w + 1) for j in range(h + 1)], edges)
+    return _kept_components(
+        [(i, j) for i in range(w) for j in range(h)] + ["outer"], edges,
+        leave_out="outer")
+
+
+@pytest.mark.parametrize("lat,count", [
+    (HexTorusLattice(3, 3), _hex_clusters),
+    (SquareDiskLattice(3, 3, False), _disk_clusters),
+    (SquareDiskLattice(3, 3, True), _disk_clusters),
+], ids=["hex-3x3", "disk-3x3-minus", "disk-3x3-plus"])
+def test_cluster_counts_match_networkx(lat, count):
+    for bits in range(1 << lat.nsites):
+        config = lat.config(bits)
+        walls = lat.extract_walls(config)
+        assert walls.clusters == count(lat, config, True), bits
+        assert walls.dual_clusters == count(lat, config, False), bits
