@@ -191,11 +191,20 @@ def _cmd_table(args):
     return report
 
 
+def _read_json(path):
+    """The JSON document in a file; an unreadable or malformed file is a
+    config error."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigInvalid("cannot read JSON from %s: %s" % (path, exc))
+
+
 def _lattice_from_args(args):
     from .lattice import HexTorusLattice, SquareTorusLattice, lattice_from_spec
     if getattr(args, "spec", None):
-        with open(args.spec) as fh:
-            return lattice_from_spec(json.load(fh))
+        return lattice_from_spec(_read_json(args.spec))
     if getattr(args, "hex", None):
         w, h = _parse_torus(args.hex)
         return HexTorusLattice(w, h)
@@ -425,8 +434,7 @@ def _build_parser():
 def _apply_config(args, argv):
     if not args.config:
         return args
-    with open(args.config) as fh:
-        conf = json.load(fh)
+    conf = _read_json(args.config)
     given = {tok.split("=", 1)[0].lstrip("-").replace("-", "_")
              for tok in (argv or []) if tok.startswith("--")}
     for key, value in conf.items():

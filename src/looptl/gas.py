@@ -20,7 +20,8 @@ from collections.abc import ItemsView, Mapping, ValuesView
 import numpy as np
 
 from .errors import ConfigInvalid, StateSpaceTooLarge
-from .lattice import ENUM_STATE_CAP, SquareTorusLattice, census
+from .lattice import (ENUM_STATE_CAP, SquareTorusLattice, _square_wall_tables,
+                      census)
 from .scalars import SpecialField
 
 RECOUNT_EVERY = 1000
@@ -101,7 +102,7 @@ def _cluster_forms(cen, model):
     """Cluster-form weight q^C p^E (1-p)^{E*} of every state as floats,
     multiplied in the order fk_weight uses."""
     q, p = model.q_float, model.p_float
-    plus, minus = cen.edge_counts()
+    plus, minus = cen.plus_edges, cen.minus_edges
     top = int(max(cen.clusters.max(), plus.max(), minus.max())) + 1
     q_pow = np.array([q ** k for k in range(top)])
     p_pow = np.array([p ** k for k in range(top)])
@@ -320,10 +321,11 @@ class SampleRecord:
                 "oracle_checks": self.oracle_checks}
 
 
-def _dfs_delta_clusters(bits, bond, ends, incident):
+def _dfs_delta_clusters(bits, bond, primal, walk):
     """Change in C if the given bond is flipped, by a depth-first
-    search from one end of the bond to the other without it."""
-    a, b = ends[bond]
+    search from one end of the bond to the other without it.  primal
+    and walk are those of lattice._square_wall_tables."""
+    a, b = walk.tail[2 * bond], walk.head[2 * bond]
     without = bits & ~(1 << bond)
     stack = [a]
     seen = 1 << a
@@ -331,25 +333,11 @@ def _dfs_delta_clusters(bits, bond, ends, incident):
         x = stack.pop()
         if x == b:
             return 0
-        for bd, y in incident[x]:
+        for bd, y, _, _ in primal[x]:
             if (without >> bd) & 1 and not (seen >> y) & 1:
                 seen |= 1 << y
                 stack.append(y)
     return 1 if (bits >> bond) & 1 else -1
-
-
-def _bond_graph(lat):
-    """Bond ends and, per vertex, its (bond, other end) pairs."""
-    ends = []
-    for bond in range(lat.nsites):
-        orient, i, j = lat.bond_coords(bond)
-        ends.append((lat.vertex_index(i, j),
-                     lat.vertex_index(i + 1 - orient, j + orient)))
-    incident = [[] for _ in range(lat.w * lat.h)]
-    for bond, (a, b) in enumerate(ends):
-        incident[a].append((bond, b))
-        incident[b].append((bond, a))
-    return ends, incident
 
 
 def _cluster_table(lat, sweeps):
@@ -404,7 +392,7 @@ def metropolis_sample(lat, model, sweeps, seed, record_rows=False,
                                  % SAMPLER_BOND_CAP)
     rng = np.random.Generator(np.random.Philox(seed))
     nb = lat.nsites
-    ends, incident = _bond_graph(lat)
+    primal, _, walk = _square_wall_tables(lat.w, lat.h)
     if measure_every is None:
         measure_every = max(1, sweeps // 10_000)
 
@@ -434,7 +422,7 @@ def metropolis_sample(lat, model, sweeps, seed, record_rows=False,
             spin = (bits >> bond) & 1
             flipped = bits ^ (1 << bond)
             if table is None:
-                dc = _dfs_delta_clusters(bits, bond, ends, incident)
+                dc = _dfs_delta_clusters(bits, bond, primal, walk)
             else:
                 dc = table[flipped] - table[bits]
             k = 3 * spin + dc + 1
@@ -504,7 +492,7 @@ def detailed_balance_check(lat, model):
     if n > 4096:
         raise StateSpaceTooLarge("balance check is exhaustive")
     cen = census(lat)
-    plus, minus = cen.edge_counts()
+    plus, minus = cen.plus_edges, cen.minus_edges
     q, p, one = model.q, model.p, model.field.one
     ratio_e = p / (one - p)
     exact = {(dc, s): q ** dc * ratio_e ** (-1 if s else 1)
@@ -519,7 +507,7 @@ def detailed_balance_check(lat, model):
     weight = [q_pow[c] * p_pow[e] * m_pow[m] for c, e, m in
               zip(cen.clusters.tolist(), plus.tolist(), minus.tolist())]
     clusters = cen.clusters.tolist()
-    ends, incident = _bond_graph(lat)
+    primal, _, walk = _square_wall_tables(lat.w, lat.h)
     pairs = 0
     for a in range(n):
         for bond in range(lat.nsites):
@@ -531,7 +519,7 @@ def detailed_balance_check(lat, model):
             if weight[b] != weight[a] * exact[(dc, spin)] or \
                     weight[a] != weight[b] * exact[(-dc, 1 - spin)]:
                 return False, pairs
-            if _dfs_delta_clusters(a, bond, ends, incident) != dc:
+            if _dfs_delta_clusters(a, bond, primal, walk) != dc:
                 return False, pairs
             pairs += 1
     return True, pairs

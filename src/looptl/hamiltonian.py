@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import (ConfigInvalid, InconsistentCycle, StateSpaceTooLarge,
                      WindowDoesNotFit)
-from .lattice import ENUM_STATE_CAP, HexTorusLattice
+from .lattice import ENUM_STATE_CAP, HexTorusLattice, SquareTorusLattice
 from .linalg import rank as exact_rank
 from .scalars import (FieldElement, SpecialField, minimal_polynomial,
                       special_weight)
@@ -147,6 +147,8 @@ def build_h0(lat, ell):
 def build_hprime(lat, ell):
     """Bond-model rows: 4 box rows per square cell (one per marked
     edge) and 4 dual-box rows per vertex."""
+    if not isinstance(lat, SquareTorusLattice):
+        raise ConfigInvalid("the bond model lives on the square torus")
     field = SpecialField(ell)
     one = field.one
     inv_d = one / field.delta
@@ -643,8 +645,10 @@ def compile_skein_instances(lat, ell):
     the wall as a cup-cap when |+> and as two through-strands when
     |->, and a v-bond the other way round.  Interfering bonds between
     the first and last letter layers are pinned to the through-strand
-    resolution.
+    resolution.  Only the square torus has these windows.
     """
+    if not isinstance(lat, SquareTorusLattice):
+        raise ConfigInvalid("skein windows need the square torus")
     n = ell + 1
     if n > min(lat.w, lat.h):
         raise WindowDoesNotFit(

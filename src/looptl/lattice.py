@@ -11,10 +11,11 @@ Three lattice kinds:
 
 Domain walls live on the mid lattice separating |+> clusters from
 |-> dual clusters; isolated vertices and isolated dual vertices
-count as clusters.  extract_walls traces every mid-lattice loop and
-classifies it as trivial or essential by its winding pair, measured
-as net displacement across the two fundamental periods.  census
-tabulates the same counts for every state of a lattice at once.
+count as clusters.  extract_walls traces every wall once on an
+oriented walk (_oriented_walk, |+> on the left) and classifies it as
+trivial or essential by its winding pair, the net displacement of its
+|+> side across the two fundamental periods.  census tabulates the
+same counts for every state of a lattice at once.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import functools
 import json
 import time
-from collections import deque
+from collections import deque, namedtuple
 
 import numpy as np
 
@@ -32,24 +33,14 @@ COMPONENT_CAP = 5_000_000
 ENUM_STATE_CAP = 1 << 20
 CENSUS_CHUNK = 1 << 10
 
-# port indices on a mid-lattice vertex (a bond midpoint)
-NE, NW, SW, SE = 0, 1, 2, 3
-_PORT_STEP = {NE: (1, 1), NW: (-1, 1), SW: (-1, -1), SE: (1, -1)}
-_OPPOSITE = {NE: SW, SW: NE, NW: SE, SE: NW}
-
-# arc pairings at a bond midpoint, keyed by (orientation, spin_is_plus).
-# A |+> bond keeps the wall parallel to itself; a |-> bond keeps the
-# wall parallel to the crossing dual bond.
-_PAIRING = {
-    ("h", True): {NW: NE, NE: NW, SW: SE, SE: SW},
-    ("h", False): {NW: SW, SW: NW, NE: SE, SE: NE},
-    ("v", True): {NE: SE, SE: NE, NW: SW, SW: NW},
-    ("v", False): {NW: NE, NE: NW, SW: SE, SE: SW},
-}
-
-
 class WallCensus:
-    """Census of one configuration's domain walls and FK clusters."""
+    """Census of one configuration's domain walls and FK clusters.
+
+    essential_loops lists the winding (x, y), in periods, of every
+    essential loop, oriented so that the loop's |+> side lies on its
+    left; the two walls of a band that wraps the torus wind opposite
+    ways.
+    """
 
     def __init__(self, trivial_loops, essential_loops, clusters,
                  dual_clusters, plus_edges, minus_edges,
@@ -199,59 +190,17 @@ class SquareTorusLattice:
                 bits |= 1 << image
         return SpinConfig(self, bits)
 
-    # -- mid-lattice geometry -------------------------------------------
-    def _midpoint(self, site):
-        orient, i, j = self.bond_coords(site)
-        if orient == 0:
-            return (2 * i + 1, 2 * j)
-        return (2 * i, 2 * j + 1)
-
-    def _bond_at(self, x, y):
-        """Bond whose midpoint is at half-unit coordinates (x, y)."""
-        x %= 2 * self.w
-        y %= 2 * self.h
-        if x & 1:
-            return self.bond_index(0, (x - 1) // 2, y // 2)
-        return self.bond_index(1, x // 2, (y - 1) // 2)
-
     def extract_walls(self, config):
         bits = config.bits
-        primal, dual, arcs = _square_wall_tables(self.w, self.h)
+        primal, dual, walk = _square_wall_tables(self.w, self.h)
         spins = [(bits >> site) & 1 for site in range(self.nsites)]
         plus_edges = bin(bits).count("1")
         clusters, wrap_c = _masked_components(primal, spins, 1)
         dual_clusters, wrap_d = _masked_components(dual, spins, 0)
-        trivial, essential = self._trace_loops(spins, arcs)
+        trivial, essential = _trace_loops(walk, spins, range(len(walk.key)))
         return WallCensus(trivial, essential, clusters, dual_clusters,
                           plus_edges, self.nsites - plus_edges,
                           wrap_c, wrap_d)
-
-    def _trace_loops(self, spins, arcs):
-        """Trace every mid-lattice loop one arc at a time; return
-        (trivial count, windings)."""
-        visited = bytearray(4 * self.nsites)
-        trivial = 0
-        essential = []
-        px, py = 2 * self.w, 2 * self.h
-        for start in range(4 * self.nsites):
-            if visited[start]:
-                continue
-            entry = start
-            dx = dy = 0
-            while True:
-                nxt, exit_, sx, sy = arcs[2 * entry + spins[entry >> 2]]
-                visited[entry] = visited[exit_] = 1
-                dx += sx
-                dy += sy
-                entry = nxt
-                if entry == start and dx % px == 0 and dy % py == 0:
-                    break
-            wind = (dx // px, dy // py)
-            if wind == (0, 0):
-                trivial += 1
-            else:
-                essential.append(wind)
-        return trivial, essential
 
     def local_moves(self, config, model="hprime"):
         """Admissible single-bond flips.
@@ -321,54 +270,107 @@ def _masked_components(incident, spins, keep):
     return comps, wrapping
 
 
+# unit steps counterclockwise from the rightward one
+_SQUARE_STEPS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
 @functools.cache
 def _square_wall_tables(w, h):
-    """Static geometry of the w x h square torus for extract_walls,
-    built on first use from the lattice's own _midpoint, _bond_at and
-    _PAIRING.
+    """Static geometry of the w x h square torus for extract_walls.
 
-    primal[v] (dual[c]) lists, for every bond at vertex v (dual vertex
-    c, the cell with lower-left vertex c), (bond, other end, dx, dy)
-    with (dx, dy) the lift of the step in universal-cover units; a
-    bond joins its ends when |+> (primal) or |-> (dual).  arcs[2*k +
-    spin], for every entry k = 4*site + port_in of the mid lattice, is
-    (next entry, exit 4*site + port_out, step dx, step dy) in half
-    units.
+    primal[v] lists the bonds at vertex v counterclockwise from the
+    rightward one, and dual[c] the bonds around the cell c with
+    lower-left vertex c counterclockwise from the bottom one, each as
+    (bond, other end, dx, dy) with (dx, dy) the lift of the step in
+    universal-cover units; a bond joins its ends when |+> (primal) or
+    |-> (dual).  walk is the oriented wall walk of primal
+    (_oriented_walk).
     """
     lat = SquareTorusLattice(w, h)
-    primal = [[] for _ in range(w * h)]
-    dual = [[] for _ in range(w * h)]
-    for bond in range(lat.nsites):
-        orient, i, j = lat.bond_coords(bond)
-        if orient == 0:
-            # horizontal bond (i, j) joins vertices (i, j), (i+1, j) and
-            # separates cells (i, j-1) and (i, j)
-            ends = ((lat.vertex_index(i, j), lat.vertex_index(i + 1, j),
-                     1, 0),
-                    (lat.vertex_index(i, j - 1), lat.vertex_index(i, j),
-                     0, 1))
+    primal, dual = [], []
+    for i, j in lat.vertices():
+        # the bottom bond of a cell leads to the cell below it
+        for graph, bonds, steps in (
+                (primal, lat.vertex_bonds(i, j), _SQUARE_STEPS),
+                (dual, lat.cell_bonds(i, j),
+                 _SQUARE_STEPS[3:] + _SQUARE_STEPS[:3])):
+            graph.append(tuple((bond, lat.vertex_index(i + dx, j + dy),
+                                dx, dy)
+                               for bond, (dx, dy) in zip(bonds, steps)))
+    return tuple(primal), tuple(dual), _oriented_walk(primal, (w, h))
+
+
+_Walk = namedtuple("_Walk", "key succ tail head period")
+
+
+def _oriented_walk(incident, period, across=False):
+    """Successor table of the domain walls, oriented with |+> on their
+    left (the medial-lattice walk of Baxter, Kelland and Wu, J. Phys. A
+    9, 1976).
+
+    incident[v] lists (edge, other end, dx, dy) counterclockwise around
+    v.  Entry 2*edge + end is the end-th listing of that edge, the
+    half-edge from tail[entry] to head[entry].  succ[2*entry + spin],
+    with spin the spin of key[entry], is (next entry, dx, dy): (dx, dy)
+    is the lift by which the wall's |+> side moves, in units whose
+    periods are period.
+
+    Square lattices (across false): the key is the entry's bond.  A |->
+    bond passes the wall on to the next half-edge around the same
+    vertex; a |+> bond carries it to the other end, on to the half-edge
+    after the twin.  This is face tracing of the |+> ribbon subgraph.
+
+    Triangular lattice (across true): entry a->b, with a |+> and b |->,
+    crosses one wall segment.  Its key is the third vertex c of the
+    triangle ahead (a->c is the next half-edge around a), and the wall
+    leaves through a->c when c is |-> and through c->b when c is |+>.
+    """
+    ids, listed = [], {}
+    for row in incident:
+        ids.append([])
+        for edge, _, _, _ in row:
+            listed[edge] = end = listed.get(edge, -1) + 1
+            ids[-1].append(2 * edge + end)
+    size = 2 * len(listed)
+    tail, head, lift, turn = ([None] * size for _ in range(4))
+    for v, row in enumerate(incident):
+        for k, (_, other, dx, dy) in enumerate(row):
+            entry = ids[v][k]
+            tail[entry], head[entry], lift[entry] = v, other, (dx, dy)
+            turn[entry] = ids[v][(k + 1) % len(row)]
+    key, succ = [], []
+    for entry in range(size):
+        pivot = turn[entry] if across else entry
+        key.append(head[pivot] if across else entry >> 1)
+        succ += [(turn[entry], 0, 0), (turn[pivot ^ 1], *lift[pivot])]
+    return _Walk(tuple(key), tuple(succ), tuple(tail), tuple(head), period)
+
+
+def _trace_loops(walk, spins, starts):
+    """Trace every wall through an entry of starts on an oriented walk
+    (_oriented_walk), with spins indexed by its keys.  Returns (trivial
+    count, windings): a winding is a loop's net displacement in periods,
+    oriented with |+> on the left."""
+    key, succ = walk.key, walk.succ
+    px, py = walk.period
+    seen = bytearray(len(key))
+    trivial = 0
+    essential = []
+    for start in starts:
+        if seen[start]:
+            continue
+        entry = start
+        dx = dy = 0
+        while not seen[entry]:
+            seen[entry] = 1
+            entry, sx, sy = succ[2 * entry + spins[key[entry]]]
+            dx += sx
+            dy += sy
+        if dx or dy:
+            essential.append((dx // px, dy // py))
         else:
-            # vertical bond (i, j) joins vertices (i, j), (i, j+1) and
-            # separates cells (i-1, j) and (i, j)
-            ends = ((lat.vertex_index(i, j), lat.vertex_index(i, j + 1),
-                     0, 1),
-                    (lat.vertex_index(i - 1, j), lat.vertex_index(i, j),
-                     1, 0))
-        for graph, (a, b, dx, dy) in zip((primal, dual), ends):
-            graph[a].append((bond, b, dx, dy))
-            graph[b].append((bond, a, -dx, -dy))
-    arcs = []
-    for entry in range(4 * lat.nsites):
-        site, port_in = divmod(entry, 4)
-        orient = "h" if lat.bond_coords(site)[0] == 0 else "v"
-        x, y = lat._midpoint(site)
-        for spin in (0, 1):
-            port_out = _PAIRING[(orient, bool(spin))][port_in]
-            sx, sy = _PORT_STEP[port_out]
-            nxt = 4 * lat._bond_at(x + sx, y + sy) + _OPPOSITE[port_out]
-            arcs.append((nxt, 4 * site + port_out, sx, sy))
-    return (tuple(map(tuple, primal)), tuple(map(tuple, dual)),
-            tuple(arcs))
+            trivial += 1
+    return trivial, essential
 
 
 class SquareDiskLattice:
@@ -413,59 +415,19 @@ class SquareDiskLattice:
     def _bond_plus(self, config, bond):
         if bond in self._site_of:
             return config.plus(self._site_of[bond])
-        if bond in self._fixed:
-            return self.boundary_plus
-        return False  # virtual bond outside the patch
+        return self.boundary_plus
 
     def extract_walls(self, config):
-        primal, dual = _disk_cluster_tables(self.w, self.h)
+        primal, dual, walk = _disk_cluster_tables(self.w, self.h)
         spins = [(config.bits >> site) & 1 for site in range(self.nsites)]
         spins += [int(self.boundary_plus)] * len(self._fixed)
         plus_edges = sum(spins)
         clusters, _ = _masked_components(primal, spins, 1)
         # the outer face is one dual vertex whose component is not counted
         faces, _ = _masked_components(dual, spins, 0)
-        trivial = self._trace_loops(config)
+        trivial, _ = _trace_loops(walk, spins, range(len(walk.key)))
         return WallCensus(trivial, [], clusters, faces - 1,
                           plus_edges, len(spins) - plus_edges)
-
-    def _bond_at(self, x, y):
-        if x & 1:
-            return ("h", (x - 1) // 2, y // 2)
-        return ("v", x // 2, (y - 1) // 2)
-
-    def _trace_loops(self, config):
-        """Count mid-lattice loops through at least one real bond.
-
-        The patch sits in an all-|-> plane; loops may pass through
-        nearby virtual bonds but are seeded only from real ones.
-        """
-        xmax, ymax = 2 * self.w + 8, 2 * self.h + 8
-        visited = set()
-        loops = 0
-        for bond in self.bonds():
-            orient, i, j = bond
-            x0, y0 = (2 * i + 1, 2 * j) if orient == "h" else (2 * i, 2 * j + 1)
-            for port0 in (NE, NW, SW, SE):
-                if (x0, y0, port0) in visited:
-                    continue
-                x, y, port_in = x0, y0, port0
-                while True:
-                    bx = self._bond_at(x, y)
-                    spin = self._bond_plus(config, bx)
-                    o = bx[0]
-                    port_out = _PAIRING[(o, spin)][port_in]
-                    visited.add((x, y, port_in))
-                    visited.add((x, y, port_out))
-                    sx, sy = _PORT_STEP[port_out]
-                    x, y = x + sx, y + sy
-                    assert -8 <= x <= xmax and -8 <= y <= ymax, \
-                        "mid-lattice trace escaped the patch region"
-                    port_in = _OPPOSITE[port_out]
-                    if (x, y, port_in) == (x0, y0, port0):
-                        break
-                loops += 1
-        return loops
 
     def local_moves(self, config, model="hprime"):
         """Box and dual-box flips, excluding cells and vertices that
@@ -515,29 +477,37 @@ def _disk_cluster_tables(w, h):
     """Static graphs of the w x h square disk for extract_walls.
 
     Bond k < nsites is free site k, and the fixed boundary bonds follow
-    in the order of SquareDiskLattice.bonds.  primal[v] lists, for every
-    bond at vertex v = j*(w+1) + i, (bond, other end, 0, 0) as in
-    _square_wall_tables; dual[c] does the same over the cells c = j*w + i
-    and the outer face c = w*h.  Nothing on a disk wraps, so every lift
-    is zero.
+    in the order of SquareDiskLattice.bonds.  primal[v] lists the bonds
+    at vertex v = j*(w+1) + i counterclockwise from the rightward one,
+    as (bond, other end, 0, 0) as in _square_wall_tables; dual[c] does
+    the same, in any order, over the cells c = j*w + i and the outer
+    face c = w*h.  Nothing on a disk wraps, so every lift is zero.  walk
+    is the oriented wall walk of primal (_oriented_walk).
     """
     lat = SquareDiskLattice(w, h)
+    index = {bond: k for k, bond in enumerate(lat.bonds())}
 
     def cell(i, j):
         return j * w + i if 0 <= i < w and 0 <= j < h else w * h
 
-    primal = [[] for _ in range((w + 1) * (h + 1))]
+    primal = []
+    for j in range(h + 1):
+        for i in range(w + 1):
+            around = (("h", i, j), ("v", i, j), ("h", i - 1, j),
+                      ("v", i, j - 1))
+            primal.append(tuple((index[bond], (j + dy) * (w + 1) + i + dx,
+                                 0, 0)
+                                for bond, (dx, dy) in zip(around,
+                                                          _SQUARE_STEPS)
+                                if bond in index))
     dual = [[] for _ in range(w * h + 1)]
     for bond, (orient, i, j) in enumerate(lat.bonds()):
-        v = j * (w + 1) + i
-        if orient == "h":
-            ends = ((v, v + 1), (cell(i, j - 1), cell(i, j)))
-        else:
-            ends = ((v, v + w + 1), (cell(i - 1, j), cell(i, j)))
-        for graph, (a, b) in zip((primal, dual), ends):
-            graph[a].append((bond, b, 0, 0))
-            graph[b].append((bond, a, 0, 0))
-    return tuple(map(tuple, primal)), tuple(map(tuple, dual))
+        a = cell(i, j - 1) if orient == "h" else cell(i - 1, j)
+        dual[a].append((bond, cell(i, j), 0, 0))
+        dual[cell(i, j)].append((bond, a, 0, 0))
+    # no lift on a disk, so the periods only have to be non-zero
+    return tuple(primal), tuple(map(tuple, dual)), \
+        _oriented_walk(primal, (1, 1))
 
 
 _TRI_NEIGHBORS = ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1))
@@ -603,47 +573,18 @@ class HexTorusLattice:
     def extract_walls(self, config):
         """Domain-wall census of the plaque model.
 
-        Wall segments are hexagon edges dual to triangular-lattice
-        edges whose endpoint spins differ; every wall vertex has degree
-        0 or 2, so the wall is a disjoint union of loops.
+        Wall segments are hexagon edges dual to triangular-lattice edges
+        whose endpoint spins differ; every wall vertex has degree 0 or
+        2, so the wall is a disjoint union of loops.  Each loop is
+        traced from a directed edge that runs from a |+> site to a |->
+        one.
         """
-        w, h = self.w, self.h
-
-        def tri_idx(kind, i, j):
-            return 2 * ((j % h) * w + (i % w)) + kind
-
-        # wall edges connect the two triangles sharing a lattice edge;
-        # centers in units of thirds keep the lifts integral
-        def center(kind, i, j):
-            if kind == 0:
-                return (3 * i + 2, 3 * j + 1)
-            return (3 * i + 1, 3 * j + 2)
-
-        adj = [[] for _ in range(2 * w * h)]
-        n_edges = 0
-        for j in range(h):
-            for i in range(w):
-                a = config.plus(self.site_index(i, j))
-                # edge to (i+1, j): triangles 0@(i,j) and 1@(i,j-1)
-                if a != config.plus(self.site_index(i + 1, j)):
-                    self._add_wall(adj, tri_idx(0, i, j), center(0, i, j),
-                                   tri_idx(1, i, j - 1), center(1, i, j - 1))
-                    n_edges += 1
-                # edge to (i, j+1): triangles 1@(i,j) and 0@(i-1,j)
-                if a != config.plus(self.site_index(i, j + 1)):
-                    self._add_wall(adj, tri_idx(1, i, j), center(1, i, j),
-                                   tri_idx(0, i - 1, j), center(0, i - 1, j))
-                    n_edges += 1
-                # edge to (i+1, j+1): triangles 0@(i,j) and 1@(i,j)
-                if a != config.plus(self.site_index(i + 1, j + 1)):
-                    self._add_wall(adj, tri_idx(0, i, j), center(0, i, j),
-                                   tri_idx(1, i, j), center(1, i, j))
-                    n_edges += 1
-
-        trivial, essential = self._walk_wall_loops(adj)
-
-        incident, ends = _hex_cluster_tables(w, h)
+        incident, ends, walk = _hex_cluster_tables(self.w, self.h)
         plus = [(config.bits >> site) & 1 for site in range(self.nsites)]
+        starts = [entry for entry, (a, b) in enumerate(zip(walk.tail,
+                                                           walk.head))
+                  if plus[a] > plus[b]]
+        trivial, essential = _trace_loops(walk, plus, starts)
         # 1: both ends |+>, 0: both ends |->, 2: mixed
         edge = [plus[a] if plus[a] == plus[b] else 2 for a, b in ends]
         n_plus = sum(plus)
@@ -656,44 +597,6 @@ class HexTorusLattice:
                           dual_clusters - n_plus,
                           edge.count(1), edge.count(0), wrap_c, wrap_d)
 
-    def _add_wall(self, adj, ta, ca, tb, cb):
-        # lift: nearest representative of cb - ca modulo the periods
-        pw, ph = 3 * self.w, 3 * self.h
-        dx = (cb[0] - ca[0] + pw // 2) % pw - pw // 2
-        dy = (cb[1] - ca[1] + ph // 2) % ph - ph // 2
-        adj[ta].append((tb, dx, dy))
-        adj[tb].append((ta, -dx, -dy))
-
-    def _walk_wall_loops(self, adj):
-        pw, ph = 3 * self.w, 3 * self.h
-        trivial = 0
-        essential = []
-        seen = [False] * len(adj)
-        for start in range(len(adj)):
-            if seen[start] or not adj[start]:
-                continue
-            # walk the degree-2 cycle
-            seen[start] = True
-            prev = start
-            cur, dx, dy = adj[start][0]
-            while cur != start:
-                seen[cur] = True
-                nxt = [e for e in adj[cur] if e[0] != prev]
-                if not nxt:  # two-node loop: come back along the other edge
-                    nxt = [e for e in adj[cur] if e != (prev, -dx, -dy)]
-                step = nxt[0]
-                prev = cur
-                cur = step[0]
-                dx += step[1]
-                dy += step[2]
-            assert dx % pw == 0 and dy % ph == 0
-            wind = (dx // pw, dy // ph)
-            if wind == (0, 0):
-                trivial += 1
-            else:
-                essential.append(wind)
-        return trivial, essential
-
     def spec_dict(self):
         return {"kind": self.kind, "w": self.w, "h": self.h}
 
@@ -704,55 +607,48 @@ def _hex_cluster_tables(w, h):
 
     Edge e = 3*site + k joins site (i, j) to its neighbor
     (i + di, j + dj), for the k-th of the offsets (1, 0), (1, 1),
-    (0, 1); ends[e] is (site, neighbor), and incident[v] lists (edge,
-    other end, dx, dy) as in _square_wall_tables.
+    (0, 1); ends[e] is (site, neighbor).  incident[v] lists the six
+    edges at v counterclockwise, in the order of _TRI_NEIGHBORS, as
+    (edge, other end, dx, dy) as in _square_wall_tables.  walk is the
+    oriented wall walk of incident (_oriented_walk).
     """
     lat = HexTorusLattice(w, h)
-    incident = [[] for _ in range(lat.nsites)]
-    ends = []
+    incident = []
     for a in range(lat.nsites):
         i, j = lat.site_coords(a)
-        for di, dj in _TRI_NEIGHBORS[:3]:
+        row = []
+        for k, (di, dj) in enumerate(_TRI_NEIGHBORS):
             b = lat.site_index(i + di, j + dj)
-            incident[a].append((len(ends), b, di, dj))
-            incident[b].append((len(ends), a, -di, -dj))
-            ends.append((a, b))
-    return tuple(map(tuple, incident)), tuple(ends)
+            # offset k + 3 is minus offset k
+            row.append((3 * a + k if k < 3 else 3 * b + k - 3, b, di, dj))
+        incident.append(tuple(row))
+    ends = tuple((a, incident[a][k][1])
+                 for a in range(lat.nsites) for k in range(3))
+    return tuple(incident), ends, _oriented_walk(incident, (w, h),
+                                                 across=True)
 
 
 # -- census of the whole state space ----------------------------------------
 
 CENSUS_FIELDS = ("clusters", "dual_clusters", "wrapping_clusters",
-                 "wrapping_dual_clusters", "loops", "essential_loops")
+                 "wrapping_dual_clusters", "loops", "essential_loops",
+                 "plus_edges", "minus_edges")
 _CENSUS_CACHE = {}
 
 
 class StateCensus:
     """Counts of every configuration of one lattice, indexed by state bits.
 
-    Each name of CENSUS_FIELDS is a uint8 array of length 2^nsites.
+    Each name of CENSUS_FIELDS is a uint8 array of length 2^nsites;
+    plus_edges and minus_edges are E and E*, the |+> and |-> edges.
     ``seconds`` is the time the build took.
     """
 
-    def __init__(self, lattice, columns, seconds):
-        self.nsites = lattice.nsites
+    def __init__(self, columns, seconds):
         for name in CENSUS_FIELDS:
             setattr(self, name, columns[name])
         self.states = len(self.clusters)
         self.seconds = seconds
-        # E and E* are stored only where E is not the popcount of the bits
-        self._edges = (columns["plus_edges"], columns["minus_edges"]) \
-            if "plus_edges" in columns else None
-
-    def edge_counts(self):
-        """(E, E*) per state: |+> and |-> edges, as uint8 arrays."""
-        if self._edges is not None:
-            return self._edges
-        states = np.arange(self.states, dtype=np.uint32)
-        plus = np.zeros(self.states, np.uint8)
-        for site in range(self.nsites):
-            plus += ((states >> site) & 1).astype(np.uint8)
-        return plus, np.uint8(self.nsites) - plus
 
 
 def _spec_key(lat):
@@ -769,14 +665,15 @@ def census(lat):
 
     Returns a StateCensus whose uint8 arrays hold, per state bits,
     the cluster and dual-cluster counts, how many of each wrap the
-    torus, the loop count and how many loops are essential.  The result
-    is cached by ``lat.spec_dict()``.  Raises StateSpaceTooLarge, before
-    allocating anything, when 2^N exceeds ENUM_STATE_CAP.
+    torus, the loop count, how many loops are essential, and E and E*.
+    The result is cached by ``lat.spec_dict()``.  Raises
+    StateSpaceTooLarge, before allocating anything, when 2^N exceeds
+    ENUM_STATE_CAP.
 
-    The square torus is tabulated by the numpy kernels of
-    torus_census over chunks of CENSUS_CHUNK states; other lattices call
-    extract_walls per state (tabulate_by_walls), which also serves as
-    the independent oracle of the kernels.
+    Every lattice is tabulated by the numpy kernels of torus_census
+    over chunks of CENSUS_CHUNK states; tabulate_by_walls, one
+    extract_walls call per state, is the reference they are tested
+    against.
     """
     key = _spec_key(lat)
     hit = _CENSUS_CACHE.get(key)
@@ -786,28 +683,21 @@ def census(lat):
     if n > ENUM_STATE_CAP:
         raise StateSpaceTooLarge("enumeration capped at %d states"
                                  % ENUM_STATE_CAP)
+    from .torus_census import tabulate_states
     t0 = time.perf_counter()
-    if isinstance(lat, SquareTorusLattice):
-        from .torus_census import tabulate_states
-        columns = {name: np.empty(n, np.uint8) for name in CENSUS_FIELDS}
-        for start in range(0, n, CENSUS_CHUNK):
-            states = np.arange(start, min(n, start + CENSUS_CHUNK),
-                               dtype=np.int64)
-            for name, col in tabulate_states(lat, states).items():
-                columns[name][start:start + len(states)] = col
-    else:
-        columns = tabulate_by_walls(lat, range(n))
-    result = StateCensus(lat, columns, time.perf_counter() - t0)
+    columns = {name: np.empty(n, np.uint8) for name in CENSUS_FIELDS}
+    for start in range(0, n, CENSUS_CHUNK):
+        states = np.arange(start, min(n, start + CENSUS_CHUNK),
+                           dtype=np.int64)
+        for name, col in tabulate_states(lat, states).items():
+            columns[name][start:start + len(states)] = col
+    result = StateCensus(columns, time.perf_counter() - t0)
     _CENSUS_CACHE[key] = result
     return result
 
 
 def tabulate_by_walls(lat, states):
-    """Census columns of the given states, one extract_walls call each.
-
-    Besides CENSUS_FIELDS it returns plus_edges and minus_edges.
-    """
-    names = CENSUS_FIELDS + ("plus_edges", "minus_edges")
+    """Census columns of the given states, one extract_walls call each."""
     rows = []
     for bits in states:
         c = lat.extract_walls(lat.config(int(bits)))
@@ -815,7 +705,7 @@ def tabulate_by_walls(lat, states):
                      c.wrapping_dual_clusters, c.loops,
                      len(c.essential_loops), c.plus_edges, c.minus_edges))
     table = np.array(rows, dtype=np.uint8)
-    return {name: table[:, k].copy() for k, name in enumerate(names)}
+    return {name: table[:, k].copy() for k, name in enumerate(CENSUS_FIELDS)}
 
 
 class ComponentGraph:
@@ -905,13 +795,3 @@ def lattice_from_spec(spec):
                                  spec.get("boundary", "-") == "+")
     raise ConfigInvalid("unknown lattice kind %r" % kind)
 
-
-def extract_walls(config):
-    return config.lattice.extract_walls(config)
-
-
-def local_moves(config, model=None):
-    lat = config.lattice
-    if model is None:
-        model = "h0" if lat.kind == "hex-torus" else "hprime"
-    return lat.local_moves(config, model)

@@ -34,9 +34,6 @@ def test_cached_census_matches_walls_on_2x2():
     want = tabulate_by_walls(lat, range(256))
     _assert_columns_equal({name: getattr(cen, name)
                            for name in CENSUS_FIELDS}, want)
-    plus, minus = cen.edge_counts()
-    assert np.array_equal(plus, want["plus_edges"])
-    assert np.array_equal(minus, want["minus_edges"])
     assert census(SquareTorusLattice(2, 2)) is cen
 
 
@@ -50,32 +47,37 @@ def test_cached_census_matches_walls_on_seeded_3x3_states():
                            for name in CENSUS_FIELDS}, want)
 
 
-@pytest.mark.parametrize("w,h", [(4, 4), (5, 3), (3, 5)])
-def test_vectorised_census_matches_walls_past_the_census(w, h):
+@pytest.mark.parametrize("lat", [
+    SquareTorusLattice(4, 4), SquareTorusLattice(5, 3),
+    SquareTorusLattice(3, 5), HexTorusLattice(5, 5),
+    SquareDiskLattice(4, 4, boundary_plus=True),
+], ids=["4-4", "5-3", "3-5", "hex-5x5", "disk-4x4-plus"])
+def test_vectorised_census_matches_walls_past_the_census(lat):
     # no whole census exists at these sizes; seeded states still check
-    # the oriented walk and its packing on larger and non-square tori
-    lat = SquareTorusLattice(w, h)
+    # the oriented walks and their packing on larger lattices
     states = np.random.default_rng(20261019).integers(0, 1 << lat.nsites,
                                                       1500)
     _assert_columns_equal(tabulate_states(lat, states),
                           tabulate_by_walls(lat, states))
 
 
-@pytest.mark.parametrize("lat", [SquareDiskLattice(2, 3),
-                                 SquareDiskLattice(2, 2, boundary_plus=True),
-                                 HexTorusLattice(3, 3)])
-def test_fallback_census_matches_extract_walls(lat):
+@pytest.mark.parametrize("lat,sample", [
+    (SquareDiskLattice(2, 3), None),
+    (SquareDiskLattice(2, 2, boundary_plus=True), None),
+    (SquareDiskLattice(3, 3), None),
+    (SquareDiskLattice(3, 3, boundary_plus=True), None),
+    (HexTorusLattice(3, 3), None),
+    (SquareDiskLattice(3, 4, boundary_plus=True), 2000),
+    (HexTorusLattice(4, 4), 2000),
+], ids=["disk-2x3-minus", "disk-2x2-plus", "disk-3x3-minus",
+        "disk-3x3-plus", "hex-3x3", "disk-3x4-plus", "hex-4x4"])
+def test_disk_and_hex_census_matches_extract_walls(lat, sample):
     cen = census(lat)
-    plus, minus = cen.edge_counts()
-    for bits in range(1 << lat.nsites):
-        c = lat.extract_walls(lat.config(bits))
-        assert (cen.clusters[bits], cen.dual_clusters[bits],
-                cen.wrapping_clusters[bits],
-                cen.wrapping_dual_clusters[bits], cen.loops[bits],
-                cen.essential_loops[bits], plus[bits], minus[bits]) == \
-            (c.clusters, c.dual_clusters, c.wrapping_clusters,
-             c.wrapping_dual_clusters, c.loops, len(c.essential_loops),
-             c.plus_edges, c.minus_edges)
+    states = np.arange(cen.states) if sample is None else \
+        np.random.default_rng(20261020).integers(0, cen.states, sample)
+    _assert_columns_equal({name: getattr(cen, name)[states]
+                           for name in CENSUS_FIELDS},
+                          tabulate_by_walls(lat, states))
 
 
 def test_cap_raises_before_allocating():

@@ -118,6 +118,24 @@ def test_bad_input_is_config_error(capsys, argv):
     assert json.loads(err)["type"] == "ConfigInvalid"
 
 
+@pytest.mark.parametrize("argv", [
+    ("lattice", "joint-kernel", "--hex", "3x3", "--ell", "1"),
+    ("lattice", "energy", "--hex", "3x3", "--ell", "2", "--model", "hprime"),
+    ("gas", "exact", "--spec", "{missing}"),
+    ("--config", "{missing}", "tl", "diagrams"),
+    ("gas", "exact", "--spec", "{malformed}"),
+], ids=["joint-kernel-hex", "hprime-hex", "missing-spec", "missing-config",
+        "malformed-spec"])
+def test_unusable_lattice_or_file_is_config_error(capsys, tmp_path, argv):
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text('{"kind": "square-torus", "w": ')
+    paths = {"missing": tmp_path / "missing.json", "malformed": malformed}
+    code, out, err = _run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert json.loads(err)["error"] == "config"
+
+
 def test_capacity_error_exit_code(capsys):
     code, _, err = _run(capsys, "gas", "exact", "--torus", "4x3",
                         "--ell", "2")

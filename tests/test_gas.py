@@ -72,8 +72,12 @@ def test_torus_constants_per_homology_class():
 
 @pytest.mark.parametrize("lat", [
     SquareTorusLattice(2, 2), HexTorusLattice(3, 3), HexTorusLattice(3, 4),
-], ids=["square-2x2", "hex-3x3", "hex-3x4"])
+    SquareDiskLattice(2, 3), SquareDiskLattice(3, 3, boundary_plus=True),
+], ids=["square-2x2", "hex-3x3", "hex-3x4", "disk-2x3-minus",
+        "disk-3x3-plus"])
 def test_homology_rule(lat):
+    # on a disk nothing wraps, and the rule is the Euler identity
+    # L = C + C*
     holds, bad = homology_rule_report(lat)
     assert holds and bad == 0
 

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import networkx as nx
 import pytest
@@ -41,6 +42,20 @@ def test_staircase_essential_loops():
     c2 = small.extract_walls(small.staircase())
     assert sorted(c2.essential_loops) == [(-1, -1), (1, 1)]
     assert c2.trivial_loops == 0
+
+
+@pytest.mark.parametrize("lat", [SquareTorusLattice(2, 3),
+                                 HexTorusLattice(3, 3)],
+                         ids=["square-2x3", "hex-3x3"])
+def test_windings_are_oriented(lat):
+    # with |+> on the left, the walls of the two sides of a wrapping
+    # band wind opposite ways
+    counts = Counter()
+    for bits in range(1 << lat.nsites):
+        counts.update(lat.extract_walls(lat.config(bits)).essential_loops)
+    assert counts
+    for (x, y), n in counts.items():
+        assert counts[(-x, -y)] == n, (x, y)
 
 
 def test_staircase_requires_square():
