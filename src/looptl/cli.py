@@ -435,6 +435,8 @@ def _apply_config(args, argv):
     if not args.config:
         return args
     conf = _read_json(args.config)
+    if not isinstance(conf, dict):
+        raise ConfigInvalid("a --config file must hold a JSON object")
     given = {tok.split("=", 1)[0].lstrip("-").replace("-", "_")
              for tok in (argv or []) if tok.startswith("--")}
     for key, value in conf.items():

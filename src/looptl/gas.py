@@ -14,7 +14,6 @@ emitted in reports, never silently absorbed.
 from __future__ import annotations
 
 import math
-from array import array
 from collections.abc import ItemsView, Mapping, ValuesView
 
 import numpy as np
@@ -24,8 +23,11 @@ from .lattice import (ENUM_STATE_CAP, SquareTorusLattice, _square_wall_tables,
                       census)
 from .scalars import SpecialField
 
-RECOUNT_EVERY = 1000
-# sweeps of proposals buffered before they are folded into the tallies
+# lockstep chains: at most MAX_CHAINS, each at least CHAIN_SWEEPS long
+MAX_CHAINS = 4096
+CHAIN_SWEEPS = 250
+# proposals buffered before they are folded into the tallies, in sweeps
+# of one chain (TALLY_BLOCK * nsites proposals)
 TALLY_BLOCK = 1024
 # the chain's state is an int64 (start-state draw, proposal buffers)
 SAMPLER_BOND_CAP = 62
@@ -208,21 +210,21 @@ class _TallyValues(ValuesView):
 
 
 class _TallyStore:
-    """Buffers a chain's proposals and folds them into float64 tallies.
+    """Buffers the chains' proposals and folds them into float64 tallies.
 
-    Per proposal the chain appends the pre-move state and the index
-    3*spin + dC + 1 of its acceptance ratio r; per sweep, the bond
-    order.  fold() adds, in proposal order, min(r, 1) to the flipped
-    state and 1 - min(r, 1) to the pre-move state where r < 1, so every
-    state's sum is taken in the order a running dict would take it.
-    Slots are given in first-visit order: through an int32 array over
-    all 2^N states when 2^N <= ENUM_STATE_CAP, else through a dict.
+    Per lockstep step the sampler pushes, for each chain in order, the
+    pre-move state, the bond and the index 3*spin + dC + 1 of the
+    acceptance ratio r.  fold() adds, in proposal order, min(r, 1)
+    to the flipped state and 1 - min(r, 1) to the pre-move state where
+    r < 1, so every state's sum is taken in the order a running dict
+    would take it.  Slots are given in first-visit order: through an
+    int32 array over all 2^N states when 2^N <= ENUM_STATE_CAP, else
+    through a dict.
     """
 
     def __init__(self, nsites, ratios):
-        self.before = array("q")
-        self.index = bytearray()
-        self.bonds = []
+        self.pending = 0
+        self._buffer = []
         self._capped = np.minimum(np.array(ratios), 1.0)
         self._masks = np.left_shift(1, np.arange(nsites, dtype=np.int64))
         self._weights = np.zeros(0)
@@ -233,14 +235,19 @@ class _TallyStore:
         else:
             self._slot = {}
 
+    def push(self, before, bonds, index):
+        self._buffer.append((before, bonds, index))
+        self.pending += len(before)
+
     def fold(self):
-        n = len(self.index)
-        if not n:
+        if not self.pending:
             return
-        before = np.array(self.before, dtype=np.int64)
-        after = before ^ self._masks[np.concatenate(self.bonds)]
-        ra = self._capped[np.frombuffer(self.index, np.uint8)]
-        del self.before[:], self.index[:], self.bonds[:]
+        n = self.pending
+        before, bonds, index = (np.concatenate(col)
+                                for col in zip(*self._buffer))
+        after = before ^ self._masks[bonds]
+        ra = self._capped[index]
+        self._buffer, self.pending = [], 0
         keys = np.empty(2 * n, np.int64)
         keys[0::2], keys[1::2] = after, before
         vals = np.empty(2 * n)
@@ -285,23 +292,24 @@ class _TallyStore:
 
 
 class SampleRecord:
-    """Outcome of one Metropolis chain.  oracle_checks counts the chain's
-    extract_walls calls: the starting cluster count and every drift
-    check."""
+    """Outcome of one run of lockstep Metropolis chains.  chain_sweeps
+    holds each chain's length; oracle_checks counts the drift checks
+    against extract_walls: the starting count and one per measured
+    sweep.  mean_loops_stderr is the standard error of mean_loops
+    across the per-chain means, None for a single chain."""
 
-    def __init__(self, seed, sweeps, tallies, accepted, proposed,
-                 mean_loops, mean_clusters, mean_dual_clusters, rows,
-                 oracle_checks):
+    def __init__(self, seed, sweeps, chain_sweeps, tallies, accepted,
+                 proposed, means, mean_loops_stderr, rows, oracle_checks):
         self.seed = seed
         self.sweeps = sweeps
+        self.chain_sweeps = chain_sweeps
         self.tallies = tallies
         self.oracle_checks = oracle_checks
         self.accepted = accepted
         self.proposed = proposed
         self.acceptance_rate = accepted / proposed if proposed else 0.0
-        self.mean_loops = mean_loops
-        self.mean_clusters = mean_clusters
-        self.mean_dual_clusters = mean_dual_clusters
+        self.mean_loops, self.mean_clusters, self.mean_dual_clusters = means
+        self.mean_loops_stderr = mean_loops_stderr
         self.rows = rows
 
     @property
@@ -312,8 +320,12 @@ class SampleRecord:
 
     def summary(self):
         return {"seed": self.seed, "sweeps": self.sweeps,
+                "chains": len(self.chain_sweeps),
+                "sweeps_per_chain": [int(self.chain_sweeps.min()),
+                                     int(self.chain_sweeps.max())],
                 "acceptance_rate": self.acceptance_rate,
                 "mean_loops": self.mean_loops,
+                "mean_loops_stderr": self.mean_loops_stderr,
                 "mean_clusters": self.mean_clusters,
                 "mean_dual_clusters": self.mean_dual_clusters,
                 "sample_size": self.sample_size,
@@ -359,23 +371,79 @@ def acceptance_table(model):
             for dc in (-1, 0, 1) for s in (0, 1)}
 
 
+def chain_lengths(sweeps):
+    """Sweeps of each lockstep chain, longest first: K = min(MAX_CHAINS,
+    sweeps // CHAIN_SWEEPS) chains, at least one, whose lengths differ
+    by at most one and sum to sweeps."""
+    chains = max(1, min(MAX_CHAINS, sweeps // CHAIN_SWEEPS))
+    lengths = np.full(chains, sweeps // chains, np.int64)
+    lengths[:sweeps % chains] += 1
+    return lengths
+
+
+def _cluster_readers(lat, table):
+    """(delta, observe) for chains in numpy arrays of state bits.
+    delta(bits, flipped, bonds) is dC of each chain's flip; observe(bits)
+    is the (3, chains) array of L, C and C*.  With a cluster table both
+    read census columns; without one, dC comes from _dfs_delta_clusters
+    and the observables from extract_walls, chain by chain."""
+    if table is not None:
+        cen = census(lat)
+        # cluster counts stay below 128, so the bytes read as int8 unchanged
+        col = np.frombuffer(table, np.int8)
+
+        def delta(bits, flipped, bonds):
+            return col[flipped] - col[bits]
+
+        def observe(bits):
+            return np.stack([cen.loops[bits], col[bits],
+                             cen.dual_clusters[bits]])
+        return delta, observe
+    primal, _, walk = _square_wall_tables(lat.w, lat.h)
+
+    def delta(bits, flipped, bonds):
+        return np.array([_dfs_delta_clusters(b, bond, primal, walk)
+                         for b, bond in zip(bits.tolist(), bonds.tolist())],
+                        np.int8)
+
+    def observe(bits):
+        walls = [lat.extract_walls(lat.config(b)) for b in bits.tolist()]
+        return np.array([(w.loops, w.clusters, w.dual_clusters)
+                         for w in walls], np.int64).T
+    return delta, observe
+
+
+def _check_drift(lat, bits, clusters):
+    """Compare one chain's running cluster count with extract_walls; a
+    drift raises AssertionError (an explicit check, kept under python
+    -O)."""
+    if lat.extract_walls(lat.config(int(bits))).clusters != clusters:
+        raise AssertionError("cluster count drifted")
+
+
 def metropolis_sample(lat, model, sweeps, seed, record_rows=False,
                       measure_every=None):
-    """Single-bond-flip Metropolis chain for the cluster-form weight.
+    """Single-bond-flip Metropolis chains for the cluster-form weight.
 
-    One sweep proposes every bond once.  The acceptance ratio for a
-    flip changing (dC, dE, dE*) is q^dC p^dE (1-p)^dE*
-    (acceptance_table).  dC is C[flipped] - C[current] read from the
-    lattice census when 2^N <= sweeps * N (_cluster_table), and
-    otherwise found by a depth-first search between the bond's ends.
-    The running cluster count is tracked incrementally, recounted by
-    extract_walls every 1000 accepted moves and checked against
-    extract_walls at every measurement; a drift raises AssertionError
-    (an explicit check, kept under python -O).  The waste-recycling
+    The sweeps are split over K lockstep chains (chain_lengths), run as
+    numpy arrays: each step proposes one bond flip in every chain.  One
+    sweep of a chain proposes every bond once, in a random order.  The
+    acceptance ratio for a flip changing (dC, dE, dE*) is
+    q^dC p^dE (1-p)^dE* (acceptance_table).  dC is C[flipped] -
+    C[current] read from the lattice census when 2^N <= sweeps * N
+    (_cluster_table), and otherwise found by a depth-first search
+    between the bond's ends.  Every measure_every sweeps of a chain, L,
+    C and C* of every chain are read (_cluster_readers), and one chain,
+    in turn, has its running cluster count checked against extract_walls
+    (_check_drift), as has chain 0 at the start.  The waste-recycling
     tallies are buffered per proposal and folded every TALLY_BLOCK
-    sweeps (_TallyStore) into a read-only Tallies mapping.  The
-    generator is counter-based (Philox) so chains are reproducible and
-    parallelizable by seed; both ways of finding dC give the same chain.
+    sweeps' worth of proposals (_TallyStore) into a read-only Tallies
+    mapping, in proposal order: step by step, chain 0 first.  One
+    counter-based (Philox) stream draws the K starting states, then per
+    sweep a (K, N) block of bond orders and a (K, N) block of uniforms,
+    row k for chain k; both ways of finding dC give the same chains.
+    With record_rows, each measured sweep adds the row (sweep, L, C, C*
+    of chain 0, acceptance rate so far).
     Runs on the square torus only; other lattices, sweeps < 1 and a
     negative seed raise ConfigInvalid, and more than SAMPLER_BOND_CAP
     bonds raise StateSpaceTooLarge, before anything is drawn or
@@ -392,76 +460,70 @@ def metropolis_sample(lat, model, sweeps, seed, record_rows=False,
                                  % SAMPLER_BOND_CAP)
     rng = np.random.Generator(np.random.Philox(seed))
     nb = lat.nsites
-    primal, _, walk = _square_wall_tables(lat.w, lat.h)
+    lengths = chain_lengths(sweeps)
+    chains = len(lengths)
     if measure_every is None:
-        measure_every = max(1, sweeps // 10_000)
-
-    bits = int(rng.integers(0, 1 << nb))
-    clusters = lat.extract_walls(lat.config(bits)).clusters
-    oracle_checks = 1
-    table = _cluster_table(lat, sweeps)
+        measure_every = max(1, int(lengths[0]) // 10_000)
+    delta, observe = _cluster_readers(lat, _cluster_table(lat, sweeps))
+    masks = np.left_shift(1, np.arange(nb, dtype=np.int64))
     ratio = acceptance_table(model)
     # flat acceptance table, indexed by 3*spin + dC + 1
-    acc = [ratio[(dc, spin)] for spin in (0, 1) for dc in (-1, 0, 1)]
+    acc = np.array([ratio[(dc, spin)] for spin in (0, 1)
+                    for dc in (-1, 0, 1)])
     store = _TallyStore(nb, acc)
-    push_state, push_index = store.before.append, store.index.append
 
+    bits = rng.integers(0, 1 << nb, size=chains, dtype=np.int64)
+    clusters = observe(bits)[1].astype(np.int64)
+    _check_drift(lat, bits[0], clusters[0])
+    oracle_checks = 1
     accepted = proposed = 0
-    since_recount = 0
-    sum_loops = sum_c = sum_cstar = 0.0
-    n_meas = 0
+    sums = np.zeros((3, chains), np.int64)
+    measured = np.zeros(chains, np.int64)
     rows = []
-    for sweep in range(sweeps):
+    for sweep in range(int(lengths[0])):
+        active = int(np.count_nonzero(lengths > sweep))
         # random-permutation scan: every bond exactly once per sweep,
         # which removes the bond-choice noise of an iid scan
-        bonds = rng.permutation(nb)
-        us = rng.random(nb)
-        proposed += nb
-        store.bonds.append(bonds)
-        for bond, u in zip(bonds.tolist(), us.tolist()):
-            spin = (bits >> bond) & 1
-            flipped = bits ^ (1 << bond)
-            if table is None:
-                dc = _dfs_delta_clusters(bits, bond, primal, walk)
-            else:
-                dc = table[flipped] - table[bits]
-            k = 3 * spin + dc + 1
+        orders = rng.permuted(np.tile(np.arange(nb, dtype=np.uint8),
+                                      (active, 1)), axis=1)
+        us = rng.random((active, nb))
+        # the chains past their length drop out; arrays are replaced,
+        # never written, so the buffered ones stay as pushed
+        bits, clusters = bits[:active], clusters[:active]
+        for bonds, u in zip(orders.T, us.T):
+            flipped = bits ^ masks[bonds]
+            dc = delta(bits, flipped, bonds)
+            k = (3 * ((bits >> bonds) & 1) + dc + 1).astype(np.uint8)
             # waste-recycling tally (store.fold): average over the
             # accept/reject outcome instead of recording only the
             # realized state
-            push_state(bits)
-            push_index(k)
+            store.push(bits, bonds, k)
             # u lies in [0, 1), so a ratio of 1 or more always accepts
-            if u < acc[k]:
-                bits = flipped
-                clusters += dc
-                accepted += 1
-                since_recount += 1
-                if since_recount >= RECOUNT_EVERY:
-                    true_count = lat.extract_walls(lat.config(bits)).clusters
-                    oracle_checks += 1
-                    if true_count != clusters:
-                        raise AssertionError(
-                            "incremental cluster count drifted")
-                    since_recount = 0
+            move = u < acc[k]
+            bits = np.where(move, flipped, bits)
+            clusters = clusters + dc * move
+            accepted += int(np.count_nonzero(move))
+            if store.pending >= TALLY_BLOCK * nb:
+                store.fold()
+        proposed += active * nb
         if sweep % measure_every == 0:
-            walls = lat.extract_walls(lat.config(bits))
+            chain = oracle_checks % active
+            _check_drift(lat, bits[chain], clusters[chain])
             oracle_checks += 1
-            if walls.clusters != clusters:
-                raise AssertionError("cluster count drifted")
-            sum_loops += walls.loops
-            sum_c += walls.clusters
-            sum_cstar += walls.dual_clusters
-            n_meas += 1
+            seen = observe(bits)
+            sums[:, :active] += seen
+            measured[:active] += 1
             if record_rows:
-                rows.append((sweep, walls.loops, walls.clusters,
-                             walls.dual_clusters,
-                             accepted / max(proposed, 1)))
-        if (sweep + 1) % TALLY_BLOCK == 0:
-            store.fold()
-    return SampleRecord(seed, sweeps, store.tallies(), accepted, proposed,
-                        sum_loops / n_meas, sum_c / n_meas,
-                        sum_cstar / n_meas, rows, oracle_checks)
+                rows.append((sweep, *seen[:, 0].tolist(),
+                             accepted / proposed))
+    means = tuple(int(total) / int(measured.sum())
+                  for total in sums.sum(axis=1))
+    stderr = None
+    if chains > 1:
+        per_chain = sums[0] / measured
+        stderr = float(per_chain.std(ddof=1) / math.sqrt(chains))
+    return SampleRecord(seed, sweeps, lengths, store.tallies(), accepted,
+                        proposed, means, stderr, rows, oracle_checks)
 
 
 def tv_distance(record, probs):

@@ -782,9 +782,15 @@ def explore_component(seed, model=None, cap=COMPONENT_CAP):
 
 
 def lattice_from_spec(spec):
-    """Build a lattice from a JSON-style spec dict (or JSON text)."""
+    """Build a lattice from a JSON-style spec dict (or JSON text).  A
+    spec that is not an object with integer "w" and "h" raises
+    ConfigInvalid."""
     if isinstance(spec, str):
         spec = json.loads(spec)
+    if not isinstance(spec, dict):
+        raise ConfigInvalid("a lattice spec must be a JSON object")
+    if type(spec.get("w")) is not int or type(spec.get("h")) is not int:
+        raise ConfigInvalid('a lattice spec needs integer "w" and "h"')
     kind = spec.get("kind")
     if kind == "square-torus":
         return SquareTorusLattice(spec["w"], spec["h"])

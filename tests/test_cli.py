@@ -124,12 +124,22 @@ def test_bad_input_is_config_error(capsys, argv):
     ("gas", "exact", "--spec", "{missing}"),
     ("--config", "{missing}", "tl", "diagrams"),
     ("gas", "exact", "--spec", "{malformed}"),
+    ("gas", "exact", "--spec", "{no_width}"),
+    ("gas", "exact", "--spec", "{string_width}"),
+    ("gas", "exact", "--spec", "{a_list}"),
+    ("--config", "{a_list}", "tl", "diagrams"),
 ], ids=["joint-kernel-hex", "hprime-hex", "missing-spec", "missing-config",
-        "malformed-spec"])
+        "malformed-spec", "spec-without-w", "spec-string-w", "spec-list",
+        "config-list"])
 def test_unusable_lattice_or_file_is_config_error(capsys, tmp_path, argv):
-    malformed = tmp_path / "malformed.json"
-    malformed.write_text('{"kind": "square-torus", "w": ')
-    paths = {"missing": tmp_path / "missing.json", "malformed": malformed}
+    paths = {"missing": tmp_path / "missing.json"}
+    for name, text in [("malformed", '{"kind": "square-torus", "w": '),
+                       ("no_width", '{"kind": "square-torus"}'),
+                       ("string_width",
+                        '{"kind": "square-torus", "w": "3", "h": 3}'),
+                       ("a_list", "[1, 2]")]:
+        paths[name] = tmp_path / (name + ".json")
+        paths[name].write_text(text)
     code, out, err = _run(capsys, *(arg.format(**paths) for arg in argv))
     assert code == EXIT_CONFIG
     assert out == ""
@@ -367,7 +377,7 @@ def test_sampler_drift_is_invariant_error_under_optimize():
 
 
 @pytest.mark.parametrize("sweeps,seed,visited,checks", [
-    ("50", "3", 169, 51), ("500", "13", 256, 503)])
+    ("50", "3", 169, 51), ("500", "13", 256, 251)])
 def test_gas_sample_reports_states_visited_and_oracle_checks(
         capsys, sweeps, seed, visited, checks):
     code, out, _ = _run(capsys, "gas", "sample", "--torus", "2x2",
@@ -375,10 +385,13 @@ def test_gas_sample_reports_states_visited_and_oracle_checks(
     assert code == EXIT_OK
     rep = json.loads(out)["results"][0]
     assert (rep["states_visited"], rep["oracle_checks"]) == (visited, checks)
-    # one starting count, one check per measured sweep (every sweep at
-    # this length) and one recount per 1000 accepted moves
-    accepted = round(rep["acceptance_rate"] * 8 * int(sweeps))
-    assert checks == 1 + int(sweeps) + accepted // 1000
+    # one starting count and one check per measured sweep: every sweep
+    # of the longest chain at this length
+    chains = max(1, int(sweeps) // 250)
+    assert rep["chains"] == chains
+    assert rep["sweeps_per_chain"] == [int(sweeps) // chains] * 2
+    assert checks == 1 + rep["sweeps_per_chain"][1]
+    assert (rep["mean_loops_stderr"] is None) == (chains == 1)
 
 
 def test_unexpected_exception_is_internal_error(capsys, monkeypatch):

@@ -108,7 +108,10 @@ def test_sampler_deterministic_and_converges_2x2():
     g = potts_params(2)
     rec1 = metropolis_sample(lat, g, 30_000, seed=5)
     rec2 = metropolis_sample(lat, g, 30_000, seed=5)
-    assert rec1.tallies == rec2.tallies
+    assert len(rec1.chain_sweeps) == 120
+    assert rec1.tallies.states.tobytes() == rec2.tallies.states.tobytes()
+    assert rec1.tallies.weights.tobytes() == rec2.tallies.weights.tobytes()
+    assert rec1.summary() == rec2.summary()
     probs, _, _ = exact_distribution(lat, g)
     assert tv_distance(rec1, probs) < 0.05
     assert 0.0 < rec1.acceptance_rate < 1.0
@@ -122,6 +125,8 @@ def test_sampler_mean_observables_match_enumeration():
     exp_loops = sum(p * c.loops for p, c in zip(probs, censuses))
     # crude 3-standard-error band from the chain's own spread
     assert abs(rec.mean_loops - exp_loops) < 0.1
+    # and 4 standard errors of the mean across the 80 chains
+    assert abs(rec.mean_loops - exp_loops) < 4 * rec.mean_loops_stderr
 
 
 def test_measurement_distribution_gibbs_ratio():
@@ -146,6 +151,26 @@ def test_sampler_rejects_lattices_other_than_square_torus():
         metropolis_sample(SquareDiskLattice(2, 2), potts_params(2), 10, 0)
 
 
+@pytest.mark.parametrize("w,h,sweeps,lengths", [
+    (2, 2, 499, [499]), (2, 2, 2051, [257] * 3 + [256] * 5),
+    (4, 3, 501, [251, 250])],
+    ids=["one-chain", "uneven", "past-the-census"])
+def test_sampler_splits_sweeps_over_lockstep_chains(w, h, sweeps, lengths):
+    lat = SquareTorusLattice(w, h)
+    rec = metropolis_sample(lat, potts_params(2), sweeps, seed=3)
+    assert rec.chain_sweeps.tolist() == lengths
+    assert rec.proposed == sweeps * lat.nsites
+    assert rec.oracle_checks == 1 + lengths[0]
+    rep = rec.summary()
+    assert (rep["chains"], rep["sweeps_per_chain"]) == \
+        (len(lengths), [lengths[-1], lengths[0]])
+    assert (rep["mean_loops_stderr"] is None) == (len(lengths) == 1)
+    for n in (1, 249, 250, 500, 1_024_001, 10**7 + 5):
+        split = gas.chain_lengths(n)
+        assert len(split) == max(1, min(4096, n // 250))
+        assert split.sum() == n and split.max() - split.min() <= 1
+
+
 def _no_philox(seed):
     raise AssertionError("the chain drew before it checked its input")
 
@@ -167,36 +192,48 @@ def test_sampler_bond_cap(monkeypatch):
         metropolis_sample(SquareTorusLattice(32, 1), potts_params(2), 1, 5)
 
 
-def _reference_chain(lat, model, sweeps, seed):
-    """The sampler as a plain loop with running dict tallies, on the
-    same Philox draws; dC and the measured counts are read from the
-    census.  Returns (tallies, accepted, mean L, mean C, mean C*)."""
+def _reference_chains(lat, model, sweeps, seed):
+    """The sampler as plain loops with running dict tallies, on the same
+    Philox draws: K = min(4096, sweeps // 250) chains, at least one, the
+    first sweeps % K of them one sweep longer; per sweep a (K, N) block
+    of bond orders and a (K, N) block of uniforms, row k for chain k;
+    proposals taken bond position by bond position, chain 0 first.  dC
+    and the measured counts are read from the census.  Returns
+    (tallies, accepted, mean L, mean C, mean C*)."""
     cen = census(lat)
     clusters, loops = cen.clusters.tolist(), cen.loops.tolist()
     dual = cen.dual_clusters.tolist()
     acc = gas.acceptance_table(model)
     rng = np.random.Generator(np.random.Philox(seed))
     nb = lat.nsites
-    measure_every = max(1, sweeps // 10_000)
-    bits = int(rng.integers(0, 1 << nb))
+    chains = max(1, min(4096, sweeps // 250))
+    lengths = [sweeps // chains + (k < sweeps % chains)
+               for k in range(chains)]
+    measure_every = max(1, lengths[0] // 10_000)
+    states = rng.integers(0, 1 << nb, size=chains).tolist()
     tallies, accepted, sums, n_meas = {}, 0, [0.0, 0.0, 0.0], 0
-    for sweep in range(sweeps):
-        bonds = rng.permutation(nb)
-        us = rng.random(nb)
-        for bond, u in zip(bonds.tolist(), us.tolist()):
-            flipped = bits ^ (1 << bond)
-            r = acc[(clusters[flipped] - clusters[bits], (bits >> bond) & 1)]
-            ra = r if r < 1.0 else 1.0
-            tallies[flipped] = tallies.get(flipped, 0.0) + ra
-            if ra < 1.0:
-                tallies[bits] = tallies.get(bits, 0.0) + (1.0 - ra)
-            if r >= 1.0 or u < r:
-                bits = flipped
-                accepted += 1
+    for sweep in range(lengths[0]):
+        active = sum(1 for n in lengths if n > sweep)
+        bonds = rng.permuted(np.tile(np.arange(nb), (active, 1)), axis=1)
+        us = rng.random((active, nb))
+        for j in range(nb):
+            for k in range(active):
+                bits, bond, u = states[k], int(bonds[k, j]), float(us[k, j])
+                flipped = bits ^ (1 << bond)
+                r = acc[(clusters[flipped] - clusters[bits],
+                         (bits >> bond) & 1)]
+                ra = r if r < 1.0 else 1.0
+                tallies[flipped] = tallies.get(flipped, 0.0) + ra
+                if ra < 1.0:
+                    tallies[bits] = tallies.get(bits, 0.0) + (1.0 - ra)
+                if r >= 1.0 or u < r:
+                    states[k] = flipped
+                    accepted += 1
         if sweep % measure_every == 0:
-            for k, col in enumerate((loops, clusters, dual)):
-                sums[k] += col[bits]
-            n_meas += 1
+            for bits in states[:active]:
+                for i, col in enumerate((loops, clusters, dual)):
+                    sums[i] += col[bits]
+                n_meas += 1
     return (tallies, accepted) + tuple(s / n_meas for s in sums)
 
 
@@ -213,13 +250,14 @@ def _reference_tv(tallies, probs):
 
 
 @pytest.mark.parametrize("path", ["table", "dfs", "dict-slots"])
-@pytest.mark.parametrize("size,sweeps,seed", [(2, 3000, 5), (3, 2500, 11)])
+@pytest.mark.parametrize("size,sweeps,seed", [(2, 3000, 5), (3, 2500, 11),
+                                               (2, 2051, 7)])
 def test_sampler_matches_dict_reference_bit_for_bit(monkeypatch, path,
                                                     size, sweeps, seed):
     lat = SquareTorusLattice(size, size)
     g = potts_params(2)
     assert sweeps > 2 * gas.TALLY_BLOCK  # several folds, one partial
-    tallies, accepted, *means = _reference_chain(lat, g, sweeps, seed)
+    tallies, accepted, *means = _reference_chains(lat, g, sweeps, seed)
     if path == "dfs":
         monkeypatch.setattr(gas, "_cluster_table", lambda lat, sweeps: None)
     elif path == "dict-slots":
