@@ -106,10 +106,7 @@ def test_sampler_table_and_search_give_the_same_chain(monkeypatch, size,
     assert list(with_table.tallies.items()) == \
         list(with_search.tallies.items())
     assert with_table.accepted == with_search.accepted
-    assert (with_table.mean_loops, with_table.mean_clusters,
-            with_table.mean_dual_clusters) == \
-        (with_search.mean_loops, with_search.mean_clusters,
-         with_search.mean_dual_clusters)
+    # the means, acceptance, sample size, visited states, checks
     assert with_table.summary() == with_search.summary()
 
 

@@ -165,10 +165,14 @@ def test_sampler_splits_sweeps_over_lockstep_chains(w, h, sweeps, lengths):
     assert (rep["chains"], rep["sweeps_per_chain"]) == \
         (len(lengths), [lengths[-1], lengths[0]])
     assert (rep["mean_loops_stderr"] is None) == (len(lengths) == 1)
-    for n in (1, 249, 250, 500, 1_024_001, 10**7 + 5):
-        split = gas.chain_lengths(n)
-        assert len(split) == max(1, min(4096, n // 250))
-        assert split.sum() == n and split.max() - split.min() <= 1
+
+
+@pytest.mark.parametrize("sweeps", [1, 249, 250, 500, 1_024_001, 10**7 + 5])
+def test_chain_lengths_differ_by_at_most_one(sweeps):
+    split = gas.chain_lengths(sweeps)
+    assert len(split) == max(1, min(4096, sweeps // 250))
+    assert split.sum() == sweeps and split.max() - split.min() <= 1
+    assert (np.diff(split) <= 0).all()  # longest first
 
 
 def _no_philox(seed):
