@@ -11,68 +11,26 @@ projectors.
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 from .errors import IndexOutOfRange, SignatureMismatch
-from .scalars import SpecialField, _pdivmod, _trim
+from .scalars import SpecialField, _padd, _pdivmod, _pmul, _trim
 from .tlcat import Morphism, jones_wenzl
 from .structure import ideal_span
 
 
 class RPolynomial:
-    """Polynomial in the essential ring curve R over a scalar backend."""
+    """Polynomial in the essential ring curve R: its coefficient list,
+    lowest power first, over a scalar backend.  Arithmetic on the lists
+    goes through the scalars polynomial helpers."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        c = list(coeffs)
-        while c and not c[-1]:
-            c.pop()
-        self.coeffs = c
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def is_zero(self):
-        return not self.coeffs
+        self.coeffs = _trim(coeffs)
 
     def __eq__(self, other):
-        return isinstance(other, RPolynomial) and _eq_lists(self.coeffs,
-                                                            other.coeffs)
-
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = []
-        for i in range(n):
-            a = self.coeffs[i] if i < len(self.coeffs) else None
-            b = other.coeffs[i] if i < len(other.coeffs) else None
-            if a is None:
-                out.append(b)
-            elif b is None:
-                out.append(a)
-            else:
-                out.append(a + b)
-        return RPolynomial(out)
-
-    def __sub__(self, other):
-        return self + other.scale_int(-1)
-
-    def scale_int(self, k):
-        return RPolynomial([c * k for c in self.coeffs])
-
-    def scale(self, s):
-        return RPolynomial([c * s for c in self.coeffs])
-
-    def __mul__(self, other):
-        if not self.coeffs or not other.coeffs:
-            return RPolynomial([])
-        out = [None] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                t = a * b
-                out[i + j] = t if out[i + j] is None else out[i + j] + t
-        zero = self.coeffs[0] - self.coeffs[0]
-        return RPolynomial([zero if c is None else c for c in out])
+        return isinstance(other, RPolynomial) and self.coeffs == other.coeffs
 
     def __repr__(self):
         if not self.coeffs:
@@ -84,18 +42,6 @@ class RPolynomial:
             pw = "" if i == 0 else ("R" if i == 1 else f"R^{i}")
             bits.append(f"({c!r}){pw}" if pw else f"({c!r})")
         return " + ".join(bits)
-
-    def eval_float(self, r, scalar_to_float=float):
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * r + scalar_to_float(c)
-        return acc
-
-
-def _eq_lists(a, b):
-    if len(a) != len(b):
-        return False
-    return all(x == y for x, y in zip(a, b))
 
 
 def closure_diagram(diag):
@@ -195,7 +141,7 @@ def annular_ideal(ell, grade_cap):
         for vec in vecs:
             poly = annular_closure(Morphism(n, n, dict(zip(basis, vec)),
                                             field.delta))
-            if not poly.is_zero():
+            if poly.coeffs:
                 polys.append(poly.coeffs)
     gen = _poly_gcd_field(polys)
     return AnnularIdeal(ell, RPolynomial(gen), grade_cap)
@@ -210,17 +156,14 @@ def generator_roots(ideal):
     return sorted(np.roots(list(reversed(coeffs))).real.tolist())
 
 
-def eigenvalue_family(ell, parity=None):
+def eigenvalue_family(ell):
     """Distinct values of -(A^{2p+2} + A^{-2p-2}), A = i e^{i pi/(2 ell+4)}.
 
-    The index p runs over 0..ell (restricted to even p when parity is
-    "even"); these are the eigenvalues of the ring curve R on the label-p
-    summand.  Returns the distinct values, sorted.
+    The index p runs over 0..ell; these are the eigenvalues of the ring
+    curve R on the label-p summand.  Returns the distinct values, sorted.
     """
     vals = []
     for p in range(ell + 1):
-        if parity == "even" and p % 2:
-            continue
         # A^(2p+2) + A^(-2p-2) = 2 cos((p+1) pi + (p+1) pi/(ell+2))
         theta = math.pi * (p + 1) + math.pi * (p + 1) / (ell + 2)
         val = -2.0 * math.cos(theta)
@@ -229,27 +172,26 @@ def eigenvalue_family(ell, parity=None):
     return sorted(vals)
 
 
-def even_sector_polynomial(ell):
-    """prod over even labels p of (R - lambda_p), exactly over Q(delta).
+def _two_cos(field, jmax):
+    """2 cos(j pi/(ell+2)) for j = 0..jmax, exactly in Q(delta).
 
-    lambda_p = 2 cos((p+1) pi/(ell+2)) for even p; each is an integer
-    polynomial in delta by the Chebyshev recursion 2cos((j+1)t) =
-    2cos(t) 2cos(jt) - 2cos((j-1)t).
+    Each is an integer polynomial in delta by the Chebyshev recursion
+    2cos((j+1)t) = 2cos(t) 2cos(jt) - 2cos((j-1)t).
     """
+    out = [field.one + field.one, field.delta]
+    while len(out) <= jmax:
+        out.append(field.delta * out[-1] - out[-2])
+    return out
+
+
+def even_sector_polynomial(ell):
+    """prod over even labels p of (R - lambda_p), exactly over Q(delta),
+    with lambda_p = 2 cos((p+1) pi/(ell+2))."""
     field = SpecialField(ell)
-    delta = field.delta
-    two = field.one + field.one
-    # c[j] = 2 cos(j pi/(ell+2))
-    c_prev, c_cur = two, delta
-    lams = []
-    for j in range(1, ell + 2):
-        if j % 2 == 1:          # j = p+1 with p even
-            lams.append(c_cur)
-        c_prev, c_cur = c_cur, delta * c_cur - c_prev
-    poly = RPolynomial([field.one])
-    for lam in lams:
-        poly = poly * RPolynomial([field.zero - lam, field.one])
-    return poly
+    poly = [field.one]
+    for lam in _two_cos(field, ell + 1)[1::2]:
+        poly = _pmul(poly, [-lam, field.one])
+    return RPolynomial(poly)
 
 
 # ---------------------------------------------------------------------------
@@ -275,122 +217,89 @@ def jw_closure_coeffs(jmax):
 
 
 def _beta_coeffs(n, ell, convention):
-    """Float R-coefficients of beta_n = sum_x S_{2n,2x} c_{2x}.
+    """Exact R-coefficients of beta'_n = sum_x U_j(t) c_{2x}.
 
-    c_{2x} is the annular closure of p_{2x} (jw_closure_coeffs); x runs
-    over 0..floor((ell+2)/2).  On the label-p eigenvalue of R, c_{2x}
-    takes the value S_{2x,p}/S_{0,p}, so beta_n evaluates there to
-    (S^2 restricted to even labels)_{2n,p}/S_{0,p}.
+    c_{2x} is the annular closure of p_{2x} (jw_closure_coeffs), x runs
+    over 0..floor((ell+2)/2), and U_j(t) = sin((j+1) theta)/sin(theta) at
+    t = 2 cos(theta), theta = m pi/k, k = ell+2.  The shifted convention,
+    S_{2n,2x} = sqrt(2/k) sin(pi (2n+1)(2x+1)/k), has m = 2n+1 and j = 2x;
+    the unshifted one, S_{2n,2x} = sqrt(2/k) sin(pi (2n)(2x)/k), has
+    m = 2n and j = 2x-1.  Either way S_{2n,2x} = sqrt(2/k) sin(theta)
+    U_j(t), so beta_n = sum_x S_{2n,2x} c_{2x} is beta'_n times that real
+    factor, and beta'_n = 0 where k divides m and the factor vanishes.
+    On the label-p eigenvalue of R, c_{2x} takes the value
+    S_{2x,p}/S_{0,p}.
     """
-    top = (ell + 2) // 2
-    if not 0 <= n <= top:
-        raise IndexOutOfRange(f"beta index {n} outside 0..{top}")
+    shift = {"shifted": 1, "unshifted": 0}[convention]
     k = ell + 2
-    norm = math.sqrt(2.0 / k)
-    closures = jw_closure_coeffs(2 * top)
-    coeffs = [0.0] * (2 * top + 1)
-    for x in range(top + 1):
-        if convention == "shifted":
-            s = norm * math.sin(math.pi * (2 * n + 1) * (2 * x + 1) / k)
-        elif convention == "unshifted":
-            s = norm * math.sin(math.pi * (2 * n) * (2 * x) / k)
-        else:
-            raise ValueError(f"unknown convention {convention!r}")
-        for i, c in enumerate(closures[2 * x]):
-            coeffs[i] += s * c
-    return coeffs
-
-
-def _float_reduce(coeffs, gen):
-    r = list(coeffs)
-    while len(r) >= len(gen):
-        if abs(r[-1]) < 1e-13:
-            r.pop()
-            continue
-        f = r[-1] / gen[-1]
-        k = len(r) - len(gen)
-        for i in range(len(gen)):
-            r[k + i] -= f * gen[i]
-        r.pop()
-    while r and abs(r[-1]) < 1e-12:
-        r.pop()
-    return r
-
-
-def _float_mul(a, b):
-    if not a or not b:
+    m = 2 * n + shift
+    if m % k == 0:
         return []
-    out = [0.0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
+    field = SpecialField(ell)
+    t = _two_cos(field, m)[m]
+    u = [field.zero, field.one]             # U_{-1}, U_0, U_1, ...
+    while len(u) <= k + 1:
+        u.append(t * u[-1] - u[-2])
+    beta = []
+    for x, c in enumerate(jw_closure_coeffs(k)[::2]):
+        beta = _padd(beta, [u[2 * x + shift] * ci for ci in c])
+    return beta
 
 
-def _projector_check(betas, gen, tol=1e-9):
-    """Pairwise orthogonality and idempotency-up-to-nonzero-scalar."""
-    live = [(i, b) for i, b in enumerate(betas) if any(abs(c) > tol for c in b)]
+def _projector_check(betas, modulus):
+    """Pairwise orthogonality, idempotency up to a nonzero scalar and the
+    count of betas distinct up to a nonzero scalar, exactly in
+    Q(delta)[R]/(modulus); the betas come reduced modulo it."""
+    live = [(i, b) for i, b in enumerate(betas) if b]
     if not live:
         return {"orthogonal": False, "idempotent": False, "scalars": {},
                 "nonzero": 0, "distinct": 0}
-    orth = True
-    for a in range(len(live)):
-        for b in range(a + 1, len(live)):
-            prod = _float_reduce(_float_mul(live[a][1], live[b][1]), gen)
-            if any(abs(c) > tol for c in prod):
-                orth = False
-    idem = True
+    orth = not any(_pdivmod(_pmul(a, b), modulus)[1]
+                   for (_, a), (_, b) in combinations(live, 2))
+    # beta^2 = c beta with c read off the leading coefficients; a nonzero
+    # remainder of beta's degree makes c nonzero
     scalars = {}
     for i, beta in live:
-        sq = _float_reduce(_float_mul(beta, beta), gen)
-        num = sum(x * y for x, y in zip(sq, beta))
-        den = sum(x * x for x in beta)
-        c = num / den
-        resid = max((abs((sq[j] if j < len(sq) else 0.0) - c * beta[j])
-                     for j in range(len(beta))), default=0.0)
-        scalars[i] = c
-        if resid > tol or abs(c) < tol:
-            idem = False
-    # count distinct projectors (up to sign): degenerate levels collapse
-    distinct = []
-    for _, b in live:
-        nb = max(abs(c) for c in b)
-        key = tuple(round(c / nb, 6) for c in b)
-        keyn = tuple(round(-c / nb, 6) for c in b)
-        if key not in distinct and keyn not in distinct:
-            distinct.append(key)
-    return {"orthogonal": orth, "idempotent": idem, "scalars": scalars,
-            "nonzero": len(live), "distinct": len(distinct)}
+        sq = _pdivmod(_pmul(beta, beta), modulus)[1]
+        if len(sq) == len(beta):
+            c = sq[-1] / beta[-1]
+            if sq == [c * x for x in beta]:
+                scalars[i] = c
+    distinct = {tuple(x / b[-1] for x in b) for _, b in live}
+    return {"orthogonal": orth, "idempotent": len(scalars) == len(live),
+            "scalars": scalars, "nonzero": len(live),
+            "distinct": len(distinct)}
 
 
-def beta_report(ell, grade_cap=None, tol=1e-9):
-    """Empirically select the S convention (and sector) for the betas.
+def beta_report(ell):
+    """Select the S convention (and sector) for the betas, exactly.
 
-    beta_n = sum_x S_{2n,2x} c_{2x}, 0 <= n <= floor((ell+2)/2), with c_{2x}
-    the annular closure of p_{2x}, is reduced in floats (the S entries are
-    generally outside the exact field) modulo the generator of the annular
-    ideal ("full") or its even-label factor ("even").  Tries both index
-    conventions in both sectors and records which combinations give
-    pairwise orthogonal, idempotent-up-to-nonzero-scalar projectors.  At
-    odd ell the nonzero even-sector betas are orthogonal eigenspace
+    beta'_n (_beta_coeffs), 0 <= n <= floor((ell+2)/2), is reduced in
+    Q(delta)[R] modulo the generator of the annular ideal ("full") or its
+    even-label factor ("even").  It differs from beta_n = sum_x S_{2n,2x}
+    c_{2x} by the real factor sqrt(2/k) sin(m pi/k), which changes neither
+    orthogonality, idempotency up to a nonzero scalar nor proportionality,
+    so the report gives the betas and their scalars up to that factor.
+    Tries both index conventions in both sectors and records which
+    combinations give pairwise orthogonal, idempotent-up-to-nonzero-scalar
+    projectors, and how many nonzero betas are distinct up to a scalar.
+    At odd ell the nonzero even-sector betas are orthogonal eigenspace
     projectors up to scale.  At even ell the label ell has the same
     even-restricted S row as the vacuum, so beta_{ell/2} = beta_0 and
     orthogonality fails whatever the basis; at ell = 2 every beta is +-one
     and the same element.
     """
-    if grade_cap is None:
-        grade_cap = ell + 2
-    ideal = annular_ideal(ell, grade_cap)
+    ideal = annular_ideal(ell, ell + 2)
     top = (ell + 2) // 2
     results = {}
     chosen = None
-    moduli = {"full": ideal.generator, "even": even_sector_polynomial(ell)}
+    moduli = {"full": ideal.generator.coeffs,
+              "even": even_sector_polynomial(ell).coeffs}
     for sector, modulus in moduli.items():
-        gen = [float(c) for c in modulus.coeffs]
         for conv in ("shifted", "unshifted"):
-            betas = [_float_reduce(_beta_coeffs(n, ell, conv), gen)
+            betas = [_pdivmod(_beta_coeffs(n, ell, conv), modulus)[1]
                      for n in range(top + 1)]
-            res = _projector_check(betas, gen, tol)
+            res = _projector_check(betas, modulus)
             res["betas"] = betas
             results[(conv, sector)] = res
             ok = res["orthogonal"] and res["idempotent"] and res["nonzero"] > 0

@@ -129,12 +129,10 @@ def _cmd_tl(args):
             raise ConfigInvalid("ideal needs --ell")
         if args.nmax < 1:
             raise ConfigInvalid("ideal needs --nmax >= 1")
-        ok = verify_ideal_theorem(args.ell, args.nmax)
+        # a mismatch raises MismatchAtGrade (exit 4)
         report["ell"] = args.ell
         report["n_max"] = args.nmax
-        report["two_sided_ideal_matches_radical"] = bool(ok)
-        if not ok:
-            raise OracleMismatch("ideal span disagrees with radical")
+        report["grades"] = verify_ideal_theorem(args.ell, args.nmax)
     else:
         raise ConfigInvalid("unknown tl action %r" % args.action)
     return report

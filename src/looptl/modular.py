@@ -25,34 +25,26 @@ def specific_heat(ell):
     return math.ceil((ell + 1) ** 2 / 2)
 
 
-def s_matrix(ell, convention="shifted"):
-    """(ell+1) x (ell+1) S-matrix.
+def s_matrix(ell):
+    """(ell+1) x (ell+1) S-matrix in the shifted label convention,
+    S[y][x] = sqrt(2/(ell+2)) * sin(pi (x+1)(y+1) / (ell+2)).
 
-    shifted:   S[y][x] = sqrt(2/(ell+2)) * sin(pi (x+1)(y+1) / (ell+2))
-    unshifted: S[y][x] = sqrt(2/(ell+2)) * sin(pi x y / (ell+2))
-
-    The normalization makes S unitary in the shifted convention.  Both
-    index conventions are provided because the source formula is
-    ambiguous about where the label range starts; the annular module
-    selects between them empirically.
+    The normalization makes S unitary.  The annular betas take their S
+    entries from the closed form, in this convention and in the unshifted
+    one, sin(pi x y / (ell+2)), not from this matrix.
     """
     k = ell + 2
     norm = math.sqrt(2.0 / k)
     out = np.zeros((ell + 1, ell + 1))
     for y in range(ell + 1):
         for x in range(ell + 1):
-            if convention == "shifted":
-                out[y, x] = norm * math.sin(math.pi * (x + 1) * (y + 1) / k)
-            elif convention == "unshifted":
-                out[y, x] = norm * math.sin(math.pi * x * y / k)
-            else:
-                raise ValueError(f"unknown convention {convention!r}")
+            out[y, x] = norm * math.sin(math.pi * (x + 1) * (y + 1) / k)
     return out
 
 
-def even_sector(ell, convention="shifted"):
+def even_sector(ell):
     """Restriction of the S-matrix to even labels 0, 2, 4, ..."""
-    S = s_matrix(ell, convention)
+    S = s_matrix(ell)
     idx = list(range(0, ell + 1, 2))
     return S[np.ix_(idx, idx)]
 
@@ -68,7 +60,7 @@ def transparent_labels(ell):
     Detected from the S-matrix: b is transparent iff S_{ab} = d_a d_b S_00
     for all even a, with quantum dimensions d_a = S_{0a}/S_{00}.
     """
-    S = s_matrix(ell, "shifted")
+    S = s_matrix(ell)
     evens = list(range(0, ell + 1, 2))
     dims = {a: S[0, a] / S[0, 0] for a in evens}
     out = []
@@ -102,8 +94,8 @@ class LevelData:
         self.label_count = label_count(ell)
         self.color_reversing_count = color_reversing_count(ell)
         self.specific_heat = specific_heat(ell)
-        self.S_full = s_matrix(ell, "shifted")
-        self.S_even = even_sector(ell, "shifted")
+        self.S_full = s_matrix(ell)
+        self.S_even = even_sector(ell)
         self.even_rank = int(np.linalg.matrix_rank(self.S_even, tol=1e-9))
         self.even_singular = self.even_rank < self.S_even.shape[0]
         self.doubled_even_rank = self.even_rank ** 2

@@ -46,7 +46,8 @@ def _psub(a, b):
 def _pmul(a, b):
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
+    # the ring's own zero, so that a power no product reaches keeps the type
+    out = [a[0] - a[0]] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):

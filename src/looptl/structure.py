@@ -137,8 +137,7 @@ def verify_ideal_theorem(ell, n_max):
             if rad:
                 raise MismatchAtGrade(
                     f"nonzero radical below the generator grade at n={n}")
-            report.append({"grade": n, "radical_dim": 0,
-                           "ideal_dim": 0, "match": True})
+            report.append({"grade": n, "radical_dim": 0, "ideal_dim": 0})
             continue
         span, _ = ideal_span(p, n)
         # containment: every ideal vector is annihilated by the Gram matrix
@@ -152,10 +151,9 @@ def verify_ideal_theorem(ell, n_max):
                 if acc:
                     raise MismatchAtGrade(
                         f"ideal element escapes the radical at grade {n}")
-        ok = len(span) == len(rad)
-        report.append({"grade": n, "radical_dim": len(rad),
-                       "ideal_dim": len(span), "match": ok})
-        if not ok:
+        if len(span) != len(rad):
             raise MismatchAtGrade(
                 f"radical dim {len(rad)} != ideal dim {len(span)} at n={n}")
+        report.append({"grade": n, "radical_dim": len(rad),
+                       "ideal_dim": len(span)})
     return report

@@ -2,19 +2,33 @@ import math
 
 import pytest
 
-from looptl.annular import (RPolynomial, annular_closure, annular_ideal,
-                            beta_report, eigenvalue_family, generator_roots,
+from looptl.annular import (RPolynomial, _beta_coeffs, annular_closure,
+                            annular_ideal, beta_report, eigenvalue_family,
+                            even_sector_polynomial, generator_roots,
                             jw_closure_coeffs)
-from looptl.scalars import SpecialField
+from looptl.scalars import FieldElement, SpecialField, _padd, _pdivmod, _pmul
 from looptl.tlcat import Morphism, jones_wenzl
 
 
-def test_rpolynomial_arithmetic():
+def test_polynomial_helpers_over_qdelta():
     field = SpecialField(3)
-    r = RPolynomial([field.zero, field.one])  # R
-    sq = r * r
-    assert sq.coeffs[2] == field.one
-    assert (r + r).coeffs[1] == field.element([2])
+    one, delta = field.one, field.delta
+    r = [field.zero, one]                               # R
+    r_plus_delta = [delta, one]
+    sq = _pmul(r_plus_delta, r_plus_delta)              # R^2 + 2 delta R + delta^2
+    assert sq == [delta * delta, delta + delta, one]
+    assert _padd(r, r) == [field.zero, field.element([2])]
+    assert _padd(sq, [-delta * delta]) == [field.zero, delta + delta, one]
+    q, rem = _pdivmod(_padd(sq, [one]), r_plus_delta)
+    assert (q, rem) == ([delta, one], [one])
+    assert _pdivmod(sq, r_plus_delta) == ([delta, one], [])
+    # lambda_2 = 2 cos(pi/2) = 0 at l = 4: the even-sector polynomial is
+    # R^3 - 3R, and the power no product reaches is still a field zero
+    field4 = SpecialField(4)
+    even4 = even_sector_polynomial(4).coeffs
+    assert even4 == [field4.zero, field4.element([-3]), field4.zero,
+                     field4.one]
+    assert all(isinstance(c, FieldElement) for c in even4)
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3])
@@ -86,3 +100,52 @@ def test_beta_level2_betas_proportional():
     res = rep["results"][("shifted", "even")]
     assert res["distinct"] == 1
     assert not res["orthogonal"]
+
+
+@pytest.mark.parametrize("convention", ["shifted", "unshifted"])
+@pytest.mark.parametrize("ell", [1, 2, 3, 4, 5])
+def test_beta_rescaling_matches_float_s_formula(ell, convention):
+    """beta'_n times sqrt(2/k) sin(m pi/k) is sum_x S_{2n,2x} c_{2x}, with
+    the S entries from the sine formula, before any reduction."""
+    k = ell + 2
+    top = k // 2
+    shift = 1 if convention == "shifted" else 0
+    closures = jw_closure_coeffs(2 * top)
+    for n in range(top + 1):
+        m = 2 * n + shift
+        ref = [0.0] * (2 * top + 1)
+        for x in range(top + 1):
+            s = math.sqrt(2 / k) * math.sin(math.pi * m * (2 * x + shift) / k)
+            for i, c in enumerate(closures[2 * x]):
+                ref[i] += s * c
+        beta = _beta_coeffs(n, ell, convention)
+        assert all(isinstance(c, FieldElement) for c in beta)
+        if max(abs(c) for c in ref) < 1e-12:
+            # a vanishing S row gives the exact zero, not a beta scaled
+            # by a float zero
+            assert beta == [], (n, beta)
+            continue
+        factor = math.sqrt(2 / k) * math.sin(math.pi * m / k)
+        got = [float(c) * factor for c in beta]
+        got += [0.0] * (len(ref) - len(got))
+        assert max(abs(a - b) for a, b in zip(got, ref)) < 1e-12, n
+
+
+@pytest.mark.parametrize("sector", ["full", "even"])
+def test_beta_level4_exact_verdicts(sector):
+    """At l = 4 the labels 4 and 6 repeat the vacuum's even S row up to
+    sign, so four nonzero betas are only two up to a scalar."""
+    res = beta_report(4)["results"][("shifted", sector)]
+    assert not res["orthogonal"]
+    assert not res["idempotent"]
+    assert (res["nonzero"], res["distinct"]) == (4, 2)
+
+
+def test_beta_report_values_are_exact():
+    rep = beta_report(3)
+    assert (rep["convention"], rep["sector"]) == ("shifted", "full")
+    for res in rep["results"].values():
+        for beta in res["betas"]:
+            assert all(isinstance(c, FieldElement) for c in beta)
+        assert all(isinstance(c, FieldElement)
+                   for c in res["scalars"].values())

@@ -23,6 +23,22 @@ def test_tl_diagrams(capsys):
     assert rep["count"] == rep["catalan"] == 14
 
 
+def test_tl_ideal_reports_dimensions_per_grade(capsys):
+    code, out, _ = _run(capsys, "tl", "ideal", "--ell", "1", "--nmax", "4")
+    assert code == EXIT_OK
+    grades = json.loads(out)["results"][0]["grades"]
+    assert [g["grade"] for g in grades] == [1, 2, 3, 4]
+    assert [g["radical_dim"] for g in grades] == [0, 1, 4, 13]
+    assert [g["ideal_dim"] for g in grades] == [0, 1, 4, 13]
+
+
+def test_annulus_beta_selects_shifted_full_at_level_3(capsys):
+    code, out, _ = _run(capsys, "annulus", "beta", "--ell", "3")
+    assert code == EXIT_OK
+    rep = json.loads(out)["results"][0]
+    assert (rep["convention"], rep["sector"]) == ("shifted", "full")
+
+
 def test_tl_gram_corank(capsys, tmp_path):
     code, out, _ = _run(capsys, "--out", str(tmp_path),
                         "tl", "gram", "--n", "3", "--ell", "2")
