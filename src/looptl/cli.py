@@ -155,7 +155,12 @@ def _cmd_annulus(args):
     elif args.action == "beta":
         rep = beta_report(args.ell)
         rep.pop("ideal", None)
-        rep["results"] = {str(k): str(v) for k, v in rep["results"].items()}
+        for res in rep["results"].values():
+            res["betas"] = [[_scal(c) for c in beta] for beta in res["betas"]]
+            res["scalars"] = {str(n): _scal(c)
+                              for n, c in res["scalars"].items()}
+        rep["results"] = {"%s/%s" % key: res
+                          for key, res in rep["results"].items()}
         report.update(rep)
     else:
         raise ConfigInvalid("unknown annulus action %r" % args.action)
@@ -329,7 +334,6 @@ def _cmd_verify(args):
     checks = {}
     checks["pauli_expansion_ell2"] = ham.pauli_expand_check(2)
     checks["pauli_expansion_ell3"] = ham.pauli_expand_check(3)
-    checks["ideal_theorem_ell1"] = bool(verify_ideal_theorem(1, 5))
     lat = SquareTorusLattice(2, 2)
     cs = ham.build_hprime(lat, 2)
     checks["kernel_oracle_2x2"] = (
@@ -341,7 +345,9 @@ def _cmd_verify(args):
     checks["verlinde_matches_labels"] = (
         abs(verlinde_dimension(2, 1) - torus_dimension_estimate(2, 1)) < 1e-9)
     report = {"command": "verify", "checks": checks,
-              "passed": all(checks.values())}
+              "passed": all(checks.values()),
+              # a mismatch raises MismatchAtGrade (exit 4)
+              "ideal_theorem_ell1": verify_ideal_theorem(1, 5)}
     if not report["passed"]:
         raise OracleMismatch("verification checks failed: %s" % [
             k for k, v in checks.items() if not v])

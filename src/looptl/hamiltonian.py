@@ -10,8 +10,8 @@ sites.
 
 Two independent kernel solvers are provided for systems of two-term
 rows, the only kind the builders make: ratio propagation along move
-graphs (exact d-exponents) and a numeric/modular oracle that reads
-only the coefficients.  Ratio propagation and the oracle's GF(p) rank
+graphs (exact d-exponents) and a GF(p) rank oracle that reads only
+the coefficients.  Ratio propagation and the oracle's GF(p) rank
 both run hook-and-compress label propagation (Shiloach and Vishkin,
 J. Algorithms 3, 1982) over numpy arrays, one row at a time; each is
 written separately so that neither can share a defect with the other.
@@ -34,7 +34,6 @@ from .scalars import (FieldElement, SpecialField, minimal_polynomial,
 from .tlcat import Morphism, compose, enumerate_diagrams, jones_wenzl
 
 DENSE_STATE_CAP = 300_000
-_DENSE_SVD_CAP = 4096
 
 
 class Row:
@@ -89,8 +88,8 @@ class KernelBasis:
     are arrays over all states (comp = -1 never occurs on the full
     space).  Components are numbered in the order of their smallest
     states, and pot is canonical: 0 at the smallest state of each
-    component, so neither depends on the order of the rows.  Numeric
-    solvers may carry dense float vectors instead.
+    component, so neither depends on the order of the rows.  The joint
+    kernel also carries float coefficient vectors over the components.
     """
 
     def __init__(self, dimension, method, comp=None, pot=None,
@@ -112,6 +111,17 @@ class KernelBasis:
 # ---------------------------------------------------------------------------
 # builders
 # ---------------------------------------------------------------------------
+
+
+def _check_bond_lattice(lat):
+    """Raise ConfigInvalid unless lat is a square torus whose cells and
+    vertices have four distinct bonds (w, h >= 2); below that a cell
+    lists one bond twice and its rows contradict themselves."""
+    if not isinstance(lat, SquareTorusLattice):
+        raise ConfigInvalid("the bond model lives on the square torus")
+    if min(lat.w, lat.h) < 2:
+        raise ConfigInvalid("the bond model needs a torus of at least 2x2, "
+                            "not %dx%d" % (lat.w, lat.h))
 
 
 def build_h0(lat, ell):
@@ -147,8 +157,7 @@ def build_h0(lat, ell):
 def build_hprime(lat, ell):
     """Bond-model rows: 4 box rows per square cell (one per marked
     edge) and 4 dual-box rows per vertex."""
-    if not isinstance(lat, SquareTorusLattice):
-        raise ConfigInvalid("the bond model lives on the square torus")
+    _check_bond_lattice(lat)
     field = SpecialField(ell)
     one = field.one
     inv_d = one / field.delta
@@ -177,6 +186,7 @@ def build_hprime(lat, ell):
 def build_ring_exchange(lat):
     """Ring-exchange rows |3> - |3'> (and dual): cyclic shifts of the
     single minority bond around each cell and vertex, no d-weighting."""
+    _check_bond_lattice(lat)
     rows = []
     for (i, j) in lat.cells():
         bonds = lat.cell_bonds(i, j)
@@ -328,33 +338,8 @@ def _jump_pots(pack):
 
 
 # ---------------------------------------------------------------------------
-# solver 2: numeric / modular row reduction
+# solver 2: modular row reduction
 # ---------------------------------------------------------------------------
-
-
-def _row_coeff_floats(row):
-    return [float(c) for _, c in row.terms]
-
-
-def _dense_nullspace(cs):
-    n = cs.n_states
-    nsites = cs.lattice.nsites
-    mat_rows = []
-    for row in cs.rows:
-        cols = concrete_states(row, nsites)
-        coeffs = _row_coeff_floats(row)
-        for k in range(len(cols[0])):
-            r = np.zeros(n)
-            for t, arr in enumerate(cols):
-                r[arr[k]] += coeffs[t]
-            mat_rows.append(r)
-    mat = np.array(mat_rows) if mat_rows else np.zeros((0, n))
-    if mat.shape[0] == 0:
-        return KernelBasis(n, "dense-svd", vectors=np.eye(n))
-    u, s, vt = np.linalg.svd(mat, full_matrices=True)
-    tol = 1e-8 * (s[0] if len(s) else 1.0)
-    rank = int(np.sum(s > tol))
-    return KernelBasis(n - rank, "dense-svd", vectors=vt[rank:].T)
 
 
 def _find_prime_with_root(poly, start=1_000_003):
@@ -497,15 +482,14 @@ def _coeff_mod(c, p, droot):
 
 
 def kernel_dense(cs):
-    """Numeric kernel oracle, independent of ratio propagation.
+    """Kernel dimension oracle, independent of ratio propagation.
 
     Every row must have exactly two terms, as every builder makes them;
-    the oracle reads only the coefficients, never the d-exponents.
-    Small systems get a dense float SVD with threshold 1e-8 times the
-    top singular value; larger ones (up to the state cap) get a sparse
-    modular rank computation, which fixes the dimension only.  Raises
-    ConfigInvalid on any other row and StateSpaceTooLarge past the
-    cap, both before allocating anything.
+    the oracle reads only the coefficients, never the d-exponents.  The
+    dimension is n minus the rank of the expanded rows over GF(p)
+    (_modular_rank), at every size up to the state cap; no vectors are
+    returned.  Raises ConfigInvalid on any other row and
+    StateSpaceTooLarge past the cap, both before allocating anything.
     """
     for row in cs.rows:
         if len(row.terms) != 2:
@@ -514,10 +498,7 @@ def kernel_dense(cs):
     if n > DENSE_STATE_CAP:
         raise StateSpaceTooLarge(
             "dense oracle capped at %d states" % DENSE_STATE_CAP)
-    if n <= _DENSE_SVD_CAP:
-        return _dense_nullspace(cs)
-    rank = _modular_rank(cs)
-    return KernelBasis(n - rank, "modular-elimination")
+    return KernelBasis(n - _modular_rank(cs), "modular-elimination")
 
 
 # ---------------------------------------------------------------------------

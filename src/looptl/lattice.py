@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import json
 import time
-from collections import deque, namedtuple
+from collections import namedtuple
 
 import numpy as np
 
@@ -80,9 +80,6 @@ class SpinConfig:
 
     def plus(self, site):
         return bool((self.bits >> site) & 1)
-
-    def flip(self, site):
-        return SpinConfig(self.lattice, self.bits ^ (1 << site))
 
     def swap(self):
         """Global |+> <-> |-> interchange."""
@@ -201,38 +198,6 @@ class SquareTorusLattice:
         return WallCensus(trivial, essential, clusters, dual_clusters,
                           plus_edges, self.nsites - plus_edges,
                           wrap_c, wrap_d)
-
-    def local_moves(self, config, model="hprime"):
-        """Admissible single-bond flips.
-
-        Returns (site, kind, partner, dexp) where the partner amplitude
-        relates to this one by a factor d**dexp in any zero mode: the
-        configuration with the extra small loop carries the larger
-        amplitude.
-        """
-        if model != "hprime":
-            raise ConfigInvalid("square torus carries the bond model")
-        moves = []
-        for (i, j) in self.cells():
-            bonds = self.cell_bonds(i, j)
-            n_plus = sum(config.plus(b) for b in bonds)
-            if n_plus == 4:
-                # complete box: removing any bond erases the face loop
-                for b in set(bonds):
-                    moves.append((b, "box", config.flip(b), -1))
-            elif n_plus == 3:
-                b = next(b for b in bonds if not config.plus(b))
-                moves.append((b, "box", config.flip(b), 1))
-        for (i, j) in self.vertices():
-            bonds = self.vertex_bonds(i, j)
-            n_plus = sum(config.plus(b) for b in bonds)
-            if n_plus == 0:
-                for b in set(bonds):
-                    moves.append((b, "dual-box", config.flip(b), -1))
-            elif n_plus == 1:
-                b = next(b for b in bonds if config.plus(b))
-                moves.append((b, "dual-box", config.flip(b), 1))
-        return moves
 
     def spec_dict(self):
         return {"kind": self.kind, "w": self.w, "h": self.h}
@@ -429,44 +394,6 @@ class SquareDiskLattice:
         return WallCensus(trivial, [], clusters, faces - 1,
                           plus_edges, len(spins) - plus_edges)
 
-    def local_moves(self, config, model="hprime"):
-        """Box and dual-box flips, excluding cells and vertices that
-        meet the boundary."""
-        if model != "hprime":
-            raise ConfigInvalid("square disk carries the bond model")
-        moves = []
-        for j in range(1, self.h - 1):
-            for i in range(1, self.w - 1):
-                bonds = [("h", i, j), ("v", i + 1, j),
-                         ("h", i, j + 1), ("v", i, j)]
-                vals = [self._bond_plus(config, b) for b in bonds]
-                free = [b for b in bonds if b in self._site_of]
-                if sum(vals) == 4:
-                    for b in free:
-                        s = self._site_of[b]
-                        moves.append((s, "box", config.flip(s), -1))
-                elif sum(vals) == 3:
-                    b = bonds[vals.index(False)]
-                    if b in self._site_of:
-                        s = self._site_of[b]
-                        moves.append((s, "box", config.flip(s), 1))
-        for j in range(2, self.h - 1):
-            for i in range(2, self.w - 1):
-                bonds = [("h", i, j), ("v", i, j),
-                         ("h", i - 1, j), ("v", i, j - 1)]
-                vals = [self._bond_plus(config, b) for b in bonds]
-                free = [b for b in bonds if b in self._site_of]
-                if sum(vals) == 0:
-                    for b in free:
-                        s = self._site_of[b]
-                        moves.append((s, "dual-box", config.flip(s), -1))
-                elif sum(vals) == 1:
-                    b = bonds[vals.index(True)]
-                    if b in self._site_of:
-                        s = self._site_of[b]
-                        moves.append((s, "dual-box", config.flip(s), 1))
-        return moves
-
     def spec_dict(self):
         return {"kind": self.kind, "w": self.w, "h": self.h,
                 "boundary": "+" if self.boundary_plus else "-"}
@@ -543,32 +470,6 @@ class HexTorusLattice:
 
     def config(self, bits=0):
         return SpinConfig(self, bits)
-
-    def local_moves(self, config, model="h0"):
-        """Single-plaque flips of the plaque model.
-
-        A g-move (isotopy, ratio 1) needs the wall to cross the plaque's
-        hexagon in a single arc: the six neighbor spins form exactly one
-        |+> run and one |-> run, and the center matches neither side
-        completely.  An h-move (ratio d) needs the plaque and all its
-        neighbors monochromatic; the flipped side gains a trivial loop.
-        """
-        if model != "h0":
-            raise ConfigInvalid("hex torus carries the plaque model")
-        moves = []
-        for site in range(self.nsites):
-            ring = [config.plus(n) for n in self.neighbors(site)]
-            blocks = sum(1 for k in range(6) if ring[k] != ring[k - 1])
-            if blocks == 0:
-                if ring[0] == config.plus(site):
-                    # flipping the center creates a loop around it
-                    moves.append((site, "h", config.flip(site), 1))
-                else:
-                    # minority center: flipping erases its loop
-                    moves.append((site, "h", config.flip(site), -1))
-            elif blocks == 2:
-                moves.append((site, "g", config.flip(site), 0))
-        return moves
 
     def extract_walls(self, config):
         """Domain-wall census of the plaque model.
@@ -709,7 +610,7 @@ def tabulate_by_walls(lat, states):
 
 
 class ComponentGraph:
-    """One ergodic component under the local moves of a model."""
+    """One ergodic component under the moves of a model's rows."""
 
     def __init__(self, lattice, model, configs, edges, consistent, potentials):
         self.lattice = lattice
@@ -725,60 +626,70 @@ class ComponentGraph:
 
 
 def explore_component(seed, model=None, cap=COMPONENT_CAP):
-    """BFS closure of a configuration under the admissible local moves.
+    """Breadth-first closure of a configuration under the moves of a
+    model's two-term constraint rows (hamiltonian.build_hprime, h0).
 
-    Edge weights are d-exponents; the component is ratio-consistent
-    when the exponents are the gradient of a potential (every cycle
-    multiplies to one).
+    A row with patterns a and b on the sites of mask moves a state s
+    with s & mask == a to s ^ a ^ b, d-exponent +dexp, and one with
+    s & mask == b back, -dexp; an edge's kind is the row's tag and its
+    site the row's first site.  The closure runs frontier by frontier,
+    each state taking its potential when it is found; the component is
+    ratio-consistent when every edge has pot[b] - pot[a] == dexp (every
+    cycle multiplies to one).  Raises ComponentCapExceeded past cap
+    states.
     """
+    from .hamiltonian import _pattern_state, build_h0, build_hprime
     lat = seed.lattice
     if model is None:
         model = "h0" if lat.kind == "hex-torus" else "hprime"
-    seen = {seed.bits: 0}
-    order = [seed]
-    raw_edges = []
-    queue = deque([seed])
-    while queue:
-        cur = queue.popleft()
-        for site, kind, partner, dexp in lat.local_moves(cur, model):
-            if partner.bits not in seen:
-                if len(seen) >= cap:
-                    raise ComponentCapExceeded(
-                        "component exceeds %d states" % cap)
-                seen[partner.bits] = len(order)
-                order.append(partner)
-                queue.append(partner)
-            raw_edges.append((seen[cur.bits], seen[partner.bits],
-                              dexp, kind, site))
+    if model not in ("hprime", "h0"):
+        raise ConfigInvalid("unknown model %r" % (model,))
+    # sites, patterns and dexp are the same at every level
+    rows = (build_h0 if model == "h0" else build_hprime)(lat, 1).rows
+    tags = sorted({row.tag for row in rows})
+    moves = [(sum(1 << s for s in row.sites),
+              *(_pattern_state(pat, row.sites) for pat, _ in row.terms),
+              row.dexp, tags.index(row.tag), row.sites[0]) for row in rows]
+    moves += [(m, b, a, -e, k, s) for m, a, b, e, k, s in moves]
+    mask, frm, to, dexp, kind, site = (np.array(col, dtype=np.int64)
+                                       for col in zip(*moves))
+    frontier = known = np.array([seed.bits], dtype=np.int64)
+    pot = np.zeros(1, dtype=np.int64)
+    levels, pots, hits = [frontier], [pot], []
+    while len(frontier):
+        src, move = [], []
+        # CENSUS_CHUNK states at a time against every move
+        for lo in range(0, len(frontier), CENSUS_CHUNK):
+            i, m = np.nonzero(frontier[lo:lo + CENSUS_CHUNK, None] & mask
+                              == frm)
+            src.append(lo + i)
+            move.append(m)
+        src, move = np.concatenate(src), np.concatenate(move)
+        a = frontier[src]
+        b = a ^ frm[move] ^ to[move]
+        hits.append((a, b, move))
+        new, first = np.unique(b, return_index=True)
+        fresh = ~np.isin(new, known, assume_unique=True)
+        frontier, first = new[fresh], first[fresh]
+        if len(known) + len(frontier) > cap:
+            raise ComponentCapExceeded("component exceeds %d states" % cap)
+        pot = pot[src[first]] + dexp[move[first]]
+        known = np.union1d(known, frontier)
+        levels.append(frontier)
+        pots.append(pot)
 
-    # canonical ordering by bits
-    perm = sorted(range(len(order)), key=lambda k: order[k].bits)
-    rank = [0] * len(order)
-    for new, old in enumerate(perm):
-        rank[old] = new
-    configs = [order[old] for old in perm]
-    edges = sorted((rank[a], rank[b], dexp, kind, site)
-                   for a, b, dexp, kind, site in raw_edges)
-
-    # ratio-consistency: propagate d-exponent potentials
-    pot = [None] * len(configs)
-    adj = [[] for _ in range(len(configs))]
-    for a, b, dexp, _, _ in edges:
-        adj[a].append((b, dexp))
-        adj[b].append((a, -dexp))
-    consistent = True
-    pot[0] = 0
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for v, dexp in adj[u]:
-            if pot[v] is None:
-                pot[v] = pot[u] + dexp
-                queue.append(v)
-            elif pot[v] != pot[u] + dexp:
-                consistent = False
+    pot = np.concatenate(pots)[np.argsort(np.concatenate(levels))]
+    a, b, move = (np.concatenate(col) for col in zip(*hits))
+    a, b = np.searchsorted(known, a), np.searchsorted(known, b)
+    consistent = bool(np.all(pot[b] - pot[a] == dexp[move]))
+    order = np.lexsort((site[move], kind[move], dexp[move], b, a))
+    a, b, move = a[order], b[order], move[order]
+    edges = list(zip(a.tolist(), b.tolist(), dexp[move].tolist(),
+                     [tags[k] for k in kind[move].tolist()],
+                     site[move].tolist()))
+    configs = [SpinConfig(lat, bits) for bits in known.tolist()]
     return ComponentGraph(lat, model, configs, edges, consistent,
-                          pot if consistent else None)
+                          (pot - pot[0]).tolist() if consistent else None)
 
 
 def lattice_from_spec(spec):

@@ -37,6 +37,10 @@ def test_annulus_beta_selects_shifted_full_at_level_3(capsys):
     assert code == EXIT_OK
     rep = json.loads(out)["results"][0]
     assert (rep["convention"], rep["sector"]) == ("shifted", "full")
+    even = rep["results"]["shifted/even"]
+    assert (even["orthogonal"], even["idempotent"]) == (True, True)
+    assert even["betas"] == [["1", "delta"], ["1", "-delta+1"], []]
+    assert even["scalars"] == {"0": "delta+2", "1": "-delta+3"}
 
 
 def test_tl_gram_corank(capsys, tmp_path):
@@ -144,16 +148,20 @@ def test_bad_input_is_config_error(capsys, argv):
     ("gas", "exact", "--spec", "{string_width}"),
     ("gas", "exact", "--spec", "{a_list}"),
     ("--config", "{a_list}", "tl", "diagrams"),
+    ("lattice", "components", "--spec", "{disk}"),
+    ("lattice", "kernel", "--torus", "1x2", "--ell", "2"),
+    ("lattice", "components", "--torus", "1x3"),
 ], ids=["joint-kernel-hex", "hprime-hex", "missing-spec", "missing-config",
         "malformed-spec", "spec-without-w", "spec-string-w", "spec-list",
-        "config-list"])
+        "config-list", "disk-components", "kernel-1x2", "components-1x3"])
 def test_unusable_lattice_or_file_is_config_error(capsys, tmp_path, argv):
     paths = {"missing": tmp_path / "missing.json"}
     for name, text in [("malformed", '{"kind": "square-torus", "w": '),
                        ("no_width", '{"kind": "square-torus"}'),
                        ("string_width",
                         '{"kind": "square-torus", "w": "3", "h": 3}'),
-                       ("a_list", "[1, 2]")]:
+                       ("a_list", "[1, 2]"),
+                       ("disk", '{"kind": "square-disk", "w": 3, "h": 3}')]:
         paths[name] = tmp_path / (name + ".json")
         paths[name].write_text(text)
     code, out, err = _run(capsys, *(arg.format(**paths) for arg in argv))
@@ -190,7 +198,13 @@ def test_config_file_with_flag_override(tmp_path, capsys):
 def test_verify_passes(capsys):
     code, out, _ = _run(capsys, "verify")
     assert code == EXIT_OK
-    assert json.loads(out)["results"][0]["passed"]
+    rep = json.loads(out)["results"][0]
+    assert rep["passed"]
+    # the ideal theorem at level 1, one entry per grade
+    grades = rep["ideal_theorem_ell1"]
+    assert [g["grade"] for g in grades] == [1, 2, 3, 4, 5]
+    assert [g["radical_dim"] for g in grades] == [0, 1, 4, 13, 41]
+    assert [g["ideal_dim"] for g in grades] == [0, 1, 4, 13, 41]
 
 
 def test_artifacts_written_to_out_dir(tmp_path, capsys):
@@ -308,6 +322,16 @@ def test_lattice_kernel_always_cross_checks_on_3x3(capsys):
     assert code == EXIT_OK
     rep = json.loads(out)["results"][0]
     assert rep["kernel_dimension"] == rep["oracle_dimension"] == 22
+    assert rep["oracle_method"] == "modular-elimination"
+
+
+def test_lattice_kernel_cross_checks_3x2_at_level_2(capsys):
+    # 4,096 states and 6,144 expanded rows, all on the GF(p) oracle
+    code, out, _ = _run(capsys, "lattice", "kernel", "--torus", "3x2",
+                        "--ell", "2")
+    assert code == EXIT_OK
+    rep = json.loads(out)["results"][0]
+    assert rep["kernel_dimension"] == rep["oracle_dimension"] == 9
     assert rep["oracle_method"] == "modular-elimination"
 
 

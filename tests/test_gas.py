@@ -12,7 +12,7 @@ from looptl.gas import (GibbsModel, detailed_balance_check,
                         potts_params, tv_distance)
 from looptl.hamiltonian import build_hprime, kernel_propagate
 from looptl.lattice import (HexTorusLattice, SquareDiskLattice,
-                            SquareTorusLattice, census)
+                            SquareTorusLattice, census, explore_component)
 
 
 def test_potts_params_exact():
@@ -136,14 +136,15 @@ def test_measurement_distribution_gibbs_ratio():
     comp = int(kb.comp[255])
     probs = measurement_distribution(kb, comp)
     assert sum(probs.values()) == pytest.approx(1.0)
-    # two configurations differing by one trivial loop: ratio d^2
-    items = sorted(probs.items())
     assert gibbs_law_check(kb, comp, lat) < 1e-12
-    bits_a = 255
-    move = lat.local_moves(lat.config(bits_a), "hprime")[0]
-    bits_b = move[2].bits
-    assert probs[bits_b] / probs[bits_a] == pytest.approx(
-        float(kb.d) ** (2 * move[3]))
+    # a move from the all-plus state changes the loop count by dexp:
+    # probability ratio d^(2 dexp)
+    graph = explore_component(lat.config(255), "hprime")
+    a, b, dexp, _, _ = next(e for e in graph.edges
+                            if graph.configs[e[0]].bits == 255)
+    bits_b = graph.configs[b].bits
+    assert probs[bits_b] / probs[255] == pytest.approx(
+        float(kb.d) ** (2 * dexp))
 
 
 def test_sampler_rejects_lattices_other_than_square_torus():

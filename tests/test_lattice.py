@@ -2,11 +2,13 @@ import json
 from collections import Counter
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from looptl.errors import ComponentCapExceeded, ConfigInvalid
+from looptl.hamiltonian import build_h0, build_hprime, kernel_propagate
 from looptl.lattice import (HexTorusLattice, SquareDiskLattice,
                             SquareTorusLattice, explore_component,
                             lattice_from_spec)
@@ -104,17 +106,38 @@ def test_hex_swap_preserves_walls():
     ("h0", lambda: HexTorusLattice(3, 3)),
 ])
 def test_moves_are_symmetric_and_loop_graded(model, make):
+    # the components of seeds that together cover every state
     lat = make()
-    for bits in range(1 << min(lat.nsites, 10)):
-        config = lat.config(bits)
-        la = lat.extract_walls(config).loops
-        for site, kind, partner, dexp in lat.local_moves(config, model):
-            lb = lat.extract_walls(partner).loops
-            assert lb - la == dexp
-            back = [(s, k, p, dx) for s, k, p, dx
-                    in lat.local_moves(partner, model)
-                    if p.bits == config.bits]
-            assert back and back[0][3] == -dexp
+    covered = set()
+    for bits in range(1 << lat.nsites):
+        if bits in covered:
+            continue
+        graph = explore_component(lat.config(bits), model)
+        covered.update(c.bits for c in graph.configs)
+        loops = [lat.extract_walls(c).loops for c in graph.configs]
+        edges = {(a, b, dexp) for a, b, dexp, _, _ in graph.edges}
+        for a, b, dexp, _, site in graph.edges:
+            assert graph.configs[a].bits ^ graph.configs[b].bits == 1 << site
+            assert loops[b] - loops[a] == dexp
+            assert (b, a, -dexp) in edges
+    assert len(covered) == 1 << lat.nsites
+
+
+@pytest.mark.parametrize("make,seeds", [
+    (lambda: build_hprime(SquareTorusLattice(2, 2), 2), [0, 0x96, 0xff]),
+    (lambda: build_hprime(SquareTorusLattice(3, 2), 2), [0, 5, 0x2a7]),
+    (lambda: build_h0(HexTorusLattice(3, 3), 2), [0, 0b101100, 0x1ff]),
+], ids=["hprime-2x2", "hprime-3x2", "h0-hex-3x3"])
+def test_components_match_ratio_propagation(make, seeds):
+    cs = make()
+    kb = kernel_propagate(cs)
+    for bits in seeds:
+        graph = explore_component(cs.lattice.config(bits), cs.model)
+        states = np.flatnonzero(kb.comp == kb.comp[bits])
+        assert [c.bits for c in graph.configs] == states.tolist()
+        assert graph.consistent
+        assert graph.potentials == (kb.pot[states]
+                                    - kb.pot[states[0]]).tolist()
 
 
 def test_staircase_frozen_2x2():
