@@ -14,7 +14,8 @@ import math
 from itertools import combinations
 
 from .errors import IndexOutOfRange, SignatureMismatch
-from .scalars import SpecialField, _padd, _pdivmod, _pmul, _trim
+from .scalars import (SpecialField, _padd, _pdivmod, _pmul, _trim,
+                      quantum_int)
 from .tlcat import Morphism, jones_wenzl
 from .structure import ideal_span
 
@@ -202,18 +203,11 @@ def even_sector_polynomial(ell):
 def jw_closure_coeffs(jmax):
     """Integer R-coefficients of the annular closures of p_0 .. p_jmax.
 
-    c_0 = 1, c_1 = R, c_{j+1} = R c_j - c_{j-1}: the closure of p_j is the
+    c_j is the quantum integer [j+1] read in R: the closure of p_j is the
     Chebyshev polynomial U_j(R/2) at every loop weight where p_j exists, so
     c_j(lambda) at lambda = 2 cos(t) is sin((j+1) t)/sin(t).
     """
-    out = [[1], [0, 1]]
-    while len(out) <= jmax:
-        prev, cur = out[-2], out[-1]
-        nxt = [0] + cur
-        for i, c in enumerate(prev):
-            nxt[i] -= c
-        out.append(nxt)
-    return out[:jmax + 1]
+    return [list(quantum_int(j + 1).num) for j in range(jmax + 1)]
 
 
 def _beta_coeffs(n, ell, convention):

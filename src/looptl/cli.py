@@ -80,6 +80,7 @@ def _json(obj):
 
 
 def _cmd_tl(args):
+    from .linalg import rank as exact_rank
     from .structure import catalan, radical_vectors, verify_ideal_theorem
     from .tlcat import enumerate_diagrams, gram_matrix, jones_wenzl
 
@@ -98,6 +99,7 @@ def _cmd_tl(args):
             raise ConfigInvalid("tl jw takes --backend generic or special, "
                                 "not %r" % args.backend)
         proj = jones_wenzl(args.k, backend=args.backend, ell=args.ell)
+        report["backend"] = args.backend
         report["k"] = args.k
         report["terms"] = {repr(diag): _scal(c)
                            for diag, c in proj.terms.items()}
@@ -105,9 +107,7 @@ def _cmd_tl(args):
         if args.ell is None:
             raise ConfigInvalid("gram needs --ell")
         _, g = gram_matrix(args.n, args.n, backend="special", ell=args.ell)
-        import numpy as np
-        mat = np.array([[float(x) for x in row] for row in g])
-        rank = int(np.linalg.matrix_rank(mat, tol=1e-9))
+        rank = exact_rank(g)
         buf = io.StringIO()
         writer = csv.writer(buf)
         for row in g:
@@ -225,7 +225,9 @@ def _cmd_lattice(args):
                            else "hprime")
     report = {"command": "lattice", "action": args.action,
               "lattice": lat.spec_dict(), "model": model}
+    build = ham.build_h0 if model == "h0" else ham.build_hprime
     if args.action == "build":
+        build(lat, 1)  # the model's lattice checks, which no level changes
         return report
     if args.action == "components":
         try:
@@ -241,18 +243,15 @@ def _cmd_lattice(args):
 
     if args.ell is None:
         raise ConfigInvalid("this action needs --ell")
-    cs = (ham.build_h0(lat, args.ell) if model == "h0"
-          else ham.build_hprime(lat, args.ell))
+    cs = build(lat, args.ell)
     if args.action == "kernel":
         kb = ham.kernel_propagate(cs)
+        ko = ham.kernel_dense(cs)
         report["kernel_dimension"] = kb.dimension
-        report["oracle_dimension"] = report["oracle_method"] = None
-        if cs.n_states <= ham.DENSE_STATE_CAP:
-            ko = ham.kernel_dense(cs)
-            report["oracle_dimension"] = ko.dimension
-            report["oracle_method"] = ko.method
-            if ko.dimension != kb.dimension:
-                raise OracleMismatch("kernel solvers disagree")
+        report["oracle_dimension"] = ko.dimension
+        report["oracle_method"] = ko.method
+        if ko.dimension != kb.dimension:
+            raise OracleMismatch("kernel solvers disagree")
     elif args.action == "joint-kernel":
         target = int(torus_dimension_estimate(args.ell, 1))
         skein = ham.compile_skein_instances(lat, args.ell)
@@ -359,7 +358,7 @@ def _cmd_verify(args):
 # ---------------------------------------------------------------------------
 
 
-def report_bundle(results, seed=None, backend=None, started=None):
+def report_bundle(results, seed=None, started=None):
     """Merge sub-reports into one JSON-ready summary."""
     flags = []
     for r in results:
@@ -369,8 +368,6 @@ def report_bundle(results, seed=None, backend=None, started=None):
         bundle["flags"] = flags
     if seed is not None:
         bundle["seed"] = seed
-    if backend is not None:
-        bundle["backend"] = backend
     if started is not None:
         bundle["wall_clock_seconds"] = time.time() - started
     return bundle
@@ -462,7 +459,6 @@ def main(argv=None):
         report = args.func(args)
         bundle = report_bundle([report],
                                seed=getattr(args, "seed", None),
-                               backend=getattr(args, "backend", None),
                                started=started)
         _emit(args, "report.json", _json(bundle))
         return EXIT_OK

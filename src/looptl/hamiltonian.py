@@ -33,8 +33,6 @@ from .scalars import (FieldElement, SpecialField, minimal_polynomial,
                       special_weight)
 from .tlcat import Morphism, compose, enumerate_diagrams, jones_wenzl
 
-DENSE_STATE_CAP = 300_000
-
 
 class Row:
     """One pattern-level constraint row.
@@ -495,9 +493,9 @@ def kernel_dense(cs):
         if len(row.terms) != 2:
             raise ConfigInvalid("the kernel oracle needs two-term rows")
     n = cs.n_states
-    if n > DENSE_STATE_CAP:
+    if n > ENUM_STATE_CAP:
         raise StateSpaceTooLarge(
-            "dense oracle capped at %d states" % DENSE_STATE_CAP)
+            "dense oracle capped at %d states" % ENUM_STATE_CAP)
     return KernelBasis(n - _modular_rank(cs), "modular-elimination")
 
 
@@ -506,42 +504,20 @@ def kernel_dense(cs):
 # ---------------------------------------------------------------------------
 
 
-def _kron(a, b):
-    out = [[None] * (len(a[0]) * len(b[0])) for _ in range(len(a) * len(b))]
-    for i, arow in enumerate(a):
-        for j, av in enumerate(arow):
-            for k, brow in enumerate(b):
-                for l, bv in enumerate(brow):
-                    out[i * len(b) + k][j * len(b[0]) + l] = av * bv
-    return out
-
-
 def pauli_expand_check(ell):
     """Whether the box (and dual-box) projector built from its defining
     vector equals its fourth-degree Pauli-matrix expansion, exactly.
 
     A set basis-index bit means that bond carries |->; the marked bond
     is the leading tensor factor.  sigma_z = diag(1, -1) in the
-    (|+>, |->) ordering.
+    (|+>, |->) ordering.  Matrices are numpy object arrays of field
+    elements, so kron and outer stay exact.
     """
     field = SpecialField(ell)
     one, zero, d = field.one, field.zero, field.delta
-    sz = [[one, zero], [zero, -one]]
-    sx = [[zero, one], [one, zero]]
-    ident = [[one, zero], [zero, one]]
-
-    def mat_scale(m, c):
-        return [[v * c for v in row] for row in m]
-
-    def mat_add(*ms):
-        out = ms[0]
-        for m in ms[1:]:
-            out = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(out, m)]
-        return out
-
-    def outer(vec):
-        return [[a * b for b in vec] for a in vec]
-
+    sz = np.array([[one, zero], [zero, -one]], dtype=object)
+    sx = np.array([[zero, one], [one, zero]], dtype=object)
+    ident = np.array([[one, zero], [zero, one]], dtype=object)
     q16 = one / field.element([16])
     q8d = one / (field.element([8]) * d)
     q16d2 = one / (field.element([16]) * d * d)
@@ -549,25 +525,23 @@ def pauli_expand_check(ell):
     for dual in (False, True):
         # defining vector: |3> (marked -, rest +) - (1/d)|4> (all +),
         # or |1^> (marked +, rest -) - (1/d)|0^> (all -)
-        v = [zero] * 16
+        v = np.full(16, zero, dtype=object)
         if not dual:
             v[0b1000] = one           # marked bond |->, rest |+>
             v[0b0000] = -(one / d)    # all |+>
         else:
             v[0b0111] = one           # marked bond |+>, rest |->
             v[0b1111] = -(one / d)    # all |->
-        proj = outer(v)
+        proj = np.outer(v, v)
 
         flip = -one if dual else one
-        head = mat_add(mat_scale(mat_add(ident, mat_scale(sz, -flip)), q16),
-                       mat_scale(sx, zero - q8d),
-                       mat_scale(mat_add(ident, mat_scale(sz, flip)), q16d2))
-        tail = mat_add(ident, mat_scale(sz, flip))
+        head = ((ident - sz * flip) * q16 - sx * q8d
+                + (ident + sz * flip) * q16d2)
+        tail = ident + sz * flip
         pauli = head
         for _ in range(3):
-            pauli = _kron(pauli, tail)
-        results.append(all(pauli[i][j] == proj[i][j]
-                           for i in range(16) for j in range(16)))
+            pauli = np.kron(pauli, tail)
+        results.append(bool((pauli == proj).all()))
     return all(results)
 
 

@@ -1,78 +1,99 @@
-"""Small exact linear-algebra helpers over duck-typed fields.
+"""Exact linear algebra over duck-typed fields: one echelon reducer.
 
-Matrices are lists of lists of scalars supporting +, -, *, /, bool
+Vectors are lists of scalars supporting +, -, *, /, == and bool
 (truthiness = nonzero).  Works for Fraction, RationalFunc and the
-special-field elements alike.
+special-field elements alike; each has canonical equality, so a reduced
+row echelon form can be compared entry by entry.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
+
+
+def _subtract(vec, f, row):
+    """vec - f * row."""
+    return [x - f * y if y else x for x, y in zip(vec, row)]
+
+
+class Echelon:
+    """Row echelon form of a growing set of rows.
+
+    rows[i] has a one in column pivots[i], zeros before it and zeros in
+    every pivot column that existed when it was added; pivots ascend.
+    reduced() back-substitutes once to the reduced row echelon form.
+    """
+
+    def __init__(self, rows=()):
+        self.pivots = []
+        self.rows = []
+        for row in rows:
+            self.add(row)
+
+    def reduce(self, vec):
+        """vec less the combination of rows that clears every pivot column."""
+        vec = list(vec)
+        for c, row in zip(self.pivots, self.rows):
+            f = vec[c]
+            if f:
+                vec = _subtract(vec, f, row)
+        return vec
+
+    def add(self, vec):
+        """Add vec's reduction as a new row; False if vec is in the span."""
+        vec = self.reduce(vec)
+        for c, x in enumerate(vec):
+            if x:
+                inv = 1 / x
+                k = bisect(self.pivots, c)
+                self.pivots.insert(k, c)
+                self.rows.insert(k, [y * inv if y else y for y in vec])
+                return True
+        return False
+
+    def reduced(self):
+        """Rows of the reduced row echelon form, in pivot order."""
+        rows = list(self.rows)
+        for i in reversed(range(len(rows))):
+            for j in range(i + 1, len(rows)):
+                f = rows[i][self.pivots[j]]
+                if f:
+                    rows[i] = _subtract(rows[i], f, rows[j])
+        return rows
+
 
 def rref(mat):
-    """Row-reduce in place-free fashion; returns (rows, pivot_columns)."""
-    rows = [list(r) for r in mat]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y if y else x
-                           for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+    """(nonzero rows of the reduced row echelon form, pivot columns)."""
+    ech = Echelon(mat)
+    return ech.reduced(), ech.pivots
 
 
 def rank(mat):
-    return len(rref(mat)[1])
+    return len(Echelon(mat).pivots)
 
 
-def nullspace(mat, zero, one):
-    """Basis of the right null space; vectors as lists of scalars."""
-    if not mat:
+def nullspace(mat):
+    """Basis of the right null space; vectors as lists of scalars.
+
+    Zero and one come from the entries' own type, as in scalars._pmul.
+    """
+    ncols = len(mat[0]) if mat else 0
+    if not ncols:
         return []
-    ncols = len(mat[0])
+    zero = mat[0][0] - mat[0][0]
+    one = zero + 1
     rows, pivots = rref(mat)
-    free = [c for c in range(ncols) if c not in pivots]
     out = []
-    for fc in free:
+    for fc in (c for c in range(ncols) if c not in pivots):
         vec = [zero] * ncols
         vec[fc] = one
-        for r, pc in enumerate(pivots):
-            vec[pc] = zero - rows[r][fc]
+        for row, pc in zip(rows, pivots):
+            vec[pc] = zero - row[fc]
         out.append(vec)
     return out
 
 
 def same_span(a, b):
-    """Whether two row collections span the same subspace.
-
-    One rref of a: every row of b must reduce to zero against its pivot
-    rows, and then b spans all of span(a) exactly when its coordinates on
-    those rows, its entries in the pivot columns, have full rank.
-    """
-    rows, pivots = rref(a)
-    for vec in b:
-        for row, pc in zip(rows, pivots):
-            f = vec[pc]
-            if f:
-                vec = [x - f * y if y else x for x, y in zip(vec, row)]
-        if any(vec):
-            return False
-    return rank([[vec[pc] for pc in pivots] for vec in b]) == len(pivots)
+    """Whether two row collections span the same subspace: the reduced
+    row echelon form depends only on the span."""
+    return rref(a) == rref(b)

@@ -9,6 +9,7 @@ them.
 from __future__ import annotations
 
 from .errors import MismatchAtGrade, SignatureMismatch
+from .linalg import Echelon
 from .scalars import SpecialField
 from .tlcat import (Morphism, cap_diagram, compose, cup_diagram,
                     enumerate_diagrams, jones_wenzl, radical_vectors)
@@ -54,13 +55,14 @@ def expectation_to_grade(a, n):
 # ---------------------------------------------------------------------------
 
 
-def ideal_span(gen, n, stop_at_dim=None):
+def ideal_span(gen, n):
     """Exact basis of span{ a (gen x 1_k) b } inside the grade-n algebra.
 
     gen is a square morphism at grade m <= n with n - m even.  The span is
     produced by closing the padded generator under left and right hook
     multiplication, which reaches every a (gen x 1_k) b with diagram a, b.
-    Returns (basis_vectors, diagram_basis); vectors are coefficient lists.
+    Returns (basis_vectors, diagram_basis): the rows of the linalg.Echelon
+    the closure fed, as coefficient lists in pivot order.
     """
     m = gen.m
     if gen.n != m:
@@ -74,53 +76,25 @@ def ideal_span(gen, n, stop_at_dim=None):
     basis = enumerate_diagrams(n, n)
     index = {diag: i for i, diag in enumerate(basis)}
     zero = d - d
-    one = d / d
 
-    pivots = []   # list of (col, vector) fully reduced rows
-    members = []  # morphisms whose vectors entered the span
-
-    def reduce_vec(vec):
-        vec = list(vec)
-        for col, pv in pivots:
-            if vec[col]:
-                f = vec[col]
-                vec = [x - f * y if y else x for x, y in zip(vec, pv)]
-        return vec
-
-    def try_add(mor):
+    def vector(mor):
         vec = [zero] * len(basis)
         for diag, c in mor.terms.items():
-            vec[index[diag]] = vec[index[diag]] + c
-        vec = reduce_vec(vec)
-        for col in range(len(basis)):
-            if vec[col]:
-                inv = one / vec[col]
-                vec = [x * inv for x in vec]
-                pivots.append((col, vec))
-                pivots.sort(key=lambda t: t[0])
-                members.append(mor)
-                return True
-        return False
+            vec[index[diag]] += c
+        return vec
 
+    ech = Echelon([vector(q)])
     frontier = [q]
-    try_add(q)
     hooks = [Morphism.hook(n, i, d) for i in range(n - 1)]
     while frontier:
         nxt = []
         for v in frontier:
-            if stop_at_dim is not None and len(pivots) >= stop_at_dim:
-                frontier = []
-                nxt = []
-                break
             for h in hooks:
                 for prod in (compose(v, h), compose(h, v)):
-                    if try_add(prod):
+                    if ech.add(vector(prod)):
                         nxt.append(prod)
         frontier = nxt
-    vecs = []
-    for _, pv in pivots:
-        vecs.append(pv)
-    return vecs, basis
+    return ech.rows, basis
 
 
 def verify_ideal_theorem(ell, n_max):

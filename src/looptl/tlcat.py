@@ -618,9 +618,8 @@ def gram_matrix(m, n, backend="generic", ell=None, d_value=None):
 def radical_vectors(n, ell):
     """Radical of the Markov pairing at grade n and the level-ell special
     weight: (exact null vectors, diagram basis, Gram matrix)."""
-    field = SpecialField(ell)
     basis, mat = gram_matrix(n, n, "special", ell)
-    return nullspace(mat, field.zero, field.one), basis, mat
+    return nullspace(mat), basis, mat
 
 
 def radical_basis(n, ell):

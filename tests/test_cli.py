@@ -51,6 +51,23 @@ def test_tl_gram_corank(capsys, tmp_path):
     assert rep["corank"] == 1
 
 
+@pytest.mark.parametrize("argv,backend", [
+    (("tl", "jw", "--k", "3"), "generic"),
+    (("tl", "jw", "--backend", "special", "--ell", "2", "--k", "3"),
+     "special"),
+    (("tl", "diagrams", "--n", "3"), None),
+    (("tl", "gram", "--n", "3", "--ell", "2"), None),
+    (("tl", "radical", "--n", "3", "--ell", "2"), None),
+    (("tl", "ideal", "--ell", "2", "--nmax", "3"), None),
+], ids=["jw-generic", "jw-special", "diagrams", "gram", "radical", "ideal"])
+def test_only_tl_jw_reports_a_backend(capsys, tmp_path, argv, backend):
+    code, _, _ = _run(capsys, "--out", str(tmp_path), *argv)
+    assert code == EXIT_OK
+    bundle = json.loads((tmp_path / "report.json").read_text())
+    assert "backend" not in bundle
+    assert bundle["results"][0].get("backend") == backend
+
+
 def test_table_fig02(capsys):
     code, out, _ = _run(capsys, "table", "fig02", "--ellmax", "3")
     assert code == EXIT_OK
@@ -151,9 +168,12 @@ def test_bad_input_is_config_error(capsys, argv):
     ("lattice", "components", "--spec", "{disk}"),
     ("lattice", "kernel", "--torus", "1x2", "--ell", "2"),
     ("lattice", "components", "--torus", "1x3"),
+    ("lattice", "build", "--torus", "1x2"),
+    ("lattice", "build", "--spec", "{disk}"),
 ], ids=["joint-kernel-hex", "hprime-hex", "missing-spec", "missing-config",
         "malformed-spec", "spec-without-w", "spec-string-w", "spec-list",
-        "config-list", "disk-components", "kernel-1x2", "components-1x3"])
+        "config-list", "disk-components", "kernel-1x2", "components-1x3",
+        "build-1x2", "disk-build"])
 def test_unusable_lattice_or_file_is_config_error(capsys, tmp_path, argv):
     paths = {"missing": tmp_path / "missing.json"}
     for name, text in [("malformed", '{"kind": "square-torus", "w": '),

@@ -14,7 +14,8 @@ from looptl.hamiltonian import (ConstraintSystem, Row, _coeff_mod,
                                 joint_kernel, joint_vectors_dense,
                                 kernel_dense, kernel_propagate,
                                 pauli_expand_check, uniform_state_energy)
-from looptl.lattice import HexTorusLattice, SquareTorusLattice, census
+from looptl.lattice import (ENUM_STATE_CAP, HexTorusLattice,
+                            SquareTorusLattice, census)
 from looptl.scalars import SpecialField, minimal_polynomial
 
 
@@ -77,6 +78,12 @@ def test_state_space_cap():
     cs = build_hprime(lat, 1)
     with pytest.raises(StateSpaceTooLarge):
         kernel_dense(cs)
+
+
+def test_kernel_oracle_runs_up_to_the_state_cap():
+    cs = build_hprime(SquareTorusLattice(5, 2), 2)
+    assert cs.n_states == ENUM_STATE_CAP
+    assert kernel_dense(cs).dimension == kernel_propagate(cs).dimension == 13
 
 
 @pytest.mark.parametrize("size", [2, 3], ids=["2x2", "3x3"])
