@@ -108,16 +108,18 @@ def _cmd_tl(args):
             raise ConfigInvalid("gram needs --ell")
         _, g = gram_matrix(args.n, args.n, backend="special", ell=args.ell)
         rank = exact_rank(g)
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        for row in g:
-            writer.writerow([_scal(x) for x in row])
+        matrix = [[_scal(x) for x in row] for row in g]
         report["n"] = args.n
         report["size"] = len(g)
         report["rank"] = rank
         report["corank"] = len(g) - rank
-        report["csv"] = _emit(args, "gram_n%d_ell%d.csv" % (args.n, args.ell),
-                              buf.getvalue(), kind="csv")
+        report["matrix"] = matrix
+        if args.out:
+            buf = io.StringIO()
+            csv.writer(buf).writerows(matrix)
+            report["csv"] = _emit(args, "gram_n%d_ell%d.csv"
+                                  % (args.n, args.ell), buf.getvalue(),
+                                  kind="csv")
     elif args.action == "radical":
         if args.ell is None:
             raise ConfigInvalid("radical needs --ell")
@@ -268,14 +270,15 @@ def _cmd_lattice(args):
 
 
 def _census_info(lat, cached_before):
-    """States, build seconds and prior caching of the lattice census,
-    or zeros when the command did not need it."""
+    """States, symmetry orbits tabulated, build seconds and prior
+    caching of the lattice census, or zeros when the command did not
+    need it."""
     from .lattice import census, census_cached
     if not census_cached(lat):
-        return {"states": 0, "seconds": 0.0, "cached": False}
+        return {"states": 0, "orbits": 0, "seconds": 0.0, "cached": False}
     cen = census(lat)
-    return {"states": cen.states, "seconds": cen.seconds,
-            "cached": cached_before}
+    return {"states": cen.states, "orbits": cen.orbits,
+            "seconds": cen.seconds, "cached": cached_before}
 
 
 def _cmd_gas(args):

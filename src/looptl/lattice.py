@@ -542,13 +542,15 @@ class StateCensus:
 
     Each name of CENSUS_FIELDS is a uint8 array of length 2^nsites;
     plus_edges and minus_edges are E and E*, the |+> and |-> edges.
+    ``orbits`` is the number of symmetry orbits, the states tabulated;
     ``seconds`` is the time the build took.
     """
 
-    def __init__(self, columns, seconds):
+    def __init__(self, columns, orbits, seconds):
         for name in CENSUS_FIELDS:
             setattr(self, name, columns[name])
         self.states = len(self.clusters)
+        self.orbits = orbits
         self.seconds = seconds
 
 
@@ -571,10 +573,13 @@ def census(lat):
     StateSpaceTooLarge, before allocating anything, when 2^N exceeds
     ENUM_STATE_CAP.
 
-    Every lattice is tabulated by the numpy kernels of torus_census
-    over chunks of CENSUS_CHUNK states; tabulate_by_walls, one
-    extract_walls call per state, is the reference they are tested
-    against.
+    Every count is invariant under the lattice's symmetry group (the
+    translations of a torus, the identity on a disk), so only the least
+    state of each orbit (torus_census.canonical_states) is tabulated, by
+    the numpy kernels of torus_census over chunks of CENSUS_CHUNK
+    states, and each state reads the row of its representative.
+    tabulate_by_walls, one extract_walls call per state, is the
+    reference the census is tested against.
     """
     key = _spec_key(lat)
     hit = _CENSUS_CACHE.get(key)
@@ -584,15 +589,22 @@ def census(lat):
     if n > ENUM_STATE_CAP:
         raise StateSpaceTooLarge("enumeration capped at %d states"
                                  % ENUM_STATE_CAP)
-    from .torus_census import tabulate_states
+    from .torus_census import canonical_states, tabulate_states
     t0 = time.perf_counter()
     columns = {name: np.empty(n, np.uint8) for name in CENSUS_FIELDS}
-    for start in range(0, n, CENSUS_CHUNK):
-        states = np.arange(start, min(n, start + CENSUS_CHUNK),
-                           dtype=np.int64)
-        for name, col in tabulate_states(lat, states).items():
-            columns[name][start:start + len(states)] = col
-    result = StateCensus(columns, time.perf_counter() - t0)
+    reps = np.concatenate([states[canon == states]
+                           for states, canon in canonical_states(lat)])
+    for start in range(0, len(reps), CENSUS_CHUNK):
+        chunk = reps[start:start + CENSUS_CHUNK]
+        for name, col in tabulate_states(lat, chunk).items():
+            columns[name][chunk] = col
+    # every state reads its representative's row; the blocks are walked
+    # again so that no index array is of size 2^N
+    for states, canon in canonical_states(lat):
+        block = slice(states[0], states[-1] + 1)
+        for col in columns.values():
+            col[block] = col[canon]
+    result = StateCensus(columns, len(reps), time.perf_counter() - t0)
     _CENSUS_CACHE[key] = result
     return result
 

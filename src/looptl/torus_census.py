@@ -7,6 +7,12 @@ loop and essential-loop counts (pointer doubling over an oriented
 medial-lattice walk, as in Baxter, Kelland and Wu, J. Phys. A 9, 1976,
 on which each loop is one cycle) and E and E*.
 
+Every count is a graph invariant of the lattice, so a state and its
+images under the lattice's symmetry group share one census row: the
+w*h translations on a torus, the identity alone on a disk.
+canonical_states maps each state to the least state of its orbit, and
+lattice.census tabulates only those representatives.
+
 The square torus is tabulated from its own tables, built here from the
 mid-lattice port pairing and sharing no code with extract_walls.  The
 disk and the hex torus read the static tables of their extract_walls.
@@ -20,7 +26,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .lattice import (SquareDiskLattice, SquareTorusLattice,
+from .lattice import (HexTorusLattice, SquareDiskLattice, SquareTorusLattice,
                       _disk_cluster_tables, _hex_cluster_tables)
 
 # port indices on a mid-lattice vertex (a bond midpoint)
@@ -46,9 +52,11 @@ _PAIRING = {
 # every entry lies on a wall, else (tail, head) keys, the entry lying on
 # a wall when tail is |+> and head |->.  A node keyed by `sites` is a
 # vertex of the primal graph only when |+>, and of the dual one only
-# when |->; `outer` dual nodes are never counted.
-_CensusTables = namedtuple("_CensusTables",
-                           "fixed edge_keys primal dual walk sites outer")
+# when |->; `outer` dual nodes are never counted.  symmetry holds one
+# site permutation per row, the identity first: state bit s moves to
+# bit symmetry[g][s], and every census count stays the same.
+_CensusTables = namedtuple("_CensusTables", "fixed edge_keys primal dual "
+                           "walk sites outer symmetry")
 
 
 def tabulate_states(lat, states):
@@ -76,6 +84,48 @@ def tabulate_states(lat, states):
     out["dual_clusters"] = dual - on.sum(0, dtype=np.uint8) - t.outer
     out["loops"], out["essential_loops"] = _loop_cycles_batch(spins, t.walk)
     return out
+
+
+# sites per lookup table, and values of the top chunk per block, of
+# canonical_states
+_CHUNK_BITS = 10
+_BLOCK_ROWS = 16
+
+
+def canonical_states(lat):
+    """Least state of the symmetry orbit of every state, block by block.
+
+    Yields (states, canon) for consecutive blocks of the states 0 to
+    2^N - 1 (N <= 30), as int32 arrays: canon[k] is the least state in
+    the orbit of states[k].  Writing x = sum_c x_c 2^(10c) by bit
+    chunks, the image of x under a site permutation is the OR over c of
+    table_c[x_c], where table_c maps a chunk to its permuted bits; over
+    a block of top-chunk values that is an outer OR of the tables.  The
+    blocks keep every array far below 2^N entries.
+    """
+    n = lat.nsites
+    low_bits = (n - 1) // _CHUNK_BITS * _CHUNK_BITS
+    images = []
+    for perm in _TABLES[lat.kind](lat).symmetry[1:]:
+        tables = []
+        for lo in range(0, n, _CHUNK_BITS):
+            hi = min(n, lo + _CHUNK_BITS)
+            bits = (np.arange(1 << (hi - lo))[:, None]
+                    >> np.arange(hi - lo)) & 1
+            tables.append((bits @ (1 << perm[lo:hi])).astype(np.int32))
+        *low, top = tables
+        images.append((top, functools.reduce(np.bitwise_or.outer,
+                                             reversed(low),
+                                             np.int32(0)).ravel()))
+    width = 1 << low_bits
+    for r in range(0, (1 << n) // width, _BLOCK_ROWS):
+        states = np.arange(r * width, min(1 << n, (r + _BLOCK_ROWS) * width),
+                           dtype=np.int32)
+        canon = states.copy()
+        rows = canon.reshape(-1, width)
+        for top, rest in images:
+            np.minimum(rows, top[r:r + _BLOCK_ROWS, None] | rest, out=rows)
+        yield states, canon
 
 
 def _midpoint(lat, site):
@@ -141,9 +191,12 @@ def _torus_tables(w, h):
             steps.append((sx, sy))
     sites = np.arange(lat.nsites)
     walk = (np.array(nxt), *np.array(steps).T, np.repeat(sites, 2), None)
+    coords = [lat.bond_coords(site) for site in sites]
+    shifts = [[lat.bond_index(o, i + a, j + b) for o, i, j in coords]
+              for b in range(h) for a in range(w)]
     return _CensusTables((), (sites, sites), _TorusGraph(primal, w * h),
                          _TorusGraph(dual, w * h), walk,
-                         np.empty(0, int), 0)
+                         np.empty(0, int), 0, np.array(shifts))
 
 
 @functools.cache
@@ -152,10 +205,11 @@ def _disk_tables(w, h, boundary_plus):
     (lattice._disk_cluster_tables); the outer face is never counted."""
     primal, dual, walk = _disk_cluster_tables(w, h)
     bonds = np.arange(len(walk.key) // 2)
-    fixed = (boundary_plus,) * (len(bonds) - SquareDiskLattice(w, h).nsites)
+    nsites = SquareDiskLattice(w, h).nsites
+    fixed = (boundary_plus,) * (len(bonds) - nsites)
     return _CensusTables(fixed, (bonds, bonds), _graph_of(primal),
                          _graph_of(dual), _walk_arrays(walk, None),
-                         np.empty(0, int), 1)
+                         np.empty(0, int), 1, np.arange(nsites)[None])
 
 
 @functools.cache
@@ -163,11 +217,16 @@ def _hex_tables(w, h):
     """Census tables of the w x h hex torus, read from extract_walls'
     own (lattice._hex_cluster_tables).  Both graphs are the triangular
     lattice, whose nodes are the sites."""
+    lat = HexTorusLattice(w, h)
     incident, ends, walk = _hex_cluster_tables(w, h)
     graph = _graph_of(incident)
     wall = (np.array(walk.tail), np.array(walk.head))
+    coords = [lat.site_coords(site) for site in range(lat.nsites)]
+    shifts = [[lat.site_index(i + a, j + b) for i, j in coords]
+              for b in range(h) for a in range(w)]
     return _CensusTables((), tuple(np.array(ends).T), graph, graph,
-                         _walk_arrays(walk, wall), np.arange(w * h), 0)
+                         _walk_arrays(walk, wall), np.arange(w * h), 0,
+                         np.array(shifts))
 
 
 _TABLES = {

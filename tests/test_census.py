@@ -11,7 +11,7 @@ from looptl.errors import StateSpaceTooLarge
 from looptl.lattice import (CENSUS_FIELDS, ENUM_STATE_CAP, HexTorusLattice,
                             SquareDiskLattice, SquareTorusLattice, census,
                             tabulate_by_walls)
-from looptl.torus_census import tabulate_states
+from looptl.torus_census import _TABLES, tabulate_states
 
 
 def _assert_columns_equal(got, want):
@@ -78,6 +78,73 @@ def test_disk_and_hex_census_matches_extract_walls(lat, sample):
     _assert_columns_equal({name: getattr(cen, name)[states]
                            for name in CENSUS_FIELDS},
                           tabulate_by_walls(lat, states))
+
+
+def _symmetry(lat):
+    return _TABLES[lat.kind](lat).symmetry
+
+
+def _cycles(perm):
+    seen, count = set(), 0
+    for start in range(len(perm)):
+        count += start not in seen
+        while start not in seen:
+            seen.add(start)
+            start = perm[start]
+    return count
+
+
+@pytest.mark.parametrize("lat,orbits", [
+    (SquareTorusLattice(3, 3), 29184), (SquareTorusLattice(3, 2), 700),
+    (HexTorusLattice(4, 4), 4156), (HexTorusLattice(3, 4), 352),
+    (SquareDiskLattice(3, 3), 4096),
+], ids=["3x3", "3x2", "hex-4x4", "hex-3x4", "disk-3x3"])
+def test_orbit_count_is_burnside_count(lat, orbits):
+    group = _symmetry(lat)
+    assert len({tuple(g) for g in group}) == len(group)
+    assert all(sorted(g) == list(range(lat.nsites)) for g in group)
+    # Burnside: orbits = (1/|G|) sum over g of 2^(cycles of g)
+    fixed = sum(1 << _cycles(g) for g in group)
+    assert fixed == orbits * len(group)
+    assert census(lat).orbits == orbits
+
+
+@pytest.mark.parametrize("lat", [
+    SquareTorusLattice(1, 1), SquareTorusLattice(1, 2),
+    SquareTorusLattice(2, 1), SquareTorusLattice(2, 2),
+    SquareTorusLattice(2, 3), SquareTorusLattice(3, 2),
+    HexTorusLattice(3, 3), HexTorusLattice(3, 4),
+    SquareDiskLattice(2, 3), SquareDiskLattice(2, 2, boundary_plus=True),
+    SquareDiskLattice(3, 3), SquareDiskLattice(3, 3, boundary_plus=True),
+    SquareDiskLattice(3, 4, boundary_plus=True),
+], ids=["1x1", "1x2", "2x1", "2x2", "2x3", "3x2", "hex-3x3", "hex-3x4",
+        "disk-2x3-minus", "disk-2x2-plus", "disk-3x3-minus",
+        "disk-3x3-plus", "disk-3x4-plus"])
+def test_census_through_orbits_matches_every_state(lat):
+    cen = census(lat)
+    chunks = [tabulate_states(lat, np.arange(lo, min(lo + 4096, cen.states)))
+              for lo in range(0, cen.states, 4096)]
+    for name in CENSUS_FIELDS:
+        want = np.concatenate([chunk[name] for chunk in chunks])
+        assert getattr(cen, name).tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("lat", [
+    SquareTorusLattice(4, 4), SquareTorusLattice(5, 3), HexTorusLattice(5, 5),
+], ids=["4x4", "5x3", "hex-5x5"])
+def test_walls_are_invariant_under_the_census_symmetries(lat):
+    # the census reads one row per orbit; the per-state oracle must give
+    # every translate of a state the counts of the state itself
+    states = np.random.default_rng(20261021).integers(0, 1 << lat.nsites,
+                                                      100)
+    want = tabulate_by_walls(lat, states)
+    bits = (states[:, None] >> np.arange(lat.nsites)) & 1
+    group = _symmetry(lat)
+    assert len(group) == lat.w * lat.h
+    for perm in group[1:]:
+        images = (bits << perm).sum(1)
+        assert not np.array_equal(images, states)
+        _assert_columns_equal(tabulate_by_walls(lat, images), want)
 
 
 def test_cap_raises_before_allocating():

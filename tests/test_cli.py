@@ -49,6 +49,23 @@ def test_tl_gram_corank(capsys, tmp_path):
     assert code == EXIT_OK
     rep = json.loads((tmp_path / "report.json").read_text())["results"][0]
     assert rep["corank"] == 1
+    csv_rows = (tmp_path / "gram_n3_ell2.csv").read_text().splitlines()
+    assert rep["csv"] == str(tmp_path / "gram_n3_ell2.csv")
+    assert csv_rows == [",".join(row) for row in rep["matrix"]]
+
+
+@pytest.mark.parametrize("n,ell,size,rank", [(0, 1, 1, 1), (3, 2, 5, 4)])
+def test_tl_gram_stdout_is_one_json_report(capsys, n, ell, size, rank):
+    code, out, _ = _run(capsys, "tl", "gram", "--n", str(n),
+                        "--ell", str(ell))
+    assert code == EXIT_OK
+    rep = json.loads(out)["results"][0]
+    assert (rep["size"], rep["rank"]) == (size, rank)
+    assert "csv" not in rep
+    matrix = rep["matrix"]
+    assert len(matrix) == size and all(len(row) == size for row in matrix)
+    assert all(isinstance(x, str) for row in matrix for x in row)
+    assert matrix == [list(row) for row in zip(*matrix)]
 
 
 @pytest.mark.parametrize("argv,backend", [
@@ -270,6 +287,8 @@ def test_gas_reports_carry_census(capsys):
     assert code == EXIT_OK
     info = json.loads(out)["results"][0]["census"]
     assert info["states"] == 256 and info["seconds"] >= 0.0
+    # the 2x2 torus's 256 states fall into 76 translation orbits
+    assert info["orbits"] == 76
     assert isinstance(info["cached"], bool)
     # the census of the 2x2 torus is now cached in this process
     code, out, _ = _run(capsys, "gas", "sample", "--torus", "2x2",
@@ -282,7 +301,8 @@ def test_gas_reports_carry_census(capsys):
                         "--sweeps", "2")
     assert code == EXIT_OK
     info = json.loads(out)["results"][0]["census"]
-    assert info == {"states": 0, "seconds": 0.0, "cached": False}
+    assert info == {"states": 0, "orbits": 0, "seconds": 0.0,
+                    "cached": False}
 
 
 @pytest.mark.parametrize("argv", [
