@@ -14,7 +14,7 @@ import math
 from itertools import combinations
 
 from .errors import IndexOutOfRange, SignatureMismatch
-from .scalars import (SpecialField, _padd, _pdivmod, _pmul, _trim,
+from .scalars import (SpecialField, _padd, _pdivmod, _pmul, _trim, chebyshev,
                       quantum_int)
 from .tlcat import Morphism, jones_wenzl
 from .structure import ideal_span
@@ -173,24 +173,14 @@ def eigenvalue_family(ell):
     return sorted(vals)
 
 
-def _two_cos(field, jmax):
-    """2 cos(j pi/(ell+2)) for j = 0..jmax, exactly in Q(delta).
-
-    Each is an integer polynomial in delta by the Chebyshev recursion
-    2cos((j+1)t) = 2cos(t) 2cos(jt) - 2cos((j-1)t).
-    """
-    out = [field.one + field.one, field.delta]
-    while len(out) <= jmax:
-        out.append(field.delta * out[-1] - out[-2])
-    return out
-
-
 def even_sector_polynomial(ell):
     """prod over even labels p of (R - lambda_p), exactly over Q(delta),
-    with lambda_p = 2 cos((p+1) pi/(ell+2))."""
+    with lambda_p = 2 cos((p+1) pi/(ell+2)), an integer polynomial in delta
+    by the Chebyshev recurrence."""
     field = SpecialField(ell)
     poly = [field.one]
-    for lam in _two_cos(field, ell + 1)[1::2]:
+    two_cos = chebyshev(field.delta, 2 * field.one, field.delta, ell + 1)
+    for lam in two_cos[1::2]:
         poly = _pmul(poly, [-lam, field.one])
     return RPolynomial(poly)
 
@@ -230,10 +220,8 @@ def _beta_coeffs(n, ell, convention):
     if m % k == 0:
         return []
     field = SpecialField(ell)
-    t = _two_cos(field, m)[m]
-    u = [field.zero, field.one]             # U_{-1}, U_0, U_1, ...
-    while len(u) <= k + 1:
-        u.append(t * u[-1] - u[-2])
+    t = chebyshev(field.delta, 2 * field.one, field.delta, m)[m]
+    u = chebyshev(t, field.zero, field.one, k + 1)   # U_{-1}, U_0, U_1, ...
     beta = []
     for x, c in enumerate(jw_closure_coeffs(k)[::2]):
         beta = _padd(beta, [u[2 * x + shift] * ci for ci in c])

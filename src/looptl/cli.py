@@ -5,6 +5,8 @@ violation (a failed internal consistency check, such as the sampler's
 cluster-count drift check), 5 oracle mismatch, 6 internal error (any
 other exception).  Past argument parsing, every error is one JSON
 object on stderr; argparse itself prints its usage message (exit 2).
+A reader that closes stdout early ends the run with exit 0 and nothing
+on stderr.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 
@@ -60,7 +63,6 @@ def _parse_torus(text):
 def _emit(args, name, payload, kind="json"):
     """Write an artifact to the output directory or stdout."""
     if getattr(args, "out", None):
-        import os
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, name)
         with open(path, "w") as fh:
@@ -170,27 +172,31 @@ def _cmd_annulus(args):
 
 
 def _cmd_table(args):
-    from .modular import level_table_csv, s_matrix
+    from .modular import level_rows, level_table_csv, s_matrix
 
     report = {"command": "table", "action": args.action}
     if args.action == "fig02":
         if args.ellmax < 1:
             raise ConfigInvalid("fig02 needs --ellmax >= 1")
-        payload = level_table_csv(args.ellmax)
-        report["csv"] = _emit(args, "levels.csv", payload, kind="csv")
         report["ell_max"] = args.ellmax
+        report["levels"] = level_rows(args.ellmax)
+        if args.out:
+            report["csv"] = _emit(args, "levels.csv",
+                                  level_table_csv(args.ellmax), kind="csv")
     elif args.action == "smatrix":
         if args.ell is None:
             raise ConfigInvalid("smatrix needs --ell")
         if args.ell < 1:
             raise ConfigInvalid("smatrix needs --ell >= 1")
         mat = s_matrix(args.ell)
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        for row in mat:
-            writer.writerow(["%.12g" % x for x in row])
-        report["csv"] = _emit(args, "smatrix_ell%d.csv" % args.ell,
-                              buf.getvalue(), kind="csv")
+        report["matrix"] = mat.tolist()
+        if args.out:
+            buf = io.StringIO()
+            writer = csv.writer(buf)
+            for row in mat:
+                writer.writerow(["%.12g" % x for x in row])
+            report["csv"] = _emit(args, "smatrix_ell%d.csv" % args.ell,
+                                  buf.getvalue(), kind="csv")
     else:
         raise ConfigInvalid("unknown table action %r" % args.action)
     return report
@@ -463,7 +469,15 @@ def main(argv=None):
         bundle = report_bundle([report],
                                seed=getattr(args, "seed", None),
                                started=started)
-        _emit(args, "report.json", _json(bundle))
+        try:
+            _emit(args, "report.json", _json(bundle))
+            # a closed stdout fails here, not in the flush at exit
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed stdout (`looptl ... | head`): no one is
+            # left to report to, so exit quietly, and give stdout somewhere
+            # to flush what it still holds when the interpreter exits
+            sys.stdout = open(os.devnull, "w")
         return EXIT_OK
     except _CONFIG_ERRORS as exc:
         _fail("config", exc)

@@ -109,13 +109,24 @@ def level_table(ell_max):
     return [LevelData(ell) for ell in range(1, ell_max + 1)]
 
 
+LEVEL_COLUMNS = ("ell", "label_count", "color_reversing_count",
+                 "specific_heat", "even_restriction_rank", "theory_singular")
+
+
+def level_rows(ell_max):
+    """One dict per level 1..ell_max, keyed by LEVEL_COLUMNS; the values
+    are the cells of level_table_csv (theory_singular is "yes" or "no")."""
+    return [dict(zip(LEVEL_COLUMNS, (
+        ld.ell, ld.label_count, ld.color_reversing_count, ld.specific_heat,
+        ld.even_rank, "yes" if ld.theory_singular else "no")))
+        for ld in level_table(ell_max)]
+
+
 def level_table_csv(ell_max):
-    lines = ["ell,label_count,color_reversing_count,specific_heat,"
-             "even_restriction_rank,theory_singular"]
-    for ld in level_table(ell_max):
-        lines.append(f"{ld.ell},{ld.label_count},{ld.color_reversing_count},"
-                     f"{ld.specific_heat},{ld.even_rank},"
-                     f"{'yes' if ld.theory_singular else 'no'}")
+    """level_rows(ell_max) as CSV text under one header line."""
+    lines = [",".join(LEVEL_COLUMNS)]
+    for row in level_rows(ell_max):
+        lines.append(",".join(str(v) for v in row.values()))
     return "\n".join(lines) + "\n"
 
 

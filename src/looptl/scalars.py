@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import ConfigInvalid, PoleAtSpecialValue
 
@@ -34,12 +33,6 @@ def _trim(c):
 def _padd(a, b):
     n = max(len(a), len(b))
     return _trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                  for i in range(n)])
-
-
-def _psub(a, b):
-    n = max(len(a), len(b))
-    return _trim([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
                   for i in range(n)])
 
 
@@ -150,11 +143,28 @@ def _pgcd(a, b):
     return g or [1]
 
 
-def _peval_float(a, x):
-    acc = 0.0
+def _horner(a, x, zero):
+    """The value of sum_k a[k] x^k by Horner's rule, accumulated from zero
+    (0.0 for a float value, the field's zero for an exact one)."""
+    acc = zero
     for c in reversed(a):
         acc = acc * x + c
     return acc
+
+
+def chebyshev(t, x0, x1, n):
+    """[x_0, ..., x_n] for the three-term recurrence x_{j+1} = t x_j - x_{j-1}.
+
+    With x0 = 0, x1 = 1 the x_j are the quantum integers [j] at loop weight
+    t, U_{j-1}(t/2); with x0 = 2, x1 = t = 2cos(theta) they are
+    2cos(j theta) = 2 T_j(t/2).
+    """
+    if n < 0:
+        raise ValueError(f"recurrence index {n} is negative")
+    out = [x0, x1]
+    for _ in range(n - 1):
+        out.append(t * out[-1] - out[-2])
+    return out[:n + 1]
 
 
 def _pstr(a, var="d"):
@@ -312,8 +322,7 @@ class RationalFunc:
     # -- evaluation ---------------------------------------------------------
 
     def eval_float(self, d):
-        den = _peval_float(self.den, d)
-        return _peval_float(self.num, d) / den
+        return _horner(self.num, d, 0.0) / _horner(self.den, d, 0.0)
 
 
 D_GENERIC = RationalFunc([0, 1])
@@ -321,16 +330,9 @@ ONE = RationalFunc(1)
 ZERO = RationalFunc(0)
 
 
-@lru_cache(maxsize=None)
 def quantum_int(m):
     """Quantum integer [m] as a polynomial in the loop weight."""
-    if m < 0:
-        raise ValueError("quantum integer index must be nonnegative")
-    if m == 0:
-        return ZERO
-    if m == 1:
-        return ONE
-    return D_GENERIC * quantum_int(m - 1) - quantum_int(m - 2)
+    return chebyshev(D_GENERIC, ZERO, ONE, m)[m]
 
 
 # ---------------------------------------------------------------------------
@@ -355,12 +357,10 @@ def minimal_polynomial(ell):
     half = n // 2
     # phi is palindromic; rewrite z^(-half) * phi(z) in y = z + 1/z using
     # z^k + z^(-k) = C_k(y), C_0 = 2, C_1 = y, C_k = y C_{k-1} - C_{k-2}.
-    cheb = [[2], [0, 1]]
-    for _ in range(2, half + 1):
-        cheb.append(_psub(_pmul([0, 1], cheb[-1]), cheb[-2]))
+    cheb = chebyshev(D_GENERIC, RationalFunc(2), D_GENERIC, half)
     out = [phi[half]]
     for k in range(1, half + 1):
-        out = _padd(out, [phi[half + k] * c for c in cheb[k]])
+        out = _padd(out, [phi[half + k] * c for c in cheb[k].num])
     return out
 
 
@@ -428,12 +428,7 @@ class SpecialField:
         return self.element([0, 1])
 
     def quantum_int(self, m):
-        a, b = self.zero, self.one  # [0], [1]
-        if m == 0:
-            return a
-        for _ in range(m - 1):
-            a, b = b, self.delta * b - a
-        return b
+        return chebyshev(self.delta, self.zero, self.one, m)[m]
 
     def __repr__(self):
         return f"SpecialField(ell={self.ell})"
@@ -583,8 +578,8 @@ class FieldElement:
 
     def __float__(self):
         # int / int is correctly rounded, as float(Fraction) is
-        return _peval_float([x / self.den for x in self.num],
-                            self.field.delta_float)
+        return _horner([x / self.den for x in self.num],
+                       self.field.delta_float, 0.0)
 
     def __repr__(self):
         return _pstr(self.coeffs, var="delta") \
@@ -604,17 +599,11 @@ def specialize(x, ell):
     field = SpecialField(ell)
     if isinstance(x, (int, Fraction)):
         return field.element([x])
-    delta = field.delta
-    den = field.zero
-    for c in reversed(x.den):
-        den = den * delta + field.element([c])
+    den = _horner(x.den, field.delta, field.zero)
     if not den:
         raise PoleAtSpecialValue(
             f"denominator {_pstr(list(x.den))} vanishes at level {ell}")
-    num = field.zero
-    for c in reversed(x.num):
-        num = num * delta + field.element([c])
-    return num * den.inverse()
+    return _horner(x.num, field.delta, field.zero) * den.inverse()
 
 
 def to_float(x, d=None):
@@ -623,10 +612,6 @@ def to_float(x, d=None):
         if d is None:
             raise ValueError("generic scalar needs a numeric loop weight")
         return x.eval_float(d)
-    if isinstance(x, FieldElement):
-        return float(x)
-    if isinstance(x, Fraction):
-        return float(x)
     return float(x)
 
 

@@ -11,13 +11,9 @@ from __future__ import annotations
 from .errors import MismatchAtGrade, SignatureMismatch
 from .linalg import Echelon
 from .scalars import SpecialField
-from .tlcat import (Morphism, cap_diagram, compose, cup_diagram,
-                    enumerate_diagrams, jones_wenzl, radical_vectors)
-
-
-def catalan(k):
-    from math import comb
-    return comb(2 * k, k) // (k + 1)
+from .tlcat import (Morphism, _check_diagram_cap, cap_diagram, catalan,
+                    compose, cup_diagram, enumerate_diagrams, jones_wenzl,
+                    radical_vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -100,8 +96,11 @@ def ideal_span(gen, n):
 def verify_ideal_theorem(ell, n_max):
     """Check radical == ideal(p_{ell+1}) for every grade up to n_max.
 
-    Returns a per-grade report; raises MismatchAtGrade on failure.
+    Returns a per-grade report; raises MismatchAtGrade on failure, and
+    StateSpaceTooLarge up front when the grade-n_max Gram matrix would
+    pass the diagram cap.
     """
+    _check_diagram_cap(n_max, n_max, power=2)
     m = ell + 1
     report = []
     p = jones_wenzl(m, "special", ell=ell)

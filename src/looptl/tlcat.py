@@ -9,8 +9,10 @@ produced by stacking contributes a factor of the loop weight d.
 
 from __future__ import annotations
 
+from math import comb
+
 from .errors import (ConfigInvalid, IndexOutOfRange, PoleAtSpecialValue,
-                     SignatureMismatch)
+                     SignatureMismatch, StateSpaceTooLarge)
 from .linalg import nullspace
 from .scalars import (D_GENERIC, RationalFunc, SpecialField, _padd,
                       _pexact_div, _pgcd, _pmul, quantum_int)
@@ -44,6 +46,26 @@ class Diagram:
             self.pairs[i] == self.m + i for i in range(self.m))
 
 
+# Largest number of diagrams (or of Gram entries) a call may build:
+# Catalan(14) = 2,674,440 diagrams and Catalan(8)^2 = 2,044,900 entries fit.
+DIAGRAM_CAP = 1 << 22
+
+
+def catalan(k):
+    return comb(2 * k, k) // (k + 1)
+
+
+def _check_diagram_cap(m, n, power=1):
+    """Raise StateSpaceTooLarge, before any work, when the (m, n)-diagrams
+    (power 1) or the entries of their Gram matrix (power 2) would pass
+    DIAGRAM_CAP."""
+    count = 0 if (m + n) % 2 else catalan((m + n) // 2) ** power
+    if count > DIAGRAM_CAP:
+        raise StateSpaceTooLarge(
+            f"Catalan({(m + n) // 2})^{power} = {count:,} at ({m}, {n}) "
+            f"is past the diagram cap {DIAGRAM_CAP:,}")
+
+
 def _boundary_order(m, n):
     """Point indices walked around the boundary: top L-R then bottom R-L."""
     return list(range(m)) + [m + n - 1 - t for t in range(n)]
@@ -71,6 +93,7 @@ def enumerate_diagrams(m, n):
 
     Empty when m + n is odd; otherwise Catalan((m+n)/2) diagrams.
     """
+    _check_diagram_cap(m, n)
     if (m + n) % 2:
         return []
 
@@ -246,7 +269,7 @@ class Morphism:
 
     @staticmethod
     def from_diagram(diag, d, coeff=1):
-        return Morphism(diag.m, diag.n, {diag: coeff * _one_like(d)}, d)
+        return Morphism(diag.m, diag.n, {diag: coeff * d ** 0}, d)
 
     @staticmethod
     def zero(m, n, d):
@@ -321,7 +344,7 @@ class Morphism:
             for db, cb in self.terms.items():
                 diag, loops = stack_diagrams(da, db)
                 if loops not in powers:
-                    powers[loops] = d ** loops if loops else _one_like(d)
+                    powers[loops] = d ** loops
                 c = ca * cb * powers[loops] if loops else ca * cb
                 if diag in out:
                     out[diag] = out[diag] + c
@@ -355,7 +378,7 @@ class Morphism:
         for diag, c in self.terms.items():
             val = c * d ** trace_loops(diag)
             total = val if total is None else total + val
-        return total if total is not None else _zero_like(d)
+        return total if total is not None else d - d
 
 
 def _stack_ratfunc(upper, lower, d):
@@ -415,22 +438,6 @@ def _ratfunc_sum(parts, d):
     for den, num in by_den.items():
         total = _padd(total, _pmul(num, _pexact_div(list(lcm), list(den))))
     return RationalFunc(total, lcm)
-
-
-def _one_like(d):
-    if isinstance(d, RationalFunc):
-        return RationalFunc(1)
-    if isinstance(d, float):
-        return 1.0
-    return d.field.one  # FieldElement
-
-
-def _zero_like(d):
-    if isinstance(d, RationalFunc):
-        return RationalFunc(0)
-    if isinstance(d, float):
-        return 0.0
-    return d.field.zero
 
 
 def compose(a, b):
@@ -530,7 +537,7 @@ def _jw_cleared(k, backend, ell, d_value):
     if (key, k) in _jw_cleared_cache:
         return _jw_cleared_cache[(key, k)]
     if k == 1:
-        out = (Morphism.identity(1, d), _one_like(d))
+        out = (Morphism.identity(1, d), d ** 0)
     else:
         N, den = _jw_cleared(k - 1, backend, ell, d_value)
         qk, qk1 = qint(k - 1), qint(k)
@@ -559,7 +566,7 @@ def _jw_cleared(k, backend, ell, d_value):
                                 for kk, v in num.terms.items()}, d)
                 den = reduce_poly(den)
         else:
-            num, den = num.scale(1 / den), _one_like(d)
+            num, den = num.scale(1 / den), d ** 0
         out = (num, den)
     _jw_cleared_cache[(key, k)] = out
     return out
@@ -578,6 +585,7 @@ def jones_wenzl(k, backend="generic", ell=None, d_value=None):
         return _jw_cache[key]
     if k < 1:
         raise IndexOutOfRange("projector grade must be >= 1")
+    _check_diagram_cap(k, k)
     N, den = _jw_cleared(k, backend, ell, d_value)
     p = N.scale(1 / den)
     _jw_cache[key] = p
@@ -595,6 +603,7 @@ def gram_exponents(m, n):
     Entry [i][j] is the number of loops in the cylinder closure of
     D_i stacked over bar(D_j); the pairing value is d to that power.
     """
+    _check_diagram_cap(m, n, power=2)
     basis = enumerate_diagrams(m, n)
     bars = [bar_diagram(b) for b in basis]
     out = []

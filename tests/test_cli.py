@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -68,6 +69,32 @@ def test_tl_gram_stdout_is_one_json_report(capsys, n, ell, size, rank):
     assert matrix == [list(row) for row in zip(*matrix)]
 
 
+@pytest.mark.parametrize("argv,key,rows", [
+    (("table", "fig02", "--ellmax", "3"), "levels", 3),
+    (("table", "smatrix", "--ell", "2"), "matrix", 3),
+], ids=["fig02", "smatrix"])
+def test_table_stdout_is_one_json_report(capsys, tmp_path, argv, key, rows):
+    code, out, _ = _run(capsys, *argv)
+    assert code == EXIT_OK
+    rep = json.loads(out)["results"][0]
+    assert "csv" not in rep and len(rep[key]) == rows
+    # with --out the CSV holds the report's table
+    code, _, _ = _run(capsys, "--out", str(tmp_path), *argv)
+    assert code == EXIT_OK
+    saved = json.loads((tmp_path / "report.json").read_text())["results"][0]
+    csv_rows = [line.split(",") for line in
+                open(saved["csv"]).read().splitlines()]
+    if key == "levels":
+        header = csv_rows.pop(0)
+        assert [dict(zip(header, r)) for r in csv_rows] == [
+            {k: str(v) for k, v in r.items()} for r in saved["levels"]]
+        assert [r["ell"] for r in saved["levels"]] == [1, 2, 3]
+    else:
+        assert csv_rows == [["%.12g" % x for x in r]
+                            for r in saved["matrix"]]
+    assert saved[key] == rep[key]
+
+
 @pytest.mark.parametrize("argv,backend", [
     (("tl", "jw", "--k", "3"), "generic"),
     (("tl", "jw", "--backend", "special", "--ell", "2", "--k", "3"),
@@ -89,6 +116,65 @@ def test_table_fig02(capsys):
     code, out, _ = _run(capsys, "table", "fig02", "--ellmax", "3")
     assert code == EXIT_OK
     assert "even_restriction_rank" in out
+
+
+def test_closed_stdout_exits_quietly(capsys, monkeypatch):
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code = main(["table", "fig02", "--ellmax", "2"])
+    assert code == EXIT_OK
+    # what stdout still holds is flushed to devnull at exit
+    assert sys.stdout.name == os.devnull
+    sys.stdout.close()
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"],
+                         ids=["buffered", "unbuffered"])
+def test_closed_stdout_pipe_exits_quietly(unbuffered):
+    # a real pipe whose reader is gone: the report's write or flush and
+    # the flush at interpreter exit all meet EPIPE, and none may reach
+    # stderr or change the exit code
+    import looptl
+    src = os.path.dirname(os.path.dirname(looptl.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "looptl.cli", "table", "fig02",
+             "--ellmax", "2"], stdout=write_end, stderr=subprocess.PIPE,
+            env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
+
+
+@pytest.mark.parametrize("argv", [
+    ("tl", "diagrams", "--n", "15"),
+    ("tl", "gram", "--n", "9", "--ell", "2"),
+    ("tl", "radical", "--n", "9", "--ell", "2"),
+    ("tl", "ideal", "--nmax", "9", "--ell", "1"),
+    ("tl", "jw", "--k", "15"),
+], ids=["diagrams-15", "gram-9", "radical-9", "ideal-9", "jw-15"])
+def test_tl_past_diagram_cap_is_capacity_error(capsys, monkeypatch, argv):
+    from looptl import tlcat
+
+    def no_diagrams(*args):
+        raise RuntimeError("a diagram was built before the cap check")
+    # the cap is checked before any diagram is built
+    monkeypatch.setattr(tlcat, "Diagram", no_diagrams)
+    code, out, err = _run(capsys, *argv)
+    assert code == EXIT_CAPACITY
+    assert out == ""
+    rep = json.loads(err)
+    assert (rep["error"], rep["type"]) == ("capacity", "StateSpaceTooLarge")
 
 
 def test_lattice_energy_serializes_exact_scalar(capsys):

@@ -2,11 +2,13 @@ import functools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from looptl.annular import even_sector_polynomial
 from looptl.errors import PoleAtSpecialValue
 from looptl.scalars import (RationalFunc, SpecialField, _pexact_div,
                             minimal_polynomial, quantum_int, serialize_scalar,
@@ -16,9 +18,15 @@ from looptl.scalars import (RationalFunc, SpecialField, _pexact_div,
 def test_quantum_integers_generic():
     d = to_float(quantum_int(2), d=1.75)
     assert d == pytest.approx(1.75)
-    # [3] = d^2 - 1, [4] = d^3 - 2d
-    assert to_float(quantum_int(3), d=2.0) == pytest.approx(3.0)
-    assert to_float(quantum_int(4), d=2.0) == pytest.approx(4.0)
+    for m in range(17):
+        # [m] = U_{m-1}(d/2), Chebyshev polynomials of the second kind as
+        # sympy builds them (U_{-1} = 0)
+        want = sympy.Poly(sympy.chebyshevu(m - 1, _D / 2), _D, domain="QQ")
+        got = quantum_int(m)
+        assert got.den == (1,)
+        assert _zz(got.num).set_domain("QQ") == want
+        # at d = 2 every [m] is m
+        assert to_float(got, d=2.0) == m
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3, 4, 5, 6])
@@ -32,19 +40,35 @@ def test_minimal_polynomial_has_special_weight_root(ell):
     assert poly[-1] == 1  # monic
 
 
-@pytest.mark.parametrize("ell", [1, 2, 3, 4])
+@pytest.mark.parametrize("ell", range(1, 9))
 def test_special_field_weight(ell):
     field = SpecialField(ell)
+    k = ell + 2
     assert float(field.delta) == pytest.approx(
-        2.0 * math.cos(math.pi / (ell + 2)))
+        2.0 * math.cos(math.pi / k))
     assert float(special_weight(ell)) == pytest.approx(float(field.delta))
+    # [m] = sin(m pi/k)/sin(pi/k) at the special weight
+    for m in range(2 * k + 1):
+        want = math.sin(m * math.pi / k) / math.sin(math.pi / k)
+        assert abs(float(field.quantum_int(m)) - want) < 1e-12
+    # the even-sector polynomial vanishes on the ring-curve eigenvalues
+    # 2cos((p+1) pi/k) of the even labels p, and only there
+    coeffs = [float(c) for c in even_sector_polynomial(ell).coeffs]
+    roots = sorted(np.roots(coeffs[::-1]).real)
+    want = sorted(2 * math.cos((p + 1) * math.pi / k)
+                  for p in range(0, ell + 1, 2))
+    assert roots == pytest.approx(want, abs=1e-9)
 
 
-@pytest.mark.parametrize("ell", [1, 2, 3])
+@pytest.mark.parametrize("ell", range(1, 9))
 def test_quantum_int_vanishes_at_level(ell):
     field = SpecialField(ell)
     assert field.quantum_int(ell + 2) == field.zero
     assert field.quantum_int(ell + 1) != field.zero
+    # the field's recurrence agrees exactly with the generic quantum
+    # integers evaluated at delta
+    for m in range(2 * ell + 5):
+        assert specialize(quantum_int(m), ell) == field.quantum_int(m)
 
 
 @given(st.lists(st.fractions(min_value=-5, max_value=5), min_size=1,
