@@ -14,7 +14,6 @@ emitted in reports, never silently absorbed.
 from __future__ import annotations
 
 import math
-from collections.abc import ItemsView, Mapping, ValuesView
 
 import numpy as np
 
@@ -26,9 +25,6 @@ from .scalars import SpecialField
 # lockstep chains: at most MAX_CHAINS, each at least CHAIN_SWEEPS long
 MAX_CHAINS = 4096
 CHAIN_SWEEPS = 250
-# proposals buffered before they are folded into the tallies, in sweeps
-# of one chain (TALLY_BLOCK * nsites proposals)
-TALLY_BLOCK = 1024
 # the chain's state is an int64 (start-state draw, proposal buffers)
 SAMPLER_BOND_CAP = 62
 
@@ -166,129 +162,62 @@ def homology_rule_report(lat):
     return bad == 0, bad
 
 
-class Tallies(Mapping):
-    """Read-only waste-recycling tallies of one chain: state bits ->
-    summed weight, iterated in first-visit order.
-
-    ``states`` (int64) and ``weights`` (float64) are aligned arrays in
-    that order.  Lookup by state builds an index on first use.
-    """
+class Tallies:
+    """Read-only waste-recycling tallies of one run: ``states`` (int64)
+    are the visited states in increasing order and ``weights``
+    (float64) their summed weights."""
 
     def __init__(self, states, weights):
         states.flags.writeable = weights.flags.writeable = False
         self.states = states
         self.weights = weights
-        self._index = None
 
     def __len__(self):
         return len(self.states)
 
-    def __iter__(self):
-        return iter(self.states.tolist())
-
-    def __getitem__(self, state):
-        if self._index is None:
-            self._index = {s: k for k, s in enumerate(self.states.tolist())}
-        return float(self.weights[self._index[state]])
-
-    def items(self):
-        return _TallyItems(self)
-
-    def values(self):
-        return _TallyValues(self)
-
-
-class _TallyItems(ItemsView):
-    def __iter__(self):
-        t = self._mapping
-        return zip(t.states.tolist(), t.weights.tolist())
-
-
-class _TallyValues(ValuesView):
-    def __iter__(self):
-        return iter(self._mapping.weights.tolist())
-
 
 class _TallyStore:
-    """Buffers the chains' proposals and folds them into float64 tallies.
+    """Sums the chains' waste-recycling weights.
 
-    Per lockstep step the sampler pushes, for each chain in order, the
-    pre-move state, the bond and the index 3*spin + dC + 1 of the
-    acceptance ratio r.  fold() adds, in proposal order, min(r, 1)
-    to the flipped state and 1 - min(r, 1) to the pre-move state where
-    r < 1, so every state's sum is taken in the order a running dict
-    would take it.  Slots are given in first-visit order: through an
-    int32 array over all 2^N states when 2^N <= ENUM_STATE_CAP, else
-    through a dict.
+    Per lockstep step, add() takes every chain's pre-move state, flipped
+    state and index 3*spin + dC + 1 of the acceptance ratio r, and adds,
+    chain by chain, min(r, 1) to the flipped state and 1 - min(r, 1) to
+    the pre-move state, so every state's sum is taken in the order a
+    running dict would take it.  The sums live in a float64 vector over
+    all 2^N states when 2^N <= ENUM_STATE_CAP, else in a dict.  Every
+    min(r, 1) is positive and a zero 1 - min(r, 1) adds nothing, so the
+    visited states are those with a nonzero sum.
     """
 
     def __init__(self, nsites, ratios):
-        self.pending = 0
-        self._buffer = []
-        self._capped = np.minimum(np.array(ratios), 1.0)
-        self._masks = np.left_shift(1, np.arange(nsites, dtype=np.int64))
-        self._weights = np.zeros(0)
-        self._visited = 0
-        self._new = []  # states given slots, one array per fold
+        self._capped = np.minimum(ratios, 1.0)
         if (1 << nsites) <= ENUM_STATE_CAP:
-            self._slot = np.full(1 << nsites, -1, np.int32)
+            self._sums = np.zeros(1 << nsites)
         else:
-            self._slot = {}
+            self._sums = {}
 
-    def push(self, before, bonds, index):
-        self._buffer.append((before, bonds, index))
-        self.pending += len(before)
-
-    def fold(self):
-        if not self.pending:
-            return
-        n = self.pending
-        before, bonds, index = (np.concatenate(col)
-                                for col in zip(*self._buffer))
-        after = before ^ self._masks[bonds]
+    def add(self, before, after, index):
         ra = self._capped[index]
-        self._buffer, self.pending = [], 0
-        keys = np.empty(2 * n, np.int64)
+        keys = np.empty(2 * len(before), np.int64)
         keys[0::2], keys[1::2] = after, before
-        vals = np.empty(2 * n)
+        vals = np.empty(2 * len(before))
         vals[0::2], vals[1::2] = ra, 1.0 - ra
-        keep = np.ones(2 * n, bool)
-        keep[1::2] = ra < 1.0
-        keys, vals = keys[keep], vals[keep]
-        slots = self._slots(keys)
-        if self._visited > len(self._weights):
-            grown = np.zeros(max(self._visited, 2 * len(self._weights)))
-            grown[:len(self._weights)] = self._weights
-            self._weights = grown
-        np.add.at(self._weights, slots, vals)
-
-    def _slots(self, keys):
-        """Slot of every key; keys not seen before take the next slots
-        in the order of their first occurrence."""
-        if isinstance(self._slot, dict):
-            slot, new, slots = self._slot, [], []
-            for k in keys.tolist():
-                if k not in slot:
-                    slot[k] = len(slot)
-                    new.append(k)
-                slots.append(slot[k])
-            new, slots = np.array(new, np.int64), np.array(slots, np.intp)
+        if isinstance(self._sums, dict):
+            sums = self._sums
+            for key, val in zip(keys.tolist(), vals.tolist()):
+                sums[key] = sums.get(key, 0.0) + val
         else:
-            unseen = keys[self._slot[keys] < 0]
-            uniq, first = np.unique(unseen, return_index=True)
-            new = uniq[np.argsort(first)]
-            self._slot[new] = np.arange(self._visited,
-                                        self._visited + len(new))
-            slots = self._slot[keys]
-        self._new.append(new)
-        self._visited += len(new)
-        return slots
+            np.add.at(self._sums, keys, vals)
 
     def tallies(self):
-        """Fold what is left and return the tallies."""
-        self.fold()
-        states = np.concatenate(self._new + [np.zeros(0, np.int64)])
-        return Tallies(states, self._weights[:self._visited].copy())
+        if isinstance(self._sums, dict):
+            states = sorted(k for k, v in self._sums.items() if v)
+            weights = np.array([self._sums[k] for k in states])
+            states = np.array(states, np.int64)
+        else:
+            states = np.flatnonzero(self._sums)
+            weights = self._sums[states]
+        return Tallies(states, weights)
 
 
 class SampleRecord:
@@ -314,7 +243,7 @@ class SampleRecord:
 
     @property
     def sample_size(self):
-        """Total tally weight, summed left to right in first-visit
+        """Total tally weight, summed left to right in increasing state
         order."""
         return float(np.cumsum(self.tallies.weights)[-1])
 
@@ -436,9 +365,8 @@ def metropolis_sample(lat, model, sweeps, seed, record_rows=False,
     C and C* of every chain are read (_cluster_readers), and one chain,
     in turn, has its running cluster count checked against extract_walls
     (_check_drift), as has chain 0 at the start.  The waste-recycling
-    tallies are buffered per proposal and folded every TALLY_BLOCK
-    sweeps' worth of proposals (_TallyStore) into a read-only Tallies
-    mapping, in proposal order: step by step, chain 0 first.  One
+    tallies are summed per state in proposal order, step by step, chain 0
+    first (_TallyStore), and returned as read-only Tallies.  One
     counter-based (Philox) stream draws the K starting states, then per
     sweep a (K, N) block of bond orders and a (K, N) block of uniforms,
     row k for chain k; both ways of finding dC give the same chains.
@@ -487,24 +415,20 @@ def metropolis_sample(lat, model, sweeps, seed, record_rows=False,
         orders = rng.permuted(np.tile(np.arange(nb, dtype=np.uint8),
                                       (active, 1)), axis=1)
         us = rng.random((active, nb))
-        # the chains past their length drop out; arrays are replaced,
-        # never written, so the buffered ones stay as pushed
+        # the chains past their length drop out
         bits, clusters = bits[:active], clusters[:active]
         for bonds, u in zip(orders.T, us.T):
             flipped = bits ^ masks[bonds]
             dc = delta(bits, flipped, bonds)
             k = (3 * ((bits >> bonds) & 1) + dc + 1).astype(np.uint8)
-            # waste-recycling tally (store.fold): average over the
-            # accept/reject outcome instead of recording only the
-            # realized state
-            store.push(bits, bonds, k)
+            # waste-recycling tally: average over the accept/reject
+            # outcome instead of recording only the realized state
+            store.add(bits, flipped, k)
             # u lies in [0, 1), so a ratio of 1 or more always accepts
             move = u < acc[k]
             bits = np.where(move, flipped, bits)
             clusters = clusters + dc * move
             accepted += int(np.count_nonzero(move))
-            if store.pending >= TALLY_BLOCK * nb:
-                store.fold()
         proposed += active * nb
         if sweep % measure_every == 0:
             chain = oracle_checks % active
@@ -529,8 +453,8 @@ def metropolis_sample(lat, model, sweeps, seed, record_rows=False,
 def tv_distance(record, probs):
     """Total-variation distance between a chain's empirical
     distribution and an exact probability vector indexed by state.
-    The sums run in first-visit order, left to right (np.cumsum), as
-    a running loop over the tallies would take them."""
+    The sums run in increasing state order, left to right (np.cumsum),
+    as a running loop over the sorted tallies would take them."""
     tallies = record.tallies
     p = probs[tallies.states]
     acc = np.cumsum(np.abs(tallies.weights / record.sample_size - p))[-1]
@@ -593,7 +517,7 @@ def gibbs_law_check(basis, component, lat):
     the loop counts read from the lattice census.
     Returns the largest absolute residual."""
     probs = measurement_distribution(basis, component)
-    logd2 = 2.0 * math.log(basis.d) if basis.d != 1.0 else 0.0
+    logd2 = 2.0 * math.log(basis.d)
     loops = census(lat).loops
     worst = 0.0
     items = list(probs.items())
