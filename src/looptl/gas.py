@@ -25,7 +25,7 @@ from .scalars import SpecialField
 # lockstep chains: at most MAX_CHAINS, each at least CHAIN_SWEEPS long
 MAX_CHAINS = 4096
 CHAIN_SWEEPS = 250
-# the chain's state is an int64 (start-state draw, proposal buffers)
+# the chain's state is an int64 (start-state draw, tally keys)
 SAMPLER_BOND_CAP = 62
 
 
