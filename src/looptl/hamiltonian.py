@@ -13,8 +13,15 @@ rows, the only kind the builders make: ratio propagation along move
 graphs (exact d-exponents) and a GF(p) rank oracle that reads only
 the coefficients.  Ratio propagation and the oracle's GF(p) rank
 both run hook-and-compress label propagation (Shiloach and Vishkin,
-J. Algorithms 3, 1982) over numpy arrays, one row at a time; each is
-written separately so that neither can share a defect with the other.
+J. Algorithms 3, 1982) over numpy arrays, one row at a time: the
+row's pairs are followed to their roots once, each split pair hooks
+once, the larger root under the smaller, and only the pairs whose
+offer lost are followed again; a chase writes back only the states
+whose label moved (path compression as in Tarjan, J. ACM 22, 1975).
+Each solver is written separately so that neither can share a defect
+with the other.  joint_kernel keeps one column per distinct
+(component, shifted pot) key, read from a first-occurrence table when
+the keys span at most the column count and sorted otherwise.
 """
 
 from __future__ import annotations
@@ -72,6 +79,12 @@ class ConstraintSystem:
     @property
     def n_states(self):
         return 1 << self.lattice.nsites
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __iter__(self):
+        return iter(self.rows)
 
     def __repr__(self):
         return "ConstraintSystem(%s, ell=%r, %d rows, %d sites)" % (
@@ -243,6 +256,28 @@ def concrete_states(row, nsites):
     return [ctx | _pattern_state(pat, row.sites) for pat, _ in row.terms]
 
 
+def _check_rows(rows, lat, ratio=False):
+    """Raise ConfigInvalid unless every row's sites lie on the lattice
+    and, with ratio, every row is a two-term row carrying its
+    d-exponent; plain Python over the rows, before any per-state
+    array."""
+    for row in rows:
+        if ratio and (row.dexp is None or len(row.terms) != 2):
+            raise ConfigInvalid("row %r is not a two-term ratio row" % row)
+        if not all(0 <= site < lat.nsites for site in row.sites):
+            raise ConfigInvalid("row %r has sites off the %d sites of the "
+                                "lattice" % (row, lat.nsites))
+
+
+def _check_same_lattice(cs, other):
+    """Raise ConfigInvalid unless the two systems share one lattice."""
+    a, b = cs.lattice, other.lattice
+    if (a.kind, a.w, a.h) != (b.kind, b.w, b.h):
+        raise ConfigInvalid("the systems live on different lattices: "
+                            "%s %dx%d and %s %dx%d"
+                            % (a.kind, a.w, a.h, b.kind, b.w, b.h))
+
+
 # ---------------------------------------------------------------------------
 # solver 1: exact ratio propagation
 # ---------------------------------------------------------------------------
@@ -259,21 +294,20 @@ _POT_MASK = (1 << _POT_SHIFT) - 1
 def kernel_propagate(cs):
     """One exact kernel vector per consistent ergodic component.
 
-    Every row must be a two-term ratio row carrying its d-exponent.
-    Rows are hooked one at a time: the states of each pair (a, b) are
-    followed up to their roots, and where the roots differ the larger
-    takes the smaller as its label, with the exponent that makes
-    pot[b] - pot[a] = dexp.  Pointer jumping then points every state
-    at its root.  Roots are component minima, so pot ends canonical
-    (0 at each smallest state).  Every pair is then checked exactly,
-    and the first whose ratio does not close raises InconsistentCycle.
-    Raises StateSpaceTooLarge, before allocating anything, when 2^N
-    exceeds ENUM_STATE_CAP.
+    Every row must be a two-term ratio row carrying its d-exponent,
+    with its sites on the lattice.  Rows are hooked one at a time: the
+    states of each pair (a, b) are followed up to their roots, and where
+    the roots differ the larger takes the smaller as its label, with the
+    exponent that makes pot[b] - pot[a] = dexp; the pairs whose offer
+    lost to another are followed and hooked again.  Pointer jumping
+    then points every state at its root.  Roots are component minima,
+    so pot ends canonical (0 at each smallest state).  Every pair is
+    then checked exactly, and the first whose ratio does not close
+    raises InconsistentCycle.  Raises ConfigInvalid on any other row
+    and StateSpaceTooLarge when 2^N exceeds ENUM_STATE_CAP, both
+    before allocating anything.
     """
-    for row in cs.rows:
-        if row.dexp is None or len(row.terms) != 2:
-            raise ConfigInvalid(
-                "ratio propagation needs two-term ratio rows")
+    _check_rows(cs.rows, cs.lattice, ratio=True)
     n = cs.n_states
     if n > ENUM_STATE_CAP:
         raise StateSpaceTooLarge("ratio propagation capped at %d states"
@@ -282,17 +316,24 @@ def kernel_propagate(cs):
     pack = (np.arange(n, dtype=np.int64) << _POT_SHIFT) + _POT_BIAS
     for row in cs.rows:
         sa, sb = concrete_states(row, nsites)
+        pa, pb = _root_pots(pack, sa), _root_pots(pack, sb)
         while True:
-            pa, pb = _root_pots(pack, sa), _root_pots(pack, sb)
-            split = (pa >> _POT_SHIFT) != (pb >> _POT_SHIFT)
-            if not split.any():
+            # pairs with one root stay joined: only split ones are chased
+            split = np.flatnonzero((pa >> _POT_SHIFT) != (pb >> _POT_SHIFT))
+            if not len(split):
                 break
-            pa, pb = pa[split], pb[split]
+            sa, sb, pa, pb = sa[split], sb[split], pa[split], pb[split]
             qa = (pa & _POT_MASK) - _POT_BIAS
             qb = (pb & _POT_MASK) - _POT_BIAS
-            # an offer with the larger label loses to the root's own
-            np.minimum.at(pack, pb >> _POT_SHIFT, pa + row.dexp - qb)
-            np.minimum.at(pack, pa >> _POT_SHIFT, pb - row.dexp - qa)
+            # the larger root takes the smaller as its label; a pair whose
+            # offer won is joined, the others are chased again
+            low = (pa >> _POT_SHIFT) < (pb >> _POT_SHIFT)
+            root = np.where(low, pb, pa) >> _POT_SHIFT
+            offer = np.where(low, pa + row.dexp - qb, pb - row.dexp - qa)
+            np.minimum.at(pack, root, offer)
+            lost = np.flatnonzero(pack[root] != offer)
+            sa, sb = sa[lost], sb[lost]
+            pa, pb = _root_pots(pack, sa), _root_pots(pack, sb)
     _jump_pots(pack)
     for row in cs.rows:
         sa, sb = concrete_states(row, nsites)
@@ -313,15 +354,19 @@ def kernel_propagate(cs):
 
 def _root_pots(pack, states):
     """Packed root and exponent relative to it of the given states,
-    following labels up to the roots; the states keep what was found."""
+    following labels up to the roots; the states that moved keep what
+    was found."""
     val = pack[states]
-    todo = np.arange(len(val))
+    up = pack[val >> _POT_SHIFT]
+    moved = np.flatnonzero((up >> _POT_SHIFT) != (val >> _POT_SHIFT))
+    todo, cur, up = moved, val[moved], up[moved]
     while len(todo):
-        up = pack[val[todo] >> _POT_SHIFT]
-        moved = (up >> _POT_SHIFT) != (val[todo] >> _POT_SHIFT)
-        todo = todo[moved]
-        val[todo] = up[moved] + (val[todo] & _POT_MASK) - _POT_BIAS
-    pack[states] = val
+        cur = up + (cur & _POT_MASK) - _POT_BIAS
+        val[todo] = cur
+        up = pack[cur >> _POT_SHIFT]
+        go = (up >> _POT_SHIFT) != (cur >> _POT_SHIFT)
+        todo, cur, up = todo[go], cur[go], up[go]
+    pack[states[moved]] = val[moved]
     return val
 
 
@@ -381,7 +426,8 @@ def _modular_rank(cs):
     x_b = -va/vb * x_a; with one nonzero coefficient it forces that
     state to zero.  Ties are hooked row by row, each state carrying
     (label, f) with x = f * x_label, the ratios read from the
-    coefficients alone.  A component keeps one free amplitude unless
+    coefficients alone, the larger root under the smaller as in
+    kernel_propagate.  A component keeps one free amplitude unless
     a pair contradicts its factors or a forced zero lands in it, and
     rank = n - (free components).
     """
@@ -397,20 +443,28 @@ def _modular_rank(cs):
             continue
         ratio = (p - va) * pow(vb, p - 2, p) % p
         sa, sb = concrete_states(row, nsites)
+        pa, pb = _root_factors(pack, sa, p), _root_factors(pack, sb, p)
         while True:
-            pa = _root_factors(pack, sa, p)
-            pb = _root_factors(pack, sb, p)
-            split = (pa >> _FACTOR_SHIFT) != (pb >> _FACTOR_SHIFT)
-            if not split.any():
+            split = np.flatnonzero(
+                (pa >> _FACTOR_SHIFT) != (pb >> _FACTOR_SHIFT))
+            if not len(split):
                 break
-            la, lb = pa[split] >> _FACTOR_SHIFT, pb[split] >> _FACTOR_SHIFT
-            # x_lb = (ratio * fa / fb) * x_la
-            num = ratio * (pa[split] & _FACTOR_MASK) % p
-            den = pb[split] & _FACTOR_MASK
-            np.minimum.at(pack, lb, (la << _FACTOR_SHIFT)
-                          | num * _inverse_mod(den, p) % p)
-            np.minimum.at(pack, la, (lb << _FACTOR_SHIFT)
-                          | den * _inverse_mod(num, p) % p)
+            sa, sb, pa, pb = sa[split], sb[split], pa[split], pb[split]
+            la, lb = pa >> _FACTOR_SHIFT, pb >> _FACTOR_SHIFT
+            # x_lb = (num / den) * x_la, and x_la = (den / num) * x_lb
+            num = ratio * (pa & _FACTOR_MASK) % p
+            den = pb & _FACTOR_MASK
+            # the larger root takes the smaller as its label; a pair whose
+            # offer won is joined, the others are chased again
+            low = la < lb
+            root = np.where(low, lb, la)
+            offer = ((np.where(low, la, lb) << _FACTOR_SHIFT)
+                     | np.where(low, num, den)
+                     * _inverse_mod(np.where(low, den, num), p) % p)
+            np.minimum.at(pack, root, offer)
+            lost = np.flatnonzero(pack[root] != offer)
+            sa, sb = sa[lost], sb[lost]
+            pa, pb = _root_factors(pack, sa, p), _root_factors(pack, sb, p)
     _jump_factors(pack, p)
     label, f = pack >> _FACTOR_SHIFT, pack & _FACTOR_MASK
     dead = np.zeros(n, dtype=bool)
@@ -426,17 +480,20 @@ def _modular_rank(cs):
 
 def _root_factors(pack, states, p):
     """Packed root and factor to it of the given states, following
-    labels up to the roots; the states keep what was found."""
+    labels up to the roots; the states that moved keep what was
+    found."""
     val = pack[states]
-    todo = np.arange(len(val))
+    up = pack[val >> _FACTOR_SHIFT]
+    moved = np.flatnonzero((up >> _FACTOR_SHIFT) != (val >> _FACTOR_SHIFT))
+    todo, cur, up = moved, val[moved], up[moved]
     while len(todo):
-        up = pack[val[todo] >> _FACTOR_SHIFT]
-        moved = (up >> _FACTOR_SHIFT) != (val[todo] >> _FACTOR_SHIFT)
-        todo = todo[moved]
-        val[todo] = ((up[moved] >> _FACTOR_SHIFT) << _FACTOR_SHIFT
-                     | (val[todo] & _FACTOR_MASK)
-                     * (up[moved] & _FACTOR_MASK) % p)
-    pack[states] = val
+        cur = ((up >> _FACTOR_SHIFT) << _FACTOR_SHIFT
+               | (cur & _FACTOR_MASK) * (up & _FACTOR_MASK) % p)
+        val[todo] = cur
+        up = pack[cur >> _FACTOR_SHIFT]
+        go = (up >> _FACTOR_SHIFT) != (cur >> _FACTOR_SHIFT)
+        todo, cur, up = todo[go], cur[go], up[go]
+    pack[states[moved]] = val[moved]
     return val
 
 
@@ -492,6 +549,7 @@ def kernel_dense(cs):
     for row in cs.rows:
         if len(row.terms) != 2:
             raise ConfigInvalid("the kernel oracle needs two-term rows")
+    _check_rows(cs.rows, cs.lattice)
     n = cs.n_states
     if n > ENUM_STATE_CAP:
         raise StateSpaceTooLarge(
@@ -600,7 +658,8 @@ def compile_skein_instances(lat, ell):
     the wall as a cup-cap when |+> and as two through-strands when
     |->, and a v-bond the other way round.  Interfering bonds between
     the first and last letter layers are pinned to the through-strand
-    resolution.  Only the square torus has these windows.
+    resolution.  Only the square torus has these windows.  Returns
+    the rows as a ConstraintSystem of model "skein" (no d-exponents).
     """
     if not isinstance(lat, SquareTorusLattice):
         raise ConfigInvalid("skein windows need the square torus")
@@ -676,7 +735,7 @@ def compile_skein_instances(lat, ell):
                                                     j + row, i + col))
                 rows.append(Row("skein", (ell, orient, i, j),
                                 tuple(sites), list(patterns)))
-    return rows
+    return ConstraintSystem(lat, ell, rows, "skein", field)
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +743,7 @@ def compile_skein_instances(lat, ell):
 # ---------------------------------------------------------------------------
 
 
-def joint_kernel(cs, skein_rows, target=None):
+def joint_kernel(cs, skein, target=None):
     """Kernel of the union of a ratio system and multi-term skein rows.
 
     The skein rows are restricted to the span of the ratio system's
@@ -699,7 +758,16 @@ def joint_kernel(cs, skein_rows, target=None):
     rank are reported as sv_gap.  The verdict follows the trichotomy:
     zero, all of the ratio kernel, or the doubled-theory torus
     dimension.
+
+    skein is the system compile_skein_instances returns, or a list of
+    its rows.  ConfigInvalid is raised before any per-state array when
+    a skein system lives on another lattice or a row has sites off
+    cs's lattice.
     """
+    if isinstance(skein, ConstraintSystem):
+        _check_same_lattice(cs, skein)
+    skein_rows = list(skein)
+    _check_rows(skein_rows, cs.lattice)
     base = kernel_propagate(cs)
     g0 = base.dimension
     nsites = cs.lattice.nsites
@@ -713,13 +781,12 @@ def joint_kernel(cs, skein_rows, target=None):
         cols = np.array(concrete_states(row, nsites))
         comps, pots = comp[cols], pot[cols]
         pots -= pots.min(axis=0)
-        _, first = np.unique(_column_keys(np.concatenate([comps, pots])),
-                             return_index=True)
-        for k in first.tolist():
+        for k in _distinct_columns(np.concatenate([comps, pots])).tolist():
             vec = {}
             for t, (_, coeff) in enumerate(row.terms):
                 c = int(comps[t, k])
-                vec[c] = vec.get(c, 0) + scaled(coeff, int(pots[t, k]))
+                v = scaled(coeff, int(pots[t, k]))
+                vec[c] = vec[c] + v if c in vec else v
             vec = {c: v for c, v in vec.items() if v}
             if vec:
                 lead = inverse(vec[min(vec)])
@@ -757,6 +824,21 @@ def joint_kernel(cs, skein_rows, target=None):
               "reduced_rows": len(reduced), "sv_gap": sv_gap}
     return KernelBasis(dim, "joint", comp=comp, pot=pot,
                        vectors=null, d=base.d), report
+
+
+def _distinct_columns(digits):
+    """Index of the first occurrence of each distinct column of a
+    non-negative integer array, in increasing order of the columns'
+    keys: read from a table over the keys when their span is at most
+    the number of columns, else found by sorting the keys."""
+    key = _column_keys(digits)
+    ncols = len(key)
+    span = int(key.max()) + 1 if ncols else 0
+    if span > ncols:
+        return np.unique(key, return_index=True)[1]
+    first = np.full(span, ncols, dtype=np.int64)
+    np.minimum.at(first, key, np.arange(ncols))
+    return first[first < ncols]
 
 
 def _column_keys(digits):
@@ -845,7 +927,10 @@ def uniform_state_energy(cs, signs="alternating"):
 
 def containment_check(cs_inner, cs_outer):
     """Whether the kernel of cs_inner lies inside the kernel of
-    cs_outer (both ratio systems over the same lattice)."""
+    cs_outer.  Both must be ratio systems over the same lattice; else
+    ConfigInvalid is raised before any per-state array."""
+    _check_same_lattice(cs_inner, cs_outer)
+    _check_rows(cs_outer.rows, cs_outer.lattice, ratio=True)
     base = kernel_propagate(cs_inner)
     comp, pot = base.comp, base.pot
     nsites = cs_inner.lattice.nsites

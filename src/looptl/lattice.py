@@ -574,8 +574,9 @@ def census(lat):
     ENUM_STATE_CAP.
 
     Every count is invariant under the lattice's symmetry group (the
-    translations of a torus, the identity on a disk), so only the least
-    state of each orbit (torus_census.canonical_states) is tabulated, by
+    translations of a torus, the two mirrors and the half turn of a
+    disk), so only the least state of each orbit
+    (torus_census.canonical_states) is tabulated, by
     the numpy kernels of torus_census over chunks of CENSUS_CHUNK
     states, and each state reads the row of its representative.
     tabulate_by_walls, one extract_walls call per state, is the

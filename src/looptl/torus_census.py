@@ -9,7 +9,8 @@ on which each loop is one cycle) and E and E*.
 
 Every count is a graph invariant of the lattice, so a state and its
 images under the lattice's symmetry group share one census row: the
-w*h translations on a torus, the identity alone on a disk.
+w*h translations on a torus, the two mirrors and the half turn of a
+disk.
 canonical_states maps each state to the least state of its orbit, and
 lattice.census tabulates only those representatives.
 
@@ -202,14 +203,24 @@ def _torus_tables(w, h):
 @functools.cache
 def _disk_tables(w, h, boundary_plus):
     """Census tables of the w x h disk, read from extract_walls' own
-    (lattice._disk_cluster_tables); the outer face is never counted."""
+    (lattice._disk_cluster_tables); the outer face is never counted.
+    Its group is the rectangle's: the mirror x -> w - x, the mirror
+    y -> h - y and their product, the rotation by 180 degrees; each
+    keeps the boundary, whose spins are all equal."""
     primal, dual, walk = _disk_cluster_tables(w, h)
     bonds = np.arange(len(walk.key) // 2)
-    nsites = SquareDiskLattice(w, h).nsites
-    fixed = (boundary_plus,) * (len(bonds) - nsites)
+    lat = SquareDiskLattice(w, h)
+    free = lat.bonds()[:lat.nsites]
+    site_of = {bond: k for k, bond in enumerate(free)}
+    fixed = (boundary_plus,) * (len(bonds) - lat.nsites)
+    # bond (o, i, j) starts at vertex (i, j) and ends one step along o
+    mirrors = [[site_of[o, w - i - (o == "h") if fx else i,
+                        h - j - (o == "v") if fy else j]
+                for o, i, j in free]
+               for fy in (0, 1) for fx in (0, 1)]
     return _CensusTables(fixed, (bonds, bonds), _graph_of(primal),
                          _graph_of(dual), _walk_arrays(walk, None),
-                         np.empty(0, int), 1, np.arange(nsites)[None])
+                         np.empty(0, int), 1, np.array(mirrors))
 
 
 @functools.cache

@@ -97,8 +97,9 @@ def _cycles(perm):
 @pytest.mark.parametrize("lat,orbits", [
     (SquareTorusLattice(3, 3), 29184), (SquareTorusLattice(3, 2), 700),
     (HexTorusLattice(4, 4), 4156), (HexTorusLattice(3, 4), 352),
-    (SquareDiskLattice(3, 3), 4096),
-], ids=["3x3", "3x2", "hex-4x4", "hex-3x4", "disk-3x3"])
+    # the disks' group: the two mirrors and the half turn
+    (SquareDiskLattice(3, 3), 1104), (SquareDiskLattice(3, 4), 33408),
+], ids=["3x3", "3x2", "hex-4x4", "hex-3x4", "disk-3x3", "disk-3x4"])
 def test_orbit_count_is_burnside_count(lat, orbits):
     group = _symmetry(lat)
     assert len({tuple(g) for g in group}) == len(group)
@@ -129,18 +130,20 @@ def test_census_through_orbits_matches_every_state(lat):
         assert getattr(cen, name).tobytes() == want.tobytes(), name
 
 
-@pytest.mark.parametrize("lat", [
-    SquareTorusLattice(4, 4), SquareTorusLattice(5, 3), HexTorusLattice(5, 5),
-], ids=["4x4", "5x3", "hex-5x5"])
-def test_walls_are_invariant_under_the_census_symmetries(lat):
+@pytest.mark.parametrize("lat,order", [
+    (SquareTorusLattice(4, 4), 16), (SquareTorusLattice(5, 3), 15),
+    (HexTorusLattice(5, 5), 25), (SquareDiskLattice(4, 3), 4),
+    (SquareDiskLattice(3, 4, boundary_plus=True), 4),
+], ids=["4x4", "5x3", "hex-5x5", "disk-4x3-minus", "disk-3x4-plus"])
+def test_walls_are_invariant_under_the_census_symmetries(lat, order):
     # the census reads one row per orbit; the per-state oracle must give
-    # every translate of a state the counts of the state itself
+    # every image of a state the counts of the state itself
     states = np.random.default_rng(20261021).integers(0, 1 << lat.nsites,
                                                       100)
     want = tabulate_by_walls(lat, states)
     bits = (states[:, None] >> np.arange(lat.nsites)) & 1
     group = _symmetry(lat)
-    assert len(group) == lat.w * lat.h
+    assert len(group) == order
     for perm in group[1:]:
         images = (bits << perm).sum(1)
         assert not np.array_equal(images, states)

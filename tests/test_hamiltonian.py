@@ -1,13 +1,18 @@
+import functools
 import random
 from fractions import Fraction
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from looptl.errors import (ConfigInvalid, InconsistentCycle,
                            StateSpaceTooLarge, WindowDoesNotFit)
 from looptl.hamiltonian import (ConstraintSystem, Row, _coeff_mod,
-                                _column_keys, _find_prime_with_root,
+                                _column_keys, _distinct_columns,
+                                _find_prime_with_root,
                                 _modular_rank, build_h0, build_hprime,
                                 build_ring_exchange, code_space_probe,
                                 compile_skein_instances, containment_check,
@@ -209,7 +214,12 @@ def test_kernel_propagate_caps_state_space_before_allocating():
 
 
 def _prime_and_root(cs):
-    poly = minimal_polynomial(cs.ell) if cs.ell is not None else [-1, 1]
+    return _prime_and_root_at(cs.ell)
+
+
+@functools.cache
+def _prime_and_root_at(ell):
+    poly = minimal_polynomial(ell) if ell is not None else [-1, 1]
     return _find_prime_with_root([int(c) for c in poly])
 
 
@@ -317,11 +327,17 @@ def _shuffled_system(cs, seed):
     return ConstraintSystem(cs.lattice, cs.ell, rows, cs.model, cs.field)
 
 
-@pytest.mark.parametrize("model", ["ring-2x2", "hprime-3x3"])
+_SHUFFLE_CASES = {
+    "ring-2x2": lambda: build_ring_exchange(SquareTorusLattice(2, 2)),
+    "hprime-3x3": lambda: build_hprime(SquareTorusLattice(3, 3), 2),
+    "ring-3x3": lambda: build_ring_exchange(SquareTorusLattice(3, 3)),
+    "h0-hex-3x3": lambda: build_h0(HexTorusLattice(3, 3), 2),
+}
+
+
+@pytest.mark.parametrize("model", list(_SHUFFLE_CASES))
 def test_propagation_is_canonical_under_row_shuffles(model):
-    cs = (build_ring_exchange(SquareTorusLattice(2, 2))
-          if model == "ring-2x2" else build_hprime(SquareTorusLattice(3, 3),
-                                                    2))
+    cs = _SHUFFLE_CASES[model]()
     ref = kernel_propagate(cs)
     for seed in (1, 2):
         kb = kernel_propagate(_shuffled_system(cs, seed))
@@ -384,3 +400,159 @@ def test_column_keys_renumber_before_overflowing():
     for i in range(0, 200, 7):
         for j in range(200):
             assert (keys[i] == keys[j]) == (cols[i] == cols[j])
+
+
+@pytest.mark.parametrize("radix,height,width", [
+    (3, 4, 500),         # dense: the keys span at most the column count
+    (1000, 3, 300),      # sparse: the keys are sorted
+    (1 << 41, 3, 200)])  # the mixed-radix key renumbers before overflowing
+def test_distinct_columns_match_numpy_unique(radix, height, width):
+    rng = np.random.default_rng(radix)
+    # few distinct values per digit, so that columns repeat
+    digits = rng.integers(0, 3, size=(height, width)) * ((radix - 1) // 2)
+    digits[-1] = rng.integers(0, 2, size=width)
+    span = int(_column_keys(digits).max()) + 1
+    assert (span <= width) == (radix == 3)
+    _, first = np.unique(digits, axis=1, return_index=True)
+    assert np.array_equal(_distinct_columns(digits), first)
+
+
+@pytest.mark.parametrize("ell,dim,reduced,gap", [
+    (1, 1, 36, (0.5176380902050416, 2.282778720162358e-16)),
+    (2, 4, 18, (1.2133615628192058, 0.0))])
+def test_joint_kernel_reports_on_the_3x3_torus(ell, dim, reduced, gap):
+    lat = SquareTorusLattice(3, 3)
+    _, report = joint_kernel(build_hprime(lat, ell),
+                             compile_skein_instances(lat, ell), target=1)
+    assert (report["dimension"], report["g0_dimension"],
+            report["reduced_rows"]) == (dim, 22, reduced)
+    assert report["sv_gap"] == pytest.approx(gap, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# systems the solvers must refuse
+# ---------------------------------------------------------------------------
+
+
+_OTHER_LATTICE_CASES = {
+    "containment": lambda: containment_check(
+        build_hprime(SquareTorusLattice(2, 2), 2),
+        build_ring_exchange(SquareTorusLattice(3, 3))),
+    "joint-kernel": lambda: joint_kernel(
+        build_hprime(SquareTorusLattice(3, 3), 1),
+        compile_skein_instances(SquareTorusLattice(2, 2), 1), target=1),
+}
+
+
+@pytest.mark.parametrize("case", list(_OTHER_LATTICE_CASES))
+def test_solvers_refuse_systems_on_another_lattice(case):
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigInvalid):
+            _OTHER_LATTICE_CASES[case]()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # below one int64 per state of the 3x3 torus
+    assert peak < 1 << 21
+
+
+def test_joint_kernel_refuses_rows_off_the_lattice():
+    # the 3x3 skein rows as a plain list name bonds the 2x2 torus lacks
+    rows = list(compile_skein_instances(SquareTorusLattice(3, 3), 1))
+    with pytest.raises(ConfigInvalid):
+        joint_kernel(build_hprime(SquareTorusLattice(2, 2), 1), rows,
+                     target=1)
+
+
+def test_containment_refuses_an_outer_system_without_ratios():
+    lat = SquareTorusLattice(2, 2)
+    # two-term skein rows at l=1 carry no d-exponent
+    skein = ConstraintSystem(lat, 1, list(compile_skein_instances(lat, 1)),
+                             "skein")
+    with pytest.raises(ConfigInvalid):
+        containment_check(build_hprime(lat, 1), skein)
+
+
+# ---------------------------------------------------------------------------
+# the hook loops against a breadth-first search on random systems
+# ---------------------------------------------------------------------------
+
+
+def _pattern_bits(pattern, sites):
+    return sum(1 << pos for k, pos in enumerate(sites) if (pattern >> k) & 1)
+
+
+def _bfs_kernel(cs):
+    """Components numbered by their smallest state, pots relative to it,
+    and whether every pair closes, from a networkx breadth-first search
+    over the pairs listed state by state."""
+    n = cs.n_states
+    pairs = []
+    for row in cs.rows:
+        mask = sum(1 << pos for pos in row.sites)
+        (pa, _), (pb, _) = row.terms
+        for s in range(n):
+            if not s & mask:
+                pairs.append((s | _pattern_bits(pa, row.sites),
+                              s | _pattern_bits(pb, row.sites), row.dexp))
+    graph = nx.Graph()
+    graph.add_nodes_from(range(n))
+    step = {}
+    for a, b, dexp in pairs:
+        graph.add_edge(a, b)
+        step[a, b], step[b, a] = dexp, -dexp
+    comp = np.full(n, -1, dtype=np.int64)
+    pot = np.zeros(n, dtype=np.int64)
+    k = 0
+    for root in range(n):
+        if comp[root] >= 0:
+            continue
+        comp[root] = k
+        for u, v in nx.bfs_edges(graph, root):
+            comp[v], pot[v] = k, pot[u] + step[u, v]
+        k += 1
+    closes = all(comp[a] == comp[b] and pot[b] - pot[a] == dexp
+                 for a, b, dexp in pairs)
+    return comp, pot, closes
+
+
+@st.composite
+def _small_two_term_systems(draw):
+    """Two-term rows on a torus of at most 8 sites, with coefficients
+    that include p (zero mod p) and d-exponents drawn apart from them,
+    so that many cycles do not close."""
+    lat = SquareTorusLattice(draw(st.integers(1, 4)), 1)
+    ell = draw(st.sampled_from([None, 2]))
+    p, _ = _prime_and_root(ConstraintSystem(lat, ell, [], "synthetic"))
+    field = SpecialField(ell) if ell is not None else None
+    values = [1, -1, 2, Fraction(1, 3), Fraction(-3, 2), p]
+    coeffs = st.sampled_from(
+        [field.element([v]) for v in values] + [field.delta] if field
+        else [Fraction(v) for v in values])
+    rows = []
+    for k in range(draw(st.integers(1, 6))):
+        sites = draw(st.lists(st.integers(0, lat.nsites - 1), min_size=1,
+                              max_size=min(4, lat.nsites), unique=True))
+        pa, pb = draw(st.lists(st.integers(0, (1 << len(sites)) - 1),
+                               min_size=2, max_size=2, unique=True))
+        rows.append(Row("rand", k, sites, [(pa, draw(coeffs)),
+                                           (pb, draw(coeffs))],
+                        dexp=draw(st.integers(-2, 2))))
+    return ConstraintSystem(lat, ell, rows, "synthetic")
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_two_term_systems())
+def test_hook_loops_match_breadth_first_search(cs):
+    comp, pot, closes = _bfs_kernel(cs)
+    if closes:
+        kb = kernel_propagate(cs)
+        assert kb.dimension == comp.max() + 1
+        assert np.array_equal(kb.comp, comp)
+        assert np.array_equal(kb.pot, pot)
+    else:
+        with pytest.raises(InconsistentCycle):
+            kernel_propagate(cs)
+    assert _modular_rank(cs) == _dense_rank_mod_p(cs)
