@@ -833,7 +833,7 @@ def _distinct_columns(digits):
     the number of columns, else found by sorting the keys."""
     key = _column_keys(digits)
     ncols = len(key)
-    span = int(key.max()) + 1 if ncols else 0
+    span = int(key.max()) + 1
     if span > ncols:
         return np.unique(key, return_index=True)[1]
     first = np.full(span, ncols, dtype=np.int64)
