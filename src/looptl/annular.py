@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
-from .errors import IndexOutOfRange, SignatureMismatch
+from .errors import ConfigInvalid, IndexOutOfRange, SignatureMismatch
 from .scalars import (SpecialField, _padd, _pdivmod, _pmul, _trim, chebyshev,
                       quantum_int)
 from .tlcat import Morphism, jones_wenzl
@@ -162,7 +162,10 @@ def eigenvalue_family(ell):
 
     The index p runs over 0..ell; these are the eigenvalues of the ring
     curve R on the label-p summand.  Returns the distinct values, sorted.
+    Raises ConfigInvalid for ell < 1.
     """
+    if ell < 1:
+        raise ConfigInvalid("the eigenvalue family needs a level >= 1")
     vals = []
     for p in range(ell + 1):
         # A^(2p+2) + A^(-2p-2) = 2 cos((p+1) pi + (p+1) pi/(ell+2))

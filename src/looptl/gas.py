@@ -350,8 +350,7 @@ def _check_drift(lat, bits, clusters):
         raise AssertionError("cluster count drifted")
 
 
-def metropolis_sample(lat, model, sweeps, seed, record_rows=False,
-                      measure_every=None):
+def metropolis_sample(lat, model, sweeps, seed, record_rows=False):
     """Single-bond-flip Metropolis chains for the cluster-form weight.
 
     The sweeps are split over K lockstep chains (chain_lengths), run as
@@ -361,15 +360,16 @@ def metropolis_sample(lat, model, sweeps, seed, record_rows=False,
     q^dC p^dE (1-p)^dE* (acceptance_table).  dC is C[flipped] -
     C[current] read from the lattice census when 2^N <= sweeps * N
     (_cluster_table), and otherwise found by a depth-first search
-    between the bond's ends.  Every measure_every sweeps of a chain, L,
-    C and C* of every chain are read (_cluster_readers), and one chain,
-    in turn, has its running cluster count checked against extract_walls
-    (_check_drift), as has chain 0 at the start.  The waste-recycling
-    tallies are summed per state in proposal order, step by step, chain 0
-    first (_TallyStore), and returned as read-only Tallies.  One
-    counter-based (Philox) stream draws the K starting states, then per
-    sweep a (K, N) block of bond orders and a (K, N) block of uniforms,
-    row k for chain k; both ways of finding dC give the same chains.
+    between the bond's ends.  Every max(1, longest chain // 10,000)
+    sweeps, L, C and C* of every chain are read (_cluster_readers), and
+    one chain, in turn, has its running cluster count checked against
+    extract_walls (_check_drift), as has chain 0 at the start.  The
+    waste-recycling tallies are summed per state in proposal order, step
+    by step, chain 0 first (_TallyStore), and returned as read-only
+    Tallies.  One counter-based (Philox) stream draws the K starting
+    states, then per sweep a (K, N) block of bond orders and a (K, N)
+    block of uniforms, row k for chain k; both ways of finding dC give
+    the same chains.
     With record_rows, each measured sweep adds the row (sweep, L, C, C*
     of chain 0, acceptance rate so far).
     Runs on the square torus only; other lattices, sweeps < 1 and a
@@ -390,8 +390,7 @@ def metropolis_sample(lat, model, sweeps, seed, record_rows=False,
     nb = lat.nsites
     lengths = chain_lengths(sweeps)
     chains = len(lengths)
-    if measure_every is None:
-        measure_every = max(1, int(lengths[0]) // 10_000)
+    measure_every = max(1, int(lengths[0]) // 10_000)
     delta, observe = _cluster_readers(lat, _cluster_table(lat, sweeps))
     masks = np.left_shift(1, np.arange(nb, dtype=np.int64))
     ratio = acceptance_table(model)

@@ -38,7 +38,8 @@ from .lattice import ENUM_STATE_CAP, HexTorusLattice, SquareTorusLattice
 from .linalg import rank as exact_rank
 from .scalars import (FieldElement, SpecialField, minimal_polynomial,
                       special_weight)
-from .tlcat import Morphism, compose, enumerate_diagrams, jones_wenzl
+from .tlcat import (catalan, identity_diagram, jones_wenzl, stack_diagrams,
+                    u_diagram)
 
 
 class Row:
@@ -610,25 +611,19 @@ def pauli_expand_check(ell):
 
 def _diagram_words(n):
     """Reduced generator word for every planar pairing diagram on n
-    strands, found by breadth-first products with no closed loops."""
-    field = SpecialField(2)  # any weight with d != 1, to detect loops
-    d = field.delta
-    ident = Morphism.identity(n, d)
-    id_diag = next(iter(ident.terms))
+    strands, found by breadth-first products that close no loop."""
+    id_diag = identity_diagram(n)
     words = {id_diag: ()}
     queue = deque([id_diag])
     while queue:
         diag = queue.popleft()
-        base = Morphism.from_diagram(diag, d)
         for i in range(n - 1):
             # apply U_i after the existing word
-            prod = compose(Morphism.hook(n, i, d), base)
-            (new_diag, coeff), = prod.terms.items()
-            if coeff == field.one and new_diag not in words:
+            new_diag, loops = stack_diagrams(diag, u_diagram(n, i))
+            if not loops and new_diag not in words:
                 words[new_diag] = words[diag] + (i,)
                 queue.append(new_diag)
-    target = len(list(enumerate_diagrams(n, n)))
-    assert len(words) == target, "word search missed some diagrams"
+    assert len(words) == catalan(n), "word search missed some diagrams"
     return words
 
 

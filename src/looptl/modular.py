@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from .errors import ConfigInvalid
+
 
 def label_count(ell):
     """Number of (even, even) integer pairs in [0, ell]^2."""
@@ -94,18 +96,15 @@ class LevelData:
         self.label_count = label_count(ell)
         self.color_reversing_count = color_reversing_count(ell)
         self.specific_heat = specific_heat(ell)
-        self.S_full = s_matrix(ell)
         self.S_even = even_sector(ell)
         self.even_rank = int(np.linalg.matrix_rank(self.S_even, tol=1e-9))
         self.even_singular = self.even_rank < self.S_even.shape[0]
-        self.doubled_even_rank = self.even_rank ** 2
-        self.transparent = transparent_labels(ell)
         self.theory_singular = theory_singular(ell)
 
 
 def level_table(ell_max):
     if ell_max > 16:
-        raise ValueError("level table capped at ell = 16")
+        raise ConfigInvalid("level table capped at ell = 16")
     return [LevelData(ell) for ell in range(1, ell_max + 1)]
 
 

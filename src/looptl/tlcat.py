@@ -230,24 +230,29 @@ def bar_diagram(a):
     return Diagram(a.n, a.m, pairs)
 
 
-def trace_loops(a):
-    """Loop count when a square diagram is closed around a cylinder."""
-    if a.m != a.n:
-        raise SignatureMismatch("trace requires a square diagram")
-    n = a.m
-    seen = [False] * (2 * n)
+def _pairing_loops(a, b):
+    """Cycles of two perfect matchings of the same points, given as mate
+    lists: the closed loops formed when the two are glued point to
+    point."""
+    seen = [False] * len(a)
     loops = 0
-    for start in range(2 * n):
+    for start in range(len(a)):
         if seen[start]:
             continue
         loops += 1
         p = start
         while not seen[p]:
-            seen[p] = True
-            q = a.pairs[p]
-            seen[q] = True
-            p = q + n if q < n else q - n  # close top i onto bottom i
+            q = a[p]
+            seen[p] = seen[q] = True
+            p = b[q]
     return loops
+
+
+def trace_loops(a):
+    """Loop count when a square diagram is closed around a cylinder."""
+    if a.m != a.n:
+        raise SignatureMismatch("trace requires a square diagram")
+    return _pairing_loops(a.pairs, identity_diagram(a.m).pairs)
 
 
 class Morphism:
@@ -601,27 +606,23 @@ def gram_exponents(m, n):
     """Loop-count matrix of the Markov pairing on the (m, n) diagram basis.
 
     Entry [i][j] is the number of loops in the cylinder closure of
-    D_i stacked over bar(D_j); the pairing value is d to that power.
+    D_i stacked over bar(D_j): that closure glues every point of D_i to
+    the same point of D_j, so the count is _pairing_loops of their
+    pairs.  The pairing value is d to that power.
     """
     _check_diagram_cap(m, n, power=2)
     basis = enumerate_diagrams(m, n)
-    bars = [bar_diagram(b) for b in basis]
-    out = []
-    for di in basis:
-        row = []
-        for bj in bars:
-            # compose(D_i, bar(D_j)): bar(D_j) stacked above D_i -> (n, n)
-            diag, loops = stack_diagrams(bj, di)
-            row.append(loops + trace_loops(diag))
-        out.append(row)
-    return basis, out
+    pairs = [b.pairs for b in basis]
+    return basis, [[_pairing_loops(a, b) for b in pairs] for a in pairs]
 
 
 def gram_matrix(m, n, backend="generic", ell=None, d_value=None):
     """Gram matrix of the Markov pairing over the chosen backend."""
     d = _backend(backend, ell, d_value)[1]
     basis, expo = gram_exponents(m, n)
-    return basis, [[d ** e for e in row] for row in expo]
+    # a closure has at most (m + n) / 2 loops: one power per count
+    powers = [d ** e for e in range((m + n) // 2 + 1)]
+    return basis, [[powers[e] for e in row] for row in expo]
 
 
 def radical_vectors(n, ell):

@@ -246,10 +246,14 @@ def test_lattice_has_no_backend_flag(capsys):
     ("table", "smatrix", "--ell", "0"),
     ("table", "smatrix", "--ell", "-1"),
     ("table", "fig02", "--ellmax", "0"),
+    ("table", "fig02", "--ellmax", "17"),
+    ("annulus", "eigenvalues", "--ell", "0"),
+    ("annulus", "eigenvalues", "--ell", "-2"),
     ("gas", "sample", "--torus", "2x2", "--sweeps", "5", "--seed", "-1"),
 ], ids=["seed-state-zz", "diagrams-negative-n", "gram-negative-n",
         "radical-negative-n", "ideal-nmax-0", "smatrix-ell-minus-2",
         "smatrix-ell-0", "smatrix-ell-minus-1", "fig02-ellmax-0",
+        "fig02-ellmax-17", "eigenvalues-ell-0", "eigenvalues-ell-minus-2",
         "sample-negative-seed"])
 def test_bad_input_is_config_error(capsys, argv):
     code, out, err = _run(capsys, *argv)

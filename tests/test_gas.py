@@ -120,7 +120,7 @@ def test_sampler_deterministic_and_converges_2x2():
 def test_sampler_mean_observables_match_enumeration():
     lat = SquareTorusLattice(2, 2)
     g = potts_params(2)
-    rec = metropolis_sample(lat, g, 20_000, seed=9, measure_every=5)
+    rec = metropolis_sample(lat, g, 20_000, seed=9)
     probs, _, censuses = exact_distribution(lat, g, keep_censuses=True)
     exp_loops = sum(p * c.loops for p, c in zip(probs, censuses))
     # crude 3-standard-error band from the chain's own spread

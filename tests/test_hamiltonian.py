@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from looptl.errors import (ConfigInvalid, InconsistentCycle,
                            StateSpaceTooLarge, WindowDoesNotFit)
 from looptl.hamiltonian import (ConstraintSystem, Row, _coeff_mod,
-                                _column_keys, _distinct_columns,
+                                _column_keys, _diagram_words,
+                                _distinct_columns,
                                 _find_prime_with_root,
                                 _modular_rank, build_h0, build_hprime,
                                 build_ring_exchange, code_space_probe,
@@ -22,6 +23,8 @@ from looptl.hamiltonian import (ConstraintSystem, Row, _coeff_mod,
 from looptl.lattice import (ENUM_STATE_CAP, HexTorusLattice,
                             SquareTorusLattice, census)
 from looptl.scalars import SpecialField, minimal_polynomial
+from looptl.tlcat import (enumerate_diagrams, identity_diagram,
+                          stack_diagrams, u_diagram)
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3])
@@ -121,6 +124,21 @@ def test_skein_window_shapes():
     rows2 = compile_skein_instances(lat, 2)
     assert len(rows2) == 18
     assert all(len(r.sites) == 4 and len(r.terms) == 5 for r in rows2)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_diagram_words_rebuild_their_diagrams_without_loops(n):
+    words = _diagram_words(n)
+    assert set(words) == set(enumerate_diagrams(n, n))
+    # breadth first: no word is longer than one found after it
+    lengths = [len(w) for w in words.values()]
+    assert lengths == sorted(lengths)
+    for diag, word in words.items():
+        got = identity_diagram(n)
+        for i in word:
+            got, loops = stack_diagrams(got, u_diagram(n, i))
+            assert loops == 0, (diag, word)
+        assert got == diag, word
 
 
 def test_skein_window_does_not_fit():

@@ -7,9 +7,10 @@ from looptl.scalars import (D_GENERIC, RationalFunc, SpecialField,
                             quantum_int, specialize)
 from looptl.structure import catalan
 from looptl.tlcat import (Diagram, Morphism, bar, compose,
-                          enumerate_diagrams, gram_matrix, is_noncrossing,
-                          jones_wenzl, markov_trace, radical_basis,
-                          stack_diagrams, u_diagram)
+                          enumerate_diagrams, gram_exponents, gram_matrix,
+                          identity_diagram, is_noncrossing, jones_wenzl,
+                          markov_trace, radical_basis, stack_diagrams,
+                          trace_loops, u_diagram)
 
 
 @pytest.mark.parametrize("m,n", [(0, 2), (1, 3), (2, 2), (3, 3), (2, 4)])
@@ -118,6 +119,44 @@ def test_gram_matrix_entries_are_loop_powers():
     assert len(g) == 2
     flat = sorted(x for row in g for x in row)
     assert flat == [2.0, 2.0, 4.0, 4.0]
+
+
+# -- loop counts against an independent reference -----------------------------
+
+
+def _union_find_loops(a, b):
+    """Components of the union of two diagrams on the same points: a
+    union-find over the points, each arc of either diagram a union."""
+    parent = list(range(len(a.pairs)))
+
+    def find(p):
+        while parent[p] != p:
+            parent[p] = parent[parent[p]]
+            p = parent[p]
+        return p
+
+    for pairs in (a.pairs, b.pairs):
+        for p, q in enumerate(pairs):
+            parent[find(p)] = find(q)
+    return sum(find(p) == p for p in range(len(parent)))
+
+
+_GRAM_SHAPES = [(m, s - m) for s in range(0, 13, 2) for m in range(s + 1)]
+
+
+@pytest.mark.parametrize("m,n", _GRAM_SHAPES,
+                         ids=["%d-%d" % mn for mn in _GRAM_SHAPES])
+def test_gram_exponents_count_union_find_components(m, n):
+    basis, expo = gram_exponents(m, n)
+    assert basis == enumerate_diagrams(m, n)
+    assert expo == [[_union_find_loops(a, b) for b in basis] for a in basis]
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_trace_loops_count_union_find_components(n):
+    ident = identity_diagram(n)
+    for diag in enumerate_diagrams(n, n):
+        assert trace_loops(diag) == _union_find_loops(diag, ident), diag
 
 
 # -- stacking against an independent reference --------------------------------
