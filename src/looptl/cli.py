@@ -23,7 +23,7 @@ from . import __version__
 from .errors import (ComponentCapExceeded, ConfigInvalid, IndexOutOfRange,
                      InconsistentCycle, MismatchAtGrade, PoleAtSpecialValue,
                      SignatureMismatch, StateSpaceTooLarge, WindowDoesNotFit)
-from .scalars import serialize_scalar
+from .scalars import SpecialField, serialize_scalar
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -45,13 +45,6 @@ class OracleMismatch(Exception):
     pass
 
 
-def _scal(x):
-    try:
-        return serialize_scalar(x)
-    except Exception:
-        return repr(x)
-
-
 def _parse_torus(text):
     try:
         w, h = text.lower().split("x")
@@ -60,7 +53,7 @@ def _parse_torus(text):
         raise ConfigInvalid("lattice size must look like 3x3")
 
 
-def _emit(args, name, payload, kind="json"):
+def _emit(args, name, payload):
     """Write an artifact to the output directory or stdout."""
     if getattr(args, "out", None):
         os.makedirs(args.out, exist_ok=True)
@@ -84,7 +77,7 @@ def _json(obj):
 def _cmd_tl(args):
     from .linalg import rank as exact_rank
     from .structure import catalan, radical_vectors, verify_ideal_theorem
-    from .tlcat import enumerate_diagrams, gram_matrix, jones_wenzl
+    from .tlcat import enumerate_diagrams, gram_exponents, jones_wenzl
 
     report = {"command": "tl", "action": args.action}
     if args.action in ("diagrams", "gram", "radical") and args.n < 0:
@@ -103,14 +96,20 @@ def _cmd_tl(args):
         proj = jones_wenzl(args.k, backend=args.backend, ell=args.ell)
         report["backend"] = args.backend
         report["k"] = args.k
-        report["terms"] = {repr(diag): _scal(c)
+        report["terms"] = {repr(diag): serialize_scalar(c)
                            for diag, c in proj.terms.items()}
     elif args.action == "gram":
         if args.ell is None:
             raise ConfigInvalid("gram needs --ell")
-        _, g = gram_matrix(args.n, args.n, backend="special", ell=args.ell)
+        d = SpecialField(args.ell).delta
+        _, expo = gram_exponents(args.n, args.n)
+        # entry [i][j] is d^expo[i][j] with at most n loops: build and
+        # serialize each power once, not once per entry
+        powers = [d ** e for e in range(args.n + 1)]
+        text = [serialize_scalar(x) for x in powers]
+        g = [[powers[e] for e in row] for row in expo]
         rank = exact_rank(g)
-        matrix = [[_scal(x) for x in row] for row in g]
+        matrix = [[text[e] for e in row] for row in expo]
         report["n"] = args.n
         report["size"] = len(g)
         report["rank"] = rank
@@ -120,8 +119,7 @@ def _cmd_tl(args):
             buf = io.StringIO()
             csv.writer(buf).writerows(matrix)
             report["csv"] = _emit(args, "gram_n%d_ell%d.csv"
-                                  % (args.n, args.ell), buf.getvalue(),
-                                  kind="csv")
+                                  % (args.n, args.ell), buf.getvalue())
     elif args.action == "radical":
         if args.ell is None:
             raise ConfigInvalid("radical needs --ell")
@@ -151,7 +149,8 @@ def _cmd_annulus(args):
         if args.grade_cap is None:
             args.grade_cap = args.ell + 2
         ideal = annular_ideal(args.ell, args.grade_cap)
-        report["generator"] = [_scal(c) for c in ideal.generator.coeffs]
+        report["generator"] = [serialize_scalar(c)
+                               for c in ideal.generator.coeffs]
         report["grade_cap"] = args.grade_cap
         report["roots"] = generator_roots(ideal)
     elif args.action == "eigenvalues":
@@ -160,8 +159,9 @@ def _cmd_annulus(args):
         rep = beta_report(args.ell)
         rep.pop("ideal", None)
         for res in rep["results"].values():
-            res["betas"] = [[_scal(c) for c in beta] for beta in res["betas"]]
-            res["scalars"] = {str(n): _scal(c)
+            res["betas"] = [[serialize_scalar(c) for c in beta]
+                            for beta in res["betas"]]
+            res["scalars"] = {str(n): serialize_scalar(c)
                               for n, c in res["scalars"].items()}
         rep["results"] = {"%s/%s" % key: res
                           for key, res in rep["results"].items()}
@@ -182,7 +182,7 @@ def _cmd_table(args):
         report["levels"] = level_rows(args.ellmax)
         if args.out:
             report["csv"] = _emit(args, "levels.csv",
-                                  level_table_csv(args.ellmax), kind="csv")
+                                  level_table_csv(args.ellmax))
     elif args.action == "smatrix":
         if args.ell is None:
             raise ConfigInvalid("smatrix needs --ell")
@@ -196,7 +196,7 @@ def _cmd_table(args):
             for row in mat:
                 writer.writerow(["%.12g" % x for x in row])
             report["csv"] = _emit(args, "smatrix_ell%d.csv" % args.ell,
-                                  buf.getvalue(), kind="csv")
+                                  buf.getvalue())
     else:
         raise ConfigInvalid("unknown table action %r" % args.action)
     return report
@@ -268,7 +268,7 @@ def _cmd_lattice(args):
     elif args.action == "energy":
         exact, approx = ham.uniform_state_energy(cs)
         report["uniform_state_energy"] = approx
-        report["uniform_state_energy_exact"] = _scal(exact)
+        report["uniform_state_energy_exact"] = serialize_scalar(exact)
         report["rows"] = len(cs.rows)
     else:
         raise ConfigInvalid("unknown lattice action %r" % args.action)
@@ -297,7 +297,8 @@ def _cmd_gas(args):
     report = {"command": "gas", "action": args.action,
               "lattice": lat.spec_dict(), "ell": model.ell,
               "q": model.q_float, "p": model.p_float,
-              "q_exact": _scal(model.q), "p_exact": _scal(model.p)}
+              "q_exact": serialize_scalar(model.q),
+              "p_exact": serialize_scalar(model.p)}
     report["flags"] = model.flags
     if args.action == "exact":
         probs, weights, _ = gas.exact_distribution(lat, model)
@@ -325,7 +326,7 @@ def _cmd_gas(args):
                              "acceptance"])
             writer.writerows(rec.rows)
             report["csv"] = _emit(args, "chain_seed%d.csv" % args.seed,
-                                  buf.getvalue(), kind="csv")
+                                  buf.getvalue())
     else:
         raise ConfigInvalid("unknown gas action %r" % args.action)
     report["census"] = _census_info(lat, cached_before)
@@ -336,7 +337,7 @@ def _cmd_verify(args):
     """Run the quick cross-checks that do not need minutes of compute."""
     from . import gas, hamiltonian as ham
     from .lattice import SquareTorusLattice
-    from .modular import torus_dimension_estimate, verlinde_dimension
+    from .modular import label_count, verlinde_dimension
     from .structure import verify_ideal_theorem
 
     checks = {}
@@ -350,8 +351,9 @@ def _cmd_verify(args):
     checks["detailed_balance_2x2"] = ok
     holds, _ = gas.homology_rule_report(lat)
     checks["homology_rule_2x2"] = holds
-    checks["verlinde_matches_labels"] = (
-        abs(verlinde_dimension(2, 1) - torus_dimension_estimate(2, 1)) < 1e-9)
+    checks["verlinde_matches_labels"] = all(
+        abs(verlinde_dimension(ell, 1) - label_count(ell)) < 1e-9
+        for ell in range(1, 7))
     report = {"command": "verify", "checks": checks,
               "passed": all(checks.values()),
               # a mismatch raises MismatchAtGrade (exit 4)

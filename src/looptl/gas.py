@@ -281,12 +281,10 @@ def _dfs_delta_clusters(bits, bond, primal, walk):
     return 1 if (bits >> bond) & 1 else -1
 
 
-def _cluster_table(lat, sweeps):
-    """C of every state as bytes when the census is cheaper than the
-    chain's searches (2^N <= sweeps * N, within ENUM_STATE_CAP), else
+def _cluster_table(lat):
+    """C of every state as bytes when 2^N <= ENUM_STATE_CAP, else
     None."""
-    states = 1 << lat.nsites
-    if states > ENUM_STATE_CAP or states > sweeps * lat.nsites:
+    if (1 << lat.nsites) > ENUM_STATE_CAP:
         return None
     return census(lat).clusters.tobytes()
 
@@ -358,8 +356,8 @@ def metropolis_sample(lat, model, sweeps, seed, record_rows=False):
     sweep of a chain proposes every bond once, in a random order.  The
     acceptance ratio for a flip changing (dC, dE, dE*) is
     q^dC p^dE (1-p)^dE* (acceptance_table).  dC is C[flipped] -
-    C[current] read from the lattice census when 2^N <= sweeps * N
-    (_cluster_table), and otherwise found by a depth-first search
+    C[current] read from the lattice census when 2^N <= ENUM_STATE_CAP
+    (_cluster_table), and past the cap found by a depth-first search
     between the bond's ends.  Every max(1, longest chain // 10,000)
     sweeps, L, C and C* of every chain are read (_cluster_readers), and
     one chain, in turn, has its running cluster count checked against
@@ -391,7 +389,7 @@ def metropolis_sample(lat, model, sweeps, seed, record_rows=False):
     lengths = chain_lengths(sweeps)
     chains = len(lengths)
     measure_every = max(1, int(lengths[0]) // 10_000)
-    delta, observe = _cluster_readers(lat, _cluster_table(lat, sweeps))
+    delta, observe = _cluster_readers(lat, _cluster_table(lat))
     masks = np.left_shift(1, np.arange(nb, dtype=np.int64))
     ratio = acceptance_table(model)
     # flat acceptance table, indexed by 3*spin + dC + 1

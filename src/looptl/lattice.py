@@ -633,10 +633,6 @@ class ComponentGraph:
         self.consistent = consistent
         self.potentials = potentials    # d-exponent per config, or None
 
-    @property
-    def size(self):
-        return len(self.configs)
-
 
 def explore_component(seed, model=None, cap=COMPONENT_CAP):
     """Breadth-first closure of a configuration under the moves of a

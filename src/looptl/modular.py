@@ -129,13 +129,6 @@ def level_table_csv(ell_max):
     return "\n".join(lines) + "\n"
 
 
-def asymptotic_dimension(ell, genus):
-    """The quoted closed-form estimate 2/sqrt(ell+2) * sin(pi/(ell+2))^chi."""
-    chi = 2 - 2 * genus
-    k = ell + 2
-    return 2.0 / math.sqrt(k) * math.sin(math.pi / k) ** chi
-
-
 def verlinde_dimension(ell, genus):
     """Exact genus-g dimension of the doubled even theory.
 
@@ -157,9 +150,8 @@ def torus_dimension_estimate(ell, genus):
     """Dimension of the doubled even theory on a genus-g surface.
 
     At genus 1 the exact count (= label_count) is returned after being
-    cross-checked against the Verlinde sum; at higher genus the quoted
-    asymptotic formula is evaluated (the exact sum is available separately
-    as verlinde_dimension).
+    cross-checked against the Verlinde sum; at higher genus the Verlinde
+    sum itself (verlinde_dimension).
     """
     if genus < 1:
         raise ValueError("genus must be >= 1")
@@ -170,4 +162,4 @@ def torus_dimension_estimate(ell, genus):
             raise AssertionError(
                 f"genus-1 Verlinde sum {v} disagrees with label count {lc}")
         return float(lc)
-    return asymptotic_dimension(ell, genus)
+    return verlinde_dimension(ell, genus)

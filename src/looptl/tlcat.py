@@ -488,10 +488,6 @@ def compose_factored(a, b):
     return out
 
 
-def tensor(a, b):
-    return a.tensor(b)
-
-
 def bar(a):
     return a.bar()
 

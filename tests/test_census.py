@@ -169,9 +169,9 @@ def test_sampler_table_and_search_give_the_same_chain(monkeypatch, size,
                                                       sweeps, seed):
     lat = SquareTorusLattice(size, size)
     g = gas.potts_params(2)
-    assert gas._cluster_table(lat, sweeps) is not None
+    assert gas._cluster_table(lat) is not None
     with_table = gas.metropolis_sample(lat, g, sweeps, seed)
-    monkeypatch.setattr(gas, "_cluster_table", lambda lat, sweeps: None)
+    monkeypatch.setattr(gas, "_cluster_table", lambda lat: None)
     with_search = gas.metropolis_sample(lat, g, sweeps, seed)
     for name in ("states", "weights"):
         assert getattr(with_table.tallies, name).tobytes() == \

@@ -55,6 +55,23 @@ def test_tl_gram_corank(capsys, tmp_path):
     assert csv_rows == [",".join(row) for row in rep["matrix"]]
 
 
+def test_tl_gram_report_matches_entry_by_entry_serialization(capsys):
+    from looptl.cli import _json
+    from looptl.linalg import rank
+    from looptl.scalars import serialize_scalar
+    from looptl.tlcat import gram_matrix
+    code, out, _ = _run(capsys, "tl", "gram", "--n", "4", "--ell", "2")
+    assert code == EXIT_OK
+    _, g = gram_matrix(4, 4, backend="special", ell=2)
+    r = rank(g)
+    want = report_bundle([{
+        "command": "tl", "action": "gram", "n": 4, "size": len(g),
+        "rank": r, "corank": len(g) - r,
+        "matrix": [[serialize_scalar(x) for x in row] for row in g]}])
+    want["wall_clock_seconds"] = json.loads(out)["wall_clock_seconds"]
+    assert out == _json(want) + "\n"
+
+
 @pytest.mark.parametrize("n,ell,size,rank", [(0, 1, 1, 1), (3, 2, 5, 4)])
 def test_tl_gram_stdout_is_one_json_report(capsys, n, ell, size, rank):
     code, out, _ = _run(capsys, "tl", "gram", "--n", str(n),
@@ -334,6 +351,21 @@ def test_verify_passes(capsys):
     assert [g["ideal_dim"] for g in grades] == [0, 1, 4, 13, 41]
 
 
+def test_verify_fails_when_verlinde_and_label_counts_differ(capsys,
+                                                            monkeypatch):
+    from looptl import modular
+    count = modular.label_count
+    monkeypatch.setattr(modular, "label_count",
+                        lambda ell: count(ell) + (ell == 5))
+    code, out, err = _run(capsys, "verify")
+    assert code == EXIT_ORACLE
+    assert out == ""
+    rep = json.loads(err)
+    assert rep["error"] == "oracle-mismatch"
+    assert rep["message"] == \
+        "verification checks failed: ['verlinde_matches_labels']"
+
+
 def test_artifacts_written_to_out_dir(tmp_path, capsys):
     code, _, _ = _run(capsys, "--out", str(tmp_path), "table", "fig02",
                       "--ellmax", "2")
@@ -386,6 +418,12 @@ def test_gas_reports_carry_census(capsys):
     assert code == EXIT_OK
     info = json.loads(out)["results"][0]["census"]
     assert info["states"] == 256 and info["cached"] is True
+    # 2^18 states lie within the cap: the default run reads the census
+    code, out, _ = _run(capsys, "gas", "sample", "--torus", "3x3")
+    assert code == EXIT_OK
+    rep = json.loads(out)["results"][0]
+    assert rep["sweeps"] == 10_000
+    assert rep["census"]["states"] == 262144
     # 2^24 states lie past the cap: the chain builds no census
     code, out, _ = _run(capsys, "gas", "sample", "--torus", "4x3",
                         "--sweeps", "2")
@@ -514,7 +552,7 @@ def test_sampler_drift_is_invariant_error(capsys, monkeypatch):
     # a census that reports one cluster for every state makes each
     # incremental dC zero, so the running count drifts from the recount
     monkeypatch.setattr(gas, "_cluster_table",
-                        lambda lat, sweeps: bytes([1]) * (1 << lat.nsites))
+                        lambda lat: bytes([1]) * (1 << lat.nsites))
     code, out, err = _run(capsys, "gas", "sample", "--torus", "2x2",
                           "--sweeps", "50", "--seed", "3")
     assert code == EXIT_INVARIANT
@@ -533,7 +571,7 @@ def test_sampler_drift_is_invariant_error_under_optimize():
         "import sys\n"
         "from looptl import cli, gas\n"
         "gas._cluster_table = "
-        "lambda lat, sweeps: bytes([1]) * (1 << lat.nsites)\n"
+        "lambda lat: bytes([1]) * (1 << lat.nsites)\n"
         "sys.exit(cli.main(['gas', 'sample', '--torus', '2x2',"
         " '--sweeps', '50', '--seed', '3']))\n")
     env = dict(os.environ, PYTHONPATH=src)

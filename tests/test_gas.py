@@ -273,11 +273,20 @@ def test_sampler_matches_dict_reference_bit_for_bit(monkeypatch, path,
     tallies, accepted, *means = _reference_chains(lat, g, sweeps, seed)
     dense = metropolis_sample(lat, g, sweeps, seed)
     if path == "dfs":
-        monkeypatch.setattr(gas, "_cluster_table", lambda lat, sweeps: None)
+        monkeypatch.setattr(gas, "_cluster_table", lambda lat: None)
     elif path == "dict-slots":
         # the sampler's view of the cap: dC by search, tallies in a dict
         monkeypatch.setattr(gas, "ENUM_STATE_CAP", 1)
+    searches = []
+    search = gas._dfs_delta_clusters
+
+    def counted_search(*args):
+        searches.append(args)
+        return search(*args)
+    monkeypatch.setattr(gas, "_dfs_delta_clusters", counted_search)
     rec = metropolis_sample(lat, g, sweeps, seed)
+    # below the cap the census serves every dC; the other paths search
+    assert len(searches) == (0 if path == "table" else rec.proposed)
     states, weights = rec.tallies.states, rec.tallies.weights
     assert states.dtype == np.int64 and np.all(np.diff(states) > 0)
     assert np.all(weights > 0.0)

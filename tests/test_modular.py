@@ -43,6 +43,12 @@ def test_verlinde_genus_one_matches_label_count(ell):
     assert torus_dimension_estimate(ell, 1) == label_count(ell)
 
 
+@pytest.mark.parametrize("ell,dim", [(1, 4), (2, 64), (3, 100)])
+def test_higher_genus_dimension_is_the_verlinde_sum(ell, dim):
+    assert torus_dimension_estimate(ell, 2) == verlinde_dimension(ell, 2)
+    assert verlinde_dimension(ell, 2) == pytest.approx(dim, rel=1e-12)
+
+
 def test_level_table_csv_shape():
     text = level_table_csv(6)
     lines = text.strip().splitlines()
