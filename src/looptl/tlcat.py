@@ -527,12 +527,19 @@ _jw_cleared_cache = {}
 def _jw_cleared(k, backend, ell, d_value):
     """Denominator-cleared projector: (N, den) with p_k = N / den.
 
-    With N' = N_{k-1} x 1 and U the last hook, the Wenzl recursion reads
-        N_k = den [k] N' - [k-1] N' U N',   den_k = den^2 [k].
-    Over the generic backend N and den are polynomials and the pair is
-    divided by its common polynomial content, which keeps the recursion
-    free of per-product gcd work; over the special and float backends
-    den is folded into N at every step, so den is always one.
+    Built by the one-sided (single clasp) form of the Wenzl recursion
+    (H. Wenzl, "On sequences of projections", 1987; S. Morrison, "A
+    formula for the Jones-Wenzl projections", arXiv:1503.00384):
+        p_k = P + sum_{i=1}^{k-1} (-1)^(k-i) ([i]/[k]) P W_i,
+    where P = p_{k-1} x 1 and W_i = U_{k-1} ... U_i is the loop-free
+    hook word that applies U_i first.  With N' = N_{k-1} x 1 this reads
+        N_k = N' ([k] 1 + sum_i (-1)^(k-i) [i] W_i),   den_k = den [k],
+    one composite of N' with a k-term morphism: k C(k-1) diagram
+    stacks per grade.  Over the generic backend N and den are
+    polynomials and the pair is divided by its common polynomial
+    content, which keeps the recursion free of per-product gcd work;
+    over the special and float backends den is folded into N at every
+    step, so den is always one.
     """
     key, d, qint = _backend(backend, ell, d_value)
     if (key, k) in _jw_cleared_cache:
@@ -541,17 +548,23 @@ def _jw_cleared(k, backend, ell, d_value):
         out = (Morphism.identity(1, d), d ** 0)
     else:
         N, den = _jw_cleared(k - 1, backend, ell, d_value)
-        qk, qk1 = qint(k - 1), qint(k)
-        if backend == "special" and not qk1:
+        qk = qint(k)
+        if backend == "special" and not qk:
             raise PoleAtSpecialValue(
                 f"projector grade {k} does not exist at level {ell}")
-        if backend == "float" and abs(qk1) < 1e-12:
+        if backend == "float" and abs(qk) < 1e-12:
             raise PoleAtSpecialValue(
                 f"projector grade {k} is singular at d={d_value}")
+        # W_{k-1} = U_{k-1} first, each W_i = W_{i+1} U_i after it; this
+        # order keeps the terms in the key order of the two-sided step
+        word = identity_diagram(k)
+        terms = {word: qk}
+        for i in range(k - 1, 0, -1):
+            word, _ = stack_diagrams(u_diagram(k, i - 1), word)
+            terms[word] = qint(i) if (k - i) % 2 == 0 else -qint(i)
         N1 = N.tensor(Morphism.identity(1, d))
-        corr = compose(compose(N1, Morphism.hook(k, k - 2, d)), N1)
-        num = N1.scale(den * qk1) - corr.scale(qk)
-        den = den * den * qk1
+        num = compose(N1, Morphism(k, k, terms, d))
+        den = den * qk
         if backend == "generic":
             g = list(den.num)
             for c in num.terms.values():
@@ -576,10 +589,12 @@ def _jw_cleared(k, backend, ell, d_value):
 def jones_wenzl(k, backend="generic", ell=None, d_value=None):
     """The grade-k Jones-Wenzl projector.
 
-    Built by the inductive relation
-        p_{k+1} = p_k x 1 - ([k]/[k+1]) (p_k x 1) U_k (p_k x 1).
-    In the special backend this exists for k <= ell + 1 and raises
-    PoleAtSpecialValue beyond, where [k+1] = 0.
+    Built by the one-sided Wenzl recursion (Morrison, arXiv:1503.00384)
+        p_k = p_{k-1} x 1
+              + sum_{i=1}^{k-1} (-1)^(k-i) ([i]/[k]) (p_{k-1} x 1) W_i,
+    with W_i = U_{k-1} ... U_i (U_i applied first); see _jw_cleared.  In
+    the special backend this exists for k <= ell + 1 and raises
+    PoleAtSpecialValue beyond, where [k] = 0.
     """
     key = (_backend(backend, ell, d_value)[0], k)
     if key in _jw_cache:
@@ -604,12 +619,18 @@ def gram_exponents(m, n):
     Entry [i][j] is the number of loops in the cylinder closure of
     D_i stacked over bar(D_j): that closure glues every point of D_i to
     the same point of D_j, so the count is _pairing_loops of their
-    pairs.  The pairing value is d to that power.
+    pairs.  The pairing value is d to that power.  The count is
+    symmetric in i and j, so only i <= j is walked.
     """
     _check_diagram_cap(m, n, power=2)
     basis = enumerate_diagrams(m, n)
     pairs = [b.pairs for b in basis]
-    return basis, [[_pairing_loops(a, b) for b in pairs] for a in pairs]
+    expo = [[0] * len(pairs) for _ in pairs]
+    for i, a in enumerate(pairs):
+        row = expo[i]
+        for j in range(i, len(pairs)):
+            row[j] = expo[j][i] = _pairing_loops(a, pairs[j])
+    return basis, expo
 
 
 def gram_matrix(m, n, backend="generic", ell=None, d_value=None):

@@ -72,6 +72,30 @@ def test_tl_gram_report_matches_entry_by_entry_serialization(capsys):
     assert out == _json(want) + "\n"
 
 
+# sha256 of the stdout, wall clock masked, as `tl jw` printed it when the
+# projectors were built by the two-sided Wenzl relation
+_JW_STDOUT_SHA256 = {
+    ("--k", "6"):
+        "97684a1b6ab2da9d5c5728277c7023681768fbb30c789aab63f04155bcfa0bc2",
+    ("--backend", "special", "--ell", "4", "--k", "5"):
+        "ce8ba7240eb37d43bc07272b089112eb859c70f90c052c20f1c50de0e94669d5",
+}
+
+
+@pytest.mark.parametrize("flags", list(_JW_STDOUT_SHA256),
+                         ids=["generic-k6", "special-ell4-k5"])
+def test_tl_jw_stdout_is_pinned(capsys, flags):
+    import hashlib
+    import re
+    code, out, _ = _run(capsys, "tl", "jw", *flags)
+    assert code == EXIT_OK
+    masked, count = re.subn(r'"wall_clock_seconds": [-+.0-9eE]+',
+                            '"wall_clock_seconds": 0', out)
+    assert count == 1
+    assert hashlib.sha256(masked.encode()).hexdigest() == \
+        _JW_STDOUT_SHA256[flags]
+
+
 @pytest.mark.parametrize("n,ell,size,rank", [(0, 1, 1, 1), (3, 2, 5, 4)])
 def test_tl_gram_stdout_is_one_json_report(capsys, n, ell, size, rank):
     code, out, _ = _run(capsys, "tl", "gram", "--n", str(n),

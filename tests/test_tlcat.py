@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -95,6 +97,54 @@ def test_jw_special_backend_matches_generic(ell):
 def test_jw_pole_beyond_level():
     with pytest.raises(PoleAtSpecialValue):
         jones_wenzl(3, backend="special", ell=1)
+
+
+# -- projectors against the two-sided Wenzl relation -------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _two_sided_jw(kmax, backend, ell=None):
+    """p_1, ..., p_kmax by the two-sided relation
+    p_k = P - ([k-1]/[k]) P U_{k-1} P with P = p_{k-1} x 1, written with
+    the public tensor, compose and scale only."""
+    if backend == "generic":
+        d, qint = D_GENERIC, quantum_int
+    else:
+        field = SpecialField(ell)
+        d, qint = field.delta, field.quantum_int
+    one = Morphism.identity(1, d)
+    out = [None, one]
+    for k in range(2, kmax + 1):
+        big = out[-1].tensor(one)
+        hook = Morphism.hook(k, k - 2, d)
+        out.append(big - compose(compose(big, hook), big).scale(
+            qint(k - 1) / qint(k)))
+    return out
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_jw_generic_equals_two_sided_relation_term_for_term(k):
+    want = _two_sided_jw(7, "generic")[k]
+    assert list(jones_wenzl(k).terms.items()) == list(want.terms.items())
+
+
+@pytest.mark.parametrize("ell", range(1, 7))
+def test_jw_special_equals_two_sided_relation_term_for_term(ell):
+    want = _two_sided_jw(ell + 1, "special", ell)
+    for k in range(1, ell + 2):
+        got = jones_wenzl(k, backend="special", ell=ell)
+        assert list(got.terms.items()) == list(want[k].terms.items()), k
+    with pytest.raises(PoleAtSpecialValue):
+        jones_wenzl(ell + 2, backend="special", ell=ell)
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_jw_float_equals_generic_evaluated(k):
+    got = jones_wenzl(k, backend="float", d_value=2.5)
+    want = _two_sided_jw(7, "generic")[k]
+    assert set(got.terms) == set(want.terms)
+    for diag, c in want.terms.items():
+        assert abs(got.terms[diag] - c.eval_float(2.5)) < 1e-12, diag
 
 
 def test_bar_is_involution():
