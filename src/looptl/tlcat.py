@@ -555,8 +555,9 @@ def _jw_cleared(k, backend, ell, d_value):
         if backend == "float" and abs(qk) < 1e-12:
             raise PoleAtSpecialValue(
                 f"projector grade {k} is singular at d={d_value}")
-        # W_{k-1} = U_{k-1} first, each W_i = W_{i+1} U_i after it; this
-        # order keeps the terms in the key order of the two-sided step
+        # W_{k-1} = U_{k-1}, then W_i = W_{i+1} U_i down to i = 1: in
+        # this order p_k's terms come out in the key order of the
+        # two-sided relation p_k = P - ([k-1]/[k]) P U_{k-1} P
         word = identity_diagram(k)
         terms = {word: qk}
         for i in range(k - 1, 0, -1):
