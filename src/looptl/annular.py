@@ -304,5 +304,4 @@ def beta_report(ell):
         "convention": chosen[0] if chosen else None,
         "sector": chosen[1] if chosen else None,
         "results": results,
-        "ideal": ideal,
     }

@@ -108,24 +108,19 @@ def _cluster_forms(cen, model):
     return q_pow[cen.clusters] * p_pow[plus] * m_pow[minus]
 
 
-def exact_distribution(lat, model, keep_censuses=False):
+def exact_distribution(lat, model):
     """Exhaustive cluster-form distribution over all configurations.
 
     Returns (probabilities array indexed by state bits, weights array,
-    censuses list or None).  The weights come from the cached census of
-    the lattice (lattice.census): C and E per state, the same float
-    products as fk_weight.  With keep_censuses the per-state WallCensus
-    objects of extract_walls are returned too, which costs one
-    extract_walls call per state.  Raises StateSpaceTooLarge past
+    the lattice's StateCensus).  The weights come from the cached census
+    of the lattice (lattice.census): C and E per state, the same float
+    products as fk_weight.  Raises StateSpaceTooLarge past
     ENUM_STATE_CAP.
     """
-    weights = _cluster_forms(census(lat), model)
-    censuses = None
-    if keep_censuses:
-        censuses = [lat.extract_walls(lat.config(bits))
-                    for bits in range(len(weights))]
+    cen = census(lat)
+    weights = _cluster_forms(cen, model)
     probs = weights / weights.sum()
-    return probs, weights, censuses
+    return probs, weights, cen
 
 
 def extensive_constant_report(lat, model):
@@ -282,11 +277,12 @@ def _dfs_delta_clusters(bits, bond, primal, walk):
 
 
 def _cluster_table(lat):
-    """C of every state as bytes when 2^N <= ENUM_STATE_CAP, else
-    None."""
+    """C of every state as an int8 array when 2^N <= ENUM_STATE_CAP,
+    else None; cluster counts stay below 128, so the view reads them
+    unchanged."""
     if (1 << lat.nsites) > ENUM_STATE_CAP:
         return None
-    return census(lat).clusters.tobytes()
+    return census(lat).clusters.view(np.int8)
 
 
 def acceptance_table(model):
@@ -316,14 +312,12 @@ def _cluster_readers(lat, table):
     and the observables from extract_walls, chain by chain."""
     if table is not None:
         cen = census(lat)
-        # cluster counts stay below 128, so the bytes read as int8 unchanged
-        col = np.frombuffer(table, np.int8)
 
         def delta(bits, flipped, bonds):
-            return col[flipped] - col[bits]
+            return table[flipped] - table[bits]
 
         def observe(bits):
-            return np.stack([cen.loops[bits], col[bits],
+            return np.stack([cen.loops[bits], table[bits],
                              cen.dual_clusters[bits]])
         return delta, observe
     primal, _, walk = _square_wall_tables(lat.w, lat.h)

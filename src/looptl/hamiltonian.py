@@ -36,8 +36,7 @@ from .errors import (ConfigInvalid, InconsistentCycle, StateSpaceTooLarge,
                      WindowDoesNotFit)
 from .lattice import ENUM_STATE_CAP, HexTorusLattice, SquareTorusLattice
 from .linalg import rank as exact_rank
-from .scalars import (FieldElement, SpecialField, minimal_polynomial,
-                      special_weight)
+from .scalars import FieldElement, SpecialField, minimal_polynomial
 from .tlcat import (catalan, identity_diagram, jones_wenzl, stack_diagrams,
                     u_diagram)
 
@@ -216,7 +215,7 @@ def build_ring_exchange(lat):
             sites = tuple(bonds)
             rows.append(Row("ring-exchange", ("vertex", i, j, mark), sites,
                             [(1 << mark, 1), (1 << nxt, -1)], dexp=0))
-    return ConstraintSystem(lat, None, rows, "ring-exchange", field=False)
+    return ConstraintSystem(lat, None, rows, "ring-exchange")
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +347,7 @@ def kernel_propagate(cs):
     roots = label == np.arange(n)
     comp = (np.cumsum(roots) - 1)[label]
     pot = (pack & _POT_MASK) - _POT_BIAS
-    d = float(special_weight(cs.ell)) if cs.ell is not None else 1.0
+    d = float(cs.field.delta) if cs.ell is not None else 1.0
     return KernelBasis(int(roots.sum()), "propagate", comp=comp, pot=pot,
                        d=d)
 

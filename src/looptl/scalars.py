@@ -615,11 +615,6 @@ def to_float(x, d=None):
     return float(x)
 
 
-def special_weight(ell):
-    """The special loop weight 2cos(pi/(ell+2)) as an exact field element."""
-    return SpecialField(ell).delta
-
-
 def serialize_scalar(x):
     """Canonical string form of an exact scalar."""
     if isinstance(x, Fraction):

@@ -273,8 +273,8 @@ class Morphism:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def from_diagram(diag, d, coeff=1):
-        return Morphism(diag.m, diag.n, {diag: coeff * d ** 0}, d)
+    def from_diagram(diag, d):
+        return Morphism(diag.m, diag.n, {diag: d ** 0}, d)
 
     @staticmethod
     def zero(m, n, d):
@@ -334,29 +334,6 @@ class Morphism:
 
     # -- categorical operations ----------------------------------------------
 
-    def stack_under(self, upper):
-        """Vertical stacking with `upper` above self; loops become d factors."""
-        if upper.n != self.m:
-            raise SignatureMismatch(
-                f"cannot stack ({upper.m},{upper.n}) over ({self.m},{self.n})")
-        d = self.d
-        if isinstance(d, RationalFunc):
-            return Morphism(upper.m, self.n,
-                            _stack_ratfunc(upper.terms, self.terms, d), d)
-        powers = {}
-        out = {}
-        for da, ca in upper.terms.items():
-            for db, cb in self.terms.items():
-                diag, loops = stack_diagrams(da, db)
-                if loops not in powers:
-                    powers[loops] = d ** loops
-                c = ca * cb * powers[loops] if loops else ca * cb
-                if diag in out:
-                    out[diag] = out[diag] + c
-                else:
-                    out[diag] = c
-        return Morphism(upper.m, self.n, out, d)
-
     def tensor(self, other):
         out = {}
         for da, ca in self.terms.items():
@@ -365,25 +342,6 @@ class Morphism:
                 c = ca * cb
                 out[diag] = out[diag] + c if diag in out else c
         return Morphism(self.m + other.m, self.n + other.n, out, self.d)
-
-    def bar(self):
-        return Morphism(self.n, self.m,
-                        {bar_diagram(k): v for k, v in self.terms.items()},
-                        self.d)
-
-    def markov_trace(self):
-        d = self.d
-        if isinstance(d, RationalFunc):
-            parts = {}
-            for diag, c in self.terms.items():
-                key = (c.den, trace_loops(diag))
-                parts[key] = _padd(parts.get(key, []), c.num)
-            return _ratfunc_sum(parts, d)
-        total = None
-        for diag, c in self.terms.items():
-            val = c * d ** trace_loops(diag)
-            total = val if total is None else total + val
-        return total if total is not None else d - d
 
 
 def _stack_ratfunc(upper, lower, d):
@@ -448,9 +406,27 @@ def _ratfunc_sum(parts, d):
 def compose(a, b):
     """Categorical composite a after b: b stacked above a.
 
-    a: (m, n), b: (l, m)  ->  (l, n).
+    a: (m, n), b: (l, m)  ->  (l, n); loops become d factors.
     """
-    return a.stack_under(b)
+    if b.n != a.m:
+        raise SignatureMismatch(
+            f"cannot stack ({b.m},{b.n}) over ({a.m},{a.n})")
+    d = a.d
+    if isinstance(d, RationalFunc):
+        return Morphism(b.m, a.n, _stack_ratfunc(b.terms, a.terms, d), d)
+    powers = {}
+    out = {}
+    for da, ca in b.terms.items():
+        for db, cb in a.terms.items():
+            diag, loops = stack_diagrams(da, db)
+            if loops not in powers:
+                powers[loops] = d ** loops
+            c = ca * cb * powers[loops] if loops else ca * cb
+            if diag in out:
+                out[diag] = out[diag] + c
+            else:
+                out[diag] = c
+    return Morphism(b.m, a.n, out, d)
 
 
 def compose_factored(a, b):
@@ -489,11 +465,23 @@ def compose_factored(a, b):
 
 
 def bar(a):
-    return a.bar()
+    return Morphism(a.n, a.m, {bar_diagram(k): v for k, v in a.terms.items()},
+                    a.d)
 
 
 def markov_trace(a):
-    return a.markov_trace()
+    d = a.d
+    if isinstance(d, RationalFunc):
+        parts = {}
+        for diag, c in a.terms.items():
+            key = (c.den, trace_loops(diag))
+            parts[key] = _padd(parts.get(key, []), c.num)
+        return _ratfunc_sum(parts, d)
+    total = None
+    for diag, c in a.terms.items():
+        val = c * d ** trace_loops(diag)
+        total = val if total is None else total + val
+    return total if total is not None else d - d
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ import random
 import time
 
 import numpy as np
-import pytest
 
 from looptl.annular import (annular_closure, annular_ideal, beta_report,
                             eigenvalue_family, generator_roots)
@@ -21,16 +20,15 @@ from looptl.hamiltonian import (build_hprime, build_ring_exchange,
                                 code_space_probe, compile_skein_instances,
                                 containment_check, joint_kernel,
                                 joint_vectors_dense, kernel_dense,
-                                kernel_propagate, pauli_expand_check,
-                                uniform_state_energy)
+                                kernel_propagate, pauli_expand_check)
 from looptl.lattice import (SquareDiskLattice, SquareTorusLattice,
                             explore_component)
-from looptl.modular import (color_reversing_count, label_count, label_count
-                            as _lc, level_table, specific_heat,
-                            theory_singular, torus_dimension_estimate)
+from looptl.modular import (color_reversing_count, label_count, level_table,
+                            specific_heat, theory_singular,
+                            torus_dimension_estimate)
 from looptl.scalars import SpecialField, quantum_int
 from looptl.structure import (catalan, conditional_expectation, ideal_span,
-                              radical_vectors, verify_ideal_theorem)
+                              radical_vectors)
 from looptl.tlcat import (Morphism, compose, compose_factored,
                           enumerate_diagrams, gram_matrix, jones_wenzl,
                           markov_trace, radical_basis)

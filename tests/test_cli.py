@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from looptl.cli import (EXIT_CAPACITY, EXIT_CONFIG, EXIT_INTERNAL,
@@ -94,6 +95,43 @@ def test_tl_jw_stdout_is_pinned(capsys, flags):
     assert count == 1
     assert hashlib.sha256(masked.encode()).hexdigest() == \
         _JW_STDOUT_SHA256[flags]
+
+
+# sha256 of the stdout, wall clock and census seconds masked, as the gas,
+# annulus and lattice layers printed it before their forwarders and unread
+# options were deleted
+_STDOUT_SHA256 = {
+    ("gas", "exact", "--torus", "2x2", "--ell", "2"):
+        "4f5bff5817407c26f96a6f8f32c0e2bdc534b04b62b355f4b65eebc3ac3cf8ea",
+    # past the state cap: depth-first dC and dict tallies
+    ("gas", "sample", "--torus", "4x3", "--sweeps", "200", "--seed", "1"):
+        "a9726af9c477b4a15392d7d4a389cb7960cdd94f8b60150388f1b1916cfe1f17",
+    ("annulus", "beta", "--ell", "3"):
+        "5f177f9591e397d8774e85863e64a468749d1b2b959ea0c07ecd170102bb9114",
+    ("lattice", "energy", "--torus", "2x2", "--ell", "2"):
+        "4cc4f3701604143f5735d6b35cb3afcfbacb5be1bf2ac954554ad72c773a0216",
+}
+
+
+@pytest.mark.parametrize("argv", list(_STDOUT_SHA256),
+                         ids=["gas-exact", "gas-sample-past-cap",
+                              "annulus-beta", "lattice-energy"])
+def test_stdout_is_pinned(capsys, monkeypatch, argv):
+    import hashlib
+    import re
+    from looptl import lattice
+    # a cold census cache, so "cached" reads false whatever ran before
+    monkeypatch.setattr(lattice, "_CENSUS_CACHE", {})
+    code, out, _ = _run(capsys, *argv)
+    assert code == EXIT_OK
+    masked, count = re.subn(r'"wall_clock_seconds": [-+.0-9eE]+',
+                            '"wall_clock_seconds": 0', out)
+    assert count == 1
+    masked, count = re.subn(r'"seconds": [-+.0-9eE]+', '"seconds": 0',
+                            masked)
+    assert count == (argv[0] == "gas")
+    assert hashlib.sha256(masked.encode()).hexdigest() == \
+        _STDOUT_SHA256[argv]
 
 
 @pytest.mark.parametrize("n,ell,size,rank", [(0, 1, 1, 1), (3, 2, 5, 4)])
@@ -367,7 +405,7 @@ def test_verify_passes(capsys):
     code, out, _ = _run(capsys, "verify")
     assert code == EXIT_OK
     rep = json.loads(out)["results"][0]
-    assert rep["passed"]
+    assert all(rep["checks"].values())
     # the ideal theorem at level 1, one entry per grade
     grades = rep["ideal_theorem_ell1"]
     assert [g["grade"] for g in grades] == [1, 2, 3, 4, 5]
@@ -576,7 +614,7 @@ def test_sampler_drift_is_invariant_error(capsys, monkeypatch):
     # a census that reports one cluster for every state makes each
     # incremental dC zero, so the running count drifts from the recount
     monkeypatch.setattr(gas, "_cluster_table",
-                        lambda lat: bytes([1]) * (1 << lat.nsites))
+                        lambda lat: np.ones(1 << lat.nsites, np.int8))
     code, out, err = _run(capsys, "gas", "sample", "--torus", "2x2",
                           "--sweeps", "50", "--seed", "3")
     assert code == EXIT_INVARIANT
@@ -593,9 +631,10 @@ def test_sampler_drift_is_invariant_error_under_optimize():
     src = os.path.dirname(os.path.dirname(looptl.__file__))
     script = (
         "import sys\n"
+        "import numpy as np\n"
         "from looptl import cli, gas\n"
         "gas._cluster_table = "
-        "lambda lat: bytes([1]) * (1 << lat.nsites)\n"
+        "lambda lat: np.ones(1 << lat.nsites, np.int8)\n"
         "sys.exit(cli.main(['gas', 'sample', '--torus', '2x2',"
         " '--sweeps', '50', '--seed', '3']))\n")
     env = dict(os.environ, PYTHONPATH=src)

@@ -4,8 +4,6 @@ from collections import Counter
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from looptl.errors import ComponentCapExceeded, ConfigInvalid
 from looptl.hamiltonian import build_h0, build_hprime, kernel_propagate

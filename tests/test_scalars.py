@@ -12,7 +12,7 @@ from looptl.annular import even_sector_polynomial
 from looptl.errors import PoleAtSpecialValue
 from looptl.scalars import (RationalFunc, SpecialField, _pexact_div,
                             minimal_polynomial, quantum_int, serialize_scalar,
-                            special_weight, specialize, to_float)
+                            specialize, to_float)
 
 
 def test_quantum_integers_generic():
@@ -46,7 +46,6 @@ def test_special_field_weight(ell):
     k = ell + 2
     assert float(field.delta) == pytest.approx(
         2.0 * math.cos(math.pi / k))
-    assert float(special_weight(ell)) == pytest.approx(float(field.delta))
     # [m] = sin(m pi/k)/sin(pi/k) at the special weight
     for m in range(2 * k + 1):
         want = math.sin(m * math.pi / k) / math.sin(math.pi / k)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from looptl.scalars import SpecialField, quantum_int
+from looptl.scalars import SpecialField
 from looptl.structure import (catalan, conditional_expectation,
                               expectation_to_grade, ideal_span,
                               radical_vectors, verify_ideal_theorem)

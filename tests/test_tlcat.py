@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from looptl.errors import PoleAtSpecialValue
+from looptl.errors import PoleAtSpecialValue, SignatureMismatch
 from looptl.scalars import (D_GENERIC, RationalFunc, SpecialField,
                             quantum_int, specialize)
 from looptl.structure import catalan
@@ -12,7 +12,7 @@ from looptl.tlcat import (Diagram, Morphism, bar, compose,
                           enumerate_diagrams, gram_exponents, gram_matrix,
                           identity_diagram, is_noncrossing, jones_wenzl,
                           markov_trace, radical_basis, stack_diagrams,
-                          trace_loops, u_diagram)
+                          trace_loops)
 
 
 @pytest.mark.parametrize("m,n", [(0, 2), (1, 3), (2, 2), (3, 3), (2, 4)])
@@ -150,6 +150,21 @@ def test_jw_float_equals_generic_evaluated(k):
 def test_bar_is_involution():
     a, b, _ = _random_morphisms(3, 17)
     assert bar(bar(a)) == a
+
+
+@pytest.mark.parametrize("d", [D_GENERIC, SpecialField(3).delta],
+                         ids=["generic", "special"])
+def test_signature_mismatch(d):
+    square = Morphism.identity(2, d)
+    rect = Morphism.from_diagram(enumerate_diagrams(2, 4)[0], d)
+    assert (rect.m, rect.n) == (2, 4)
+    # a (2,2) morphism after a (3,3) one
+    with pytest.raises(SignatureMismatch):
+        compose(square, Morphism.identity(3, d))
+    with pytest.raises(SignatureMismatch):
+        markov_trace(rect)
+    with pytest.raises(SignatureMismatch):
+        square + rect
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3])
