@@ -19,7 +19,13 @@ once, the larger root under the smaller, and only the pairs whose
 offer lost are followed again; a chase writes back only the states
 whose label moved (path compression as in Tarjan, J. ACM 22, 1975).
 Each solver is written separately so that neither can share a defect
-with the other.  joint_kernel keeps one column per distinct
+with the other.  kernel_propagate keeps each solve per lattice object,
+keyed on all the move graph depends on: nsites and the set of the
+rows' (sites, patterns, d-exponent).  hprime at every level, its row
+shuffles and the calls inside containment_check and joint_kernel thus
+share one solve, and the entry is dropped with its lattice.  The
+GF(p) oracle keeps nothing, so every dimension cross-check compares
+two computations.  joint_kernel keeps one column per distinct
 (component, shifted pot) key, read from a first-occurrence table when
 the keys span at most the column count and sorted otherwise.
 """
@@ -27,6 +33,7 @@ the keys span at most the column count and sorted otherwise.
 from __future__ import annotations
 
 import functools
+import weakref
 from collections import deque
 from fractions import Fraction
 
@@ -99,8 +106,10 @@ class KernelBasis:
     are arrays over all states (comp = -1 never occurs on the full
     space).  Components are numbered in the order of their smallest
     states, and pot is canonical: 0 at the smallest state of each
-    component, so neither depends on the order of the rows.  The joint
-    kernel also carries float coefficient vectors over the components.
+    component, so neither depends on the order of the rows.  From
+    kernel_propagate they are read-only, shared by every basis of one
+    move graph on one lattice object.  The joint kernel also carries
+    float coefficient vectors over the components.
     """
 
     def __init__(self, dimension, method, comp=None, pot=None,
@@ -291,8 +300,47 @@ _POT_BIAS = 1 << (_POT_SHIFT - 1)
 _POT_MASK = (1 << _POT_SHIFT) - 1
 
 
+# solved move graphs per lattice object: (nsites, frozenset of (sites,
+# patterns, dexp) per row) -> (dimension, comp, pot), the arrays
+# read-only; an entry lives exactly as long as its lattice
+_PROPAGATED = weakref.WeakKeyDictionary()
+
+
 def kernel_propagate(cs):
     """One exact kernel vector per consistent ergodic component.
+
+    The move graph and its ratios depend on the lattice and on each
+    row's sites, patterns and d-exponent only, never on the level or
+    the coefficients, and comp and pot are canonical under any order
+    of the rows.  So a solve is kept per lattice object, keyed on
+    nsites and the set of (sites, patterns, dexp) of the rows, read
+    afresh at each call; the entry lives as long as the lattice.  A
+    repeat returns a new KernelBasis with its own d that shares the
+    read-only comp and pot.  A solve that raises is not kept.  The
+    rows are checked and the state cap applied before any lookup, and
+    the errors are those of _propagate_uncached.
+    """
+    _check_rows(cs.rows, cs.lattice, ratio=True)
+    if cs.n_states > ENUM_STATE_CAP:
+        raise StateSpaceTooLarge("ratio propagation capped at %d states"
+                                 % ENUM_STATE_CAP)
+    key = (cs.lattice.nsites,
+           frozenset((row.sites, row.terms[0][0], row.terms[1][0], row.dexp)
+                     for row in cs.rows))
+    solved = _PROPAGATED.setdefault(cs.lattice, {})
+    if key not in solved:
+        kb = _propagate_uncached(cs)
+        kb.comp.flags.writeable = False
+        kb.pot.flags.writeable = False
+        solved[key] = kb.dimension, kb.comp, kb.pot
+    dimension, comp, pot = solved[key]
+    d = float(cs.field.delta) if cs.ell is not None else 1.0
+    return KernelBasis(dimension, "propagate", comp=comp, pot=pot, d=d)
+
+
+def _propagate_uncached(cs):
+    """One exact kernel vector per consistent ergodic component, solved
+    afresh.
 
     Every row must be a two-term ratio row carrying its d-exponent,
     with its sites on the lattice.  Rows are hooked one at a time: the
@@ -753,6 +801,10 @@ def joint_kernel(cs, skein, target=None):
     zero, all of the ratio kernel, or the doubled-theory torus
     dimension.
 
+    The ratio kernel comes from kernel_propagate, so a system whose
+    rows' sites, patterns and d-exponents were solved before on the
+    same lattice object, at any level, is not solved again.
+
     skein is the system compile_skein_instances returns, or a list of
     its rows.  ConfigInvalid is raised before any per-state array when
     a skein system lives on another lattice or a row has sites off
@@ -922,7 +974,10 @@ def uniform_state_energy(cs, signs="alternating"):
 def containment_check(cs_inner, cs_outer):
     """Whether the kernel of cs_inner lies inside the kernel of
     cs_outer.  Both must be ratio systems over the same lattice; else
-    ConfigInvalid is raised before any per-state array."""
+    ConfigInvalid is raised before any per-state array.  The inner
+    kernel comes from kernel_propagate, so it is solved once per
+    lattice object and set of (sites, patterns, dexp); cs_outer's rows
+    are only checked pair by pair against it."""
     _check_same_lattice(cs_inner, cs_outer)
     _check_rows(cs_outer.rows, cs_outer.lattice, ratio=True)
     base = kernel_propagate(cs_inner)

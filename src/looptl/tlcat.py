@@ -470,6 +470,11 @@ def bar(a):
 
 
 def markov_trace(a):
+    """Markov trace of a square morphism; SignatureMismatch otherwise,
+    with or without terms."""
+    if a.m != a.n:
+        raise SignatureMismatch(
+            f"trace requires a square morphism, not ({a.m},{a.n})")
     d = a.d
     if isinstance(d, RationalFunc):
         parts = {}

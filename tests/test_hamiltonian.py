@@ -1,5 +1,7 @@
 import functools
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import networkx as nx
@@ -8,13 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from looptl import hamiltonian
 from looptl.errors import (ConfigInvalid, InconsistentCycle,
                            StateSpaceTooLarge, WindowDoesNotFit)
-from looptl.hamiltonian import (ConstraintSystem, Row, _coeff_mod,
-                                _column_keys, _diagram_words,
+from looptl.hamiltonian import (_PROPAGATED, ConstraintSystem, Row,
+                                _coeff_mod, _column_keys, _diagram_words,
                                 _distinct_columns,
-                                _find_prime_with_root,
-                                _modular_rank, build_h0, build_hprime,
+                                _find_prime_with_root, _modular_rank,
+                                _propagate_uncached, build_h0, build_hprime,
                                 build_ring_exchange, code_space_probe,
                                 compile_skein_instances, containment_check,
                                 joint_kernel, joint_vectors_dense,
@@ -355,10 +358,12 @@ _SHUFFLE_CASES = {
 
 @pytest.mark.parametrize("model", list(_SHUFFLE_CASES))
 def test_propagation_is_canonical_under_row_shuffles(model):
+    # the uncached solve: kernel_propagate would answer the shuffled
+    # systems from the first solve, equal by construction
     cs = _SHUFFLE_CASES[model]()
-    ref = kernel_propagate(cs)
+    ref = _propagate_uncached(cs)
     for seed in (1, 2):
-        kb = kernel_propagate(_shuffled_system(cs, seed))
+        kb = _propagate_uncached(_shuffled_system(cs, seed))
         assert kb.comp.tobytes() == ref.comp.tobytes()
         assert kb.pot.tobytes() == ref.pot.tobytes()
     # components numbered by their smallest state, pot 0 there
@@ -377,7 +382,7 @@ def test_propagation_is_canonical_under_row_shuffles(model):
          (100000, 0, 0, -6), (200000, 1, 21, -3), (262143, 4, 8343, 4)])])
 def test_propagation_pots_are_loop_count_differences(size, pinned):
     lat = SquareTorusLattice(size, size)
-    kb = kernel_propagate(build_hprime(lat, 2))
+    kb = _propagate_uncached(build_hprime(lat, 2))
     _, smallest = np.unique(kb.comp, return_index=True)
     for state, comp, low, pot in pinned:
         assert (kb.comp[state], smallest[comp], kb.pot[state]) == \
@@ -392,7 +397,125 @@ def test_propagation_raises_on_a_broken_cycle_of_a_real_system():
     cs = build_hprime(SquareTorusLattice(2, 2), 2)
     cs.rows[5].dexp = -1
     with pytest.raises(InconsistentCycle):
-        kernel_propagate(_shuffled_system(cs, 3))
+        _propagate_uncached(_shuffled_system(cs, 3))
+
+
+# ---------------------------------------------------------------------------
+# the per-lattice memo of ratio propagation
+# ---------------------------------------------------------------------------
+
+
+def _counting_solves(monkeypatch):
+    """Wrap the uncached solve; the list holds one system per call."""
+    calls = []
+
+    def counted(cs):
+        calls.append(cs)
+        return _propagate_uncached(cs)
+    monkeypatch.setattr(hamiltonian, "_propagate_uncached", counted)
+    return calls
+
+
+def test_propagation_is_solved_once_per_move_graph(monkeypatch):
+    calls = _counting_solves(monkeypatch)
+    lat = SquareTorusLattice(3, 3)
+    systems = [build_hprime(lat, ell) for ell in (1, 2, 3)]
+    systems += [_shuffled_system(systems[1], seed) for seed in (1, 2)]
+    for cs in systems:
+        assert kernel_propagate(cs).dimension == 22
+    ring = build_ring_exchange(lat)
+    assert containment_check(systems[3], ring)
+    assert joint_kernel(systems[0], compile_skein_instances(lat, 1),
+                        target=1)[1]["dimension"] == 1
+    assert len(calls) == 1
+    assert kernel_propagate(ring).dimension == 1012
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("model", list(_SHUFFLE_CASES))
+def test_propagation_hits_equal_a_fresh_solve(model):
+    cs = _SHUFFLE_CASES[model]()
+    kernel_propagate(cs)
+    for seed in (1, 2):
+        shuffled = _shuffled_system(cs, seed)
+        hit, fresh = kernel_propagate(shuffled), _propagate_uncached(shuffled)
+        assert (hit.dimension, hit.d) == (fresh.dimension, fresh.d)
+        assert hit.comp.tobytes() == fresh.comp.tobytes()
+        assert hit.pot.tobytes() == fresh.pot.tobytes()
+    # a level's d comes with the basis, not with the shared arrays
+    if model == "hprime-3x3":
+        for ell in (1, 3):
+            hit = kernel_propagate(build_hprime(cs.lattice, ell))
+            fresh = _propagate_uncached(build_hprime(cs.lattice, ell))
+            assert hit.d == fresh.d != kernel_propagate(cs).d
+            assert hit.comp.tobytes() == fresh.comp.tobytes()
+            assert hit.pot.tobytes() == fresh.pot.tobytes()
+
+
+def _flip_dexp(row):
+    row.dexp = -row.dexp
+
+
+def _swap_patterns(row):
+    (pa, ca), (pb, cb) = row.terms
+    row.terms = [(pb, ca), (pa, cb)]
+
+
+def _move_a_site(row):
+    row.sites = row.sites[:3] + (0,)
+
+
+@pytest.mark.parametrize("mutate", [_flip_dexp, _swap_patterns,
+                                    _move_a_site],
+                         ids=["dexp", "patterns", "sites"])
+def test_propagation_misses_after_a_row_changes(monkeypatch, mutate):
+    calls = _counting_solves(monkeypatch)
+    cs = build_hprime(SquareTorusLattice(2, 2), 2)
+    assert cs.rows[5].sites == (1, 2, 6, 3) and cs.rows[5].dexp == 1
+    kernel_propagate(cs)
+    saved = (cs.rows[5].sites, list(cs.rows[5].terms), cs.rows[5].dexp)
+    mutate(cs.rows[5])
+    with pytest.raises(InconsistentCycle):
+        kernel_propagate(cs)
+    # the failed solve is not kept: the same broken rows solve again
+    with pytest.raises(InconsistentCycle):
+        kernel_propagate(cs)
+    assert len(calls) == 3 and len(_PROPAGATED[cs.lattice]) == 1
+    cs.rows[5].sites, cs.rows[5].terms, cs.rows[5].dexp = saved
+    assert kernel_propagate(cs).dimension == 10
+    assert len(calls) == 3
+
+
+def test_propagation_reads_the_order_of_a_rows_sites():
+    # bit k of a pattern is sites[k]: reversing the sites turns the pair
+    # of states 1 and 2 around, so its exponent changes sign and
+    # nothing raises
+    one = Fraction(1)
+    row = Row("rand", 0, (0, 1), [(1, one), (2, -one)], dexp=1)
+    cs = ConstraintSystem(SquareTorusLattice(2, 2), None, [row], "synthetic")
+    assert kernel_propagate(cs).pot[1:3].tolist() == [0, 1]
+    row.sites = (1, 0)
+    kb = kernel_propagate(cs)
+    assert kb.pot[1:3].tolist() == [0, -1]
+    assert kb.pot.tobytes() == _propagate_uncached(cs).pot.tobytes()
+
+
+def test_propagation_arrays_are_read_only():
+    kb = kernel_propagate(build_hprime(SquareTorusLattice(2, 2), 2))
+    with pytest.raises(ValueError):
+        kb.comp[0] = 1
+    with pytest.raises(ValueError):
+        kb.pot[:] = 0
+
+
+def test_propagation_entry_dies_with_its_lattice():
+    lat = SquareTorusLattice(2, 2)
+    kb = kernel_propagate(build_hprime(lat, 2))
+    assert lat in _PROPAGATED
+    dead = weakref.ref(lat), weakref.ref(kb.comp), weakref.ref(kb.pot)
+    del lat, kb
+    gc.collect()
+    assert all(ref() is None for ref in dead)
 
 
 @pytest.mark.parametrize("model,g0,reduced", [("hprime", 10, 14),
@@ -558,11 +681,11 @@ def _small_two_term_systems(draw):
 def test_hook_loops_match_breadth_first_search(cs):
     comp, pot, closes = _bfs_kernel(cs)
     if closes:
-        kb = kernel_propagate(cs)
+        kb = _propagate_uncached(cs)
         assert kb.dimension == comp.max() + 1
         assert np.array_equal(kb.comp, comp)
         assert np.array_equal(kb.pot, pot)
     else:
         with pytest.raises(InconsistentCycle):
-            kernel_propagate(cs)
+            _propagate_uncached(cs)
     assert _modular_rank(cs) == _dense_rank_mod_p(cs)

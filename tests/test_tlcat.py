@@ -163,6 +163,9 @@ def test_signature_mismatch(d):
         compose(square, Morphism.identity(3, d))
     with pytest.raises(SignatureMismatch):
         markov_trace(rect)
+    # no terms to trace: the signature alone decides
+    with pytest.raises(SignatureMismatch):
+        markov_trace(Morphism.zero(2, 4, d))
     with pytest.raises(SignatureMismatch):
         square + rect
 
