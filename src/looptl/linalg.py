@@ -4,6 +4,11 @@ Vectors are lists of scalars supporting +, -, *, /, == and bool
 (truthiness = nonzero).  Works for Fraction, RationalFunc and the
 special-field elements alike; each has canonical equality, so a reduced
 row echelon form can be compared entry by entry.
+
+Each echelon row is kept dense, with the ascending list of its nonzero
+columns (its support) beside it: subtracting a multiple of a row
+touches only those columns, which is what keeps sparse elimination
+cheap when a truth test on an exact scalar is not.
 """
 
 from __future__ import annotations
@@ -11,9 +16,10 @@ from __future__ import annotations
 from bisect import bisect
 
 
-def _subtract(vec, f, row):
-    """vec - f * row."""
-    return [x - f * y if y else x for x, y in zip(vec, row)]
+def _subtract(vec, f, row, support):
+    """vec -= f * row in place, over the columns of row's support."""
+    for j in support:
+        vec[j] = vec[j] - f * row[j]
 
 
 class Echelon:
@@ -21,22 +27,24 @@ class Echelon:
 
     rows[i] has a one in column pivots[i], zeros before it and zeros in
     every pivot column that existed when it was added; pivots ascend.
+    supports[i] lists the nonzero columns of rows[i] in ascending order.
     reduced() back-substitutes once to the reduced row echelon form.
     """
 
     def __init__(self, rows=()):
         self.pivots = []
         self.rows = []
+        self.supports = []
         for row in rows:
             self.add(row)
 
     def reduce(self, vec):
         """vec less the combination of rows that clears every pivot column."""
         vec = list(vec)
-        for c, row in zip(self.pivots, self.rows):
+        for c, row, support in zip(self.pivots, self.rows, self.supports):
             f = vec[c]
             if f:
-                vec = _subtract(vec, f, row)
+                _subtract(vec, f, row, support)
         return vec
 
     def add(self, vec):
@@ -45,20 +53,28 @@ class Echelon:
         for c, x in enumerate(vec):
             if x:
                 inv = 1 / x
+                support = [j for j in range(c, len(vec)) if vec[j]]
+                for j in support:
+                    vec[j] = vec[j] * inv
                 k = bisect(self.pivots, c)
                 self.pivots.insert(k, c)
-                self.rows.insert(k, [y * inv if y else y for y in vec])
+                self.rows.insert(k, vec)
+                self.supports.insert(k, support)
                 return True
         return False
 
     def reduced(self):
         """Rows of the reduced row echelon form, in pivot order."""
-        rows = list(self.rows)
+        rows = [list(row) for row in self.rows]
+        supports = list(self.supports)
         for i in reversed(range(len(rows))):
+            row = rows[i]
             for j in range(i + 1, len(rows)):
-                f = rows[i][self.pivots[j]]
+                f = row[self.pivots[j]]
                 if f:
-                    rows[i] = _subtract(rows[i], f, rows[j])
+                    _subtract(row, f, rows[j], supports[j])
+            supports[i] = [k for k in range(self.pivots[i], len(row))
+                           if row[k]]
         return rows
 
 

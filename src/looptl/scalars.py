@@ -309,7 +309,12 @@ class RationalFunc:
         return self.num == o.num and self.den == o.den
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # a constant hashes as the equal int or Fraction does
+        num, den = self.num, self.den
+        if len(num) > 1 or len(den) > 1:
+            return hash((num, den))
+        c = num[0] if num else 0
+        return hash(c if den == (1,) else Fraction(c, den[0]))
 
     def __bool__(self):
         return bool(self.num)
@@ -382,6 +387,11 @@ class SpecialField:
         # _powers[k] holds delta^(degree + k) on the power basis; the
         # minimal polynomial is monic over Z, so every entry is an integer
         self._powers = [[-c for c in self.minpoly[:-1]]]
+        # elements are immutable, so one copy of each constant serves
+        # every caller
+        self.zero = self.element([0])
+        self.one = self.element([1])
+        self.delta = self.element([0, 1])
         cls._cache[ell] = self
         return self
 
@@ -415,18 +425,6 @@ class SpecialField:
                     out[i] += c * row[i]
         return out
 
-    @property
-    def zero(self):
-        return self.element([0])
-
-    @property
-    def one(self):
-        return self.element([1])
-
-    @property
-    def delta(self):
-        return self.element([0, 1])
-
     def quantum_int(self, m):
         return chebyshev(self.delta, self.zero, self.one, m)[m]
 
@@ -436,6 +434,8 @@ class SpecialField:
 
 def _canonical(field, nums, den):
     """FieldElement with numerators nums over den > 0 in lowest terms."""
+    if den == 1:
+        return FieldElement(field, tuple(nums))
     g = math.gcd(den, *nums)
     if g != 1:
         nums = [x // g for x in nums]
@@ -447,7 +447,8 @@ class FieldElement:
     """Element of Q(delta) on the power basis of delta: the integer
     numerators `num` (one per power, `degree` of them) over one positive
     integer denominator `den`, with gcd(*num, den) == 1, so equal elements
-    have equal (num, den)."""
+    have equal (num, den).  Immutable: the slots are set only in
+    __init__, so the field's zero, one and delta are shared objects."""
 
     __slots__ = ("field", "num", "den")
 
@@ -558,20 +559,33 @@ class FieldElement:
         return self._coerce(other) / self
 
     def __pow__(self, k):
-        out = self.field.one
+        field = self.field
+        if k > 0 and self is field.delta:
+            # delta^k is the monomial folded through the power table
+            return FieldElement(field, tuple(field._reduce([0] * k + [1])))
+        out = field.one
         base = self if k >= 0 else self.inverse()
         for _ in range(abs(k)):
             out = out * base
         return out
 
     def __eq__(self, other):
+        if isinstance(other, FieldElement):
+            # elements of two fields are never equal (their rational
+            # elements hash alike, and so can meet in one dict)
+            return (other.field is self.field and self.num == other.num
+                    and self.den == other.den)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
         return self.num == o.num and self.den == o.den
 
     def __hash__(self):
-        return hash((id(self.field), self.num, self.den))
+        # a rational element hashes as the equal int or Fraction does
+        num, den = self.num, self.den
+        if any(num[1:]):
+            return hash((id(self.field), num, den))
+        return hash(num[0] if den == 1 else Fraction(num[0], den))
 
     def __bool__(self):
         return any(self.num)

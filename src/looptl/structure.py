@@ -13,7 +13,7 @@ from .linalg import Echelon
 from .scalars import SpecialField
 from .tlcat import (Morphism, _check_diagram_cap, cap_diagram, catalan,
                     compose, cup_diagram, enumerate_diagrams, jones_wenzl,
-                    radical_vectors)
+                    radical_vectors, stack_diagrams, u_diagram)
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +59,13 @@ def ideal_span(gen, n):
     multiplication, which reaches every a (gen x 1_k) b with diagram a, b.
     Returns (basis_vectors, diagram_basis): the rows of the linalg.Echelon
     the closure fed, as coefficient lists in pivot order.
+
+    The hooks act on basis indices.  Each call first tabulates, for every
+    hook U_i and basis diagram D_j, the index and closed-loop count of
+    U_i stacked over D_j (the product v U_i) and of D_j stacked over U_i
+    (U_i v): C_n * 2(n-1) stackings.  A hook product closes at most one
+    loop, so each product of the closure is a scatter of v's nonzero
+    coefficients c, each as c or c*d.  The tables live for the call.
     """
     m = gen.m
     if gen.n != m:
@@ -72,23 +79,35 @@ def ideal_span(gen, n):
     basis = enumerate_diagrams(n, n)
     index = {diag: i for i, diag in enumerate(basis)}
     zero = d - d
+    tables = []
+    for i in range(n - 1):
+        hook = u_diagram(n, i)
+        for stacked in ([stack_diagrams(hook, diag) for diag in basis],
+                        [stack_diagrams(diag, hook) for diag in basis]):
+            tables.append([(index[prod], loops) for prod, loops in stacked])
 
-    def vector(mor):
+    def product(terms, table):
         vec = [zero] * len(basis)
-        for diag, c in mor.terms.items():
-            vec[index[diag]] += c
+        for j, c in terms:
+            k, loops = table[j]
+            vec[k] = vec[k] + (c * d if loops else c)
         return vec
 
-    ech = Echelon([vector(q)])
-    frontier = [q]
-    hooks = [Morphism.hook(n, i, d) for i in range(n - 1)]
+    def nonzero(vec):
+        return [(j, c) for j, c in enumerate(vec) if c]
+
+    start = [zero] * len(basis)
+    for diag, c in q.terms.items():
+        start[index[diag]] = c
+    ech = Echelon([start])
+    frontier = [nonzero(start)]
     while frontier:
         nxt = []
-        for v in frontier:
-            for h in hooks:
-                for prod in (compose(v, h), compose(h, v)):
-                    if ech.add(vector(prod)):
-                        nxt.append(prod)
+        for terms in frontier:
+            for table in tables:
+                vec = product(terms, table)
+                if ech.add(vec):
+                    nxt.append(nonzero(vec))
         frontier = nxt
     return ech.rows, basis
 
@@ -116,11 +135,11 @@ def verify_ideal_theorem(ell, n_max):
         # containment: every ideal vector is annihilated by the Gram matrix
         field = SpecialField(ell)
         for vec in span:
+            terms = [(j, x) for j, x in enumerate(vec) if x]
             for row in gram:
                 acc = field.zero
-                for x, g in zip(vec, row):
-                    if x:
-                        acc = acc + x * g
+                for j, x in terms:
+                    acc = acc + x * row[j]
                 if acc:
                     raise MismatchAtGrade(
                         f"ideal element escapes the radical at grade {n}")

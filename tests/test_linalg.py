@@ -129,3 +129,104 @@ def test_echelon_add_is_false_exactly_on_dependent_rows(seed):
         assert ech.add(row) == grows
         assert not any(ech.reduce(row))
     assert len(ech.rows) == _sympy(mat).rank()
+
+
+# ---------------------------------------------------------------------------
+# the echelon reducer over Q(delta) against sympy over Q
+# ---------------------------------------------------------------------------
+
+
+def _regular_blocks(ell, degree):
+    """Element -> its degree x degree matrix of multiplication on the power
+    basis, from sympy's own minimal polynomial of 2cos(pi/(ell+2))."""
+    x = sympy.Symbol("x")
+    mp = sympy.Poly(sympy.minimal_polynomial(
+        2 * sympy.cos(sympy.pi / (ell + 2)), x), x)
+    assert mp.degree() == degree and mp.LC() == 1
+    low = mp.all_coeffs()[::-1]
+    # column i is delta * delta^i on the basis 1, delta, ..., delta^(n-1)
+    comp = sympy.zeros(degree, degree)
+    for i in range(degree - 1):
+        comp[i + 1, i] = 1
+    for i in range(degree):
+        comp[i, degree - 1] = -low[i]
+    powers = [sympy.eye(degree)]
+    for _ in range(degree - 1):
+        powers.append(comp * powers[-1])
+
+    def block(a):
+        out = sympy.zeros(degree, degree)
+        for c, pw in zip(a.coeffs, powers):
+            out += sympy.Rational(c.numerator, c.denominator) * pw
+        return out
+    return block
+
+
+def _over_q(mat, block, degree, ncols):
+    """The Q-matrix of the Q(delta)-linear map mat, block by block."""
+    out = sympy.zeros(len(mat) * degree, ncols * degree)
+    for i, row in enumerate(mat):
+        for j, a in enumerate(row):
+            out[i * degree:(i + 1) * degree,
+                j * degree:(j + 1) * degree] = block(a)
+    return out
+
+
+def _field_matrix(rng, field, nrows, ncols, rank_cap, density):
+    """Seeded Q(delta) matrix of rank at most rank_cap: rank_cap random
+    rows with about a `density` share of nonzero entries, then each
+    further row a combination of at most two of them, or zero."""
+    def entry():
+        if rng.random() >= density:
+            return field.zero
+        return field.element([Fraction(rng.randint(-3, 3),
+                                       rng.choice([1, 1, 2]))
+                              for _ in range(field.degree)])
+    gens = [[entry() for _ in range(ncols)] for _ in range(rank_cap)]
+    out = [list(g) for g in gens]
+    while len(out) < nrows:
+        row = [field.zero] * ncols
+        for g in rng.sample(gens, min(2, len(gens))):
+            f = field.element([rng.randint(-2, 2), rng.randint(-2, 2)])
+            row = [x + f * y for x, y in zip(row, g)]
+        out.append(row)
+    rng.shuffle(out)
+    return out
+
+
+FIELD_SHAPES = {"sparse-tall": (8, 5, 3, 0.3), "sparse-wide": (4, 9, 4, 0.3),
+                "dense-tall": (7, 4, 3, 1.0), "dense-wide": (3, 7, 3, 1.0),
+                "dense-square": (5, 5, 5, 1.0)}
+
+
+@pytest.mark.parametrize("shape", FIELD_SHAPES)
+@pytest.mark.parametrize("ell", [2, 3, 5])
+@pytest.mark.parametrize("seed", range(2))
+def test_echelon_over_the_field_matches_sympy_over_q(shape, ell, seed):
+    """A rank-r matrix over Q(delta) of degree n is, entry by entry
+    through the regular representation, a rational matrix of rank n*r."""
+    nrows, ncols, rank_cap, density = FIELD_SHAPES[shape]
+    rng = random.Random(100 * seed + 10 * ell + nrows)
+    field = SpecialField(ell)
+    degree = field.degree
+    block = _regular_blocks(ell, degree)
+    mat = _field_matrix(rng, field, nrows, ncols, rank_cap, density)
+    big = _over_q(mat, block, degree, ncols)
+    r = rank(mat)
+    assert degree * r == big.rank()
+    null = nullspace(mat)
+    assert len(null) == ncols - r
+    for vec in null:
+        assert any(vec)
+        for row in mat:
+            acc = field.zero
+            for a, x in zip(row, vec):
+                acc = acc + a * x
+            assert not acc
+        # and through the rational image: big * coords(vec) == 0
+        coords = sympy.Matrix([sympy.Rational(c.numerator, c.denominator)
+                               for x in vec for c in x.coeffs])
+        assert big * coords == sympy.zeros(nrows * degree, 1)
+    rows, pivots = rref(mat)
+    assert len(rows) == len(pivots) == r
+    assert same_span(rows, mat)

@@ -92,6 +92,57 @@ def test_field_inverse_exact():
     assert x * (field.one / x) == field.one
 
 
+@pytest.mark.parametrize("ell", range(1, 7))
+def test_delta_powers_match_repeated_multiplication(ell):
+    field = SpecialField(ell)
+    d = field.delta
+    # the constants are built once per field and shared
+    assert field.zero is field.zero and field.one is field.one
+    assert d is SpecialField(ell).delta
+    assert d ** 0 is field.one and (d + field.one) ** 0 is field.one
+    inv = field.element([1]) / field.element([0, 1])
+    for k in range(-3, 2 * field.degree + 4):
+        want = field.element([1])
+        for _ in range(abs(k)):
+            want = want * (d if k > 0 else inv)
+        assert d ** k == want, k
+        # an element equal to delta but not the field's own object
+        assert field.element([0, 1]) ** k == want, k
+        assert float(want) == pytest.approx(field.delta_float ** k)
+
+
+@pytest.mark.parametrize("ell", [1, 2, 5])
+def test_rational_scalars_hash_like_the_equal_number(ell):
+    field = SpecialField(ell)
+    cases = [(field.one, 1), (field.zero, 0), (field.element([-3]), -3),
+             (field.element([Fraction(1, 2)]), Fraction(1, 2)),
+             (field.element([Fraction(-7, 3)]), Fraction(-7, 3)),
+             (RationalFunc(1), 1), (RationalFunc(0), 0),
+             (RationalFunc(-4), -4),
+             (RationalFunc([-1], [2]), Fraction(-1, 2)),
+             (RationalFunc([3], [6]), Fraction(1, 2))]
+    if ell == 1:
+        # 2cos(pi/3) = 1: every element of the degree-1 field is rational
+        cases.append((field.delta, 1))
+    for x, num in cases:
+        assert x == num and hash(x) == hash(num), (x, num)
+        assert {num: "hit"}.get(x) == "hit", (x, num)
+        assert {x: "hit"}.get(num) == "hit", (x, num)
+    # irrational elements still hash by value
+    if field.degree > 1:
+        x = field.delta * field.element([Fraction(2, 3)]) + field.one
+        assert {x: "hit"}.get(field.element([1, Fraction(2, 3)])) == "hit"
+    y = RationalFunc([1, 2], [3])
+    assert {y: "hit"}.get(RationalFunc([2, 4], [6])) == "hit"
+    # the ones of two fields hash alike but are elements of different
+    # fields: a lookup misses instead of raising
+    other = SpecialField(ell + 1)
+    assert field.one != other.one and not field.one == other.one
+    assert {field.one: "hit"}.get(other.one) is None
+    with pytest.raises(ValueError):
+        field.one + other.one
+
+
 def test_specialize_rational_function():
     # [3] = d^2 - 1 specializes to 1 at ell = 2 (d = sqrt 2)
     val = specialize(quantum_int(3), 2)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from looptl.linalg import Echelon
 from looptl.scalars import SpecialField
 from looptl.structure import (catalan, conditional_expectation,
                               expectation_to_grade, ideal_span,
@@ -66,3 +67,54 @@ def test_ideal_span_equals_radical(ell):
         rad, _, _ = radical_vectors(n, ell)
         assert len(span) == len(rad)
     assert verify_ideal_theorem(ell, ell + 3)
+
+
+def _reference_ideal_span(gen, n):
+    """The hook closure through Morphism products: for each frontier
+    element v and hook U_i in turn, compose(v, U_i) then compose(U_i, v)
+    is reduced into the echelon form and, when new, joins the next
+    frontier."""
+    d = gen.d
+    q = gen
+    for _ in range(n - gen.m):
+        q = q.tensor(Morphism.identity(1, d))
+    basis = enumerate_diagrams(n, n)
+    index = {diag: i for i, diag in enumerate(basis)}
+    zero = d - d
+
+    def vector(mor):
+        vec = [zero] * len(basis)
+        for diag, c in mor.terms.items():
+            vec[index[diag]] += c
+        return vec
+
+    ech = Echelon([vector(q)])
+    frontier = [q]
+    hooks = [Morphism.hook(n, i, d) for i in range(n - 1)]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for h in hooks:
+                for prod in (compose(v, h), compose(h, v)):
+                    if ech.add(vector(prod)):
+                        nxt.append(prod)
+        frontier = nxt
+    return ech.rows, basis
+
+
+IDEAL_CASES = [("special", ell, n) for ell in (1, 2, 3)
+               for n in range(ell + 1, 7)] + \
+    [("generic", None, n) for n in (2, 3, 4)]
+
+
+@pytest.mark.parametrize("backend,ell,n", IDEAL_CASES)
+def test_ideal_span_rows_equal_the_compose_closure(backend, ell, n):
+    """Rows of the hook-table closure equal, in value and order, those of
+    the closure that multiplies Morphisms."""
+    m = 2 if ell is None else ell + 1
+    p = jones_wenzl(m, backend, ell=ell)
+    rows, basis = ideal_span(p, n)
+    want_rows, want_basis = _reference_ideal_span(p, n)
+    assert basis == want_basis
+    assert rows == want_rows
+    assert rows
