@@ -137,7 +137,9 @@ def extensive_constant_report(lat, model):
     keys = cen.wrapping_clusters.astype(np.int32) * 256 \
         + cen.wrapping_dual_clusters
     report = {}
-    for key in np.unique(keys).tolist():
+    # the occupied keys in increasing order, without np.unique's sort
+    # (and its import of numpy.ma)
+    for key in np.flatnonzero(np.bincount(keys)).tolist():
         vals = ratios[keys == key]
         report[(key // 256, key % 256)] = {
             "constant": float(vals[0]), "count": len(vals),

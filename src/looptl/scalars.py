@@ -275,6 +275,11 @@ class RationalFunc:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
+        # times one is the other operand, with no gcd
+        if o.num == (1,) and o.den == (1,):
+            return self
+        if self.num == (1,) and self.den == (1,):
+            return o
         if self.den == (1,) and o.den == (1,):
             return RationalFunc(_pmul(self.num, o.num), [1], _normalized=True)
         return RationalFunc(_pmul(self.num, o.num), _pmul(self.den, o.den))

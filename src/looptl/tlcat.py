@@ -9,13 +9,14 @@ produced by stacking contributes a factor of the loop weight d.
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, lcm
 
 from .errors import (ConfigInvalid, IndexOutOfRange, PoleAtSpecialValue,
                      SignatureMismatch, StateSpaceTooLarge)
 from .linalg import nullspace
-from .scalars import (D_GENERIC, RationalFunc, SpecialField, _padd,
-                      _pexact_div, _pgcd, _pmul, quantum_int)
+from .scalars import (D_GENERIC, FieldElement, RationalFunc, SpecialField,
+                      _canonical, _padd, _pexact_div, _pgcd, _pmul,
+                      quantum_int)
 
 
 class Diagram:
@@ -314,8 +315,17 @@ class Morphism:
                         {k: -v for k, v in self.terms.items()}, self.d)
 
     def scale(self, c):
-        return Morphism(self.m, self.n,
-                        {k: v * c for k, v in self.terms.items()}, self.d)
+        """Every coefficient times c.  Each distinct coefficient is
+        multiplied once, through a dict that lives for the call: a
+        projector's Catalan(k) coefficients take few distinct values."""
+        prods = {}
+        terms = {}
+        for k, v in self.terms.items():
+            p = prods.get(v)
+            if p is None:
+                p = prods[v] = v * c
+            terms[k] = p
+        return Morphism(self.m, self.n, terms, self.d)
 
     def __eq__(self, other):
         if not isinstance(other, Morphism):
@@ -344,63 +354,113 @@ class Morphism:
         return Morphism(self.m + other.m, self.n + other.n, out, self.d)
 
 
-def _stack_ratfunc(upper, lower, d):
-    """The terms of `lower` stacked under `upper` over RationalFunc.
+def _one_denominator(coeffs):
+    """(nums, den) with coeffs[i] == nums[i] / den: a nonempty list of
+    exact scalars of one backend brought to one denominator, each
+    numerator an integer polynomial (in d over RationalFunc, in delta on
+    the power basis over Q(delta)).  den is the lcm of the distinct
+    denominators: a polynomial lcm, one _pgcd per distinct RationalFunc
+    denominator, or math.lcm of the FieldElement ones."""
+    if not isinstance(coeffs[0], RationalFunc):
+        den = lcm(*(c.den for c in coeffs))
+        return [c.num if c.den == den else [x * (den // c.den) for x in c.num]
+                for c in coeffs], den
+    den = [1]
+    for cd in dict.fromkeys(c.den for c in coeffs):
+        if cd != (1,):
+            den = _pmul(den, _pexact_div(list(cd), _pgcd(den, list(cd))))
+    den = tuple(den)
+    mult = {}
+    nums = []
+    for c in coeffs:
+        if c.den == den:
+            nums.append(c.num)
+            continue
+        if c.den not in mult:
+            mult[c.den] = _pexact_div(list(den), list(c.den))
+        nums.append(_pmul(c.num, mult[c.den]))
+    return nums, den
 
-    Each product of coefficients is an integer numerator product, summed
-    into a bucket of its output diagram keyed by the two denominators and
-    the loop count; every output coefficient is then normalised once, by
-    _ratfunc_sum, instead of after each product and each sum.
+
+def _loop_folder(d, top, *dens):
+    """fold(sums): the exact scalar sum_l sums[l] d^l / prod(dens),
+    normalised once, or None when it is zero (which costs no gcd).  sums
+    is a nonempty map from loop counts l <= top to integer polynomial
+    numerators as _one_denominator gives them, dens are denominators of
+    that backend.  d^0 .. d^top are computed and brought to one
+    denominator here, once per folder; over Q(delta) each fold reduces
+    its total through the field's power table once."""
+    pnums, pden = _one_denominator([d ** l for l in range(top + 1)])
+    powers = [[(j, y) for j, y in enumerate(p) if y] for p in pnums]
+    width = max(len(p) for p in pnums)
+    if isinstance(d, RationalFunc):
+        den = list(pden)
+        for x in dens:
+            den = _pmul(den, x)
+
+        def normalise(total):
+            return RationalFunc(total, den) if any(total) else None
+    else:
+        field, den = d.field, pden
+        for x in dens:
+            den *= x
+
+        def normalise(total):
+            nums = field._reduce(total)
+            return _canonical(field, nums, den) if any(nums) else None
+
+    def fold(sums):
+        total = [0] * (max(len(num) for num in sums.values()) + width - 1)
+        for loops, num in sums.items():
+            power = powers[loops]
+            for i, x in enumerate(num):
+                if x:
+                    for j, y in power:
+                        total[i + j] += x * y
+        return normalise(total)
+    return fold
+
+
+def _stack_exact(upper, lower, d):
+    """The terms of `lower` stacked under `upper` over an exact backend
+    (RationalFunc or Q(delta)).
+
+    Each operand is first brought to one denominator (_one_denominator);
+    the integer numerator products are summed per output diagram and
+    loop count, and each output coefficient is folded with d's powers and
+    normalised once (_loop_folder): an output that sums to zero costs no
+    gcd.  Keys come out in first-stacked order, zero outputs dropped.
     """
-    out = {}
-    for da, ca in upper.items():
-        an = ca.num
-        for db, cb in lower.items():
+    if not (upper and lower):
+        return {}
+    unums, uden = _one_denominator(list(upper.values()))
+    lnums, lden = _one_denominator(list(lower.values()))
+    # each lower numerator as its nonzero entries and its degree
+    lows = [(db, [(j, y) for j, y in enumerate(bn) if y], len(bn) - 1)
+            for db, bn in zip(lower, lnums)]
+    sums = {}
+    for da, an in zip(upper, unums):
+        for db, bn, bdeg in lows:
             diag, loops = stack_diagrams(da, db)
-            acc = out.setdefault(diag, {}).setdefault(
-                (ca.den, cb.den, loops), [])
-            bn = cb.num
-            need = len(an) + len(bn) - 1
-            if len(acc) < need:
+            by_loops = sums.get(diag)
+            if by_loops is None:
+                by_loops = sums[diag] = {}
+            need = len(an) + bdeg
+            acc = by_loops.get(loops)
+            if acc is None:
+                acc = by_loops[loops] = [0] * need
+            elif len(acc) < need:
                 acc.extend([0] * (need - len(acc)))
             for i, x in enumerate(an):
                 if x:
-                    for j, y in enumerate(bn):
+                    for j, y in bn:
                         acc[i + j] += x * y
-    prods = {}
-    for diag, buckets in out.items():
-        parts = {}
-        for (ad, bd, loops), num in buckets.items():
-            if (ad, bd) not in prods:
-                prods[ad, bd] = tuple(_pmul(ad, bd))
-            key = (prods[ad, bd], loops)
-            parts[key] = _padd(parts.get(key, []), num)
-        out[diag] = _ratfunc_sum(parts, d)
-    return out
-
-
-def _ratfunc_sum(parts, d):
-    """The RationalFunc sum of num * d^loops / den over the items
-    ((den, loops), num) of parts, with integer polynomial num and den,
-    normalised once."""
-    by_den = {}
-    for (den, loops), num in parts.items():
-        if loops:
-            dl = d ** loops
-            num = _pmul(dl.num, num)
-            if dl.den != (1,):
-                den = tuple(_pmul(den, dl.den))
-        by_den[den] = _padd(by_den.get(den, []), num)
-    if len(by_den) == 1:
-        (den, num), = by_den.items()
-        return RationalFunc(num, den)
-    lcm = [1]
-    for den in by_den:
-        lcm = _pmul(lcm, _pexact_div(list(den), _pgcd(lcm, list(den))))
-    total = []
-    for den, num in by_den.items():
-        total = _padd(total, _pmul(num, _pexact_div(list(lcm), list(den))))
-    return RationalFunc(total, lcm)
+    top = max(max(by_loops) for by_loops in sums.values())
+    fold = _loop_folder(d, top, uden, lden)
+    for diag, by_loops in sums.items():
+        # each output's accumulators are freed as soon as it is folded
+        sums[diag] = fold(by_loops)
+    return {diag: c for diag, c in sums.items() if c is not None}
 
 
 def compose(a, b):
@@ -412,8 +472,8 @@ def compose(a, b):
         raise SignatureMismatch(
             f"cannot stack ({b.m},{b.n}) over ({a.m},{a.n})")
     d = a.d
-    if isinstance(d, RationalFunc):
-        return Morphism(b.m, a.n, _stack_ratfunc(b.terms, a.terms, d), d)
+    if isinstance(d, (RationalFunc, FieldElement)):
+        return Morphism(b.m, a.n, _stack_exact(b.terms, a.terms, d), d)
     powers = {}
     out = {}
     for da, ca in b.terms.items():
@@ -476,17 +536,21 @@ def markov_trace(a):
         raise SignatureMismatch(
             f"trace requires a square morphism, not ({a.m},{a.n})")
     d = a.d
-    if isinstance(d, RationalFunc):
-        parts = {}
-        for diag, c in a.terms.items():
-            key = (c.den, trace_loops(diag))
-            parts[key] = _padd(parts.get(key, []), c.num)
-        return _ratfunc_sum(parts, d)
+    if not a.terms:
+        return d - d
+    if isinstance(d, (RationalFunc, FieldElement)):
+        nums, den = _one_denominator(list(a.terms.values()))
+        sums = {}
+        for diag, num in zip(a.terms, nums):
+            loops = trace_loops(diag)
+            sums[loops] = _padd(sums.get(loops, []), num)
+        total = _loop_folder(d, max(sums), den)(sums)
+        return d - d if total is None else total
     total = None
     for diag, c in a.terms.items():
         val = c * d ** trace_loops(diag)
         total = val if total is None else total + val
-    return total if total is not None else d - d
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -560,19 +624,22 @@ def _jw_cleared(k, backend, ell, d_value):
         num = compose(N1, Morphism(k, k, terms, d))
         den = den * qk
         if backend == "generic":
-            g = list(den.num)
-            for c in num.terms.values():
+            # the content gcd and its division, once per distinct
+            # numerator (a dict for this grade)
+            distinct = dict.fromkeys([den, *num.terms.values()])
+            g = []
+            for c in distinct:
                 g = _pgcd(g, list(c.num))
                 if g == [1]:
                     break
             if g != [1]:
-                def reduce_poly(rf):
-                    return RationalFunc(_pexact_div(list(rf.num), g), [1],
-                                        _normalized=True)
+                for c in distinct:
+                    distinct[c] = RationalFunc(_pexact_div(list(c.num), g),
+                                               [1], _normalized=True)
                 num = Morphism(num.m, num.n,
-                               {kk: reduce_poly(v)
+                               {kk: distinct[v]
                                 for kk, v in num.terms.items()}, d)
-                den = reduce_poly(den)
+                den = distinct[den]
         else:
             num, den = num.scale(1 / den), d ** 0
         out = (num, den)

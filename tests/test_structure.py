@@ -1,7 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from looptl import structure
+from looptl.errors import MismatchAtGrade
 from looptl.linalg import Echelon
 from looptl.scalars import SpecialField
 from looptl.structure import (catalan, conditional_expectation,
@@ -118,3 +121,33 @@ def test_ideal_span_rows_equal_the_compose_closure(backend, ell, n):
     assert basis == want_basis
     assert rows == want_rows
     assert rows
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_containment_check_flags_only_vectors_outside_the_radical(
+        ell, monkeypatch):
+    """verify_ideal_theorem's containment check passes a span whose first
+    row is replaced by a combination of two rows with rational and
+    irrational coefficients, and fails one whose first row is moved off
+    the radical by adding one to one entry (no Gram row is zero)."""
+    field = SpecialField(ell)
+    c1 = field.element([Fraction(3, 7), Fraction(-1, 5)])
+    c2 = field.element([Fraction(1, 2), Fraction(2, 3)])
+    real = structure.ideal_span
+
+    def combined(gen, n):
+        rows, basis = real(gen, n)
+        first = [c1 * x + c2 * y for x, y in zip(rows[0], rows[-1])]
+        return [first] + rows[1:], basis
+
+    def escaped(gen, n):
+        rows, basis = real(gen, n)
+        first = list(rows[0])
+        first[0] = first[0] + field.one
+        return [first] + rows[1:], basis
+
+    monkeypatch.setattr(structure, "ideal_span", combined)
+    assert verify_ideal_theorem(ell, ell + 2)
+    monkeypatch.setattr(structure, "ideal_span", escaped)
+    with pytest.raises(MismatchAtGrade, match="escapes the radical"):
+        verify_ideal_theorem(ell, ell + 2)

@@ -1,4 +1,5 @@
 import functools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from looptl.errors import PoleAtSpecialValue, SignatureMismatch
 from looptl.scalars import (D_GENERIC, RationalFunc, SpecialField,
                             quantum_int, specialize)
 from looptl.structure import catalan
-from looptl.tlcat import (Diagram, Morphism, bar, compose,
+from looptl.tlcat import (Diagram, Morphism, _jw_cleared, bar, compose,
                           enumerate_diagrams, gram_exponents, gram_matrix,
                           identity_diagram, is_noncrossing, jones_wenzl,
                           markov_trace, radical_basis, stack_diagrams,
@@ -328,3 +329,97 @@ def test_generic_compose_associative_on_random_triples(seed):
         tr = markov_trace(want)
         assert abs(markov_trace(left).eval_float(d) - tr) \
             <= 1e-9 * max(1.0, abs(tr))
+
+
+# -- the exact stacking kernel against per-pair backend arithmetic ------------
+
+
+def _naive_compose(a, b):
+    """(diagram, coefficient) pairs of compose(a, b) from one backend
+    product, one power d**loops and one sum per stacked pair, zero sums
+    dropped, in first-stacked order."""
+    out = {}
+    for da, ca in b.terms.items():
+        for db, cb in a.terms.items():
+            diag, loops = stack_diagrams(da, db)
+            c = ca * cb * a.d ** loops
+            out[diag] = out[diag] + c if diag in out else c
+    return [(k, v) for k, v in out.items() if v]
+
+
+def _naive_trace(a):
+    total = a.d - a.d
+    for diag, c in a.terms.items():
+        total = total + c * a.d ** trace_loops(diag)
+    return total
+
+
+def _random_special(rng, field, m, n):
+    """Up to four terms with rational power-basis coefficients over a few
+    denominators, some of them equal up to sign, so that sums cancel."""
+    basis = enumerate_diagrams(m, n)
+    pool = [field.element([Fraction(rng.randint(-2, 2), rng.choice((1, 2, 3)))
+                           for _ in range(field.degree)]) for _ in range(2)]
+    terms = {}
+    for diag in rng.sample(basis, min(4, len(basis))):
+        terms[diag] = rng.choice(pool) * rng.choice((1, -1))
+    return Morphism(m, n, terms, field.delta)
+
+
+def _with_projector(rng, x, p):
+    """x plus a multiple of the grade-k projector padded to x's shape when
+    they fit: its products with hooks cancel to zero diagram by diagram."""
+    if (x.m, x.n) != (p.m, p.n):
+        return x
+    return x + p.scale(rng.choice((1, -2)) * p.d ** rng.randint(0, 2))
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6),
+       st.sampled_from(["generic", 2, 3, 4, 5]))
+@settings(max_examples=60, deadline=None)
+def test_exact_compose_and_trace_equal_per_pair_arithmetic(seed, backend):
+    import random
+    rng = random.Random(seed)
+    if backend == "generic":
+        field = None
+
+        def draw(m, n):
+            return _random_generic(rng, m, n)
+    else:
+        field = SpecialField(backend)
+
+        def draw(m, n):
+            return _random_special(rng, field, m, n)
+    l = rng.randint(0, 4)
+    m = rng.choice(range(l % 2, 5, 2))
+    n = rng.choice(range(m % 2, 5, 2))
+    k = rng.randint(2, 4 if field is None else min(4, backend + 1))
+    p = jones_wenzl(k) if field is None else \
+        jones_wenzl(k, backend="special", ell=backend)
+    # compose(a, b) stacks b: (l, m) over a: (m, n)
+    a, b = draw(m, n), draw(l, m)
+    a, b = _with_projector(rng, a, p), _with_projector(rng, b, p)
+    pairs = [(a, b), (Morphism.hook(k, rng.randrange(k - 1), p.d), p),
+             (p, Morphism.hook(k, rng.randrange(k - 1), p.d))]
+    for lower, upper in pairs:
+        got = compose(lower, upper)
+        assert list(got.terms.items()) == _naive_compose(lower, upper)
+        if got.m == got.n:
+            assert markov_trace(got) == _naive_trace(got)
+    assert compose(pairs[1][0], pairs[1][1]).is_zero()
+    for x in (a, b, p):
+        if x.m == x.n:
+            assert markov_trace(x) == _naive_trace(x)
+
+
+@pytest.mark.parametrize("backend,k,ell",
+                         [("generic", k, None) for k in range(1, 9)]
+                         + [("special", k, ell) for ell in (4, 5, 6)
+                            for k in range(1, ell + 2)])
+def test_jones_wenzl_divides_each_cleared_term(backend, k, ell):
+    """p_k equals N / den coefficient by coefficient, in key order, where
+    _jw_cleared gives (N, den)."""
+    N, den = _jw_cleared(k, backend, ell, None)
+    inv = 1 / den
+    want = [(diag, c * inv) for diag, c in N.terms.items()]
+    assert list(jones_wenzl(k, backend, ell).terms.items()) == want
