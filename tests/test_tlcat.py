@@ -367,8 +367,8 @@ def _random_special(rng, field, m, n):
 
 
 def _with_projector(rng, x, p):
-    """x plus a multiple of the grade-k projector padded to x's shape when
-    they fit: its products with hooks cancel to zero diagram by diagram."""
+    """x plus a multiple of the projector p when their shapes agree, so
+    that the stacked sums mix terms whose hook products cancel."""
     if (x.m, x.n) != (p.m, p.n):
         return x
     return x + p.scale(rng.choice((1, -2)) * p.d ** rng.randint(0, 2))
