@@ -10,29 +10,31 @@ sites.
 
 Two independent kernel solvers are provided for systems of two-term
 rows, the only kind the builders make: ratio propagation along move
-graphs (exact d-exponents) and a GF(p) rank oracle that reads only
-the coefficients.  Ratio propagation and the oracle's GF(p) rank
-both run hook-and-compress label propagation (Shiloach and Vishkin,
-J. Algorithms 3, 1982) over numpy arrays, one row at a time: the
-row's pairs are followed to their roots once, each split pair hooks
-once, the larger root under the smaller, and only the pairs whose
-offer lost are followed again; a chase writes back only the states
-whose label moved (path compression as in Tarjan, J. ACM 22, 1975).
-Each solver is written separately so that neither can share a defect
-with the other.  kernel_propagate keeps each solve per lattice object,
-keyed on all the move graph depends on: nsites and the set of the
-rows' (sites, patterns, d-exponent).  hprime at every level, its row
-shuffles and the calls inside containment_check and joint_kernel thus
-share one solve, and the entry is dropped with its lattice.  The
-GF(p) oracle keeps nothing, so every dimension cross-check compares
-two computations.  joint_kernel keeps one column per distinct
-(component, shifted pot) key, read from a first-occurrence table when
-the keys span at most the column count and sorted otherwise.
+graphs (exact d-exponents) and a GF(p) rank oracle that reads only the
+coefficients, as discrete logarithms of their ratios.  Ratio
+propagation and the oracle's GF(p) rank both run hook-and-compress
+label propagation (Shiloach and Vishkin, J. Algorithms 3, 1982) over
+numpy arrays, one row at a time: the row's pairs are followed to their
+roots once, each split pair hooks once, the larger root under the
+smaller, and only the pairs whose offer lost are followed again; a
+chase writes back only the states whose label moved (path compression
+as in Tarjan, J. ACM 22, 1975).  Each solver is written separately so
+that neither can share a defect with the other.  kernel_propagate
+keeps each solve per lattice object, keyed on all the move graph
+depends on: nsites and the set of the rows' (sites, patterns,
+d-exponent).  hprime at every level, its row shuffles and the calls
+inside containment_check and joint_kernel thus share one solve, and
+the entry is dropped with its lattice.  The GF(p) oracle keeps
+nothing, so every dimension cross-check compares two computations.
+joint_kernel keeps one column per distinct (component, shifted pot)
+key, read from a first-occurrence table when the keys span at most the
+column count and sorted otherwise.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import weakref
 from collections import deque
 from fractions import Fraction
@@ -43,7 +45,8 @@ from .errors import (ConfigInvalid, InconsistentCycle, StateSpaceTooLarge,
                      WindowDoesNotFit)
 from .lattice import ENUM_STATE_CAP, HexTorusLattice, SquareTorusLattice
 from .linalg import rank as exact_rank
-from .scalars import FieldElement, SpecialField, minimal_polynomial
+from .scalars import (FieldElement, SpecialField, _padd, _pmul, _pprem, _trim,
+                      minimal_polynomial)
 from .tlcat import (catalan, identity_diagram, jones_wenzl, stack_diagrams,
                     u_diagram)
 
@@ -434,7 +437,14 @@ def _jump_pots(pack):
 
 
 def _find_prime_with_root(poly, start=1_000_003):
-    """A prime p and a root of the integer polynomial mod p."""
+    """The first prime p from start (odd) at which the integer
+    polynomial (coefficients low to high, leading one a unit mod p)
+    has a root, and its smallest root mod p.
+
+    The roots mod p are those of h = gcd(f, x^p - x), a product of
+    distinct linear factors, which _split_roots splits by equal-degree
+    splitting (Cantor and Zassenhaus, Math. Comp. 36, 1981).
+    """
     def is_prime(m):
         if m % 2 == 0:
             return m == 2
@@ -449,21 +459,106 @@ def _find_prime_with_root(poly, start=1_000_003):
     while True:
         while not is_prime(p):
             p += 2
-        # smallest root first, evaluated in blocks to keep memory small
-        for lo in range(0, p, 1 << 16):
-            xs = np.arange(lo, min(p, lo + (1 << 16)), dtype=np.int64)
-            acc = np.zeros_like(xs)
-            for c in reversed(poly):
-                acc = (acc * xs + int(c)) % p
-            roots = np.flatnonzero(acc == 0)
-            if len(roots):
-                return p, lo + int(roots[0])
+        f = _monic_mod(poly, p)
+        h = _gcd_mod(f, _padd(_pow_mod([0, 1], p, f, p), [0, -1]), p)
+        if len(h) > 1:
+            return p, min(_split_roots(h, p))
         p += 2
 
 
-# pack[s] = label << _FACTOR_SHIFT | f with x_s = f * x_label in GF(p)
-_FACTOR_SHIFT = 32
-_FACTOR_MASK = (1 << _FACTOR_SHIFT) - 1
+# GF(p) polynomials are little-endian lists of residues with no
+# trailing zero, as in scalars.  The integer pseudo-remainder by a
+# monic divisor (scalars._pprem) is not scaled, so it is the remainder
+# over Z, and that reduced mod p is the remainder over GF(p).
+
+
+def _monic_mod(a, p):
+    """a over GF(p), scaled to leading coefficient one ([] for zero)."""
+    a = _trim([c % p for c in a])
+    return [c * pow(a[-1], -1, p) % p for c in a] if a else a
+
+
+def _pow_mod(a, e, f, p):
+    """a^e mod the monic f over GF(p), by squaring."""
+    out = [1]
+    while e:
+        if e & 1:
+            out = _trim([c % p for c in _pprem(_pmul(out, a), f)])
+        a = _trim([c % p for c in _pprem(_pmul(a, a), f)])
+        e >>= 1
+    return out
+
+
+def _gcd_mod(a, b, p):
+    """Monic gcd over GF(p) of a monic a and any b."""
+    b = _monic_mod(b, p)
+    while b:
+        a, b = b, _monic_mod(_pprem(a, b), p)
+    return a
+
+
+def _split_roots(h, p):
+    """The roots over GF(p) of a monic product h of distinct linear
+    factors.  For a = 0, 1, ..., gcd(h, (x + a)^((p-1)/2) - 1) and
+    gcd(h, (x + a)^((p-1)/2) + 1) hold the roots r with r + a a nonzero
+    square and a non-square; -a is a root when their degrees add up to
+    less than h's.  The first a that leaves both below h splits it."""
+    if len(h) < 3:
+        return [-h[0] % p] if len(h) == 2 else []
+    a = 0
+    while True:
+        w = _pow_mod([a, 1], (p - 1) // 2, h, p)
+        sq, non = (_gcd_mod(h, _padd(w, [s]), p) for s in (-1, 1))
+        if max(len(sq), len(non)) < len(h):
+            zero = [-a % p] if len(sq) + len(non) == len(h) else []
+            return _split_roots(sq, p) + _split_roots(non, p) + zero
+        a += 1
+
+
+def _generator(p):
+    """The smallest generator of the multiplicative group of GF(p)."""
+    m, primes, f = p - 1, [], 2
+    while f * f <= m:
+        if m % f == 0:
+            primes.append(f)
+            while m % f == 0:
+                m //= f
+        f += 1
+    if m > 1:
+        primes.append(m)
+    g = 2
+    while any(pow(g, (p - 1) // q, p) == 1 for q in primes):
+        g += 1
+    return g
+
+
+def _discrete_logs(values, g, p):
+    """{x: log to base g of x} for nonzero residues x, g a generator of
+    GF(p)*, by baby-step giant-step (Shanks, 1971): one table of g^j
+    for j < m = isqrt(p - 1) + 1, then at most m steps of g^-m per
+    value."""
+    m = math.isqrt(p - 1) + 1
+    baby, x = {}, 1
+    for j in range(m):
+        baby[x] = j
+        x = x * g % p
+    giant = pow(g, -m, p)
+    logs = {}
+    for x in values:
+        y, i = x, 0
+        while y not in baby:
+            y, i = y * giant % p, i + 1
+        logs[x] = i * m + baby[y]
+    return logs
+
+
+# pack[s] = label << _LOG_SHIFT | (log[s] + _LOG_BIAS) with
+# x_s = g^log[s] * x_label in GF(p); a stored log is a sum of at most
+# n - 1 offers, each below p - 1, so n * (p - 1) < _LOG_BIAS keeps it
+# inside its bits
+_LOG_SHIFT = 43
+_LOG_BIAS = 1 << (_LOG_SHIFT - 1)
+_LOG_MASK = (1 << _LOG_SHIFT) - 1
 
 
 def _modular_rank(cs):
@@ -471,103 +566,94 @@ def _modular_rank(cs):
     mapped to a root of its minimal polynomial mod p.
 
     A row va*x_a + vb*x_b with both coefficients nonzero mod p ties
-    x_b = -va/vb * x_a; with one nonzero coefficient it forces that
-    state to zero.  Ties are hooked row by row, each state carrying
-    (label, f) with x = f * x_label, the ratios read from the
-    coefficients alone, the larger root under the smaller as in
-    kernel_propagate.  A component keeps one free amplitude unless
-    a pair contradicts its factors or a forced zero lands in it, and
-    rank = n - (free components).
+    x_b = r * x_a with r = -va/vb; with one nonzero coefficient it
+    forces that state to zero.  The ratios are read from the
+    coefficients alone and taken to discrete logarithms to a generator
+    g of GF(p)*, once per distinct ratio, so the ties add: each state
+    carries (label, log) with x = g^log * x_label, every offer is
+    reduced mod p - 1 as it hooks, and the roots are hooked row by row,
+    the larger under the smaller, as in kernel_propagate.  A component
+    keeps one free amplitude unless a pair's logs differ from log r
+    mod p - 1 or a forced zero lands in it, and rank = n - (free
+    components).  Raises StateSpaceTooLarge, before any per-state
+    array, when n * (p - 1) does not fit the packed logs.
     """
     poly = minimal_polynomial(cs.ell) if cs.ell is not None else [-1, 1]
     p, droot = _find_prime_with_root([int(c) for c in poly])
     nsites = cs.lattice.nsites
     n = cs.n_states
-    pack = (np.arange(n, dtype=np.int64) << _FACTOR_SHIFT) | 1
-    coeffs = [(row, _coeff_mod(row.terms[0][1], p, droot),
-               _coeff_mod(row.terms[1][1], p, droot)) for row in cs.rows]
-    for row, va, vb in coeffs:
-        if not (va and vb):
+    if n * (p - 1) >= _LOG_BIAS:
+        raise StateSpaceTooLarge("%d states cannot pack logs mod %d"
+                                 % (n, p - 1))
+    coeffs = []
+    for row in cs.rows:
+        va, vb = (_coeff_mod(c, p, droot) for _, c in row.terms)
+        coeffs.append((row, va, vb, -va * pow(vb, -1, p) % p if vb else 0))
+    log = _discrete_logs({r for *_, r in coeffs if r}, _generator(p), p)
+    pack = (np.arange(n, dtype=np.int64) << _LOG_SHIFT) + _LOG_BIAS
+    for row, va, vb, r in coeffs:
+        if not r:
             continue
-        ratio = (p - va) * pow(vb, p - 2, p) % p
         sa, sb = concrete_states(row, nsites)
-        pa, pb = _root_factors(pack, sa, p), _root_factors(pack, sb, p)
+        pa, pb = _root_logs(pack, sa), _root_logs(pack, sb)
         while True:
-            split = np.flatnonzero(
-                (pa >> _FACTOR_SHIFT) != (pb >> _FACTOR_SHIFT))
+            split = np.flatnonzero((pa >> _LOG_SHIFT) != (pb >> _LOG_SHIFT))
             if not len(split):
                 break
             sa, sb, pa, pb = sa[split], sb[split], pa[split], pb[split]
-            la, lb = pa >> _FACTOR_SHIFT, pb >> _FACTOR_SHIFT
-            # x_lb = (num / den) * x_la, and x_la = (den / num) * x_lb
-            num = ratio * (pa & _FACTOR_MASK) % p
-            den = pb & _FACTOR_MASK
+            la, lb = pa >> _LOG_SHIFT, pb >> _LOG_SHIFT
+            # x_lb = g^step * x_la, and x_la = g^-step * x_lb
+            step = log[r] + (pa & _LOG_MASK) - (pb & _LOG_MASK)
             # the larger root takes the smaller as its label; a pair whose
             # offer won is joined, the others are chased again
             low = la < lb
             root = np.where(low, lb, la)
-            offer = ((np.where(low, la, lb) << _FACTOR_SHIFT)
-                     | np.where(low, num, den)
-                     * _inverse_mod(np.where(low, den, num), p) % p)
+            offer = ((np.where(low, la, lb) << _LOG_SHIFT)
+                     + np.where(low, step, -step) % (p - 1) + _LOG_BIAS)
             np.minimum.at(pack, root, offer)
             lost = np.flatnonzero(pack[root] != offer)
             sa, sb = sa[lost], sb[lost]
-            pa, pb = _root_factors(pack, sa, p), _root_factors(pack, sb, p)
-    _jump_factors(pack, p)
-    label, f = pack >> _FACTOR_SHIFT, pack & _FACTOR_MASK
+            pa, pb = _root_logs(pack, sa), _root_logs(pack, sb)
+    _jump_logs(pack)
+    label = pack >> _LOG_SHIFT
     dead = np.zeros(n, dtype=bool)
-    for row, va, vb in coeffs:
+    for row, va, vb, r in coeffs:
         sa, sb = concrete_states(row, nsites)
-        if va and vb:
-            hit = sa[(va * f[sa] + vb * f[sb]) % p != 0]
+        if r:
+            # a tied pair shares its label, so the packed difference is
+            # log[b] - log[a]
+            hit = sa[(pack[sb] - pack[sa] - log[r]) % (p - 1) != 0]
         else:
             hit = sa if va else sb if vb else sa[:0]
         dead[label[hit]] = True
     return n - int(np.count_nonzero((label == np.arange(n)) & ~dead))
 
 
-def _root_factors(pack, states, p):
-    """Packed root and factor to it of the given states, following
-    labels up to the roots; the states that moved keep what was
-    found."""
+def _root_logs(pack, states):
+    """Packed root and log to it of the given states, following labels
+    up to the roots; the states that moved keep what was found."""
     val = pack[states]
-    up = pack[val >> _FACTOR_SHIFT]
-    moved = np.flatnonzero((up >> _FACTOR_SHIFT) != (val >> _FACTOR_SHIFT))
+    up = pack[val >> _LOG_SHIFT]
+    moved = np.flatnonzero((up >> _LOG_SHIFT) != (val >> _LOG_SHIFT))
     todo, cur, up = moved, val[moved], up[moved]
     while len(todo):
-        cur = ((up >> _FACTOR_SHIFT) << _FACTOR_SHIFT
-               | (cur & _FACTOR_MASK) * (up & _FACTOR_MASK) % p)
+        cur = up + (cur & _LOG_MASK) - _LOG_BIAS
         val[todo] = cur
-        up = pack[cur >> _FACTOR_SHIFT]
-        go = (up >> _FACTOR_SHIFT) != (cur >> _FACTOR_SHIFT)
+        up = pack[cur >> _LOG_SHIFT]
+        go = (up >> _LOG_SHIFT) != (cur >> _LOG_SHIFT)
         todo, cur, up = todo[go], cur[go], up[go]
     pack[states[moved]] = val[moved]
     return val
 
 
-def _jump_factors(pack, p):
-    """Point every state at its root, multiplying factors on the way."""
+def _jump_logs(pack):
+    """Point every state at its root, adding up logs on the way."""
     while True:
-        label = pack >> _FACTOR_SHIFT
+        label = pack >> _LOG_SHIFT
         up = pack[label]
-        if np.array_equal(up >> _FACTOR_SHIFT, label):
+        if np.array_equal(up >> _LOG_SHIFT, label):
             return
-        pack[:] = ((up >> _FACTOR_SHIFT) << _FACTOR_SHIFT
-                   | (pack & _FACTOR_MASK) * (up & _FACTOR_MASK) % p)
-
-
-def _inverse_mod(x, p):
-    """Elementwise inverse of a nonzero int64 array mod the prime p,
-    by Fermat's little theorem on its distinct values."""
-    base, where = np.unique(x % p, return_inverse=True)
-    out = np.ones_like(base)
-    e = p - 2
-    while e:
-        if e & 1:
-            out = out * base % p
-        base = base * base % p
-        e >>= 1
-    return out[where]
+        pack[:] = up + (pack & _LOG_MASK) - _LOG_BIAS
 
 
 def _coeff_mod(c, p, droot):
@@ -590,7 +676,8 @@ def kernel_dense(cs):
     Every row must have exactly two terms, as every builder makes them;
     the oracle reads only the coefficients, never the d-exponents.  The
     dimension is n minus the rank of the expanded rows over GF(p)
-    (_modular_rank), at every size up to the state cap; no vectors are
+    (_modular_rank, which ties amplitudes by discrete logarithms of the
+    row ratios), at every size up to the state cap; no vectors are
     returned.  Raises ConfigInvalid on any other row and
     StateSpaceTooLarge past the cap, both before allocating anything.
     """

@@ -683,7 +683,9 @@ def explore_component(seed, model=None, cap=COMPONENT_CAP):
         if len(known) + len(frontier) > cap:
             raise ComponentCapExceeded("component exceeds %d states" % cap)
         pot = pot[src[first]] + dexp[move[first]]
-        known = np.union1d(known, frontier)
+        # disjoint and each unique: a sort is their union (np.union1d's
+        # np.unique would import numpy.ma)
+        known = np.sort(np.concatenate((known, frontier)))
         levels.append(frontier)
         pots.append(pot)
 

@@ -110,12 +110,22 @@ _STDOUT_SHA256 = {
         "5f177f9591e397d8774e85863e64a468749d1b2b959ea0c07ecd170102bb9114",
     ("lattice", "energy", "--torus", "2x2", "--ell", "2"):
         "4cc4f3701604143f5735d6b35cb3afcfbacb5be1bf2ac954554ad72c773a0216",
+    # as printed while the GF(p) oracle carried factors mod p and the
+    # component walk merged its states with np.union1d
+    ("lattice", "kernel", "--torus", "3x3", "--ell", "2"):
+        "a0bd3267415dbb7c3e124b0a03a21f5e44d508a0ffc3c30680bf2a94023ba001",
+    ("lattice", "kernel", "--hex", "3x3", "--ell", "3"):
+        "4dd62bcd5e92a7ce8852a433510a54af13080e4038d7df1f02f7bfbcc57edfb6",
+    ("lattice", "components", "--torus", "3x3"):
+        "6ceb19f1edbd303a54c99fe544e51d689b658af05808a24aea379cfccaae05bc",
 }
 
 
 @pytest.mark.parametrize("argv", list(_STDOUT_SHA256),
                          ids=["gas-exact", "gas-sample-past-cap",
-                              "annulus-beta", "lattice-energy"])
+                              "annulus-beta", "lattice-energy",
+                              "lattice-kernel-torus", "lattice-kernel-hex",
+                              "lattice-components"])
 def test_stdout_is_pinned(capsys, monkeypatch, argv):
     import hashlib
     import re

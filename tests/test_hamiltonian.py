@@ -1,6 +1,7 @@
 import functools
 import gc
 import random
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -9,14 +10,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import n_order, primefactors
 
 from looptl import hamiltonian
 from looptl.errors import (ConfigInvalid, InconsistentCycle,
                            StateSpaceTooLarge, WindowDoesNotFit)
 from looptl.hamiltonian import (_PROPAGATED, ConstraintSystem, Row,
                                 _coeff_mod, _column_keys, _diagram_words,
-                                _distinct_columns,
-                                _find_prime_with_root, _modular_rank,
+                                _discrete_logs, _distinct_columns,
+                                _find_prime_with_root, _generator,
+                                _modular_rank, _split_roots,
                                 _propagate_uncached, build_h0, build_hprime,
                                 build_ring_exchange, code_space_probe,
                                 compile_skein_instances, containment_check,
@@ -25,7 +28,7 @@ from looptl.hamiltonian import (_PROPAGATED, ConstraintSystem, Row,
                                 pauli_expand_check, uniform_state_energy)
 from looptl.lattice import (ENUM_STATE_CAP, HexTorusLattice,
                             SquareTorusLattice, census)
-from looptl.scalars import SpecialField, minimal_polynomial
+from looptl.scalars import SpecialField, _pmul, minimal_polynomial
 from looptl.tlcat import (enumerate_diagrams, identity_diagram,
                           stack_diagrams, u_diagram)
 
@@ -340,6 +343,97 @@ def test_modular_rank_reads_coefficients_not_dexp():
     with pytest.raises(InconsistentCycle):
         kernel_propagate(cs)
     assert cs.n_states - _modular_rank(cs) == 10
+
+
+def _block_scan_prime_with_root(poly, start=1_000_003):
+    """The first prime from start with a root of poly, and its smallest
+    root, by evaluating poly at every residue in numpy blocks."""
+    def is_prime(m):
+        if m % 2 == 0:
+            return m == 2
+        f = 3
+        while f * f <= m:
+            if m % f == 0:
+                return False
+            f += 2
+        return True
+
+    p = start
+    while True:
+        while not is_prime(p):
+            p += 2
+        for lo in range(0, p, 1 << 16):
+            xs = np.arange(lo, min(p, lo + (1 << 16)), dtype=np.int64)
+            acc = np.zeros_like(xs)
+            for c in reversed(poly):
+                acc = (acc * xs + int(c)) % p
+            roots = np.flatnonzero(acc == 0)
+            if len(roots):
+                return p, lo + int(roots[0])
+        p += 2
+
+
+# d's minimal polynomial at l = 1..10 and at no level, and x(x - 5),
+# whose smallest root 0 is the -a (a = 0) that splitting sets apart
+_ROOT_POLYS = {**{"l%d" % ell: [int(c) for c in minimal_polynomial(ell)]
+                  for ell in range(1, 11)},
+               "none": [-1, 1], "x(x-5)": [0, -5, 1]}
+
+
+@pytest.mark.parametrize("name", list(_ROOT_POLYS))
+def test_prime_and_root_by_gcd_equal_the_residue_scan(name):
+    poly = _ROOT_POLYS[name]
+    assert _find_prime_with_root(poly) == _block_scan_prime_with_root(poly)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_split_roots_finds_each_root_once(seed):
+    p = 1_000_003
+    rng = random.Random(seed)
+    roots = {0, 1, p - 1, p - 2} | {rng.randrange(p) for _ in range(6)}
+    h = [1]
+    for r in roots:
+        h = [c % p for c in _pmul(h, [-r, 1])]
+    assert sorted(_split_roots(h, p)) == sorted(roots)
+
+
+def test_prime_search_moves_past_primes_without_a_root():
+    # 1,000,003 is 3 mod 4, so -1 is no square there
+    p, root = _find_prime_with_root([1, 0, 1])
+    assert p > 1_000_003 and p % 4 == 1
+    assert root * root % p == p - 1
+    assert (p, root) == _block_scan_prime_with_root([1, 0, 1])
+
+
+@pytest.mark.parametrize("ell", [None, 2, 3])
+def test_generator_and_discrete_logs(ell):
+    p, _ = _prime_and_root_at(ell)
+    g = _generator(p)
+    assert n_order(g, p) == p - 1
+    # the smallest: every smaller residue misses some prime factor
+    assert all(any(pow(h, (p - 1) // q, p) == 1 for q in primefactors(p - 1))
+               for h in range(2, g))
+    rng = random.Random(ell or 0)
+    xs = [1, p - 1, g] + [rng.randrange(1, p) for _ in range(200)]
+    logs = _discrete_logs(xs, g, p)
+    assert sorted(logs) == sorted(set(xs))
+    assert all(0 <= e < p - 1 and pow(g, e, p) == x for x, e in logs.items())
+
+
+def test_log_packing_bound_raises_before_allocating(monkeypatch):
+    cs = build_hprime(SquareTorusLattice(3, 3), 2)
+    # n * (p - 1) = 2^18 * (2^24 + 42) passes 2^42
+    monkeypatch.setattr(hamiltonian, "_find_prime_with_root",
+                        lambda poly: (16_777_259, 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(StateSpaceTooLarge):
+            _modular_rank(cs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a quarter of one int64 array over the states
+    assert peak < 8 * cs.n_states // 4
 
 
 def _shuffled_system(cs, seed):

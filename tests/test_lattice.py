@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import networkx as nx
@@ -151,6 +154,23 @@ def test_staircases_share_component_3x3():
     members = {c.bits for c in graph.configs}
     for offset in range(3):
         assert lat.staircase(offset).bits in members
+
+
+def test_component_walk_leaves_numpy_ma_unimported():
+    # numpy.ma costs about 15 ms to import; np.union1d would pull it in
+    import looptl
+    src = os.path.dirname(os.path.dirname(looptl.__file__))
+    script = (
+        "import sys\n"
+        "from looptl.lattice import SquareTorusLattice, explore_component\n"
+        "graph = explore_component(SquareTorusLattice(3, 3).staircase(0),"
+        " model='hprime')\n"
+        "print(len(graph.configs), 'numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["3834", "False"]
 
 
 def test_component_cap():
