@@ -19,8 +19,8 @@ from looptl.hamiltonian import (_PROPAGATED, ConstraintSystem, Row,
                                 _coeff_mod, _column_keys, _diagram_words,
                                 _discrete_logs, _distinct_columns,
                                 _find_prime_with_root, _generator,
-                                _modular_rank, _split_roots,
-                                _propagate_uncached, build_h0, build_hprime,
+                                _modular_rank, _propagate_uncached,
+                                _split_roots, build_h0, build_hprime,
                                 build_ring_exchange, code_space_probe,
                                 compile_skein_instances, containment_check,
                                 joint_kernel, joint_vectors_dense,
@@ -410,7 +410,7 @@ def test_generator_and_discrete_logs(ell):
     p, _ = _prime_and_root_at(ell)
     g = _generator(p)
     assert n_order(g, p) == p - 1
-    # the smallest: every smaller residue misses some prime factor
+    # the smallest: every smaller residue has order below p - 1
     assert all(any(pow(h, (p - 1) // q, p) == 1 for q in primefactors(p - 1))
                for h in range(2, g))
     rng = random.Random(ell or 0)
