@@ -176,28 +176,27 @@ class Tallies:
 class _TallyStore:
     """Sums the chains' waste-recycling weights.
 
-    Per lockstep step, add() takes every chain's pre-move state, flipped
-    state and index 3*spin + dC + 1 of the acceptance ratio r, and adds,
-    chain by chain, min(r, 1) to the flipped state and 1 - min(r, 1) to
-    the pre-move state, so every state's sum is taken in the order a
-    running dict would take it.  The sums live in a float64 vector over
-    all 2^N states when 2^N <= ENUM_STATE_CAP, else in a dict.  Every
-    min(r, 1) is positive and a zero 1 - min(r, 1) adds nothing, so the
-    visited states are those with a nonzero sum.
+    Once per sweep, add() takes (steps, chains) arrays of the pre-move
+    states, flipped states and acceptance ratios r, and adds in one
+    scatter, step by step and chain 0 first, min(r, 1) to the flipped
+    state and 1 - min(r, 1) to the pre-move state, so every state's sum is
+    taken in the order a running dict would take it.  The sums live in a
+    float64 vector over all 2^N states when 2^N <= ENUM_STATE_CAP, else in
+    a dict.  Every min(r, 1) is positive and a zero 1 - min(r, 1) adds
+    nothing, so the visited states are those with a nonzero sum.
     """
 
-    def __init__(self, nsites, ratios):
-        self._capped = np.minimum(ratios, 1.0)
+    def __init__(self, nsites):
         if (1 << nsites) <= ENUM_STATE_CAP:
             self._sums = np.zeros(1 << nsites)
         else:
             self._sums = {}
 
-    def add(self, before, after, index):
-        ra = self._capped[index]
-        keys = np.empty(2 * len(before), np.int64)
-        keys[0::2], keys[1::2] = after, before
-        vals = np.empty(2 * len(before))
+    def add(self, before, after, ratios):
+        ra = np.minimum(ratios, 1.0).ravel()
+        keys = np.empty(2 * len(ra), np.int64)
+        keys[0::2], keys[1::2] = after.ravel(), before.ravel()
+        vals = np.empty(2 * len(ra))
         vals[0::2], vals[1::2] = ra, 1.0 - ra
         if isinstance(self._sums, dict):
             sums = self._sums
@@ -308,31 +307,33 @@ def chain_lengths(sweeps):
 
 def _cluster_readers(lat, table):
     """(delta, observe) for chains in numpy arrays of state bits.
-    delta(bits, flipped, bonds) is dC of each chain's flip; observe(bits)
-    is the (3, chains) array of L, C and C*.  With a cluster table both
-    read census columns; without one, dC comes from _dfs_delta_clusters
-    and the observables from extract_walls, chain by chain."""
+    delta(bits, flipped, bonds, clusters) is dC of each chain's flip,
+    given each chain's C; observe(bits) is the (3, chains) array of L, C
+    and C*.  With a cluster table both read census columns; without one,
+    dC comes from _dfs_delta_clusters and the observables, in one batch,
+    from torus_census.tabulate_states."""
     if table is not None:
         cen = census(lat)
 
-        def delta(bits, flipped, bonds):
-            return table[flipped] - table[bits]
+        def delta(bits, flipped, bonds, clusters):
+            return table[flipped] - clusters
 
         def observe(bits):
             return np.stack([cen.loops[bits], table[bits],
                              cen.dual_clusters[bits]])
         return delta, observe
+    from .torus_census import tabulate_states
     primal, _, walk = _square_wall_tables(lat.w, lat.h)
 
-    def delta(bits, flipped, bonds):
+    def delta(bits, flipped, bonds, clusters):
         return np.array([_dfs_delta_clusters(b, bond, primal, walk)
                          for b, bond in zip(bits.tolist(), bonds.tolist())],
                         np.int8)
 
     def observe(bits):
-        walls = [lat.extract_walls(lat.config(b)) for b in bits.tolist()]
-        return np.array([(w.loops, w.clusters, w.dual_clusters)
-                         for w in walls], np.int64).T
+        cols = tabulate_states(lat, bits)
+        return np.stack([cols["loops"], cols["clusters"],
+                         cols["dual_clusters"]])
     return delta, observe
 
 
@@ -351,19 +352,19 @@ def metropolis_sample(lat, model, sweeps, seed, record_rows=False):
     numpy arrays: each step proposes one bond flip in every chain.  One
     sweep of a chain proposes every bond once, in a random order.  The
     acceptance ratio for a flip changing (dC, dE, dE*) is
-    q^dC p^dE (1-p)^dE* (acceptance_table).  dC is C[flipped] -
-    C[current] read from the lattice census when 2^N <= ENUM_STATE_CAP
-    (_cluster_table), and past the cap found by a depth-first search
-    between the bond's ends.  Every max(1, longest chain // 10,000)
-    sweeps, L, C and C* of every chain are read (_cluster_readers), and
-    one chain, in turn, has its running cluster count checked against
-    extract_walls (_check_drift), as has chain 0 at the start.  The
-    waste-recycling tallies are summed per state in proposal order, step
-    by step, chain 0 first (_TallyStore), and returned as read-only
-    Tallies.  One counter-based (Philox) stream draws the K starting
-    states, then per sweep a (K, N) block of bond orders and a (K, N)
-    block of uniforms, row k for chain k; both ways of finding dC give
-    the same chains.
+    q^dC p^dE (1-p)^dE* (acceptance_table).  C after a flip is read
+    from the lattice census when 2^N <= ENUM_STATE_CAP (_cluster_table),
+    and past the cap is C plus dC found by a depth-first search between
+    the bond's ends.  A step only flips, reads C, accepts and records the
+    next states; each sweep's waste-recycling tallies are then summed per
+    state in one scatter, in proposal order (_TallyStore), and returned
+    as read-only Tallies.  Every max(1, longest chain // 10,000) sweeps,
+    L, C and C* of every chain are read (_cluster_readers), and one
+    chain, in turn, has its running cluster count checked against
+    extract_walls (_check_drift), as has chain 0 at the start.  One
+    counter-based (Philox) stream draws the K starting states, then per
+    sweep a (K, N) block of bond orders and a (K, N) block of uniforms,
+    row k for chain k; both ways of finding dC give the same chains.
     With record_rows, each measured sweep adds the row (sweep, L, C, C*
     of chain 0, acceptance rate so far).
     Runs on the square torus only; other lattices, sweeps < 1 and a
@@ -386,15 +387,14 @@ def metropolis_sample(lat, model, sweeps, seed, record_rows=False):
     chains = len(lengths)
     measure_every = max(1, int(lengths[0]) // 10_000)
     delta, observe = _cluster_readers(lat, _cluster_table(lat))
-    masks = np.left_shift(1, np.arange(nb, dtype=np.int64))
     ratio = acceptance_table(model)
-    # flat acceptance table, indexed by 3*spin + dC + 1
-    acc = np.array([ratio[(dc, spin)] for spin in (0, 1)
-                    for dc in (-1, 0, 1)])
-    store = _TallyStore(nb, acc)
+    # acceptance table indexed by 3*spin + dC, dC = -1 read from the end
+    acc = np.array([ratio[(dc, spin)] for spin, dc in
+                    ((0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (0, -1))])
+    store = _TallyStore(nb)
 
     bits = rng.integers(0, 1 << nb, size=chains, dtype=np.int64)
-    clusters = observe(bits)[1].astype(np.int64)
+    clusters = observe(bits)[1].astype(np.int8)
     _check_drift(lat, bits[0], clusters[0])
     oracle_checks = 1
     accepted = proposed = 0
@@ -407,21 +407,26 @@ def metropolis_sample(lat, model, sweeps, seed, record_rows=False):
         # which removes the bond-choice noise of an iid scan
         orders = rng.permuted(np.tile(np.arange(nb, dtype=np.uint8),
                                       (active, 1)), axis=1)
-        us = rng.random((active, nb))
-        # the chains past their length drop out
+        # step-major copies: row j holds every chain's j-th proposal
+        bonds = np.ascontiguousarray(orders.T)
+        us = np.ascontiguousarray(rng.random((active, nb)).T)
+        flips = np.left_shift(1, bonds, dtype=np.int64)
+        # hist[j]: the states before step j; finished chains drop out
+        hist, ratios = np.empty((nb + 1, active), np.int64), np.empty(us.shape)
         bits, clusters = bits[:active], clusters[:active]
-        for bonds, u in zip(orders.T, us.T):
-            flipped = bits ^ masks[bonds]
-            dc = delta(bits, flipped, bonds)
-            k = (3 * ((bits >> bonds) & 1) + dc + 1).astype(np.uint8)
-            # waste-recycling tally: average over the accept/reject
-            # outcome instead of recording only the realized state
-            store.add(bits, flipped, k)
+        hist[0] = bits
+        for j in range(nb):
+            flipped = bits ^ flips[j]
+            dc = delta(bits, flipped, bonds[j], clusters)
+            # a one-bit flip lowers the state exactly when the bit was set
+            r = ratios[j] = acc[3 * (flipped < bits) + dc]
             # u lies in [0, 1), so a ratio of 1 or more always accepts
-            move = u < acc[k]
-            bits = np.where(move, flipped, bits)
+            move = us[j] < r
+            bits = hist[j + 1] = np.where(move, flipped, bits)
             clusters = clusters + dc * move
-            accepted += int(np.count_nonzero(move))
+        # waste recycling: weigh both outcomes, not only the realized state
+        store.add(hist[:-1], hist[:-1] ^ flips, ratios)
+        accepted += int(np.count_nonzero(hist[1:] != hist[:-1]))
         proposed += active * nb
         if sweep % measure_every == 0:
             chain = oracle_checks % active

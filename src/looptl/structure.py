@@ -9,8 +9,8 @@ them.
 from __future__ import annotations
 
 from .errors import MismatchAtGrade, SignatureMismatch
-from .linalg import Echelon
-from .tlcat import (Morphism, _check_diagram_cap, _loop_folder,
+from .linalg import Echelon, nullspace
+from .tlcat import (Morphism, _check_diagram_cap, _loop_folder, _loop_powers,
                     _one_denominator, cap_diagram, catalan, compose,
                     cup_diagram, enumerate_diagrams, gram_exponents,
                     jones_wenzl, radical_vectors, stack_diagrams, u_diagram)
@@ -36,14 +36,6 @@ def conditional_expectation(a):
     cap = idn.tensor(Morphism.from_diagram(cap_diagram(), d))   # (n, n+2)
     a1 = a.tensor(Morphism.identity(1, d))                      # (n+2, n+2)
     return compose(compose(cup, a1), cap)
-
-
-def expectation_to_grade(a, n):
-    """Iterate the conditional expectation down to grade n."""
-    out = a
-    while out.m > n:
-        out = conditional_expectation(out)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +116,10 @@ def verify_ideal_theorem(ell, n_max):
     report = []
     p = jones_wenzl(m, "special", ell=ell)
     for n in range(1, n_max + 1):
-        rad, _, _ = radical_vectors(n, ell)
+        # one loop-count walk per grade serves the radical and the
+        # containment check
+        _, expo = gram_exponents(n, n)
+        rad = nullspace(_loop_powers(expo, p.d, n, n))
         if n < m:
             if rad:
                 raise MismatchAtGrade(
@@ -136,7 +131,6 @@ def verify_ideal_theorem(ell, n_max):
         # matrix.  Entry (i, j) is delta^expo[i][j], so each row's dot
         # product sums the vector's integer numerators per exponent and
         # folds them with delta's powers once.
-        _, expo = gram_exponents(n, n)
         fold = _loop_folder(p.d, n)
         for vec in span:
             support = [j for j, x in enumerate(vec) if x]

@@ -694,13 +694,18 @@ def gram_exponents(m, n):
     return basis, expo
 
 
+def _loop_powers(expo, d, m, n):
+    """The Gram matrix d^expo of gram_exponents(m, n)'s loop counts."""
+    # a closure has at most (m + n) / 2 loops: one power per count
+    powers = [d ** e for e in range((m + n) // 2 + 1)]
+    return [[powers[e] for e in row] for row in expo]
+
+
 def gram_matrix(m, n, backend="generic", ell=None, d_value=None):
     """Gram matrix of the Markov pairing over the chosen backend."""
     d = _backend(backend, ell, d_value)[1]
     basis, expo = gram_exponents(m, n)
-    # a closure has at most (m + n) / 2 loops: one power per count
-    powers = [d ** e for e in range((m + n) // 2 + 1)]
-    return basis, [[powers[e] for e in row] for row in expo]
+    return basis, _loop_powers(expo, d, m, n)
 
 
 def radical_vectors(n, ell):

@@ -203,8 +203,9 @@ def _reference_chains(lat, model, sweeps, seed):
     first sweeps % K of them one sweep longer; per sweep a (K, N) block
     of bond orders and a (K, N) block of uniforms, row k for chain k;
     proposals taken bond position by bond position, chain 0 first.  dC
-    and the measured counts are read from the census.  Returns
-    (tallies, accepted, mean L, mean C, mean C*)."""
+    and the measured counts are read from the census.  Returns (tallies,
+    accepted, [mean L, mean C, mean C*], rows), where each measured sweep
+    adds the row (sweep, L, C, C* of chain 0, acceptance rate so far)."""
     cen = census(lat)
     clusters, loops = cen.clusters.tolist(), cen.loops.tolist()
     dual = cen.dual_clusters.tolist()
@@ -217,6 +218,7 @@ def _reference_chains(lat, model, sweeps, seed):
     measure_every = max(1, lengths[0] // 10_000)
     states = rng.integers(0, 1 << nb, size=chains).tolist()
     tallies, accepted, sums, n_meas = {}, 0, [0.0, 0.0, 0.0], 0
+    proposed, rows = 0, []
     for sweep in range(lengths[0]):
         active = sum(1 for n in lengths if n > sweep)
         bonds = rng.permuted(np.tile(np.arange(nb), (active, 1)), axis=1)
@@ -234,12 +236,15 @@ def _reference_chains(lat, model, sweeps, seed):
                 if r >= 1.0 or u < r:
                     states[k] = flipped
                     accepted += 1
+        proposed += active * nb
         if sweep % measure_every == 0:
             for bits in states[:active]:
                 for i, col in enumerate((loops, clusters, dual)):
                     sums[i] += col[bits]
                 n_meas += 1
-    return (tallies, accepted) + tuple(s / n_meas for s in sums)
+            rows.append((sweep, loops[states[0]], clusters[states[0]],
+                         dual[states[0]], accepted / proposed))
+    return tallies, accepted, [s / n_meas for s in sums], rows
 
 
 def _reference_tv(tallies, probs):
@@ -262,6 +267,10 @@ def _bit_for_bit_cases():
     # 0.0; every flip is taken, so within one sweep the chain never
     # returns to its start, which gets a 0.0 term and no visit
     yield pytest.param(3, 1, 11, 1, id="3-1-11-ell1")
+    # l = 3: q = (7+3*sqrt(5))/2 is irrational, so the tally terms are
+    # not dyadic and a state's sum taken in another order shows in its
+    # bytes
+    yield pytest.param(2, 3000, 5, 3, id="2-3000-5-ell3")
 
 
 @pytest.mark.parametrize("path", ["table", "dfs", "dict-slots"])
@@ -270,7 +279,7 @@ def test_sampler_matches_dict_reference_bit_for_bit(monkeypatch, path,
                                                     size, sweeps, seed, ell):
     lat = SquareTorusLattice(size, size)
     g = potts_params(ell)
-    tallies, accepted, *means = _reference_chains(lat, g, sweeps, seed)
+    tallies, accepted, means, rows = _reference_chains(lat, g, sweeps, seed)
     dense = metropolis_sample(lat, g, sweeps, seed)
     if path == "dfs":
         monkeypatch.setattr(gas, "_cluster_table", lambda lat: None)
@@ -284,7 +293,7 @@ def test_sampler_matches_dict_reference_bit_for_bit(monkeypatch, path,
         searches.append(args)
         return search(*args)
     monkeypatch.setattr(gas, "_dfs_delta_clusters", counted_search)
-    rec = metropolis_sample(lat, g, sweeps, seed)
+    rec = metropolis_sample(lat, g, sweeps, seed, record_rows=True)
     # below the cap the census serves every dC; the other paths search
     assert len(searches) == (0 if path == "table" else rec.proposed)
     states, weights = rec.tallies.states, rec.tallies.weights
@@ -299,12 +308,34 @@ def test_sampler_matches_dict_reference_bit_for_bit(monkeypatch, path,
     assert rec.proposed == sweeps * lat.nsites
     assert [rec.mean_loops, rec.mean_clusters, rec.mean_dual_clusters] \
         == means
+    # chain 0's measured rows; past the cap ("dict-slots") L, C and C*
+    # come from the batched census kernel, not the census table
+    assert rec.rows == rows
     total = 0.0
     for _, count in sorted(tallies.items()):
         total += count
     assert rec.sample_size == total
     probs, _, _ = exact_distribution(lat, g)
     assert tv_distance(rec, probs) == _reference_tv(tallies, probs)
+
+
+@pytest.mark.parametrize("size,sweeps,longest", [
+    ((2, 2), 2051, 257), ((4, 3), 501, 251)],
+    ids=["dense", "past-the-census"])
+def test_tallies_are_added_once_per_sweep(monkeypatch, size, sweeps,
+                                          longest):
+    # one scatter per sweep of the longest chain, never one per step
+    shapes = []
+    add = gas._TallyStore.add
+
+    def counted(self, before, after, ratios):
+        shapes.append(before.shape)
+        return add(self, before, after, ratios)
+    monkeypatch.setattr(gas._TallyStore, "add", counted)
+    rec = metropolis_sample(SquareTorusLattice(*size), potts_params(2),
+                            sweeps, seed=7)
+    assert len(shapes) == rec.chain_sweeps[0] == longest
+    assert sum(steps * chains for steps, chains in shapes) == rec.proposed
 
 
 def test_tallies_are_a_read_only_mapping():

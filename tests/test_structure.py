@@ -3,12 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from looptl import structure
+from looptl import structure, tlcat
 from looptl.errors import MismatchAtGrade
 from looptl.linalg import Echelon
 from looptl.scalars import SpecialField
-from looptl.structure import (catalan, conditional_expectation,
-                              expectation_to_grade, ideal_span,
+from looptl.structure import (catalan, conditional_expectation, ideal_span,
                               radical_vectors, verify_ideal_theorem)
 from looptl.tlcat import (Morphism, compose, enumerate_diagrams, jones_wenzl,
                           markov_trace)
@@ -55,11 +54,20 @@ def test_projector_compression_is_scalar(n):
         assert m == p.scale(gamma)
 
 
-def test_expectation_to_grade_reaches_target():
-    field = SpecialField(3)
-    a = _random_square(4, random.Random(1), field)
-    out = expectation_to_grade(a, 2)
-    assert out.m == out.n == 2
+def test_verify_ideal_theorem_walks_each_grade_once(monkeypatch):
+    # the radical and the containment check share one loop-count walk
+    walks = []
+    walk = tlcat.gram_exponents
+
+    def counted(m, n):
+        walks.append((m, n))
+        return walk(m, n)
+    monkeypatch.setattr(tlcat, "gram_exponents", counted)
+    monkeypatch.setattr(structure, "gram_exponents", counted)
+    report = verify_ideal_theorem(2, 5)
+    assert walks == [(n, n) for n in range(1, 6)]
+    assert [g["radical_dim"] for g in report] == \
+        [len(radical_vectors(n, 2)[0]) for n in range(1, 6)]
 
 
 @pytest.mark.parametrize("ell", [1, 2])
