@@ -18,8 +18,7 @@ import math
 import numpy as np
 
 from .errors import ConfigInvalid, StateSpaceTooLarge
-from .lattice import (ENUM_STATE_CAP, SquareTorusLattice, _square_wall_tables,
-                      census)
+from .lattice import ENUM_STATE_CAP, SquareTorusLattice, census
 from .scalars import SpecialField
 
 # lockstep chains: at most MAX_CHAINS, each at least CHAIN_SWEEPS long
@@ -258,25 +257,6 @@ class SampleRecord:
                 "oracle_checks": self.oracle_checks}
 
 
-def _dfs_delta_clusters(bits, bond, primal, walk):
-    """Change in C if the given bond is flipped, by a depth-first
-    search from one end of the bond to the other without it.  primal
-    and walk are those of lattice._square_wall_tables."""
-    a, b = walk.tail[2 * bond], walk.head[2 * bond]
-    without = bits & ~(1 << bond)
-    stack = [a]
-    seen = 1 << a
-    while stack:
-        x = stack.pop()
-        if x == b:
-            return 0
-        for bd, y, _, _ in primal[x]:
-            if (without >> bd) & 1 and not (seen >> y) & 1:
-                seen |= 1 << y
-                stack.append(y)
-    return 1 if (bits >> bond) & 1 else -1
-
-
 def _cluster_table(lat):
     """C of every state as an int8 array when 2^N <= ENUM_STATE_CAP,
     else None; cluster counts stay below 128, so the view reads them
@@ -306,35 +286,30 @@ def chain_lengths(sweeps):
 
 
 def _cluster_readers(lat, table):
-    """(delta, observe) for chains in numpy arrays of state bits.
-    delta(bits, flipped, bonds, clusters) is dC of each chain's flip,
-    given each chain's C; observe(bits) is the (3, chains) array of L, C
-    and C*.  With a cluster table both read census columns; without one,
-    dC comes from _dfs_delta_clusters and the observables, in one batch,
-    from torus_census.tabulate_states."""
+    """(clusters_of, observe) for chains in numpy arrays of state bits.
+    clusters_of(states) is the int8 array of C of each state;
+    observe(bits) is the (3, chains) array of L, C and C*.  With a
+    cluster table both read census columns; without one, both run the
+    census kernel on the given states alone, C through
+    torus_census.cluster_counts and the observables through
+    torus_census.tabulate_states."""
     if table is not None:
         cen = census(lat)
-
-        def delta(bits, flipped, bonds, clusters):
-            return table[flipped] - clusters
 
         def observe(bits):
             return np.stack([cen.loops[bits], table[bits],
                              cen.dual_clusters[bits]])
-        return delta, observe
-    from .torus_census import tabulate_states
-    primal, _, walk = _square_wall_tables(lat.w, lat.h)
+        return table.__getitem__, observe
+    from .torus_census import cluster_counts, tabulate_states
 
-    def delta(bits, flipped, bonds, clusters):
-        return np.array([_dfs_delta_clusters(b, bond, primal, walk)
-                         for b, bond in zip(bits.tolist(), bonds.tolist())],
-                        np.int8)
+    def clusters_of(states):
+        return cluster_counts(lat, states).view(np.int8)
 
     def observe(bits):
         cols = tabulate_states(lat, bits)
         return np.stack([cols["loops"], cols["clusters"],
                          cols["dual_clusters"]])
-    return delta, observe
+    return clusters_of, observe
 
 
 def _check_drift(lat, bits, clusters):
@@ -352,19 +327,21 @@ def metropolis_sample(lat, model, sweeps, seed, record_rows=False):
     numpy arrays: each step proposes one bond flip in every chain.  One
     sweep of a chain proposes every bond once, in a random order.  The
     acceptance ratio for a flip changing (dC, dE, dE*) is
-    q^dC p^dE (1-p)^dE* (acceptance_table).  C after a flip is read
+    q^dC p^dE (1-p)^dE* (acceptance_table).  dC is C of the flipped
+    state less the chain's running C; C of the flipped states is read
     from the lattice census when 2^N <= ENUM_STATE_CAP (_cluster_table),
-    and past the cap is C plus dC found by a depth-first search between
-    the bond's ends.  A step only flips, reads C, accepts and records the
-    next states; each sweep's waste-recycling tallies are then summed per
-    state in one scatter, in proposal order (_TallyStore), and returned
-    as read-only Tallies.  Every max(1, longest chain // 10,000) sweeps,
-    L, C and C* of every chain are read (_cluster_readers), and one
-    chain, in turn, has its running cluster count checked against
-    extract_walls (_check_drift), as has chain 0 at the start.  One
+    and past the cap from the census kernel run on those states alone
+    (torus_census.cluster_counts).  A step only flips, reads C, accepts
+    and records the next states; each sweep's waste-recycling tallies
+    are then summed per state in one scatter, in proposal order
+    (_TallyStore), and returned as read-only Tallies.  Every max(1,
+    longest chain // 10,000) sweeps, L, C and C* of every chain are read
+    (_cluster_readers), and one chain, in turn, has its running cluster
+    count checked against extract_walls (_check_drift), as has chain 0
+    at the start.  One
     counter-based (Philox) stream draws the K starting states, then per
     sweep a (K, N) block of bond orders and a (K, N) block of uniforms,
-    row k for chain k; both ways of finding dC give the same chains.
+    row k for chain k; both ways of reading C give the same chains.
     With record_rows, each measured sweep adds the row (sweep, L, C, C*
     of chain 0, acceptance rate so far).
     Runs on the square torus only; other lattices, sweeps < 1 and a
@@ -386,7 +363,7 @@ def metropolis_sample(lat, model, sweeps, seed, record_rows=False):
     lengths = chain_lengths(sweeps)
     chains = len(lengths)
     measure_every = max(1, int(lengths[0]) // 10_000)
-    delta, observe = _cluster_readers(lat, _cluster_table(lat))
+    clusters_of, observe = _cluster_readers(lat, _cluster_table(lat))
     ratio = acceptance_table(model)
     # acceptance table indexed by 3*spin + dC, dC = -1 read from the end
     acc = np.array([ratio[(dc, spin)] for spin, dc in
@@ -408,16 +385,15 @@ def metropolis_sample(lat, model, sweeps, seed, record_rows=False):
         orders = rng.permuted(np.tile(np.arange(nb, dtype=np.uint8),
                                       (active, 1)), axis=1)
         # step-major copies: row j holds every chain's j-th proposal
-        bonds = np.ascontiguousarray(orders.T)
+        flips = np.left_shift(1, orders.T, dtype=np.int64, order="C")
         us = np.ascontiguousarray(rng.random((active, nb)).T)
-        flips = np.left_shift(1, bonds, dtype=np.int64)
         # hist[j]: the states before step j; finished chains drop out
         hist, ratios = np.empty((nb + 1, active), np.int64), np.empty(us.shape)
         bits, clusters = bits[:active], clusters[:active]
         hist[0] = bits
         for j in range(nb):
             flipped = bits ^ flips[j]
-            dc = delta(bits, flipped, bonds[j], clusters)
+            dc = clusters_of(flipped) - clusters
             # a one-bit flip lowers the state exactly when the bit was set
             r = ratios[j] = acc[3 * (flipped < bits) + dc]
             # u lies in [0, 1), so a ratio of 1 or more always accepts
@@ -469,8 +445,9 @@ def detailed_balance_check(lat, model):
     the level's number field -- and both ways round.  Then Metropolis
     acceptance min(1, w_b/w_a) balances the flows.  The sampler's float entry
     acceptance_table(model)[(dC, spin)] must lie within 1e-12 relative
-    of that exact ratio, and the sampler's depth-first dC must equal
-    the census difference.  Returns (ok, pairs_checked).
+    of that exact ratio, and the C the sampler reads past the state cap
+    (the census kernel, _cluster_readers without a table) must equal
+    extract_walls' on every state.  Returns (ok, pairs_checked).
     """
     n = 1 << lat.nsites
     if n > 4096:
@@ -491,7 +468,10 @@ def detailed_balance_check(lat, model):
     weight = [q_pow[c] * p_pow[e] * m_pow[m] for c, e, m in
               zip(cen.clusters.tolist(), plus.tolist(), minus.tolist())]
     clusters = cen.clusters.tolist()
-    primal, _, walk = _square_wall_tables(lat.w, lat.h)
+    clusters_of, _ = _cluster_readers(lat, None)
+    if clusters_of(np.arange(n)).tolist() != \
+            [lat.extract_walls(lat.config(a)).clusters for a in range(n)]:
+        return False, 0
     pairs = 0
     for a in range(n):
         for bond in range(lat.nsites):
@@ -502,8 +482,6 @@ def detailed_balance_check(lat, model):
             spin = (a >> bond) & 1
             if weight[b] != weight[a] * exact[(dc, spin)] or \
                     weight[a] != weight[b] * exact[(-dc, 1 - spin)]:
-                return False, pairs
-            if _dfs_delta_clusters(a, bond, primal, walk) != dc:
                 return False, pairs
             pairs += 1
     return True, pairs

@@ -90,10 +90,6 @@ class SpinConfig:
         width = (self.lattice.nsites + 3) // 4
         return format(self.bits, "0%dx" % max(width, 1))
 
-    @classmethod
-    def from_hex(cls, lattice, text):
-        return cls(lattice, int(text, 16))
-
     def __eq__(self, other):
         return (isinstance(other, SpinConfig)
                 and self.lattice is other.lattice

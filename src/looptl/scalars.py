@@ -625,15 +625,6 @@ def specialize(x, ell):
     return _horner(x.num, field.delta, field.zero) * den.inverse()
 
 
-def to_float(x, d=None):
-    """Evaluate any backend scalar as a machine float."""
-    if isinstance(x, RationalFunc):
-        if d is None:
-            raise ValueError("generic scalar needs a numeric loop weight")
-        return x.eval_float(d)
-    return float(x)
-
-
 def serialize_scalar(x):
     """Canonical string form of an exact scalar."""
     if isinstance(x, Fraction):

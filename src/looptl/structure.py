@@ -9,7 +9,7 @@ them.
 from __future__ import annotations
 
 from .errors import MismatchAtGrade, SignatureMismatch
-from .linalg import Echelon, nullspace
+from .linalg import Echelon, rank
 from .tlcat import (Morphism, _check_diagram_cap, _loop_folder, _loop_powers,
                     _one_denominator, cap_diagram, catalan, compose,
                     cup_diagram, enumerate_diagrams, gram_exponents,
@@ -119,7 +119,8 @@ def verify_ideal_theorem(ell, n_max):
         # one loop-count walk per grade serves the radical and the
         # containment check
         _, expo = gram_exponents(n, n)
-        rad = nullspace(_loop_powers(expo, p.d, n, n))
+        # the radical's dimension: the diagrams less the Gram rank
+        rad = catalan(n) - rank(_loop_powers(expo, p.d, n, n))
         if n < m:
             if rad:
                 raise MismatchAtGrade(
@@ -148,9 +149,9 @@ def verify_ideal_theorem(ell, n_max):
                 if fold(sums) is not None:
                     raise MismatchAtGrade(
                         f"ideal element escapes the radical at grade {n}")
-        if len(span) != len(rad):
+        if len(span) != rad:
             raise MismatchAtGrade(
-                f"radical dim {len(rad)} != ideal dim {len(span)} at n={n}")
-        report.append({"grade": n, "radical_dim": len(rad),
+                f"radical dim {rad} != ideal dim {len(span)} at n={n}")
+        report.append({"grade": n, "radical_dim": rad,
                        "ideal_dim": len(span)})
     return report

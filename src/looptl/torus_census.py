@@ -5,7 +5,9 @@ extract_walls, the cluster and dual-cluster counts with their wrapping
 counts (min-label propagation carrying universal-cover offsets), the
 loop and essential-loop counts (pointer doubling over an oriented
 medial-lattice walk, as in Baxter, Kelland and Wu, J. Phys. A 9, 1976,
-on which each loop is one cycle) and E and E*.
+on which each loop is one cycle) and E and E*.  cluster_counts
+computes the cluster count alone, for the Metropolis sampler past the
+state cap.
 
 Every count is a graph invariant of the lattice, so a state and its
 images under the lattice's symmetry group share one census row: the
@@ -17,7 +19,8 @@ lattice.census tabulates only those representatives.
 The square torus is tabulated from its own tables, built here from the
 mid-lattice port pairing and sharing no code with extract_walls.  The
 disk and the hex torus read the static tables of their extract_walls.
-lattice.census imports this module when it builds a census.
+lattice.census imports this module when it builds a census, and the
+sampler when it runs past the state cap.
 """
 
 from __future__ import annotations
@@ -67,24 +70,41 @@ def tabulate_states(lat, states):
     is a uint8 array aligned with it.  Computed without extract_walls:
     clusters by label propagation, loops as cycles of the oriented walk.
     """
+    t, spins, plus, clusters, wrapping = _primal_clusters(lat, states)
+    a, b = t.edge_keys
+    minus = ~(spins[a] | spins[b])
+    out = {"plus_edges": plus.sum(0, dtype=np.uint8),
+           "minus_edges": minus.sum(0, dtype=np.uint8),
+           "wrapping_clusters": wrapping}
+    dual, out["wrapping_dual_clusters"] = \
+        _wrapping_components_batch(minus, t.dual)
+    out["clusters"] = clusters
+    out["dual_clusters"] = (dual - spins[t.sites].sum(0, dtype=np.uint8)
+                            - t.outer)
+    out["loops"], out["essential_loops"] = _loop_cycles_batch(spins, t.walk)
+    return out
+
+
+def cluster_counts(lat, states):
+    """C of each of the given states, as a uint8 array aligned with
+    them: tabulate_states' clusters column, computed alone."""
+    return _primal_clusters(lat, states)[3]
+
+
+def _primal_clusters(lat, states):
+    """(tables, spins, plus, C, wrapping C) of the given states: the
+    lattice's census tables, the spin rows (the state bits, then the
+    fixed keys), the kept primal edges, and the primal components,
+    less the |-> nodes keyed by `sites`, with their wrapping count."""
     t = _TABLES[lat.kind](lat)
     bits = (states[None, :] >> np.arange(lat.nsites)[:, None]) & 1
     fixed = np.array(t.fixed, bool)[:, None].repeat(len(states), 1)
     spins = np.concatenate([bits.astype(bool), fixed])
     a, b = t.edge_keys
     plus = spins[a] & spins[b]
-    minus = ~(spins[a] | spins[b])
-    out = {"plus_edges": plus.sum(0, dtype=np.uint8),
-           "minus_edges": minus.sum(0, dtype=np.uint8)}
-    clusters, out["wrapping_clusters"] = \
-        _wrapping_components_batch(plus, t.primal)
-    dual, out["wrapping_dual_clusters"] = \
-        _wrapping_components_batch(minus, t.dual)
-    on = spins[t.sites]
-    out["clusters"] = clusters - (~on).sum(0, dtype=np.uint8)
-    out["dual_clusters"] = dual - on.sum(0, dtype=np.uint8) - t.outer
-    out["loops"], out["essential_loops"] = _loop_cycles_batch(spins, t.walk)
-    return out
+    clusters, wrapping = _wrapping_components_batch(plus, t.primal)
+    clusters = clusters - (~spins[t.sites]).sum(0, dtype=np.uint8)
+    return t, spins, plus, clusters, wrapping
 
 
 # sites per lookup table, and values of the top chunk per block, of

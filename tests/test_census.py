@@ -11,7 +11,7 @@ from looptl.errors import StateSpaceTooLarge
 from looptl.lattice import (CENSUS_FIELDS, ENUM_STATE_CAP, HexTorusLattice,
                             SquareDiskLattice, SquareTorusLattice, census,
                             tabulate_by_walls)
-from looptl.torus_census import _TABLES, tabulate_states
+from looptl.torus_census import _TABLES, cluster_counts, tabulate_states
 
 
 def _assert_columns_equal(got, want):
@@ -57,8 +57,10 @@ def test_vectorised_census_matches_walls_past_the_census(lat):
     # the oriented walks and their packing on larger lattices
     states = np.random.default_rng(20261019).integers(0, 1 << lat.nsites,
                                                       1500)
-    _assert_columns_equal(tabulate_states(lat, states),
-                          tabulate_by_walls(lat, states))
+    want = tabulate_by_walls(lat, states)
+    _assert_columns_equal(tabulate_states(lat, states), want)
+    # the sampler's C reader past the state cap
+    assert np.array_equal(cluster_counts(lat, states), want["clusters"])
 
 
 @pytest.mark.parametrize("lat,sample", [
@@ -172,13 +174,13 @@ def test_sampler_table_and_search_give_the_same_chain(monkeypatch, size,
     assert gas._cluster_table(lat) is not None
     with_table = gas.metropolis_sample(lat, g, sweeps, seed)
     monkeypatch.setattr(gas, "_cluster_table", lambda lat: None)
-    with_search = gas.metropolis_sample(lat, g, sweeps, seed)
+    with_kernel = gas.metropolis_sample(lat, g, sweeps, seed)
     for name in ("states", "weights"):
         assert getattr(with_table.tallies, name).tobytes() == \
-            getattr(with_search.tallies, name).tobytes()
-    assert with_table.accepted == with_search.accepted
+            getattr(with_kernel.tallies, name).tobytes()
+    assert with_table.accepted == with_kernel.accepted
     # the means, acceptance, sample size, visited states, checks
-    assert with_table.summary() == with_search.summary()
+    assert with_table.summary() == with_kernel.summary()
 
 
 def test_detailed_balance_catches_a_wrong_acceptance_entry(monkeypatch):

@@ -103,7 +103,7 @@ def test_tl_jw_stdout_is_pinned(capsys, flags):
 _STDOUT_SHA256 = {
     ("gas", "exact", "--torus", "2x2", "--ell", "2"):
         "4f5bff5817407c26f96a6f8f32c0e2bdc534b04b62b355f4b65eebc3ac3cf8ea",
-    # past the state cap: depth-first dC and dict tallies
+    # past the state cap: C from the census kernel and dict tallies
     ("gas", "sample", "--torus", "4x3", "--sweeps", "200", "--seed", "1"):
         "a9726af9c477b4a15392d7d4a389cb7960cdd94f8b60150388f1b1916cfe1f17",
     ("annulus", "beta", "--ell", "3"):

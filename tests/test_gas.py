@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from looptl import gas
+from looptl import gas, torus_census
 from looptl.errors import ConfigInvalid, StateSpaceTooLarge
 from looptl.gas import (GibbsModel, detailed_balance_check,
                         exact_distribution, extensive_constant_report,
@@ -273,7 +273,7 @@ def _bit_for_bit_cases():
     yield pytest.param(2, 3000, 5, 3, id="2-3000-5-ell3")
 
 
-@pytest.mark.parametrize("path", ["table", "dfs", "dict-slots"])
+@pytest.mark.parametrize("path", ["table", "kernel", "dict-slots"])
 @pytest.mark.parametrize("size,sweeps,seed,ell", _bit_for_bit_cases())
 def test_sampler_matches_dict_reference_bit_for_bit(monkeypatch, path,
                                                     size, sweeps, seed, ell):
@@ -281,21 +281,26 @@ def test_sampler_matches_dict_reference_bit_for_bit(monkeypatch, path,
     g = potts_params(ell)
     tallies, accepted, means, rows = _reference_chains(lat, g, sweeps, seed)
     dense = metropolis_sample(lat, g, sweeps, seed)
-    if path == "dfs":
+    if path == "kernel":
         monkeypatch.setattr(gas, "_cluster_table", lambda lat: None)
     elif path == "dict-slots":
-        # the sampler's view of the cap: dC by search, tallies in a dict
+        # the sampler's view of the cap: C by the kernel, tallies in a dict
         monkeypatch.setattr(gas, "ENUM_STATE_CAP", 1)
-    searches = []
-    search = gas._dfs_delta_clusters
+    reads = []
+    read = torus_census.cluster_counts
 
-    def counted_search(*args):
-        searches.append(args)
-        return search(*args)
-    monkeypatch.setattr(gas, "_dfs_delta_clusters", counted_search)
+    def counted_read(lat, states):
+        reads.append(len(states))
+        return read(lat, states)
+    monkeypatch.setattr(torus_census, "cluster_counts", counted_read)
     rec = metropolis_sample(lat, g, sweeps, seed, record_rows=True)
-    # below the cap the census serves every dC; the other paths search
-    assert len(searches) == (0 if path == "table" else rec.proposed)
+    # below the cap the census serves every C; past it the kernel reads
+    # C of every chain's flipped state once per lockstep step
+    if path == "table":
+        assert reads == []
+    else:
+        assert len(reads) == rec.chain_sweeps[0] * lat.nsites
+        assert sum(reads) == rec.proposed
     states, weights = rec.tallies.states, rec.tallies.weights
     assert states.dtype == np.int64 and np.all(np.diff(states) > 0)
     assert np.all(weights > 0.0)

@@ -179,13 +179,6 @@ def test_component_cap():
         explore_component(lat.all_plus(), model="hprime", cap=10)
 
 
-def test_config_hex_roundtrip():
-    lat = SquareTorusLattice(3, 3)
-    config = lat.config(0x2a5f1)
-    text = config.to_hex()
-    assert type(config).from_hex(lat, text).bits == config.bits
-
-
 def test_lattice_from_spec_roundtrip():
     lat = SquareTorusLattice(3, 2)
     spec = json.dumps(lat.spec_dict())

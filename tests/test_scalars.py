@@ -12,11 +12,11 @@ from looptl.annular import even_sector_polynomial
 from looptl.errors import PoleAtSpecialValue
 from looptl.scalars import (RationalFunc, SpecialField, _pexact_div,
                             minimal_polynomial, quantum_int, serialize_scalar,
-                            specialize, to_float)
+                            specialize)
 
 
 def test_quantum_integers_generic():
-    d = to_float(quantum_int(2), d=1.75)
+    d = quantum_int(2).eval_float(1.75)
     assert d == pytest.approx(1.75)
     for m in range(17):
         # [m] = U_{m-1}(d/2), Chebyshev polynomials of the second kind as
@@ -26,7 +26,7 @@ def test_quantum_integers_generic():
         assert got.den == (1,)
         assert _zz(got.num).set_domain("QQ") == want
         # at d = 2 every [m] is m
-        assert to_float(got, d=2.0) == m
+        assert got.eval_float(2.0) == m
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3, 4, 5, 6])
