@@ -5,7 +5,9 @@ into factors of d and essential loops into powers of the core ring
 curve R; morphisms close to polynomials in R.  The padded grade-(ell+1)
 projector generates an ideal in this polynomial ring; its monic gcd
 generator cuts out the finite-dimensional quotient carrying the beta
-projectors.
+projectors.  The closure is a trace, so the generator comes from the
+closures of the padded projector times single diagrams, with no
+elimination.
 """
 
 from __future__ import annotations
@@ -14,10 +16,9 @@ import math
 from itertools import combinations
 
 from .errors import ConfigInvalid, IndexOutOfRange, SignatureMismatch
-from .scalars import (SpecialField, _padd, _pdivmod, _pmul, _trim, chebyshev,
-                      quantum_int)
-from .tlcat import Morphism, jones_wenzl
-from .structure import ideal_span
+from .scalars import (SpecialField, _horner, _padd, _pdivmod, _pmul, _trim,
+                      chebyshev, quantum_int)
+from .tlcat import Morphism, compose, enumerate_diagrams, jones_wenzl
 
 
 class RPolynomial:
@@ -83,19 +84,24 @@ def closure_diagram(diag):
 
 
 def annular_closure(a):
-    """Close a square morphism into a polynomial in the ring curve R."""
+    """Close a square morphism into a polynomial in the ring curve R.
+
+    The coefficients are summed per (trivial, essential) loop count
+    first, so each power of d multiplies one sum.
+    """
     if a.m != a.n:
         raise SignatureMismatch("annular closure requires a square morphism")
     d = a.d
-    coeffs = []
+    sums = {}
     for diag, c in a.terms.items():
-        t, e = closure_diagram(diag)
-        val = c * d ** t if t else c
-        while len(coeffs) <= e:
-            coeffs.append(None)
-        coeffs[e] = val if coeffs[e] is None else coeffs[e] + val
+        key = closure_diagram(diag)
+        acc = sums.get(key)
+        sums[key] = c if acc is None else acc + c
     zero = d - d
-    return RPolynomial([zero if c is None else c for c in coeffs])
+    coeffs = [zero] * (max((e for _, e in sums), default=-1) + 1)
+    for (t, e), c in sums.items():
+        coeffs[e] = coeffs[e] + (c * d ** t if t else c)
+    return RPolynomial(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -126,11 +132,27 @@ class AnnularIdeal:
         self.grade_cap = grade_cap
 
 
+def _hook_free_diagrams(n, m):
+    """The (n, n)-diagrams D with no bottom arc (n+i, n+i+1), i < m-1.
+
+    A D with such an arc is (1/d) D stacked over U_i, and a grade-m
+    projector p kills U_i, so (p x 1_{n-m}) D = 0 for every D left out.
+    """
+    return [diag for diag in enumerate_diagrams(n, n)
+            if all(diag.pairs[n + i] != n + i + 1 for i in range(m - 1))]
+
+
 def annular_ideal(ell, grade_cap):
     """Monic generator of the closed-curve ideal of the padded projector.
 
-    Collects closures of every span element a (p_{ell+1} x 1_k) b in each
-    grade up to grade_cap and returns their monic gcd over the exact field.
+    The closure is a trace on each grade: closure(a b) = closure(b a), by
+    isotopy in the annulus.  So the closure of a (p x 1) b is the closure
+    of (p x 1)(b a), and at each grade n the closures of the two-sided
+    ideal span the same space as those of (p x 1_{n-m}) D over the
+    diagrams D, p = p_{ell+1} at grade m = ell+1.  Only the D of
+    _hook_free_diagrams are closed; (p x 1) kills the rest.  Returns the
+    monic gcd over the exact field of the closures at every grade
+    ell+1..grade_cap.
     """
     if grade_cap < ell + 1:
         raise IndexOutOfRange("grade cap below the generator grade")
@@ -138,10 +160,10 @@ def annular_ideal(ell, grade_cap):
     p = jones_wenzl(ell + 1, "special", ell=ell)
     polys = []
     for n in range(ell + 1, grade_cap + 1):
-        vecs, basis = ideal_span(p, n)
-        for vec in vecs:
-            poly = annular_closure(Morphism(n, n, dict(zip(basis, vec)),
-                                            field.delta))
+        q = p.tensor(Morphism.identity(n - ell - 1, field.delta))
+        for diag in _hook_free_diagrams(n, ell + 1):
+            poly = annular_closure(
+                compose(q, Morphism.from_diagram(diag, field.delta)))
             if poly.coeffs:
                 polys.append(poly.coeffs)
     gen = _poly_gcd_field(polys)
@@ -174,6 +196,18 @@ def eigenvalue_family(ell):
         if not any(abs(val - v) < 1e-9 for v in vals):
             vals.append(val)
     return sorted(vals)
+
+
+def _vanishes_on_family(coeffs, ell):
+    """Whether the R-polynomial with these Q(delta) coefficients vanishes
+    exactly at every lambda_p = (-1)^p x_{p+1}, p = 0..ell, where
+    x_j = 2 cos(j pi/(ell+2)) is read from chebyshev(delta, 2, delta,
+    ell+1): the eigenvalue family, evaluated by Horner in the field."""
+    field = SpecialField(ell)
+    x = chebyshev(field.delta, 2 * field.one, field.delta, ell + 1)
+    return not any(_horner(coeffs, -x[p + 1] if p % 2 else x[p + 1],
+                           field.zero)
+                   for p in range(ell + 1))
 
 
 def even_sector_polynomial(ell):
@@ -272,7 +306,10 @@ def beta_report(ell):
     projectors up to scale.  At even ell the label ell has the same
     even-restricted S row as the vacuum, so beta_{ell/2} = beta_0 and
     orthogonality fails whatever the basis; at ell = 2 every beta is +-one
-    and the same element.
+    and the same element.  Beside the float comparison of the generator's
+    roots with the eigenvalue family, generator_vanishes_on_family says
+    whether the generator vanishes exactly in Q(delta) on that family
+    (_vanishes_on_family).
     """
     ideal = annular_ideal(ell, ell + 2)
     top = (ell + 2) // 2
@@ -301,6 +338,8 @@ def beta_report(ell):
         "eigenvalue_family": family,
         "family_subset_of_roots": family_subset,
         "family_equals_roots": family_equal,
+        "generator_vanishes_on_family": _vanishes_on_family(
+            ideal.generator.coeffs, ell),
         "convention": chosen[0] if chosen else None,
         "sector": chosen[1] if chosen else None,
         "results": results,

@@ -46,9 +46,11 @@ def conditional_expectation(a):
 def ideal_span(gen, n):
     """Exact basis of span{ a (gen x 1_k) b } inside the grade-n algebra.
 
-    gen is a square morphism at grade m <= n with n - m even.  The span is
-    produced by closing the padded generator under left and right hook
-    multiplication, which reaches every a (gen x 1_k) b with diagram a, b.
+    gen is a square morphism at grade m, padded to grade n by 1_k,
+    k = n - m >= 0 of either parity; below its own grade (n < m) the span
+    is empty.  The span is produced by closing the padded generator under
+    left and right hook multiplication, which reaches every a (gen x 1_k) b
+    with diagram a, b.
     Returns (basis_vectors, diagram_basis): the rows of the linalg.Echelon
     the closure fed, as coefficient lists in pivot order.
 

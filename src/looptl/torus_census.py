@@ -70,14 +70,14 @@ def tabulate_states(lat, states):
     is a uint8 array aligned with it.  Computed without extract_walls:
     clusters by label propagation, loops as cycles of the oriented walk.
     """
-    t, spins, plus, clusters, wrapping = _primal_clusters(lat, states)
+    t, spins, plus, clusters, pack = _primal_clusters(lat, states)
     a, b = t.edge_keys
     minus = ~(spins[a] | spins[b])
     out = {"plus_edges": plus.sum(0, dtype=np.uint8),
            "minus_edges": minus.sum(0, dtype=np.uint8),
-           "wrapping_clusters": wrapping}
-    dual, out["wrapping_dual_clusters"] = \
-        _wrapping_components_batch(minus, t.dual)
+           "wrapping_clusters": _wrapping_count(plus, t.primal, pack)}
+    dual, pack = _components_batch(minus, t.dual)
+    out["wrapping_dual_clusters"] = _wrapping_count(minus, t.dual, pack)
     out["clusters"] = clusters
     out["dual_clusters"] = (dual - spins[t.sites].sum(0, dtype=np.uint8)
                             - t.outer)
@@ -92,19 +92,20 @@ def cluster_counts(lat, states):
 
 
 def _primal_clusters(lat, states):
-    """(tables, spins, plus, C, wrapping C) of the given states: the
+    """(tables, spins, plus, C, pack) of the given states: the
     lattice's census tables, the spin rows (the state bits, then the
-    fixed keys), the kept primal edges, and the primal components,
-    less the |-> nodes keyed by `sites`, with their wrapping count."""
+    fixed keys), the kept primal edges, the primal components less the
+    |-> nodes keyed by `sites`, and the primal labels of
+    _components_batch."""
     t = _TABLES[lat.kind](lat)
     bits = (states[None, :] >> np.arange(lat.nsites)[:, None]) & 1
     fixed = np.array(t.fixed, bool)[:, None].repeat(len(states), 1)
     spins = np.concatenate([bits.astype(bool), fixed])
     a, b = t.edge_keys
     plus = spins[a] & spins[b]
-    clusters, wrapping = _wrapping_components_batch(plus, t.primal)
+    clusters, pack = _components_batch(plus, t.primal)
     clusters = clusters - (~spins[t.sites]).sum(0, dtype=np.uint8)
-    return t, spins, plus, clusters, wrapping
+    return t, spins, plus, clusters, pack
 
 
 # sites per lookup table, and values of the top chunk per block, of
@@ -318,15 +319,15 @@ class _TorusGraph:
         self.in_lift = table[..., 2:3].astype(np.int32)
 
 
-def _wrapping_components_batch(keep, graph):
-    """Components and wrapping components of a torus graph, per state.
+def _components_batch(keep, graph):
+    """Components of a torus graph per state, and each node's packed
+    label.
 
     keep[edge] is a bool row over the states: whether that edge is in
     the graph.  Min-label propagation carries each node's
     universal-cover offset from its label node, packed with the label;
     a node takes a neighbour's label only when it is smaller, so every
-    offset is the lift of a real path.  A component wraps iff one of
-    its kept edges joins two offsets that disagree.
+    offset is the lift of a real path.
     """
     count = keep.shape[1]
     nodes = np.arange(graph.nodes, dtype=np.int32)[:, None]
@@ -338,14 +339,19 @@ def _wrapping_components_batch(keep, graph):
         if not take.any():
             break
         pack = np.where(take, offer, pack)
-    label = pack >> _LABEL_SHIFT
-    components = (label == nodes).sum(0, dtype=np.uint8)
+    return ((pack >> _LABEL_SHIFT) == nodes).sum(0, dtype=np.uint8), pack
+
+
+def _wrapping_count(keep, graph, pack):
+    """Wrapping components per state, from _components_batch's labels:
+    a component wraps iff one of its kept edges joins two offsets that
+    disagree."""
+    count = keep.shape[1]
     bad = keep[graph.edge] & (pack[graph.a] + graph.lift != pack[graph.b])
-    root = label[graph.a] * count + np.arange(count)
+    root = (pack[graph.a] >> _LABEL_SHIFT) * count + np.arange(count)
     wraps = np.zeros(graph.nodes * count, bool)
     wraps[root[bad]] = True
-    return components, wraps.reshape(graph.nodes, count).sum(0,
-                                                             dtype=np.uint8)
+    return wraps.reshape(graph.nodes, count).sum(0, dtype=np.uint8)
 
 
 def _loop_cycles_batch(spins, walk):

@@ -1,13 +1,17 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from looptl.annular import (RPolynomial, _beta_coeffs, annular_closure,
-                            annular_ideal, beta_report, eigenvalue_family,
-                            even_sector_polynomial, generator_roots,
-                            jw_closure_coeffs)
+from looptl.annular import (RPolynomial, _beta_coeffs, _hook_free_diagrams,
+                            _poly_gcd_field, _vanishes_on_family,
+                            annular_closure, annular_ideal, beta_report,
+                            eigenvalue_family, even_sector_polynomial,
+                            generator_roots, jw_closure_coeffs)
 from looptl.scalars import FieldElement, SpecialField, _padd, _pdivmod, _pmul
-from looptl.tlcat import Morphism, jones_wenzl
+from looptl.structure import ideal_span
+from looptl.tlcat import Morphism, compose, enumerate_diagrams, jones_wenzl
 
 
 def test_polynomial_helpers_over_qdelta():
@@ -149,3 +153,70 @@ def test_beta_report_values_are_exact():
             assert all(isinstance(c, FieldElement) for c in beta)
         assert all(isinstance(c, FieldElement)
                    for c in res["scalars"].values())
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3, 4])
+def test_generator_matches_closures_of_the_two_sided_ideal(ell):
+    """The reference: the monic gcd of the closures of an exact basis of
+    the two-sided ideal of p_{ell+1} at grades ell+1 and ell+2."""
+    field = SpecialField(ell)
+    p = jones_wenzl(ell + 1, "special", ell=ell)
+    polys = []
+    for n in (ell + 1, ell + 2):
+        vecs, basis = ideal_span(p, n)
+        for vec in vecs:
+            poly = annular_closure(Morphism(n, n, dict(zip(basis, vec)),
+                                            field.delta))
+            if poly.coeffs:
+                polys.append(poly.coeffs)
+    assert annular_ideal(ell, ell + 2).generator.coeffs == \
+        _poly_gcd_field(polys)
+
+
+@pytest.mark.parametrize("ell", range(1, 8))
+def test_generator_is_the_next_quantum_integer_in_r(ell):
+    field = SpecialField(ell)
+    want = [field.element([c]) for c in jw_closure_coeffs(ell + 1)[-1]]
+    assert annular_ideal(ell, ell + 2).generator.coeffs == want
+
+
+@st.composite
+def _square_morphism(draw, field, n):
+    basis = enumerate_diagrams(n, n)
+    picks = draw(st.lists(st.sampled_from(basis), min_size=1, max_size=4))
+    terms = {diag: field.element(draw(st.lists(
+        st.integers(min_value=-3, max_value=3), min_size=1, max_size=2)))
+        for diag in picks}
+    return Morphism(n, n, terms, field.delta)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_closure_is_a_trace_and_skipped_diagrams_vanish(data):
+    ell = data.draw(st.integers(min_value=1, max_value=4), label="ell")
+    n = data.draw(st.integers(min_value=1, max_value=5), label="grade")
+    field = SpecialField(ell)
+    a = data.draw(_square_morphism(field, n), label="a")
+    b = data.draw(_square_morphism(field, n), label="b")
+    assert annular_closure(compose(a, b)) == annular_closure(compose(b, a))
+    if n < ell + 1:
+        return
+    # (p x 1) D vanishes for every D that annular_ideal leaves out
+    kept = set(_hook_free_diagrams(n, ell + 1))
+    q = jones_wenzl(ell + 1, "special", ell=ell).tensor(
+        Morphism.identity(n - ell - 1, field.delta))
+    for diag in enumerate_diagrams(n, n):
+        if diag not in kept:
+            prod = compose(q, Morphism.from_diagram(diag, field.delta))
+            assert prod.is_zero(), diag
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3, 4, 5])
+def test_generator_vanishes_exactly_on_the_family(ell):
+    assert beta_report(ell)["generator_vanishes_on_family"] is True
+    gen = annular_ideal(ell, ell + 2).generator.coeffs
+    # a generator with one coefficient shifted by one misses the family
+    for i in range(len(gen)):
+        mutant = list(gen)
+        mutant[i] = mutant[i] + 1
+        assert not _vanishes_on_family(mutant, ell), i
