@@ -18,7 +18,8 @@ from itertools import combinations
 from .errors import ConfigInvalid, IndexOutOfRange, SignatureMismatch
 from .scalars import (SpecialField, _horner, _padd, _pdivmod, _pmul, _trim,
                       chebyshev, quantum_int)
-from .tlcat import Morphism, compose, enumerate_diagrams, jones_wenzl
+from .tlcat import (Morphism, closure_loops, compose, enumerate_diagrams,
+                    jones_wenzl)
 
 
 class RPolynomial:
@@ -46,43 +47,6 @@ class RPolynomial:
         return " + ".join(bits)
 
 
-def closure_diagram(diag):
-    """Close a square diagram around the annulus.
-
-    Returns (trivial_loops, essential_loops); asserts every loop winds
-    -1, 0 or +1 around the core.
-    """
-    if diag.m != diag.n:
-        raise SignatureMismatch("annular closure requires a square diagram")
-    n = diag.m
-    seen = [False] * (2 * n)
-    trivial = essential = 0
-    for start in range(2 * n):
-        if seen[start]:
-            continue
-        wind = 0
-        p = start
-        while not seen[p]:
-            seen[p] = True
-            q = diag.pairs[p]
-            seen[q] = True
-            # seam hop: bottom i rejoins top i (+1), top i drops to bottom (-1)
-            if q >= n:
-                wind += 1
-                p = q - n
-            else:
-                wind -= 1
-                p = q + n
-        if wind == 0:
-            trivial += 1
-        elif wind in (1, -1):
-            essential += 1
-        else:
-            raise AssertionError(
-                f"embedded closure loop wound {wind} times")
-    return trivial, essential
-
-
 def annular_closure(a):
     """Close a square morphism into a polynomial in the ring curve R.
 
@@ -94,7 +58,7 @@ def annular_closure(a):
     d = a.d
     sums = {}
     for diag, c in a.terms.items():
-        key = closure_diagram(diag)
+        key = closure_loops(diag)
         acc = sums.get(key)
         sums[key] = c if acc is None else acc + c
     zero = d - d

@@ -171,7 +171,7 @@ def _cmd_annulus(args):
 
 
 def _cmd_table(args):
-    from .modular import level_rows, level_table_csv, s_matrix
+    from .modular import LEVEL_CAP, level_rows, level_table_csv, s_matrix
 
     report = {"command": "table", "action": args.action}
     if args.action == "fig02":
@@ -185,8 +185,8 @@ def _cmd_table(args):
     elif args.action == "smatrix":
         if args.ell is None:
             raise ConfigInvalid("smatrix needs --ell")
-        if args.ell < 1:
-            raise ConfigInvalid("smatrix needs --ell >= 1")
+        if not 1 <= args.ell <= LEVEL_CAP:
+            raise ConfigInvalid("smatrix needs 1 <= --ell <= %d" % LEVEL_CAP)
         mat = s_matrix(args.ell)
         report["matrix"] = mat.tolist()
         if args.out:
@@ -242,9 +242,9 @@ def _cmd_lattice(args):
         except ValueError:
             raise ConfigInvalid("--seed-state must be hex digits")
         seed = lat.config(bits)
-        graph = explore_component(seed, model=model, cap=args.component_cap)
-        report["component_size"] = len(graph.configs)
-        report["edges"] = len(graph.edges)
+        graph = explore_component(seed, model=model)
+        report["component_size"] = len(graph.states)
+        report["edges"] = len(graph.a)
         report["consistent"] = graph.consistent
         return report
 
@@ -420,8 +420,6 @@ def _build_parser():
     p.add_argument("--ell", type=int)
     p.add_argument("--seed-state", dest="seed_state",
                    help="hex bits of the seed configuration")
-    p.add_argument("--component-cap", dest="component_cap", type=int,
-                   default=5_000_000)
     p.set_defaults(func=_cmd_lattice)
 
     p = sub.add_parser("gas")

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ComponentCapExceeded, ConfigInvalid, StateSpaceTooLarge
 
-COMPONENT_CAP = 5_000_000
+COMPONENT_CAP = 2_000_000
 ENUM_STATE_CAP = 1 << 20
 CENSUS_CHUNK = 1 << 10
 
@@ -618,30 +618,38 @@ def tabulate_by_walls(lat, states):
     return {name: table[:, k].copy() for k, name in enumerate(CENSUS_FIELDS)}
 
 
-class ComponentGraph:
-    """One ergodic component under the moves of a model's rows."""
+class ComponentGraph(namedtuple(
+        "ComponentGraph", "lattice states a b dexp site pot consistent")):
+    """One ergodic component under the moves of a model's rows, as arrays.
 
-    def __init__(self, lattice, model, configs, edges, consistent, potentials):
-        self.lattice = lattice
-        self.model = model
-        self.configs = configs          # canonical (sorted by bits)
-        self.edges = edges              # (idx_a, idx_b, dexp, kind, site)
-        self.consistent = consistent
-        self.potentials = potentials    # d-exponent per config, or None
+    states holds the component's state bits, sorted (int64).  Edge k
+    moves states[a[k]] to states[b[k]] by the row whose first site is
+    site[k], with d-exponent dexp[k].  pot holds each state's d-exponent
+    relative to states[0] (int64), or None when the component is not
+    ratio-consistent.
+    """
+
+    __slots__ = ()
+
+    @property
+    def configs(self):
+        """The states as SpinConfigs, built on each access."""
+        return [SpinConfig(self.lattice, bits)
+                for bits in self.states.tolist()]
 
 
-def explore_component(seed, model=None, cap=COMPONENT_CAP):
+def explore_component(seed, model=None):
     """Breadth-first closure of a configuration under the moves of a
     model's two-term constraint rows (hamiltonian.build_hprime, h0).
 
     A row with patterns a and b on the sites of mask moves a state s
     with s & mask == a to s ^ a ^ b, d-exponent +dexp, and one with
-    s & mask == b back, -dexp; an edge's kind is the row's tag and its
-    site the row's first site.  The closure runs frontier by frontier,
+    s & mask == b back, -dexp.  The closure runs frontier by frontier,
     each state taking its potential when it is found; the component is
     ratio-consistent when every edge has pot[b] - pot[a] == dexp (every
-    cycle multiplies to one).  Raises ComponentCapExceeded past cap
-    states.
+    cycle multiplies to one).  Raises ComponentCapExceeded when a
+    frontier would take the component past COMPONENT_CAP states, before
+    that frontier's edges are kept.
     """
     from .hamiltonian import _pattern_state, build_h0, build_hprime
     lat = seed.lattice
@@ -651,13 +659,12 @@ def explore_component(seed, model=None, cap=COMPONENT_CAP):
         raise ConfigInvalid("unknown model %r" % (model,))
     # sites, patterns and dexp are the same at every level
     rows = (build_h0 if model == "h0" else build_hprime)(lat, 1).rows
-    tags = sorted({row.tag for row in rows})
     moves = [(sum(1 << s for s in row.sites),
               *(_pattern_state(pat, row.sites) for pat, _ in row.terms),
-              row.dexp, tags.index(row.tag), row.sites[0]) for row in rows]
-    moves += [(m, b, a, -e, k, s) for m, a, b, e, k, s in moves]
-    mask, frm, to, dexp, kind, site = (np.array(col, dtype=np.int64)
-                                       for col in zip(*moves))
+              row.dexp, row.sites[0]) for row in rows]
+    moves += [(m, b, a, -e, s) for m, a, b, e, s in moves]
+    mask, frm, to, dexp, site = (np.array(col, dtype=np.int64)
+                                 for col in zip(*moves))
     frontier = known = np.array([seed.bits], dtype=np.int64)
     pot = np.zeros(1, dtype=np.int64)
     levels, pots, hits = [frontier], [pot], []
@@ -672,12 +679,13 @@ def explore_component(seed, model=None, cap=COMPONENT_CAP):
         src, move = np.concatenate(src), np.concatenate(move)
         a = frontier[src]
         b = a ^ frm[move] ^ to[move]
-        hits.append((a, b, move))
         new, first = np.unique(b, return_index=True)
         fresh = ~np.isin(new, known, assume_unique=True)
         frontier, first = new[fresh], first[fresh]
-        if len(known) + len(frontier) > cap:
-            raise ComponentCapExceeded("component exceeds %d states" % cap)
+        if len(known) + len(frontier) > COMPONENT_CAP:
+            raise ComponentCapExceeded("component exceeds %d states"
+                                       % COMPONENT_CAP)
+        hits.append((a, b, move))
         pot = pot[src[first]] + dexp[move[first]]
         # disjoint and each unique: a sort is their union (np.union1d's
         # np.unique would import numpy.ma)
@@ -687,16 +695,11 @@ def explore_component(seed, model=None, cap=COMPONENT_CAP):
 
     pot = np.concatenate(pots)[np.argsort(np.concatenate(levels))]
     a, b, move = (np.concatenate(col) for col in zip(*hits))
+    del hits  # the per-level copies of a, b and move
     a, b = np.searchsorted(known, a), np.searchsorted(known, b)
     consistent = bool(np.all(pot[b] - pot[a] == dexp[move]))
-    order = np.lexsort((site[move], kind[move], dexp[move], b, a))
-    a, b, move = a[order], b[order], move[order]
-    edges = list(zip(a.tolist(), b.tolist(), dexp[move].tolist(),
-                     [tags[k] for k in kind[move].tolist()],
-                     site[move].tolist()))
-    configs = [SpinConfig(lat, bits) for bits in known.tolist()]
-    return ComponentGraph(lat, model, configs, edges, consistent,
-                          (pot - pot[0]).tolist() if consistent else None)
+    return ComponentGraph(lat, known, a, b, dexp[move], site[move],
+                          pot - pot[0] if consistent else None, consistent)
 
 
 def lattice_from_spec(spec):

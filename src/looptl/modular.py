@@ -13,6 +13,9 @@ import numpy as np
 
 from .errors import ConfigInvalid
 
+# the level table and the S-matrix report stop at this level
+LEVEL_CAP = 16
+
 
 def label_count(ell):
     """Number of (even, even) integer pairs in [0, ell]^2."""
@@ -103,8 +106,8 @@ class LevelData:
 
 
 def level_table(ell_max):
-    if ell_max > 16:
-        raise ConfigInvalid("level table capped at ell = 16")
+    if ell_max > LEVEL_CAP:
+        raise ConfigInvalid("level table capped at ell = %d" % LEVEL_CAP)
     return [LevelData(ell) for ell in range(1, ell_max + 1)]
 
 

@@ -249,11 +249,41 @@ def _pairing_loops(a, b):
     return loops
 
 
-def trace_loops(a):
-    """Loop count when a square diagram is closed around a cylinder."""
+def closure_loops(a):
+    """Close a square diagram around a cylinder (or annulus): the counts
+    (trivial, essential) of the loops that wind 0 and +-1 times around
+    the core.  Asserts that no loop winds more often."""
     if a.m != a.n:
         raise SignatureMismatch("trace requires a square diagram")
-    return _pairing_loops(a.pairs, identity_diagram(a.m).pairs)
+    n = a.m
+    pairs = a.pairs
+    seen = [False] * (2 * n)
+    loops = essential = 0
+    for start in range(2 * n):
+        if seen[start]:
+            continue
+        wind = 0
+        p = start
+        while not seen[p]:
+            q = pairs[p]
+            seen[p] = seen[q] = True
+            # seam hop: bottom i rejoins top i (+1), top i drops to bottom (-1)
+            if q >= n:
+                wind += 1
+                p = q - n
+            else:
+                wind -= 1
+                p = q + n
+        if wind not in (-1, 0, 1):
+            raise AssertionError(f"embedded closure loop wound {wind} times")
+        loops += 1
+        essential += wind != 0
+    return loops - essential, essential
+
+
+def trace_loops(a):
+    """Loop count when a square diagram is closed around a cylinder."""
+    return sum(closure_loops(a))
 
 
 class Morphism:

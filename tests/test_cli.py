@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import os
@@ -43,6 +44,25 @@ def test_annulus_beta_selects_shifted_full_at_level_3(capsys):
     assert (even["orthogonal"], even["idempotent"]) == (True, True)
     assert even["betas"] == [["1", "delta"], ["1", "-delta+1"], []]
     assert even["scalars"] == {"0": "delta+2", "1": "-delta+3"}
+
+
+@pytest.mark.parametrize("ell,grade_cap", [(1, None), (2, None), (1, 5)])
+def test_annulus_ideal_reports_the_serialized_generator(capsys, ell,
+                                                        grade_cap):
+    from looptl.annular import annular_ideal, generator_roots
+    from looptl.scalars import serialize_scalar
+    argv = ["annulus", "ideal", "--ell", str(ell)]
+    if grade_cap is not None:
+        argv += ["--grade-cap", str(grade_cap)]
+    code, out, _ = _run(capsys, *argv)
+    assert code == EXIT_OK
+    rep = json.loads(out)["results"][0]
+    want_cap = ell + 2 if grade_cap is None else grade_cap
+    ideal = annular_ideal(ell, want_cap)
+    assert rep["grade_cap"] == want_cap
+    assert rep["generator"] == [serialize_scalar(c)
+                                for c in ideal.generator.coeffs]
+    assert rep["roots"] == generator_roots(ideal)
 
 
 def test_tl_gram_corank(capsys, tmp_path):
@@ -296,6 +316,27 @@ def test_gas_sample_deterministic(capsys):
     assert r1["mean_loops"] == r2["mean_loops"]
 
 
+def test_gas_sample_out_writes_one_csv_row_per_measured_sweep(capsys,
+                                                              tmp_path):
+    from looptl.gas import metropolis_sample, potts_params
+    from looptl.lattice import SquareTorusLattice
+    code, _, _ = _run(capsys, "--out", str(tmp_path), "gas", "sample",
+                      "--torus", "2x2", "--sweeps", "500", "--seed", "3")
+    assert code == EXIT_OK
+    rep = json.loads((tmp_path / "report.json").read_text())["results"][0]
+    path = tmp_path / "chain_seed3.csv"
+    assert rep["csv"] == str(path)
+    with open(path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["sweep", "loops", "clusters", "dual_clusters",
+                      "acceptance"]
+    # the drift checks are chain 0's start plus one per measured sweep
+    assert len(rows) == rep["oracle_checks"] - 1 > 0
+    rec = metropolis_sample(SquareTorusLattice(2, 2), potts_params(2), 500,
+                            3, record_rows=True)
+    assert rows == [[str(x) for x in row] for row in rec.rows]
+
+
 def test_bad_lattice_size_is_config_error(capsys):
     code, _, err = _run(capsys, "lattice", "build", "--torus", "bogus")
     assert code == EXIT_CONFIG
@@ -338,14 +379,15 @@ def test_lattice_has_no_backend_flag(capsys):
     ("table", "smatrix", "--ell", "-1"),
     ("table", "fig02", "--ellmax", "0"),
     ("table", "fig02", "--ellmax", "17"),
+    ("table", "smatrix", "--ell", "17"),
     ("annulus", "eigenvalues", "--ell", "0"),
     ("annulus", "eigenvalues", "--ell", "-2"),
     ("gas", "sample", "--torus", "2x2", "--sweeps", "5", "--seed", "-1"),
 ], ids=["seed-state-zz", "diagrams-negative-n", "gram-negative-n",
         "radical-negative-n", "ideal-nmax-0", "smatrix-ell-minus-2",
         "smatrix-ell-0", "smatrix-ell-minus-1", "fig02-ellmax-0",
-        "fig02-ellmax-17", "eigenvalues-ell-0", "eigenvalues-ell-minus-2",
-        "sample-negative-seed"])
+        "fig02-ellmax-17", "smatrix-ell-17", "eigenvalues-ell-0",
+        "eigenvalues-ell-minus-2", "sample-negative-seed"])
 def test_bad_input_is_config_error(capsys, argv):
     code, out, err = _run(capsys, *argv)
     assert code == EXIT_CONFIG
@@ -393,6 +435,26 @@ def test_capacity_error_exit_code(capsys):
                         "--ell", "2")
     assert code == EXIT_CAPACITY
     assert json.loads(err)["error"] == "capacity"
+
+
+def test_lattice_components_past_the_cap_is_capacity_error(capsys,
+                                                           monkeypatch):
+    from looptl import lattice
+    monkeypatch.setattr(lattice, "COMPONENT_CAP", 10)
+    code, out, err = _run(capsys, "lattice", "components", "--torus", "3x3")
+    assert code == EXIT_CAPACITY
+    assert out == ""
+    assert json.loads(err) == {"error": "capacity",
+                               "type": "ComponentCapExceeded",
+                               "message": "component exceeds 10 states"}
+
+
+def test_lattice_components_has_no_cap_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["lattice", "components", "--torus", "2x2",
+              "--component-cap", "-5"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "--component-cap" in capsys.readouterr().err
 
 
 def test_window_does_not_fit_is_config_error(capsys):
@@ -690,3 +752,53 @@ def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
     assert out == ""
     assert json.loads(err) == {"error": "internal", "type": "RuntimeError",
                                "message": "enumeration broke"}
+
+
+def _readme_command_line():
+    """README's Command line section: the text from its heading to the
+    next one."""
+    import re
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as fh:
+        text = fh.read()
+    return re.search(r"^## Command line\n(.*?)^## ", text,
+                     re.S | re.M).group(1)
+
+
+def test_readme_command_line_names_every_subcommand_action_and_flag():
+    import argparse
+    import re
+    from looptl.cli import _build_parser
+    text = " ".join(_readme_command_line().split())
+    top = _build_parser()
+    missing = []
+    parsers = [("", top)]
+    for action in top._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                if "looptl %s" % name not in text:
+                    missing.append("looptl %s" % name)
+                parsers.append((name, sub))
+    for name, parser in parsers:
+        for action in parser._actions:
+            if action.dest == "action":
+                missing += ["%s %s" % (name, choice)
+                            for choice in action.choices
+                            if not re.search(r"\b%s %s\b" % (name, choice),
+                                             text)]
+            missing += [opt for opt in action.option_strings
+                        if opt not in ("-h", "--help")
+                        and not re.search(r"(?<![\w-])%s(?![\w-])" % opt,
+                                          text)]
+    assert missing == []
+
+
+def test_readme_exit_code_sentence_names_every_exit_code():
+    import re
+    from looptl import cli
+    text = " ".join(_readme_command_line().split())
+    sentence = re.search(r"Exit codes: [^.]*\.", text).group(0)
+    codes = {getattr(cli, name) for name in dir(cli)
+             if name.startswith("EXIT_")}
+    assert {code for code in codes
+            if not re.search(r"\b%d [a-z]" % code, sentence)} == set()

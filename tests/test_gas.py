@@ -140,9 +140,9 @@ def test_measurement_distribution_gibbs_ratio():
     # a move from the all-plus state changes the loop count by dexp:
     # probability ratio d^(2 dexp)
     graph = explore_component(lat.config(255), "hprime")
-    a, b, dexp, _, _ = next(e for e in graph.edges
-                            if graph.configs[e[0]].bits == 255)
-    bits_b = graph.configs[b].bits
+    k = np.flatnonzero(graph.states[graph.a] == 255)[0]
+    dexp = int(graph.dexp[k])
+    bits_b = int(graph.states[graph.b[k]])
     assert probs[bits_b] / probs[255] == pytest.approx(
         float(kb.d) ** (2 * dexp))
 

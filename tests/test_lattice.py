@@ -8,6 +8,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from looptl import lattice
 from looptl.errors import ComponentCapExceeded, ConfigInvalid
 from looptl.hamiltonian import build_h0, build_hprime, kernel_propagate
 from looptl.lattice import (HexTorusLattice, SquareDiskLattice,
@@ -114,11 +115,13 @@ def test_moves_are_symmetric_and_loop_graded(model, make):
         if bits in covered:
             continue
         graph = explore_component(lat.config(bits), model)
-        covered.update(c.bits for c in graph.configs)
+        covered.update(graph.states.tolist())
         loops = [lat.extract_walls(c).loops for c in graph.configs]
-        edges = {(a, b, dexp) for a, b, dexp, _, _ in graph.edges}
-        for a, b, dexp, _, site in graph.edges:
-            assert graph.configs[a].bits ^ graph.configs[b].bits == 1 << site
+        triples = list(zip(graph.a.tolist(), graph.b.tolist(),
+                           graph.dexp.tolist()))
+        edges = set(triples)
+        for (a, b, dexp), site in zip(triples, graph.site.tolist()):
+            assert graph.states[a] ^ graph.states[b] == 1 << site
             assert loops[b] - loops[a] == dexp
             assert (b, a, -dexp) in edges
     assert len(covered) == 1 << lat.nsites
@@ -135,10 +138,10 @@ def test_components_match_ratio_propagation(make, seeds):
     for bits in seeds:
         graph = explore_component(cs.lattice.config(bits), cs.model)
         states = np.flatnonzero(kb.comp == kb.comp[bits])
-        assert [c.bits for c in graph.configs] == states.tolist()
+        assert graph.states.tolist() == states.tolist()
         assert graph.consistent
-        assert graph.potentials == (kb.pot[states]
-                                    - kb.pot[states[0]]).tolist()
+        assert graph.pot.tolist() == (kb.pot[states]
+                                      - kb.pot[states[0]]).tolist()
 
 
 def test_staircase_frozen_2x2():
@@ -173,10 +176,22 @@ def test_component_walk_leaves_numpy_ma_unimported():
     assert proc.stdout.split() == ["3834", "False"]
 
 
-def test_component_cap():
+def test_component_cap(monkeypatch):
     lat = SquareTorusLattice(3, 3)
+    monkeypatch.setattr(lattice, "COMPONENT_CAP", 10)
     with pytest.raises(ComponentCapExceeded):
-        explore_component(lat.all_plus(), model="hprime", cap=10)
+        explore_component(lat.all_plus(), model="hprime")
+
+
+def test_component_cap_is_read_at_call_time(monkeypatch):
+    # the 3x3 staircase component has 3,834 states: a cap of that size
+    # admits it, and one state less refuses the level that passes it
+    seed = SquareTorusLattice(3, 3).staircase(0)
+    monkeypatch.setattr(lattice, "COMPONENT_CAP", 3834)
+    assert len(explore_component(seed, model="hprime").states) == 3834
+    monkeypatch.setattr(lattice, "COMPONENT_CAP", 3833)
+    with pytest.raises(ComponentCapExceeded, match="exceeds 3833 states"):
+        explore_component(seed, model="hprime")
 
 
 def test_lattice_from_spec_roundtrip():
