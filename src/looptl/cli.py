@@ -255,6 +255,8 @@ def _cmd_lattice(args):
         kb = ham.kernel_propagate(cs)
         ko = ham.kernel_dense(cs)
         report["kernel_dimension"] = kb.dimension
+        report["orbits"] = kb.orbits
+        report["group_order"] = kb.group_order
         report["oracle_dimension"] = ko.dimension
         report["oracle_method"] = ko.method
         if ko.dimension != kb.dimension:

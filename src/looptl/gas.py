@@ -489,18 +489,12 @@ def detailed_balance_check(lat, model):
 
 def gibbs_law_check(basis, component, lat):
     """Measurement probabilities on one kernel component follow the
-    loop-count Gibbs law: -log p = const - 2 log(d) * (#loops), with
-    the loop counts read from the lattice census.
-    Returns the largest absolute residual."""
-    probs = measurement_distribution(basis, component)
-    logd2 = 2.0 * math.log(basis.d)
-    loops = census(lat).loops
-    worst = 0.0
-    items = list(probs.items())
-    bits0, p0 = items[0]
-    n0 = int(loops[bits0])
-    for bits, p in items[1:]:
-        lhs = math.log(p) - math.log(p0)
-        rhs = logd2 * (int(loops[bits]) - n0)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    loop-count Gibbs law: the amplitude of a state is d**pot, so its
+    probability is proportional to (d^2)**L with L its loop count from
+    the lattice census exactly when pot - L is constant on the
+    component.  Returns the spread max - min of pot - L over the
+    component's states, an integer that is 0 exactly when the law
+    holds."""
+    states = basis.component_states(component)
+    excess = basis.pot[states] - census(lat).loops[states].astype(np.int64)
+    return int(excess.max() - excess.min())

@@ -18,7 +18,10 @@ numpy arrays, one row at a time: the row's pairs are followed to their
 roots once, each split pair hooks once, the larger root under the
 smaller, and only the pairs whose offer lost are followed again; a
 chase writes back only the states whose label moved (path compression
-as in Tarjan, J. ACM 22, 1975).  Each solver is written separately so
+as in Tarjan, J. ACM 22, 1975).  Ratio propagation runs on the orbits
+of the lattice symmetries that map the rows onto themselves (the w*h
+translations for the builders' systems), hooking one row per class;
+the oracle runs on every state.  Each solver is written separately so
 that neither can share a defect with the other.  kernel_propagate
 keeps each solve per lattice object, keyed on all the move graph
 depends on: nsites and the set of the rows' (sites, patterns,
@@ -111,18 +114,22 @@ class KernelBasis:
     states, and pot is canonical: 0 at the smallest state of each
     component, so neither depends on the order of the rows.  From
     kernel_propagate they are read-only, shared by every basis of one
-    move graph on one lattice object.  The joint kernel also carries
-    float coefficient vectors over the components.
+    move graph on one lattice object, and orbits and group_order give
+    the size of the solve: the nodes of the quotient of the move graph
+    and the order of the symmetry group it was taken by.  The joint
+    kernel also carries float coefficient vectors over the components.
     """
 
     def __init__(self, dimension, method, comp=None, pot=None,
-                 vectors=None, d=None):
+                 vectors=None, d=None, orbits=None, group_order=None):
         self.dimension = dimension
         self.method = method
         self.comp = comp
         self.pot = pot
         self.vectors = vectors
         self.d = d
+        self.orbits = orbits
+        self.group_order = group_order
 
     def component_states(self, k):
         return np.nonzero(self.comp == k)[0]
@@ -295,17 +302,26 @@ def _check_same_lattice(cs, other):
 # ---------------------------------------------------------------------------
 
 
-# pack[s] = label << _POT_SHIFT | (pot[s] - pot[label] + _POT_BIAS): the
-# state s is tied to with its d-exponent relative to it, so one minimum
-# carries both
+# A node of the quotient of the move graph by its symmetry group G is
+# one orbit of states, named by its least state.  pack[A] = label <<
+# _LABEL_SHIFT | g << _POT_SHIFT | (pot + _POT_BIAS): state A is tied
+# to the image under the element g of the label's state, with the
+# d-exponent pot[A] - pot[g(label)], so one minimum carries all three.
+# The full solution packs comp << _POT_SHIFT | (pot + _POT_BIAS).
 _POT_SHIFT = 32
 _POT_BIAS = 1 << (_POT_SHIFT - 1)
 _POT_MASK = (1 << _POT_SHIFT) - 1
+_LABEL_SHIFT = 40
+_ELEM_MASK = (1 << (_LABEL_SHIFT - _POT_SHIFT)) - 1
+_ORBIT_SHIFT = _LABEL_SHIFT - _POT_SHIFT
+# states per slice of the expansion's scatters and gathers
+_CHUNK = 1 << 14
 
 
 # solved move graphs per lattice object: (nsites, frozenset of (sites,
-# patterns, dexp) per row) -> (dimension, comp, pot), the arrays
-# read-only; an entry lives exactly as long as its lattice
+# patterns, dexp) per row) -> (dimension, comp, pot, orbits, group
+# order), the arrays read-only; an entry lives exactly as long as its
+# lattice
 _PROPAGATED = weakref.WeakKeyDictionary()
 
 
@@ -335,100 +351,328 @@ def kernel_propagate(cs):
         kb = _propagate_uncached(cs)
         kb.comp.flags.writeable = False
         kb.pot.flags.writeable = False
-        solved[key] = kb.dimension, kb.comp, kb.pot
-    dimension, comp, pot = solved[key]
+        solved[key] = (kb.dimension, kb.comp, kb.pot, kb.orbits,
+                       kb.group_order)
+    dimension, comp, pot, orbits, order = solved[key]
     d = float(cs.field.delta) if cs.ell is not None else 1.0
-    return KernelBasis(dimension, "propagate", comp=comp, pot=pot, d=d)
+    return KernelBasis(dimension, "propagate", comp=comp, pot=pot, d=d,
+                       orbits=orbits, group_order=order)
+
+
+def _row_images(rows, perms):
+    """Key of the image of every row under every site permutation, as
+    an int64 array (permutations x rows): site mask | pattern a << N |
+    pattern b << 2N, the two patterns as state bits (N <= 20 sites)."""
+    n = perms.shape[1]
+    at, sites, code = [], [], []
+    for r, row in enumerate(rows):
+        (pa, _), (pb, _) = row.terms
+        for k, site in enumerate(row.sites):
+            at.append(r)
+            sites.append(site)
+            code.append(1 | (pa >> k & 1) << n | (pb >> k & 1) << 2 * n)
+    keys = np.zeros((len(rows), len(perms)), dtype=np.int64)
+    np.bitwise_or.at(keys, np.array(at, dtype=np.int64),
+                     np.array(code, dtype=np.int64)[:, None]
+                     << perms.T[np.array(sites, dtype=np.int64)])
+    return keys.T
+
+
+def _row_symmetry(cs):
+    """The symmetries of the move graph, as site permutations, identity
+    first: the elements of the lattice's census group
+    (torus_census._TABLES) that map the set of the rows' (sites,
+    patterns, dexp), compared as state masks, onto itself."""
+    from .torus_census import _TABLES
+    perms = _TABLES[cs.lattice.kind](cs.lattice).symmetry
+    images = _row_images(cs.rows, perms).tolist()
+    dexps = [row.dexp for row in cs.rows]
+    rows = set(zip(images[0], dexps))
+    return perms[[g for g, keys in enumerate(images)
+                  if rows.issuperset(zip(keys, dexps))]]
+
+
+def _row_classes(rows, group):
+    """One row of each class of rows under the site permutations of
+    group, the first in the given order."""
+    images = _row_images(rows, group).T.tolist()
+    seen, firsts = set(), []
+    for row, keys in zip(rows, images):
+        if (keys[0], row.dexp) not in seen:
+            firsts.append(row)
+            seen.update((key, row.dexp) for key in keys)
+    return firsts
 
 
 def _propagate_uncached(cs):
     """One exact kernel vector per consistent ergodic component, solved
-    afresh.
+    afresh on the orbits of the move graph's symmetry group G.
 
     Every row must be a two-term ratio row carrying its d-exponent,
-    with its sites on the lattice.  Rows are hooked one at a time: the
-    states of each pair (a, b) are followed up to their roots, and where
-    the roots differ the larger takes the smaller as its label, with the
-    exponent that makes pot[b] - pot[a] = dexp; the pairs whose offer
-    lost to another are followed and hooked again.  Pointer jumping
-    then points every state at its root.  Roots are component minima,
-    so pot ends canonical (0 at each smallest state).  Every pair is
-    then checked exactly, and the first whose ratio does not close
-    raises InconsistentCycle.  Raises ConfigInvalid on any other row
-    and StateSpaceTooLarge when 2^N exceeds ENUM_STATE_CAP, both
-    before allocating anything.
+    with its sites on the lattice.  G (_row_symmetry) maps moves to
+    moves with their exponents, so only one row per class under G is
+    hooked (_hook_orbits), each pair (a, b) as a quotient pair (A, B,
+    t): A and B are the orbits of a and b, and t = ea^-1 eb with ea, eb
+    the elements that take the orbits' least states to a and b
+    (_orbit_table).  Each quotient component stands for |G|/|H|
+    components of the move graph, H the stabiliser of its root's
+    component (_stabilisers); a quotient pair whose exponent does not
+    close raises InconsistentCycle.  _expand numbers the components in
+    the order of their least states and makes pot 0 there, so comp and
+    pot are canonical.  Every pair of every row is then checked
+    exactly, and the first whose ratio does not close raises
+    InconsistentCycle.  Raises ConfigInvalid on any other row and
+    StateSpaceTooLarge when 2^N exceeds ENUM_STATE_CAP, both before
+    allocating anything.
     """
     _check_rows(cs.rows, cs.lattice, ratio=True)
     n = cs.n_states
     if n > ENUM_STATE_CAP:
         raise StateSpaceTooLarge("ratio propagation capped at %d states"
                                  % ENUM_STATE_CAP)
+    from .torus_census import cayley_table
     nsites = cs.lattice.nsites
-    pack = (np.arange(n, dtype=np.int64) << _POT_SHIFT) + _POT_BIAS
+    group = _row_symmetry(cs)
+    mul, inverse = cayley_table(group)
+    work, reps = _orbit_table(cs.lattice, group)
+    pairs = []
+    for row in _row_classes(cs.rows, group):
+        wa, wb = (work[s] for s in concrete_states(row, nsites))
+        pairs.append((row, (wa >> _ORBIT_SHIFT).astype(np.int32),
+                      (wb >> _ORBIT_SHIFT).astype(np.int32),
+                      mul[inverse[wa & _ELEM_MASK], wb & _ELEM_MASK]
+                      .astype(np.uint8)))
+    pack = _hook_orbits(pairs, len(reps), mul, inverse)
+    gens = _stabilisers(pack, pairs, work, reps, group, mul, inverse)
+    del pairs
+    dimension, comp = _expand(work, pack, gens, mul)
     for row in cs.rows:
         sa, sb = concrete_states(row, nsites)
-        pa, pb = _root_pots(pack, sa), _root_pots(pack, sb)
-        while True:
-            # pairs with one root stay joined: only split ones are chased
-            split = np.flatnonzero((pa >> _POT_SHIFT) != (pb >> _POT_SHIFT))
-            if not len(split):
-                break
-            sa, sb, pa, pb = sa[split], sb[split], pa[split], pb[split]
-            qa = (pa & _POT_MASK) - _POT_BIAS
-            qb = (pb & _POT_MASK) - _POT_BIAS
-            # the larger root takes the smaller as its label; a pair whose
-            # offer won is joined, the others are chased again
-            low = (pa >> _POT_SHIFT) < (pb >> _POT_SHIFT)
-            root = np.where(low, pb, pa) >> _POT_SHIFT
-            offer = np.where(low, pa + row.dexp - qb, pb - row.dexp - qa)
-            np.minimum.at(pack, root, offer)
-            lost = np.flatnonzero(pack[root] != offer)
-            sa, sb = sa[lost], sb[lost]
-            pa, pb = _root_pots(pack, sa), _root_pots(pack, sb)
-    _jump_pots(pack)
-    for row in cs.rows:
-        sa, sb = concrete_states(row, nsites)
-        # labels sit above the exponent bits: equal labels and the
-        # right exponent difference leave exactly dexp
-        bad = np.flatnonzero(pack[sb] - pack[sa] != row.dexp)
+        # work now packs comp above the exponent bits: equal components
+        # and the right exponent difference leave exactly dexp
+        bad = np.flatnonzero(work[sb] - work[sa] != row.dexp)
         if len(bad):
             raise InconsistentCycle("ratio cycle through states %d, %d"
                                     % (sa[bad[0]], sb[bad[0]]))
-    label = pack >> _POT_SHIFT
-    roots = label == np.arange(n)
-    comp = (np.cumsum(roots) - 1)[label]
-    pot = (pack & _POT_MASK) - _POT_BIAS
+    # the exponent bits of work are pot, in place
+    pot = work
+    pot &= _POT_MASK
+    pot -= _POT_BIAS
     d = float(cs.field.delta) if cs.ell is not None else 1.0
-    return KernelBasis(int(roots.sum()), "propagate", comp=comp, pot=pot,
-                       d=d)
+    return KernelBasis(dimension, "propagate", comp=comp, pot=pot, d=d,
+                       orbits=len(reps), group_order=len(group))
 
 
-def _root_pots(pack, states):
-    """Packed root and exponent relative to it of the given states,
-    following labels up to the roots; the states that moved keep what
-    was found."""
-    val = pack[states]
-    up = pack[val >> _POT_SHIFT]
-    moved = np.flatnonzero((up >> _POT_SHIFT) != (val >> _POT_SHIFT))
+def _orbit_table(lat, group):
+    """(work, reps): work[s] = orbit << _ORBIT_SHIFT | element over all
+    states s, the orbit of s under the site permutations of group
+    numbered in the order of least states, and the element that takes
+    the orbit's least state to s; reps holds the least states.  A least
+    state's element is the identity, 0."""
+    from .torus_census import canonical_states
+    work = np.empty(1 << lat.nsites, dtype=np.int64)
+    reps = []
+    orbits = 0
+    for states, canon, elem in canonical_states(lat, group):
+        heads = states[canon == states]
+        work[heads] = np.arange(orbits, orbits + len(heads)) << _ORBIT_SHIFT
+        work[states[0]:states[-1] + 1] = work[canon] | elem
+        reps.append(heads)
+        orbits += len(heads)
+    return work, np.concatenate(reps).astype(np.int64)
+
+
+def _hook_orbits(pairs, orbits, mul, inverse):
+    """Packed root, element and exponent of every orbit once the
+    quotient pairs (row, A, B, t) are hooked.
+
+    The orbits of each pair are followed up to their roots, and where
+    the roots differ the larger takes the smaller as its label, with
+    the element and exponent that tie them (_tie); the pairs whose
+    offer lost to another are followed and hooked again.  Pointer
+    jumping then points every orbit at its root, the least orbit of its
+    quotient component.
+    """
+    pack = (np.arange(orbits, dtype=np.int64) << _LABEL_SHIFT) + _POT_BIAS
+    for row, oa, ob, t in pairs:
+        pa, pb = _root_labels(pack, oa, mul), _root_labels(pack, ob, mul)
+        while True:
+            # pairs with one root stay joined: only split ones are chased
+            split = np.flatnonzero((pa >> _LABEL_SHIFT) != (pb >> _LABEL_SHIFT))
+            if not len(split):
+                break
+            oa, ob, t, pa, pb = oa[split], ob[split], t[split], pa[split], \
+                pb[split]
+            h, c = _tie(pa, pb, t, row.dexp, mul, inverse)
+            # the larger root takes the smaller as its label; a pair whose
+            # offer won is joined, the others are chased again
+            ra, rb = pa >> _LABEL_SHIFT, pb >> _LABEL_SHIFT
+            low = ra < rb
+            root = np.where(low, rb, ra)
+            offer = np.where(low, _packed(ra, inverse[h], c),
+                             _packed(rb, h, -c))
+            np.minimum.at(pack, root, offer)
+            lost = np.flatnonzero(pack[root] != offer)
+            oa, ob, t = oa[lost], ob[lost], t[lost]
+            pa, pb = _root_labels(pack, oa, mul), _root_labels(pack, ob, mul)
+    _jump_labels(pack, mul)
+    return pack
+
+
+def _stabilisers(pack, pairs, work, reps, group, mul, inverse):
+    """gens[R], for each root R of the hooked orbits (pack): bit g set
+    for each generator g found of the stabiliser of R's component.
+
+    Seen from the root, a quotient pair closes a cycle through the
+    element h; its exponent must be 0, or InconsistentCycle is raised,
+    and h fixes the component.  So does g^-1 s g for an element s that
+    fixes an orbit's least state tied to g(R).  Both kinds together
+    generate the stabiliser.
+    """
+    label = pack >> _LABEL_SHIFT
+    tie = (pack >> _POT_SHIFT) & _ELEM_MASK
+    gens = np.zeros(len(reps), dtype=np.int64)
+    for row, oa, ob, t in pairs:
+        h, c = _tie(pack[oa], pack[ob], t, row.dexp, mul, inverse)
+        bad = np.flatnonzero(c)
+        if len(bad):
+            sa, sb = concrete_states(row, group.shape[1])
+            raise InconsistentCycle("ratio cycle through states %d, %d"
+                                    % (sa[bad[0]], sb[bad[0]]))
+        moved = np.flatnonzero(h)
+        np.bitwise_or.at(gens, label[oa[moved]], 1 << h[moved])
+    # orbits smaller than the group have a state fixed by some s != 1
+    size = sum(np.bincount(work[lo:lo + _CHUNK] >> _ORBIT_SHIFT,
+                           minlength=len(reps))
+               for lo in range(0, len(work), _CHUNK))
+    fixed = np.flatnonzero(size < len(group))
+    bits = (reps[fixed, None] >> np.arange(group.shape[1])) & 1
+    s, k = np.nonzero((bits << group[:, None]).sum(-1) == reps[fixed])
+    g = tie[fixed[k]]
+    np.bitwise_or.at(gens, label[fixed[k]], 1 << mul[mul[inverse[g], s], g])
+    return gens
+
+
+def _expand(work, pack, gens, mul):
+    """(dimension, comp) over all states from the hooked orbits.
+
+    A state s in the orbit A, tied to g(R) with R its root, lies in the
+    component of the root's quotient component and of the coset e g H
+    in G/H, e the element that takes A to s and H the subgroup that
+    gens[R] generates; the key of that component is R's number among
+    the roots times |G| plus the coset's least element.  Components
+    are numbered in the order of their least states, and pot is the
+    orbit's exponent less that of the component's least state.  work
+    (_orbit_table) is walked in slices and ends holding comp <<
+    _POT_SHIFT | pot + _POT_BIAS, no pot array of its own.
+    """
+    order = len(mul)
+    label = pack >> _LABEL_SHIFT
+    roots = np.flatnonzero(label == np.arange(len(pack)))
+    masks, which = np.unique(gens[roots], return_inverse=True)
+    # cosets[H, g, e]: the least element of the coset e g H
+    cosets = np.array([_left_cosets(int(m), mul) for m in masks]
+                      )[:, mul.T].reshape(-1)
+    # |G|/|H| components per quotient component
+    dimension = sum(order // row.count(0)
+                    for row in cosets.reshape(len(masks), -1)[which, :order]
+                    .tolist())
+    number = np.zeros(len(pack), dtype=np.int64)
+    number[roots] = np.arange(len(roots))
+    subgroup = np.zeros(len(pack), dtype=np.int64)
+    subgroup[roots] = which
+    base = number[label] * order
+    table = (subgroup[label] * order + ((pack >> _POT_SHIFT) & _ELEM_MASK)) \
+        * order
+    least = np.full(len(roots) * order, len(work), dtype=np.int64)
+    for lo in range(0, len(work), _CHUNK):
+        w = work[lo:lo + _CHUNK]
+        orbit = w >> _ORBIT_SHIFT
+        key = base[orbit] + cosets[table[orbit] + (w & _ELEM_MASK)]
+        np.minimum.at(least, key, np.arange(lo, lo + len(w)))
+        w[:] = key << _POT_SHIFT | orbit
+    used = np.flatnonzero(least < len(work))
+    assert len(used) == dimension, "cosets miscounted"
+    heads = least[used]
+    comp_of = np.empty(len(least), dtype=np.int64)
+    comp_of[used[np.argsort(heads)]] = np.arange(dimension)
+    q = (pack & _POT_MASK) - _POT_BIAS
+    pot_of = np.zeros(len(least), dtype=np.int64)
+    pot_of[used] = q[work[heads] & _POT_MASK]
+    comp = np.empty(len(work), dtype=np.int64)
+    for lo in range(0, len(work), _CHUNK):
+        w = work[lo:lo + _CHUNK]
+        key = w >> _POT_SHIFT
+        c = comp[lo:lo + _CHUNK] = comp_of[key]
+        w[:] = (c << _POT_SHIFT) + q[w & _POT_MASK] - pot_of[key] + _POT_BIAS
+    return dimension, comp
+
+
+def _packed(label, elem, pot):
+    return (label << _LABEL_SHIFT) + (elem << _POT_SHIFT) + pot + _POT_BIAS
+
+
+def _tie(pa, pb, t, dexp, mul, inverse):
+    """Element h and exponent c of quotient pairs (A, B, t) with
+    d-exponent dexp, seen from the roots: pa and pb are A's and B's
+    packed root, element and exponent, A = gA(RA) and B = gB(RB) up to
+    moves.  Then RA is tied to h(RB) with h = gA^-1 t gB, and pot[h(RB)]
+    - pot[RA] = c."""
+    h = mul[mul[inverse[(pa >> _POT_SHIFT) & _ELEM_MASK], t],
+            (pb >> _POT_SHIFT) & _ELEM_MASK]
+    return h, dexp + (pa & _POT_MASK) - (pb & _POT_MASK)
+
+
+def _compose(val, up, mul):
+    """A node's packed label followed by its label's: up's label, the
+    product of the two elements and the sum of the two exponents."""
+    elem = mul[(val >> _POT_SHIFT) & _ELEM_MASK, (up >> _POT_SHIFT) & _ELEM_MASK]
+    return _packed(up >> _LABEL_SHIFT, elem,
+                   (val & _POT_MASK) + (up & _POT_MASK) - 2 * _POT_BIAS)
+
+
+def _root_labels(pack, nodes, mul):
+    """Packed root, element and exponent relative to it of the given
+    quotient nodes, following labels up to the roots; the nodes that
+    moved keep what was found."""
+    val = pack[nodes]
+    up = pack[val >> _LABEL_SHIFT]
+    moved = np.flatnonzero((up >> _LABEL_SHIFT) != (val >> _LABEL_SHIFT))
     todo, cur, up = moved, val[moved], up[moved]
     while len(todo):
-        cur = up + (cur & _POT_MASK) - _POT_BIAS
+        cur = _compose(cur, up, mul)
         val[todo] = cur
-        up = pack[cur >> _POT_SHIFT]
-        go = (up >> _POT_SHIFT) != (cur >> _POT_SHIFT)
+        up = pack[cur >> _LABEL_SHIFT]
+        go = (up >> _LABEL_SHIFT) != (cur >> _LABEL_SHIFT)
         todo, cur, up = todo[go], cur[go], up[go]
-    pack[states[moved]] = val[moved]
+    pack[nodes[moved]] = val[moved]
     return val
 
 
-def _jump_pots(pack):
-    """Point every state at its root, adding up exponents on the way."""
+def _jump_labels(pack, mul):
+    """Point every node at its root, composing elements and adding up
+    exponents on the way."""
     while True:
-        label = pack >> _POT_SHIFT
+        label = pack >> _LABEL_SHIFT
         up = pack[label]
-        if np.array_equal(up >> _POT_SHIFT, label):
+        if np.array_equal(up >> _LABEL_SHIFT, label):
             return
-        pack[:] = up + (pack & _POT_MASK) - _POT_BIAS
+        pack[:] = _compose(pack, up, mul)
+
+
+def _left_cosets(gens, mul):
+    """The least element of the left coset kH of each element k, H the
+    subgroup generated by the elements whose bits are set in gens."""
+    mul = mul.tolist()
+    gens = [g for g in range(len(mul)) if gens >> g & 1]
+    subgroup, todo = {0}, [0]
+    while todo:
+        a = todo.pop()
+        for g in gens:
+            if mul[a][g] not in subgroup:
+                subgroup.add(mul[a][g])
+                todo.append(mul[a][g])
+    return [min(mul[k][h] for h in subgroup) for k in range(len(mul))]
 
 
 # ---------------------------------------------------------------------------

@@ -590,14 +590,14 @@ def census(lat):
     t0 = time.perf_counter()
     columns = {name: np.empty(n, np.uint8) for name in CENSUS_FIELDS}
     reps = np.concatenate([states[canon == states]
-                           for states, canon in canonical_states(lat)])
+                           for states, canon, _ in canonical_states(lat)])
     for start in range(0, len(reps), CENSUS_CHUNK):
         chunk = reps[start:start + CENSUS_CHUNK]
         for name, col in tabulate_states(lat, chunk).items():
             columns[name][chunk] = col
     # every state reads its representative's row; the blocks are walked
     # again so that no index array is of size 2^N
-    for states, canon in canonical_states(lat):
+    for states, canon, _ in canonical_states(lat):
         block = slice(states[0], states[-1] + 1)
         for col in columns.values():
             col[block] = col[canon]

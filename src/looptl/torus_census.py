@@ -13,8 +13,10 @@ Every count is a graph invariant of the lattice, so a state and its
 images under the lattice's symmetry group share one census row: the
 w*h translations on a torus, the two mirrors and the half turn of a
 disk.
-canonical_states maps each state to the least state of its orbit, and
-lattice.census tabulates only those representatives.
+canonical_states maps each state to the least state of its orbit and
+to a group element that takes that state back to it; lattice.census
+tabulates only the representatives, and the ratio propagation of
+hamiltonian solves its move graph on the orbits.
 
 The square torus is tabulated from its own tables, built here from the
 mid-lattice port pairing and sharing no code with extract_walls.  The
@@ -108,46 +110,73 @@ def _primal_clusters(lat, states):
     return t, spins, plus, clusters, pack
 
 
-# sites per lookup table, and values of the top chunk per block, of
-# canonical_states
+# sites per lookup table, values of the top chunk per block, and bits
+# of the element index packed below each image, of canonical_states
 _CHUNK_BITS = 10
 _BLOCK_ROWS = 16
+_ELEM_BITS = 8
 
 
-def canonical_states(lat):
+def cayley_table(symmetry):
+    """Products of a group of site permutations, identity first, read
+    from the permutations themselves: mul[a, b] is the element that
+    applies b and then a, so state bit s goes to bit
+    symmetry[a][symmetry[b][s]].  Returns (mul, inverse) as int64
+    arrays."""
+    index = {tuple(perm): g for g, perm in enumerate(symmetry.tolist())}
+    mul = np.array([[index[tuple(a[b])] for b in symmetry]
+                    for a in symmetry], dtype=np.int64)
+    return mul, np.argmin(mul, axis=1)
+
+
+def canonical_states(lat, symmetry=None):
     """Least state of the symmetry orbit of every state, block by block.
 
-    Yields (states, canon) for consecutive blocks of the states 0 to
-    2^N - 1 (N <= 30), as int32 arrays: canon[k] is the least state in
-    the orbit of states[k].  Writing x = sum_c x_c 2^(10c) by bit
-    chunks, the image of x under a site permutation is the OR over c of
-    table_c[x_c], where table_c maps a chunk to its permuted bits; over
-    a block of top-chunk values that is an outer OR of the tables.  The
+    Yields (states, canon, elem) for consecutive blocks of the states 0
+    to 2^N - 1 (N <= 30): canon[k] is the least state in the orbit of
+    states[k], and elem[k] (uint8) indexes a group element that takes
+    canon[k] back to states[k]: the inverse of the first element that
+    takes states[k] to canon[k], so the identity when canon[k] is
+    states[k].  The group is symmetry, site permutations with the
+    identity first (at most 256 of them), by default the census's
+    (_TABLES).  Writing x = sum_c x_c 2^(10c) by bit chunks, the image
+    of x under a site permutation is the OR over c of table_c[x_c],
+    where table_c maps a chunk to its permuted bits; over a block of
+    top-chunk values that is an outer OR of the tables.  Each image is
+    packed above its element's index, so one minimum finds both.  The
     blocks keep every array far below 2^N entries.
     """
     n = lat.nsites
-    low_bits = (n - 1) // _CHUNK_BITS * _CHUNK_BITS
+    if symmetry is None:
+        symmetry = _TABLES[lat.kind](lat).symmetry
+    assert len(symmetry) <= 1 << _ELEM_BITS, "elements are kept as uint8"
+    inverse = cayley_table(symmetry)[1].astype(np.uint8)
+    dtype = np.int32 if n + _ELEM_BITS < 32 else np.int64
+    low_bits = max(n - 1, 0) // _CHUNK_BITS * _CHUNK_BITS
     images = []
-    for perm in _TABLES[lat.kind](lat).symmetry[1:]:
+    for g, perm in enumerate(symmetry[1:], 1):
         tables = []
-        for lo in range(0, n, _CHUNK_BITS):
+        # a lattice without sites has one state, its own least
+        for lo in range(0, max(n, 1), _CHUNK_BITS):
             hi = min(n, lo + _CHUNK_BITS)
             bits = (np.arange(1 << (hi - lo))[:, None]
                     >> np.arange(hi - lo)) & 1
-            tables.append((bits @ (1 << perm[lo:hi])).astype(np.int32))
+            tables.append((bits @ (1 << perm[lo:hi]) << _ELEM_BITS)
+                          .astype(dtype))
         *low, top = tables
         images.append((top, functools.reduce(np.bitwise_or.outer,
                                              reversed(low),
-                                             np.int32(0)).ravel()))
+                                             dtype(g)).ravel()))
     width = 1 << low_bits
     for r in range(0, (1 << n) // width, _BLOCK_ROWS):
         states = np.arange(r * width, min(1 << n, (r + _BLOCK_ROWS) * width),
-                           dtype=np.int32)
-        canon = states.copy()
-        rows = canon.reshape(-1, width)
+                           dtype=dtype)
+        least = states << _ELEM_BITS
+        rows = least.reshape(-1, width)
         for top, rest in images:
             np.minimum(rows, top[r:r + _BLOCK_ROWS, None] | rest, out=rows)
-        yield states, canon
+        yield (states, least >> _ELEM_BITS,
+               inverse[(least & ((1 << _ELEM_BITS) - 1)).astype(np.uint8)])
 
 
 def _midpoint(lat, site):
@@ -235,13 +264,16 @@ def _disk_tables(w, h, boundary_plus):
     site_of = {bond: k for k, bond in enumerate(free)}
     fixed = (boundary_plus,) * (len(bonds) - lat.nsites)
     # bond (o, i, j) starts at vertex (i, j) and ends one step along o
-    mirrors = [[site_of[o, w - i - (o == "h") if fx else i,
-                        h - j - (o == "v") if fy else j]
-                for o, i, j in free]
+    mirrors = [tuple(site_of[o, w - i - (o == "h") if fx else i,
+                             h - j - (o == "v") if fy else j]
+                     for o, i, j in free)
                for fy in (0, 1) for fx in (0, 1)]
+    # a disk one cell wide is its own mirror image across that width:
+    # each permutation is listed once
     return _CensusTables(fixed, (bonds, bonds), _graph_of(primal),
                          _graph_of(dual), _walk_arrays(walk, None),
-                         np.empty(0, int), 1, np.array(mirrors))
+                         np.empty(0, int), 1,
+                         np.array(list(dict.fromkeys(mirrors)), dtype=int))
 
 
 @functools.cache

@@ -11,7 +11,8 @@ from looptl.errors import StateSpaceTooLarge
 from looptl.lattice import (CENSUS_FIELDS, ENUM_STATE_CAP, HexTorusLattice,
                             SquareDiskLattice, SquareTorusLattice, census,
                             tabulate_by_walls)
-from looptl.torus_census import _TABLES, cluster_counts, tabulate_states
+from looptl.torus_census import (_TABLES, canonical_states, cayley_table,
+                                 cluster_counts, tabulate_states)
 
 
 def _assert_columns_equal(got, want):
@@ -64,6 +65,9 @@ def test_vectorised_census_matches_walls_past_the_census(lat):
 
 
 @pytest.mark.parametrize("lat,sample", [
+    # no free bond: one state
+    (SquareDiskLattice(1, 1), None),
+    (SquareDiskLattice(3, 1, boundary_plus=True), None),
     (SquareDiskLattice(2, 3), None),
     (SquareDiskLattice(2, 2, boundary_plus=True), None),
     (SquareDiskLattice(3, 3), None),
@@ -71,8 +75,9 @@ def test_vectorised_census_matches_walls_past_the_census(lat):
     (HexTorusLattice(3, 3), None),
     (SquareDiskLattice(3, 4, boundary_plus=True), 2000),
     (HexTorusLattice(4, 4), 2000),
-], ids=["disk-2x3-minus", "disk-2x2-plus", "disk-3x3-minus",
-        "disk-3x3-plus", "hex-3x3", "disk-3x4-plus", "hex-4x4"])
+], ids=["disk-1x1", "disk-3x1-plus", "disk-2x3-minus", "disk-2x2-plus",
+        "disk-3x3-minus", "disk-3x3-plus", "hex-3x3", "disk-3x4-plus",
+        "hex-4x4"])
 def test_disk_and_hex_census_matches_extract_walls(lat, sample):
     cen = census(lat)
     states = np.arange(cen.states) if sample is None else \
@@ -110,6 +115,56 @@ def test_orbit_count_is_burnside_count(lat, orbits):
     fixed = sum(1 << _cycles(g) for g in group)
     assert fixed == orbits * len(group)
     assert census(lat).orbits == orbits
+
+
+def _image(perm, state):
+    """state with bit s moved to bit perm[s], bit by bit."""
+    return sum(1 << perm[s] for s in range(len(perm)) if state >> s & 1)
+
+
+@pytest.mark.parametrize("lat,subgroup", [
+    (SquareTorusLattice(3, 2), None),
+    # the translations along x alone
+    (SquareTorusLattice(3, 2), [0, 1, 2]),
+    (SquareDiskLattice(3, 3), None),
+    (SquareDiskLattice(2, 3, boundary_plus=True), None),
+    # one cell wide: the mirror across that width moves no bond
+    (SquareDiskLattice(4, 1), None),
+    (HexTorusLattice(3, 3), None),
+    (HexTorusLattice(3, 3), [0]),
+], ids=["3x2", "3x2-x-shifts", "disk-3x3-minus", "disk-2x3-plus",
+        "disk-4x1", "hex-3x3", "hex-3x3-identity"])
+def test_canonical_element_takes_the_least_state_back(lat, subgroup):
+    group = _symmetry(lat)
+    if subgroup is not None:
+        group = group[subgroup]
+    perms = group.tolist()
+    # a group lists each permutation once, the identity first
+    assert len(set(map(tuple, perms))) == len(perms)
+    assert perms[0] == list(range(lat.nsites))
+    seen = 0
+    for states, canon, elem in canonical_states(lat, group):
+        for x, least, e in zip(states.tolist(), canon.tolist(),
+                               elem.tolist()):
+            assert least == min(_image(perm, x) for perm in perms)
+            assert _image(perms[e], least) == x
+            assert e == 0 or least != x
+            seen += 1
+    assert seen == 1 << lat.nsites
+
+
+@pytest.mark.parametrize("lat", [SquareTorusLattice(3, 2),
+                                 SquareDiskLattice(3, 3),
+                                 HexTorusLattice(3, 4)],
+                         ids=["3x2", "disk-3x3", "hex-3x4"])
+def test_cayley_table_composes_the_permutations(lat):
+    perms = _symmetry(lat).tolist()
+    mul, inverse = cayley_table(_symmetry(lat))
+    for a, pa in enumerate(perms):
+        assert perms[inverse[a]] == sorted(range(len(pa)), key=pa.__getitem__)
+        for b, pb in enumerate(perms):
+            # b first, then a
+            assert perms[mul[a, b]] == [pa[pb[s]] for s in range(len(pa))]
 
 
 @pytest.mark.parametrize("lat", [

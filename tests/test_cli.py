@@ -133,11 +133,14 @@ _STDOUT_SHA256 = {
     ("lattice", "energy", "--torus", "2x2", "--ell", "2"):
         "4cc4f3701604143f5735d6b35cb3afcfbacb5be1bf2ac954554ad72c773a0216",
     # as printed while the GF(p) oracle carried factors mod p and the
-    # component walk merged its states with np.union1d
+    # component walk merged its states with np.union1d, plus the two
+    # added fields "orbits" and "group_order" (29184 and 9 on the
+    # torus, 64 and 9 on the hex torus); without them the digests were
+    # a0bd3267... and 4dd62bcd...
     ("lattice", "kernel", "--torus", "3x3", "--ell", "2"):
-        "a0bd3267415dbb7c3e124b0a03a21f5e44d508a0ffc3c30680bf2a94023ba001",
+        "be2b2ac7063fca81b7a78529f4e98469da11141c685ae53ffdf51bc7d1b1aef6",
     ("lattice", "kernel", "--hex", "3x3", "--ell", "3"):
-        "4dd62bcd5e92a7ce8852a433510a54af13080e4038d7df1f02f7bfbcc57edfb6",
+        "1c6ad59d4cc8f3ed91e5b5a977e6badb58f5dd1f0e26984c014bc1f725846c1a",
     ("lattice", "components", "--torus", "3x3"):
         "6ceb19f1edbd303a54c99fe544e51d689b658af05808a24aea379cfccaae05bc",
 }
@@ -627,6 +630,15 @@ def test_lattice_kernel_always_cross_checks_on_3x3(capsys):
     rep = json.loads(out)["results"][0]
     assert rep["kernel_dimension"] == rep["oracle_dimension"] == 22
     assert rep["oracle_method"] == "modular-elimination"
+
+
+def test_lattice_kernel_reports_the_orbits_it_solved_on(capsys):
+    # Burnside: (2^18 + 8 * 2^6) / 9 translation orbits of the 3x3 torus
+    code, out, _ = _run(capsys, "lattice", "kernel", "--torus", "3x3",
+                        "--ell", "2")
+    assert code == EXIT_OK
+    rep = json.loads(out)["results"][0]
+    assert (rep["orbits"], rep["group_order"]) == (29184, 9)
 
 
 def test_lattice_kernel_cross_checks_3x2_at_level_2(capsys):

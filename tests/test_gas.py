@@ -147,6 +147,31 @@ def test_measurement_distribution_gibbs_ratio():
         float(kb.d) ** (2 * dexp))
 
 
+@pytest.mark.parametrize("shift", ["pot", "loops"])
+def test_gibbs_law_spread_is_exact(monkeypatch, shift):
+    lat = SquareTorusLattice(3, 3)
+    kb = kernel_propagate(build_hprime(lat, 2))
+    comp = int(kb.comp[12345])
+    spread = gibbs_law_check(kb, comp, lat)
+    assert type(spread) is int and spread == 0
+    # one state's pot, or one census loop count, shifted by 1
+    if shift == "pot":
+        pot = kb.pot.copy()
+        pot[12345] += 1
+        kb = type(kb)(kb.dimension, kb.method, comp=kb.comp, pot=pot,
+                      d=kb.d)
+    else:
+        cen = census(lat)
+        loops = cen.loops.copy()
+        loops[12345] -= 1
+        monkeypatch.setattr(gas, "census", lambda lat: type(
+            "Census", (), {"loops": loops})())
+    assert gibbs_law_check(kb, comp, lat) == 1
+    # another component, which the shifted state is not in
+    other = int(kb.comp[np.flatnonzero(kb.comp != comp)[0]])
+    assert gibbs_law_check(kb, other, lat) == 0
+
+
 def test_sampler_rejects_lattices_other_than_square_torus():
     with pytest.raises(ConfigInvalid, match="square torus"):
         metropolis_sample(SquareDiskLattice(2, 2), potts_params(2), 10, 0)

@@ -1,14 +1,16 @@
 import functools
 import gc
+import itertools
 import random
 import tracemalloc
 import weakref
 from fractions import Fraction
+from unittest import mock
 
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import n_order, primefactors
 
@@ -27,10 +29,11 @@ from looptl.hamiltonian import (_PROPAGATED, ConstraintSystem, Row,
                                 kernel_dense, kernel_propagate,
                                 pauli_expand_check, uniform_state_energy)
 from looptl.lattice import (ENUM_STATE_CAP, HexTorusLattice,
-                            SquareTorusLattice, census)
+                            SquareDiskLattice, SquareTorusLattice, census)
 from looptl.scalars import SpecialField, _pmul, minimal_polynomial
 from looptl.tlcat import (enumerate_diagrams, identity_diagram,
                           stack_diagrams, u_diagram)
+from looptl.torus_census import _TABLES
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3])
@@ -783,3 +786,237 @@ def test_hook_loops_match_breadth_first_search(cs):
         with pytest.raises(InconsistentCycle):
             _propagate_uncached(cs)
     assert _modular_rank(cs) == _dense_rank_mod_p(cs)
+
+
+# ---------------------------------------------------------------------------
+# the solve on symmetry orbits against the solve on every state
+# ---------------------------------------------------------------------------
+
+
+def _on_every_state(monkeypatch):
+    """Make _propagate_uncached solve with the identity alone, on every
+    state of the move graph."""
+    symmetry = hamiltonian._row_symmetry
+    monkeypatch.setattr(hamiltonian, "_row_symmetry",
+                        lambda cs: symmetry(cs)[:1])
+
+
+_ORBIT_CASES = dict(_SHUFFLE_CASES)
+for _w, _h in [(2, 2), (2, 3), (3, 2), (3, 3)]:
+    for _ell in (1, 2, 3):
+        _ORBIT_CASES["hprime-%dx%d-l%d" % (_w, _h, _ell)] = functools.partial(
+            build_hprime, SquareTorusLattice(_w, _h), _ell)
+    _ORBIT_CASES.setdefault("ring-%dx%d" % (_w, _h), functools.partial(
+        build_ring_exchange, SquareTorusLattice(_w, _h)))
+
+
+@pytest.mark.parametrize("model", list(_ORBIT_CASES))
+def test_orbit_solve_is_byte_identical_to_the_solve_on_every_state(
+        monkeypatch, model):
+    cs = _ORBIT_CASES[model]()
+    lat = cs.lattice
+    kb = _propagate_uncached(cs)
+    # every builder's rows commute with all w*h translations
+    assert kb.group_order == lat.w * lat.h
+    assert kb.orbits < cs.n_states
+    _on_every_state(monkeypatch)
+    full = _propagate_uncached(cs)
+    assert (full.orbits, full.group_order) == (cs.n_states, 1)
+    assert full.dimension == kb.dimension
+    assert full.comp.tobytes() == kb.comp.tobytes()
+    assert full.pot.tobytes() == kb.pot.tobytes()
+
+
+def test_a_row_set_without_symmetry_solves_on_every_state():
+    # one row on bond 0 alone: no translation maps the row set onto itself
+    one = Fraction(1)
+    cs = ConstraintSystem(SquareTorusLattice(2, 2), None,
+                          [Row("rand", 0, (0,), [(0, one), (1, -one)], 0)],
+                          "synthetic")
+    kb = _propagate_uncached(cs)
+    assert (kb.orbits, kb.group_order, kb.dimension) == (256, 1, 128)
+
+
+def _symmetric(lat, rows, group=None):
+    """The system of the given (sites, pattern a, pattern b, dexp) rows
+    and all their images under the site permutations of group, by
+    default the lattice's census group: the translations of a torus,
+    the mirrors of a disk."""
+    if group is None:
+        group = _TABLES[lat.kind](lat).symmetry
+    one = Fraction(1)
+    out = []
+    for k, (sites, pa, pb, dexp) in enumerate(rows):
+        for perm in group.tolist():
+            out.append(Row("rand", k, [perm[s] for s in sites],
+                           [(pa, one), (pb, -one)], dexp=dexp))
+    return ConstraintSystem(lat, None, out, "synthetic")
+
+
+def _drawn_rows(draw, nsites):
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        sites = draw(st.lists(st.integers(0, nsites - 1), min_size=1,
+                              max_size=min(3, nsites), unique=True))
+        pa, pb = draw(st.lists(st.integers(0, (1 << len(sites)) - 1),
+                               min_size=2, max_size=2, unique=True))
+        rows.append((sites, pa, pb, draw(st.integers(-2, 2))))
+    return rows
+
+
+@st.composite
+def _symmetric_systems(draw):
+    """Two-term rows on a torus or disk of at most 8 sites, each with
+    all its images under the lattice's census group, so that the rows
+    commute with it.  The all-|-> and all-|+> states are fixed by every
+    element, so every system has states with a non-trivial
+    stabiliser."""
+    kind, w, h = draw(st.sampled_from(
+        [("torus", 1, 1), ("torus", 2, 1), ("torus", 1, 2), ("torus", 3, 1),
+         ("torus", 1, 3), ("torus", 2, 2), ("torus", 4, 1), ("torus", 1, 4),
+         ("disk", 3, 1), ("disk", 2, 2), ("disk", 3, 2), ("disk", 2, 3)]))
+    lat = SquareTorusLattice(w, h) if kind == "torus" \
+        else SquareDiskLattice(w, h)
+    return _symmetric(lat, _drawn_rows(draw, lat.nsites))
+
+
+# bond 0 moves to bond 2 and then 4 under the translations of the 3x1
+# torus: the pair (bond 0 |+>, bond 2 |+>) ties an orbit to itself
+# through a translation, and its exponent 1 adds up to 3 around the
+# cycle of three states
+_CYCLE_UP_TO_A_TRANSLATION = _symmetric(SquareTorusLattice(3, 1),
+                                         [((0, 2), 0b01, 0b10, 1)])
+# the same orbit tie with exponent 0, and a flip of bond 1 that leaves
+# states fixed by the translations in components of several states
+_STABILISED = _symmetric(SquareTorusLattice(2, 2),
+                          [((0, 2), 0b01, 0b10, 0), ((1,), 0, 1, 1)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_symmetric_systems())
+@example(_CYCLE_UP_TO_A_TRANSLATION)
+@example(_STABILISED)
+def test_orbit_solve_matches_breadth_first_search(cs):
+    comp, pot, closes = _bfs_kernel(cs)
+    if closes:
+        kb = _propagate_uncached(cs)
+        assert kb.group_order == len(_TABLES[cs.lattice.kind](
+            cs.lattice).symmetry)
+        assert kb.dimension == comp.max() + 1
+        assert np.array_equal(kb.comp, comp)
+        assert np.array_equal(kb.pot, pot)
+    else:
+        with pytest.raises(InconsistentCycle):
+            _propagate_uncached(cs)
+
+
+# the symmetric group S3 acting on the 6 bonds of the 3x1 torus as on
+# itself, bond k standing for its k-th element, by multiplication from
+# the left: a group whose elements do not commute, unlike any
+# lattice's, with most orbits of states of size 6 and some states fixed
+# by a subgroup
+_S3_ELEMENTS = list(itertools.permutations(range(3)))
+_S3 = np.array([[_S3_ELEMENTS.index(tuple(g[i] for i in x))
+                 for x in _S3_ELEMENTS] for g in _S3_ELEMENTS])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_orbit_solve_on_a_group_that_does_not_commute(data):
+    cs = _symmetric(SquareTorusLattice(3, 1),
+                     _drawn_rows(data.draw, 6), _S3)
+    comp, pot, closes = _bfs_kernel(cs)
+    with mock.patch.object(hamiltonian, "_row_symmetry", lambda cs: _S3):
+        if closes:
+            kb = _propagate_uncached(cs)
+            assert kb.group_order == 6
+            assert kb.dimension == comp.max() + 1
+            assert np.array_equal(kb.comp, comp)
+            assert np.array_equal(kb.pot, pot)
+        else:
+            with pytest.raises(InconsistentCycle):
+                _propagate_uncached(cs)
+
+
+def test_a_cycle_through_a_translation_raises():
+    cs = _CYCLE_UP_TO_A_TRANSLATION
+    assert not _bfs_kernel(cs)[2]
+    # the only row class: its pair (1, 4) lies in one orbit, 4 is 1 moved
+    # by a translation, and the full graph's cycle 1 -> 4 -> 16 -> 1
+    # sums the exponent three times
+    assert len(hamiltonian._row_classes(cs.rows, _TABLES[
+        cs.lattice.kind](cs.lattice).symmetry)) == 1
+    with pytest.raises(InconsistentCycle, match="states 1, 4"):
+        _propagate_uncached(cs)
+
+
+def test_stabilised_states_count_once():
+    cs = _STABILISED
+    kb = _propagate_uncached(cs)
+    comp, pot, closes = _bfs_kernel(cs)
+    assert closes and kb.group_order == 4
+    # state 0 and the all-|+> state 255 are fixed by every translation,
+    # and their components hold other states too
+    for state in (0, 255):
+        assert np.count_nonzero(comp == comp[state]) > 1
+    assert kb.dimension == comp.max() + 1
+    assert np.array_equal(kb.comp, comp) and np.array_equal(kb.pot, pot)
+
+
+# ---------------------------------------------------------------------------
+# the verdicts of containment_check and joint_kernel
+# ---------------------------------------------------------------------------
+
+
+def _one_pair_row(lat, a, b, dexp):
+    """A row over every site whose one pair is the states a and b."""
+    one = Fraction(1)
+    return Row("planted", 0, tuple(range(lat.nsites)), [(a, one), (b, -one)],
+               dexp=dexp)
+
+
+def test_containment_fails_on_a_planted_outer_row():
+    lat = SquareTorusLattice(2, 2)
+    inner = build_hprime(lat, 2)
+    kb = kernel_propagate(inner)
+    comp, pot = kb.comp, kb.pot
+    # two states of one component, and two of different components
+    a, b = np.flatnonzero(comp == comp[255])[:2]
+    c = int(np.flatnonzero(comp != comp[a])[0])
+    a, b = int(a), int(b)
+
+    def outer(*rows):
+        return ConstraintSystem(lat, None, list(rows), "synthetic")
+    right = int(pot[b] - pot[a])
+    assert containment_check(inner, outer(_one_pair_row(lat, a, b, right)))
+    assert not containment_check(
+        inner, outer(_one_pair_row(lat, a, b, right + 1)))
+    # the exponent agrees with the pots, but the pair joins two components
+    assert not containment_check(
+        inner, outer(_one_pair_row(lat, a, c, int(pot[c] - pot[a]))))
+    # a real system with one row's exponent shifted
+    ring = build_ring_exchange(lat)
+    assert containment_check(inner, ring)
+    ring.rows[3].dexp += 1
+    assert not containment_check(inner, ring)
+
+
+def test_joint_kernel_keeps_all_of_the_ratio_kernel_without_skein_rows():
+    cs = build_hprime(SquareTorusLattice(2, 2), 2)
+    basis, report = joint_kernel(cs, [], target=1)
+    assert report["verdict"] == "all of the ratio kernel"
+    assert report["dimension"] == basis.dimension == report["g0_dimension"]
+    assert report["reduced_rows"] == 0
+    assert basis.vectors.shape == (10, 10)
+
+
+def test_joint_kernel_is_zero_when_every_state_is_forced_to_zero():
+    cs = build_hprime(SquareTorusLattice(2, 2), 2)
+    one = cs.field.one
+    # one-term rows: every state has bond 0 either |-> or |+>
+    kill = [Row("kill", pattern, (0,), [(pattern, one)])
+            for pattern in (0, 1)]
+    basis, report = joint_kernel(cs, kill, target=1)
+    assert report["verdict"] == "zero"
+    assert report["dimension"] == basis.dimension == 0
+    assert report["reduced_rows"] == report["g0_dimension"] == 10
