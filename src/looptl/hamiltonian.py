@@ -498,7 +498,8 @@ def _hook_orbits(pairs, orbits, mul, inverse):
         pa, pb = _root_labels(pack, oa, mul), _root_labels(pack, ob, mul)
         while True:
             # pairs with one root stay joined: only split ones are chased
-            split = np.flatnonzero((pa >> _LABEL_SHIFT) != (pb >> _LABEL_SHIFT))
+            split = np.flatnonzero((pa >> _LABEL_SHIFT)
+                                   != (pb >> _LABEL_SHIFT))
             if not len(split):
                 break
             oa, ob, t, pa, pb = oa[split], ob[split], t[split], pa[split], \
@@ -626,7 +627,8 @@ def _tie(pa, pb, t, dexp, mul, inverse):
 def _compose(val, up, mul):
     """A node's packed label followed by its label's: up's label, the
     product of the two elements and the sum of the two exponents."""
-    elem = mul[(val >> _POT_SHIFT) & _ELEM_MASK, (up >> _POT_SHIFT) & _ELEM_MASK]
+    elem = mul[(val >> _POT_SHIFT) & _ELEM_MASK,
+               (up >> _POT_SHIFT) & _ELEM_MASK]
     return _packed(up >> _LABEL_SHIFT, elem,
                    (val & _POT_MASK) + (up & _POT_MASK) - 2 * _POT_BIAS)
 
