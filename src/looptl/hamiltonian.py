@@ -445,7 +445,7 @@ def _propagate_uncached(cs):
     pack = _hook_orbits(pairs, len(reps), mul, inverse)
     gens = _stabilisers(pack, pairs, work, reps, group, mul, inverse)
     del pairs
-    dimension, comp = _expand(work, pack, gens, mul)
+    dimension, comp, pot = _expand(work, pack, gens, mul)
     for row in cs.rows:
         sa, sb = concrete_states(row, nsites)
         # work now packs comp above the exponent bits: equal components
@@ -454,10 +454,6 @@ def _propagate_uncached(cs):
         if len(bad):
             raise InconsistentCycle("ratio cycle through states %d, %d"
                                     % (sa[bad[0]], sb[bad[0]]))
-    # the exponent bits of work are pot, in place
-    pot = work
-    pot &= _POT_MASK
-    pot -= _POT_BIAS
     d = float(cs.field.delta) if cs.ell is not None else 1.0
     return KernelBasis(dimension, "propagate", comp=comp, pot=pot, d=d,
                        orbits=len(reps), group_order=len(group))
@@ -555,7 +551,7 @@ def _stabilisers(pack, pairs, work, reps, group, mul, inverse):
 
 
 def _expand(work, pack, gens, mul):
-    """(dimension, comp) over all states from the hooked orbits.
+    """(dimension, comp, pot) over all states from the hooked orbits.
 
     A state s in the orbit A, tied to g(R) with R its root, lies in the
     component of the root's quotient component and of the coset e g H
@@ -565,7 +561,7 @@ def _expand(work, pack, gens, mul):
     are numbered in the order of their least states, and pot is the
     orbit's exponent less that of the component's least state.  work
     (_orbit_table) is walked in slices and ends holding comp <<
-    _POT_SHIFT | pot + _POT_BIAS, no pot array of its own.
+    _POT_SHIFT | pot + _POT_BIAS, for the final check.
     """
     order = len(mul)
     label = pack >> _LABEL_SHIFT
@@ -601,12 +597,14 @@ def _expand(work, pack, gens, mul):
     pot_of = np.zeros(len(least), dtype=np.int64)
     pot_of[used] = q[work[heads] & _POT_MASK]
     comp = np.empty(len(work), dtype=np.int64)
+    pot = np.empty(len(work), dtype=np.int64)
     for lo in range(0, len(work), _CHUNK):
         w = work[lo:lo + _CHUNK]
         key = w >> _POT_SHIFT
         c = comp[lo:lo + _CHUNK] = comp_of[key]
-        w[:] = (c << _POT_SHIFT) + q[w & _POT_MASK] - pot_of[key] + _POT_BIAS
-    return dimension, comp
+        p = pot[lo:lo + _CHUNK] = q[w & _POT_MASK] - pot_of[key]
+        w[:] = (c << _POT_SHIFT) + p + _POT_BIAS
+    return dimension, comp, pot
 
 
 def _packed(label, elem, pot):
