@@ -29,9 +29,10 @@ d-exponent).  hprime at every level, its row shuffles and the calls
 inside containment_check and joint_kernel thus share one solve, and
 the entry is dropped with its lattice.  The GF(p) oracle keeps
 nothing, so every dimension cross-check compares two computations.
-joint_kernel keeps one column per distinct (component, shifted pot)
-key, read from a first-occurrence table when the keys span at most the
-column count and sorted otherwise.
+joint_kernel expands one skein row per class under the symmetries
+that map the skein rows onto themselves, keeping one column per
+distinct (component, shifted pot) key, and maps its rows to the rest
+of the class by a permutation and a power of d per component.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from __future__ import annotations
 import functools
 import math
 import weakref
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 
 import numpy as np
@@ -268,11 +269,12 @@ def _pattern_state(pattern, sites):
 
 
 def concrete_states(row, nsites):
-    """Arrays of global states per term of a pattern row."""
+    """Arrays of global states per term of a pattern row, each made
+    when it is iterated to."""
     sites = frozenset(row.sites)
     ctx = (_cached_contexts if 1 << (nsites - len(sites)) <= _CACHED_CONTEXTS
            else _scatter_contexts)(nsites, sites)
-    return [ctx | _pattern_state(pat, row.sites) for pat, _ in row.terms]
+    return (ctx | _pattern_state(pat, row.sites) for pat, _ in row.terms)
 
 
 def _check_rows(rows, lat, ratio=False):
@@ -359,23 +361,29 @@ def kernel_propagate(cs):
                        orbits=orbits, group_order=order)
 
 
+def _permuted(states, perms):
+    """Images of states under each site permutation (bit i to bit
+    perms[g, i]), as an int64 array (permutations x states)."""
+    bits = (np.asarray(states, dtype=np.int64)[:, None]
+            >> np.arange(perms.shape[1])) & 1
+    return (bits @ (1 << perms.T)).T
+
+
 def _row_images(rows, perms):
     """Key of the image of every row under every site permutation, as
     an int64 array (permutations x rows): site mask | pattern a << N |
     pattern b << 2N, the two patterns as state bits (N <= 20 sites)."""
     n = perms.shape[1]
-    at, sites, code = [], [], []
-    for r, row in enumerate(rows):
-        (pa, _), (pb, _) = row.terms
-        for k, site in enumerate(row.sites):
-            at.append(r)
-            sites.append(site)
-            code.append(1 | (pa >> k & 1) << n | (pb >> k & 1) << 2 * n)
-    keys = np.zeros((len(rows), len(perms)), dtype=np.int64)
-    np.bitwise_or.at(keys, np.array(at, dtype=np.int64),
-                     np.array(code, dtype=np.int64)[:, None]
-                     << perms.T[np.array(sites, dtype=np.int64)])
-    return keys.T
+    states = np.array([_row_states(row) for row in rows],
+                      dtype=np.int64).reshape(-1, 3)
+    mask, a, b = (_permuted(x, perms) for x in states.T)
+    return mask | a << n | b << 2 * n
+
+
+def _row_states(row):
+    """The site mask of a row and the global state of each term."""
+    return [sum(1 << site for site in row.sites)] + [
+        _pattern_state(pat, row.sites) for pat, _ in row.terms]
 
 
 def _row_symmetry(cs):
@@ -834,7 +842,9 @@ def _modular_rank(cs):
         va, vb = (_coeff_mod(c, p, droot) for _, c in row.terms)
         coeffs.append((row, va, vb, -va * pow(vb, -1, p) % p if vb else 0))
     log = _discrete_logs({r for *_, r in coeffs if r}, _generator(p), p)
-    pack = (np.arange(n, dtype=np.int64) << _LOG_SHIFT) + _LOG_BIAS
+    index = np.arange(n, dtype=np.int64)
+    pack = index << _LOG_SHIFT
+    pack += _LOG_BIAS
     for row, va, vb, r in coeffs:
         if not r:
             continue
@@ -858,8 +868,7 @@ def _modular_rank(cs):
             lost = np.flatnonzero(pack[root] != offer)
             sa, sb = sa[lost], sb[lost]
             pa, pb = _root_logs(pack, sa), _root_logs(pack, sb)
-    _jump_logs(pack)
-    label = pack >> _LOG_SHIFT
+    label = _jump_logs(pack)
     dead = np.zeros(n, dtype=bool)
     for row, va, vb, r in coeffs:
         sa, sb = concrete_states(row, nsites)
@@ -870,7 +879,7 @@ def _modular_rank(cs):
         else:
             hit = sa if va else sb if vb else sa[:0]
         dead[label[hit]] = True
-    return n - int(np.count_nonzero((label == np.arange(n)) & ~dead))
+    return n - int(np.count_nonzero((label == index) & ~dead))
 
 
 def _root_logs(pack, states):
@@ -891,13 +900,19 @@ def _root_logs(pack, states):
 
 
 def _jump_logs(pack):
-    """Point every state at its root, adding up logs on the way."""
+    """Point every state at its root, adding up logs on the way, and
+    return the labels; each round shifts, gathers and adds in place."""
+    label = pack >> _LOG_SHIFT
+    up, up_label = np.empty_like(pack), np.empty_like(pack)
     while True:
-        label = pack >> _LOG_SHIFT
-        up = pack[label]
-        if np.array_equal(up >> _LOG_SHIFT, label):
-            return
-        pack[:] = up + (pack & _LOG_MASK) - _LOG_BIAS
+        np.take(pack, label, out=up, mode="clip")
+        np.right_shift(up, _LOG_SHIFT, out=up_label)
+        if np.array_equal(up_label, label):
+            return label
+        pack &= _LOG_MASK
+        pack += up
+        pack -= _LOG_BIAS
+        label, up_label = up_label, label
 
 
 def _coeff_mod(c, p, droot):
@@ -1125,12 +1140,13 @@ def joint_kernel(cs, skein, target=None):
     deduplicated on integer keys (components and pots shifted by their
     minimum), and each distinct key becomes one row built exactly in
     the system's field, normalised by its leading entry and
-    deduplicated again.  Its rank is taken exactly and, independently,
-    by a float SVD of the same rows; the two are hard-checked against
-    each other, and the SVD's singular values on either side of the
-    rank are reported as sv_gap.  The verdict follows the trichotomy:
-    zero, all of the ratio kernel, or the doubled-theory torus
-    dimension.
+    deduplicated again; only one skein row per symmetry class is
+    expanded so (_reduced_rows).  Their rank is taken exactly and,
+    independently, by a float SVD of the same rows; the two are
+    hard-checked against each other, and the SVD's singular values on
+    either side of the rank are reported as sv_gap.  The verdict
+    follows the trichotomy: zero, all of the ratio kernel, or the
+    doubled-theory torus dimension.
 
     The ratio kernel comes from kernel_propagate, so a system whose
     rows' sites, patterns and d-exponents were solved before on the
@@ -1147,28 +1163,8 @@ def joint_kernel(cs, skein, target=None):
     _check_rows(skein_rows, cs.lattice)
     base = kernel_propagate(cs)
     g0 = base.dimension
-    nsites = cs.lattice.nsites
     comp, pot = base.comp, base.pot
-    # amplitudes are d**pot, with d = 1 for a system without a level
-    delta = cs.field.delta if cs.ell is not None else 1
-    scaled = functools.cache(lambda coeff, e: coeff * delta ** e)
-    inverse = functools.cache(lambda v: 1 / v)
-    reduced = set()
-    for row in skein_rows:
-        cols = np.array(concrete_states(row, nsites))
-        comps, pots = comp[cols], pot[cols]
-        pots -= pots.min(axis=0)
-        for k in _distinct_columns(np.concatenate([comps, pots])).tolist():
-            vec = {}
-            for t, (_, coeff) in enumerate(row.terms):
-                c = int(comps[t, k])
-                v = scaled(coeff, int(pots[t, k]))
-                vec[c] = vec[c] + v if c in vec else v
-            vec = {c: v for c, v in vec.items() if v}
-            if vec:
-                lead = inverse(vec[min(vec)])
-                reduced.add(tuple(sorted((c, v * lead)
-                                         for c, v in vec.items())))
+    reduced = _reduced_rows(cs, skein_rows, comp, pot)
 
     rows = sorted(reduced, key=lambda r: [(c, repr(v)) for c, v in r])
     exact = [[0] * g0 for _ in rows]
@@ -1203,11 +1199,98 @@ def joint_kernel(cs, skein, target=None):
                        vectors=null, d=base.d), report
 
 
+def _reduced_rows(cs, rows, comp, pot):
+    """The distinct normalised rows, as (component, value) tuples,
+    that the skein rows give on the components of (comp, pot).
+
+    Only the first row of each class under G_s (_skein_classes: the
+    w*h translations for compile_skein_instances on a square torus,
+    the identity alone for an arbitrary list) is expanded over its
+    contexts.  g in G_s takes component c to pi_g(c) and adds s_g(c) to
+    the pot of its states, so it takes a row v of a first row to the
+    normalised row of v_c * d**(s_g(c) - min s_g) at pi_g(c), a row of
+    the image skein row.
+    """
+    # amplitudes are d**pot, with d = 1 for a system without a level
+    delta = cs.field.delta if cs.ell is not None else 1
+    power = functools.cache(lambda e: delta ** e)
+    scaled = functools.cache(lambda coeff, e: coeff * power(e))
+    inverse = functools.cache(lambda v: 1 / v)
+    group, firsts = _skein_classes(cs, rows)
+    # components are numbered by least state, where the running maximum
+    # of comp rises, and pot is 0 there
+    reps = np.flatnonzero(np.diff(np.maximum.accumulate(comp), prepend=-1))
+    images = _permuted(reps, group)
+    pi = comp[images].tolist()
+    shift = pot[images]
+    shift = (shift - shift.min(axis=1, keepdims=True)).tolist()
+    reduced = set()
+    for row in firsts:
+        for vec in _context_rows(row, comp, pot, cs.lattice.nsites, scaled,
+                                 inverse):
+            for p, s in zip(pi, shift):
+                image = sorted((p[c], v * power(s[c])) for c, v in vec)
+                lead = inverse(image[0][1])
+                reduced.add(tuple((c, v * lead) for c, v in image))
+    return reduced
+
+
+def _skein_classes(cs, rows):
+    """(G_s, firsts): the elements of _row_symmetry(cs) that map the
+    rows onto themselves, each row compared by its site mask and the
+    multiset of its terms' (global pattern state, coefficient), and
+    the first row of each class under G_s, in the given order."""
+    perms = _row_symmetry(cs)
+    states = [_row_states(row) for row in rows]
+    flat = iter(_permuted([x for st in states for x in st], perms).T.tolist())
+    keys = []
+    for row, st in zip(rows, states):
+        coeffs = [c for _, c in row.terms]
+        keys.append([(mask, frozenset(Counter(zip(terms, coeffs)).items()))
+                     for mask, *terms in zip(*(next(flat) for _ in st))])
+    have = {key[0] for key in keys}
+    kept = [g for g in range(len(perms)) if all(k[g] in have for k in keys)]
+    seen, firsts = set(), []
+    for row, key in zip(rows, keys):
+        if key[0] not in seen:
+            firsts.append(row)
+            seen.update(key[g] for g in kept)
+    return perms[kept], firsts
+
+
+def _context_rows(row, comp, pot, nsites, scaled, inverse):
+    """The distinct nonzero rows over the components, normalised to a
+    leading 1, that the contexts of one skein row give, read once per
+    distinct (components, shifted pots) column."""
+    comps, pots = [], []
+    for states in concrete_states(row, nsites):
+        comps.append(comp[states])
+        pots.append(pot[states])
+    low = functools.reduce(np.minimum, pots)
+    for p in pots:
+        p -= low
+    del low
+    cols = _distinct_columns(comps + pots)
+    coeffs = [c for _, c in row.terms]
+    out = set()
+    for cc, pp in zip(zip(*(c[cols].tolist() for c in comps)),
+                      zip(*(p[cols].tolist() for p in pots))):
+        vec = {}
+        for c, e, coeff in zip(cc, pp, coeffs):
+            v = scaled(coeff, e)
+            vec[c] = vec[c] + v if c in vec else v
+        vec = {c: v for c, v in vec.items() if v}
+        if vec:
+            lead = inverse(vec[min(vec)])
+            out.add(tuple(sorted((c, v * lead) for c, v in vec.items())))
+    return out
+
+
 def _distinct_columns(digits):
-    """Index of the first occurrence of each distinct column of a
-    non-negative integer array, in increasing order of the columns'
-    keys: read from a table over the keys when their span is at most
-    the number of columns, else found by sorting the keys."""
+    """Index of the first occurrence of each distinct column of
+    non-negative integer digit rows, in increasing order of the
+    columns' keys: read from a table over the keys when their span is
+    at most the number of columns, else found by sorting the keys."""
     key = _column_keys(digits)
     ncols = len(key)
     span = int(key.max()) + 1
@@ -1219,17 +1302,21 @@ def _distinct_columns(digits):
 
 
 def _column_keys(digits):
-    """One int64 key per column of a non-negative integer array, equal
-    exactly when the columns are; when the mixed-radix key would
-    overflow, the keys so far are renumbered densely first."""
-    key = np.zeros(digits.shape[1], dtype=np.int64)
-    span = 1
+    """One int64 key per column of non-negative integer digit rows (an
+    array, or any iterable of equal-length rows), equal exactly when
+    the columns are; when the mixed-radix key would overflow, the keys
+    so far are renumbered densely first."""
+    key, span = None, 1
     for digit in digits:
         radix = int(digit.max()) + 1
-        if span * radix >= 1 << 62:
-            _, key = np.unique(key, return_inverse=True)
-            span = int(key.max()) + 1
-        key = key * radix + digit
+        if key is None:
+            key = digit.astype(np.int64)
+        else:
+            if span * radix >= 1 << 62:
+                key = np.unique(key, return_inverse=True)[1]
+                span = int(key.max()) + 1
+            key *= radix
+            key += digit
         span *= radix
     return key
 

@@ -1020,3 +1020,165 @@ def test_joint_kernel_is_zero_when_every_state_is_forced_to_zero():
     assert report["verdict"] == "zero"
     assert report["dimension"] == basis.dimension == 0
     assert report["reduced_rows"] == report["g0_dimension"] == 10
+
+
+# ---------------------------------------------------------------------------
+# the joint kernel on skein row classes against every skein row expanded
+# ---------------------------------------------------------------------------
+
+
+_JOINT_CASES = {}
+for _w, _h in [(2, 2), (2, 3), (3, 2), (3, 3)]:
+    _JOINT_CASES["hprime-%dx%d-l1" % (_w, _h)] = (
+        functools.partial(build_hprime, ell=1), _w, _h, 1)
+    if _w * _h < 9:
+        _JOINT_CASES["ring-%dx%d-l1" % (_w, _h)] = (
+            build_ring_exchange, _w, _h, 1)
+_JOINT_CASES["hprime-3x3-l2"] = (functools.partial(build_hprime, ell=2),
+                                 3, 3, 2)
+
+
+def _skein_variant(rows, variant):
+    """The compiled skein rows, shuffled, with one row dropped, or with
+    one coefficient of one row doubled; on a square torus the last two
+    leave no translation that maps the rows onto themselves."""
+    rows = list(rows)
+    if variant == "shuffled":
+        random.Random(3).shuffle(rows)
+    elif variant == "dropped":
+        del rows[1]
+    elif variant == "coefficient":
+        row = rows[1]
+        (pat, coeff), *rest = row.terms
+        rows[1] = Row(row.tag, row.label, row.sites,
+                      [(pat, coeff * 2)] + rest)
+    return rows
+
+
+def _check_skein_group(cs, rows, variant):
+    group, firsts = hamiltonian._skein_classes(cs, rows)
+    lat = cs.lattice
+    if lat.w != lat.h:
+        # the transposed windows of a non-square torus are not all
+        # translates of one another
+        assert len(group) > 1 or variant in ("dropped", "coefficient")
+    elif variant in ("compiled", "shuffled"):
+        # the w*h translations, one class per orientation
+        assert (len(group), len(firsts)) == (lat.w * lat.h, 2)
+    else:
+        assert (len(group), len(firsts)) == (1, len(rows))
+
+
+_VARIANTS = ["compiled", "shuffled", "dropped", "coefficient"]
+
+
+@pytest.mark.parametrize("variant", _VARIANTS)
+@pytest.mark.parametrize("case", list(_JOINT_CASES))
+def test_joint_kernel_on_skein_classes_equals_every_row_expanded(
+        monkeypatch, case, variant):
+    build, w, h, ell = _JOINT_CASES[case]
+    lat = SquareTorusLattice(w, h)
+    cs = build(lat)
+    rows = _skein_variant(compile_skein_instances(lat, ell), variant)
+    _check_skein_group(cs, rows, variant)
+    basis, report = joint_kernel(cs, rows, target=1)
+    _on_every_state(monkeypatch)
+    assert len(hamiltonian._skein_classes(cs, rows)[0]) == 1
+    every, every_report = joint_kernel(cs, rows, target=1)
+    assert every_report == report
+    assert every.vectors.tobytes() == basis.vectors.tobytes()
+
+
+@pytest.mark.parametrize("variant", ["compiled", "shuffled"])
+def test_ring_exchange_skein_rows_on_classes_on_the_3x3_torus(
+        monkeypatch, variant):
+    # the full report takes seconds here (3,476 rows over 1,012
+    # components), so only the reduced rows are compared, and only
+    # where G_s has more than the identity
+    lat = SquareTorusLattice(3, 3)
+    cs = build_ring_exchange(lat)
+    rows = _skein_variant(compile_skein_instances(lat, 1), variant)
+    _check_skein_group(cs, rows, variant)
+    kb = kernel_propagate(cs)
+    reduced = hamiltonian._reduced_rows(cs, rows, kb.comp, kb.pot)
+    _on_every_state(monkeypatch)
+    assert hamiltonian._reduced_rows(cs, rows, kb.comp, kb.pot) == reduced
+
+
+def _with_images(lat, row):
+    """row and its images under the census group of lat."""
+    return [Row(row.tag, row.label, [perm[s] for s in row.sites], row.terms)
+            for perm in _TABLES[lat.kind](lat).symmetry.tolist()]
+
+
+def _on_classes_and_on_every_row(cs, skein):
+    kb = kernel_propagate(cs)
+    reduced = hamiltonian._reduced_rows(cs, skein, kb.comp, kb.pot)
+    symmetry = hamiltonian._row_symmetry
+    with mock.patch.object(hamiltonian, "_row_symmetry",
+                           lambda cs: symmetry(cs)[:1]):
+        every = hamiltonian._reduced_rows(cs, skein, kb.comp, kb.pot)
+    return reduced, every
+
+
+@st.composite
+def _skein_over_symmetric_systems(draw):
+    """A level-2 ratio system closed under the translations of a small
+    torus, and skein rows of two or three terms with all their
+    translates."""
+    w, h = draw(st.sampled_from([(2, 1), (3, 1), (1, 2), (2, 2)]))
+    lat = SquareTorusLattice(w, h)
+    cs = ConstraintSystem(lat, 2, _symmetric(
+        lat, _drawn_rows(draw, lat.nsites)).rows, "synthetic")
+    d = cs.field.delta
+    skein = []
+    for k in range(draw(st.integers(1, 2))):
+        sites = draw(st.lists(st.integers(0, lat.nsites - 1), min_size=1,
+                              max_size=min(3, lat.nsites), unique=True))
+        pats = draw(st.lists(st.integers(0, (1 << len(sites)) - 1),
+                             min_size=2, max_size=3, unique=True))
+        terms = [(pat, d ** draw(st.integers(-1, 1))
+                  * draw(st.sampled_from([1, -1, 2]))) for pat in pats]
+        skein += _with_images(lat, Row("skein", k, sites, terms))
+    return cs, skein
+
+
+# the pair (bond 1 |->, bond 2 |+>) to (bond 1 |+>, bond 2 |->) with
+# exponent 1 and its translate on the 2x1 torus: the translation takes
+# a component's least state to a state whose pot is not 0, so s_g != 0
+_SHIFTED = (ConstraintSystem(SquareTorusLattice(2, 1), 2, _symmetric(
+    SquareTorusLattice(2, 1), [((1, 2), 0b10, 0b01, 1)]).rows, "synthetic"),)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_skein_over_symmetric_systems())
+def test_skein_classes_of_symmetric_systems(system):
+    cs, skein = system
+    try:
+        reduced, every = _on_classes_and_on_every_row(cs, skein)
+    except InconsistentCycle:
+        return
+    assert reduced == every
+
+
+def test_a_translation_that_shifts_pot_maps_the_skein_rows():
+    cs, = _SHIFTED
+    lat = cs.lattice
+    kb = kernel_propagate(cs)
+    reps = np.unique(kb.comp, return_index=True)[1]
+    group, firsts = hamiltonian._skein_classes(cs, [])
+    assert len(group) == 2 and np.any(
+        kb.pot[hamiltonian._permuted(reps, group)])
+    d = cs.field.delta
+    skein = _with_images(lat, Row("skein", 0, (1, 0),
+                                  [(0b01, cs.field.one), (0b10, -1 / d)]))
+    reduced, every = _on_classes_and_on_every_row(cs, skein)
+    assert reduced == every
+    assert len(hamiltonian._skein_classes(cs, skein)[1]) == 1
+    basis, report = joint_kernel(cs, skein)
+    symmetry = hamiltonian._row_symmetry
+    with mock.patch.object(hamiltonian, "_row_symmetry",
+                           lambda cs: symmetry(cs)[:1]):
+        full, full_report = joint_kernel(cs, skein)
+    assert full_report == report
+    assert full.vectors.tobytes() == basis.vectors.tobytes()

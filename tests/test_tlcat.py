@@ -10,10 +10,10 @@ from looptl.scalars import (D_GENERIC, RationalFunc, SpecialField,
                             quantum_int, specialize)
 from looptl.structure import catalan
 from looptl.tlcat import (Diagram, Morphism, _jw_cleared, bar, compose,
-                          enumerate_diagrams, gram_exponents, gram_matrix,
-                          identity_diagram, is_noncrossing, jones_wenzl,
-                          markov_trace, radical_basis, stack_diagrams,
-                          trace_loops)
+                          compose_factored, enumerate_diagrams,
+                          gram_exponents, gram_matrix, identity_diagram,
+                          is_noncrossing, jones_wenzl, markov_trace,
+                          radical_basis, stack_diagrams, trace_loops)
 
 
 @pytest.mark.parametrize("m,n", [(0, 2), (1, 3), (2, 2), (3, 3), (2, 4)])
@@ -423,3 +423,27 @@ def test_jones_wenzl_divides_each_cleared_term(backend, k, ell):
     inv = 1 / den
     want = [(diag, c * inv) for diag, c in N.terms.items()]
     assert list(jones_wenzl(k, backend, ell).terms.items()) == want
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6),
+       st.sampled_from(["generic", 2, 3, 4]))
+@settings(max_examples=60, deadline=None)
+def test_compose_factored_equals_compose(seed, backend):
+    """compose_factored against compose on random lower factors, which
+    do not kill hooks: upper diagrams with a bottom arc go through a
+    nonzero hook product, and an upper factor (l, m) with l > m has
+    diagrams without a bottom arc, which are composed directly."""
+    import random
+    rng = random.Random(seed)
+    if backend == "generic":
+        draw = functools.partial(_random_generic, rng)
+    else:
+        draw = functools.partial(_random_special, rng, SpecialField(backend))
+    m = rng.randint(1, 4)
+    l = m + rng.choice((0, 2))
+    n = rng.choice(range(m % 2, 5, 2))
+    # compose(a, b) stacks b: (l, m) over a: (m, n)
+    a, b = draw(m, n), draw(l, m)
+    if l == m:
+        b = b + Morphism.identity(m, b.d).scale(b.d + 1)
+    assert compose_factored(a, b) == compose(a, b)
