@@ -1146,8 +1146,7 @@ def _skein_over_symmetric_systems(draw):
 # the pair (bond 1 |->, bond 2 |+>) to (bond 1 |+>, bond 2 |->) with
 # exponent 1 and its translate on the 2x1 torus: the translation takes
 # a component's least state to a state whose pot is not 0, so s_g != 0
-_SHIFTED = (ConstraintSystem(SquareTorusLattice(2, 1), 2, _symmetric(
-    SquareTorusLattice(2, 1), [((1, 2), 0b10, 0b01, 1)]).rows, "synthetic"),)
+_SHIFTED_ROWS = [((1, 2), 0b10, 0b01, 1)]
 
 
 @settings(max_examples=80, deadline=None)
@@ -1162,8 +1161,9 @@ def test_skein_classes_of_symmetric_systems(system):
 
 
 def test_a_translation_that_shifts_pot_maps_the_skein_rows():
-    cs, = _SHIFTED
-    lat = cs.lattice
+    lat = SquareTorusLattice(2, 1)
+    cs = ConstraintSystem(lat, 2, _symmetric(lat, _SHIFTED_ROWS).rows,
+                          "synthetic")
     kb = kernel_propagate(cs)
     reps = np.unique(kb.comp, return_index=True)[1]
     group, firsts = hamiltonian._skein_classes(cs, [])
