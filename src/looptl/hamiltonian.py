@@ -1109,20 +1109,21 @@ def compile_skein_instances(lat, ell):
 
     patterns = [(pattern_for(diag), coeff) for diag, coeff in jw.terms.items()]
 
+    # orientation 0 puts window bond (col, row) at (i + col, j + row), the
+    # transpose (orientation 1: axes and bond type swapped) at
+    # (x + row, y + col); each runs over all w*h offsets, so on a
+    # non-square torus too every row is a distinct translate
     rows = []
-    for orient in (0, 1):
-        for j in range(lat.h):
-            for i in range(lat.w):
-                sites = []
-                for typ, col, row in window:
-                    if orient == 0:
-                        sites.append(lat.bond_index(typ, i + col, j + row))
-                    else:
-                        # transpose: swap axes and bond type
-                        sites.append(lat.bond_index(1 - typ,
-                                                    j + row, i + col))
-                rows.append(Row("skein", (ell, orient, i, j),
-                                tuple(sites), list(patterns)))
+    for j in range(lat.h):
+        for i in range(lat.w):
+            sites = tuple(lat.bond_index(typ, i + col, j + row)
+                          for typ, col, row in window)
+            rows.append(Row("skein", (ell, 0, i, j), sites, list(patterns)))
+    for x in range(lat.w):
+        for y in range(lat.h):
+            sites = tuple(lat.bond_index(1 - typ, x + row, y + col)
+                          for typ, col, row in window)
+            rows.append(Row("skein", (ell, 1, y, x), sites, list(patterns)))
     return ConstraintSystem(lat, ell, rows, "skein", field)
 
 
@@ -1173,7 +1174,9 @@ def joint_kernel(cs, skein, target=None):
             exact[r][c] = v
     rank = exact_rank(exact)
     mat = np.array([[float(v) for v in r] for r in exact] or [[0.0] * g0])
-    _, s, vt = np.linalg.svd(mat, full_matrices=True)
+    # only s and vt are read: with at least g0 rows the reduced SVD
+    # already has all g0 right vectors, and no m x m U is built
+    _, s, vt = np.linalg.svd(mat, full_matrices=len(mat) < g0)
     tol = 1e-8 * (s[0] if s.size and s[0] > 0 else 1.0)
     svd_rank = int(np.sum(s > tol))
     assert svd_rank == rank, "joint-kernel solvers disagree: %d vs %d" % (

@@ -610,6 +610,34 @@ class FieldElement:
 # ---------------------------------------------------------------------------
 
 
+def _one_denominator(coeffs):
+    """(nums, den) with coeffs[i] == nums[i] / den: a nonempty list of
+    exact scalars of one backend brought to one denominator, each
+    numerator an integer polynomial (in d over RationalFunc, in delta on
+    the power basis over Q(delta)).  den is the lcm of the distinct
+    denominators: a polynomial lcm, one _pgcd per distinct RationalFunc
+    denominator, or math.lcm of the FieldElement ones."""
+    if not isinstance(coeffs[0], RationalFunc):
+        den = math.lcm(*(c.den for c in coeffs))
+        return [c.num if c.den == den else [x * (den // c.den) for x in c.num]
+                for c in coeffs], den
+    den = [1]
+    for cd in dict.fromkeys(c.den for c in coeffs):
+        if cd != (1,):
+            den = _pmul(den, _pexact_div(list(cd), _pgcd(den, list(cd))))
+    den = tuple(den)
+    mult = {}
+    nums = []
+    for c in coeffs:
+        if c.den == den:
+            nums.append(c.num)
+            continue
+        if c.den not in mult:
+            mult[c.den] = _pexact_div(list(den), list(c.den))
+        nums.append(_pmul(c.num, mult[c.den]))
+    return nums, den
+
+
 def specialize(x, ell):
     """Map a generic scalar into Q(delta) at the level-ell special weight.
 

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from .errors import MismatchAtGrade, SignatureMismatch
 from .linalg import Echelon, rank
+from .scalars import _one_denominator
 from .tlcat import (Morphism, _check_diagram_cap, _loop_folder, _loop_powers,
-                    _one_denominator, cap_diagram, catalan, compose,
-                    cup_diagram, enumerate_diagrams, gram_exponents,
-                    jones_wenzl, radical_vectors, stack_diagrams, u_diagram)
+                    cap_diagram, catalan, compose, cup_diagram,
+                    enumerate_diagrams, gram_exponents, jones_wenzl,
+                    radical_vectors, stack_diagrams, u_diagram)
 
 
 # ---------------------------------------------------------------------------

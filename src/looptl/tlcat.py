@@ -9,14 +9,14 @@ produced by stacking contributes a factor of the loop weight d.
 
 from __future__ import annotations
 
-from math import comb, lcm
+from math import comb
 
 from .errors import (ConfigInvalid, IndexOutOfRange, PoleAtSpecialValue,
                      SignatureMismatch, StateSpaceTooLarge)
 from .linalg import nullspace
 from .scalars import (D_GENERIC, FieldElement, RationalFunc, SpecialField,
-                      _canonical, _padd, _pexact_div, _pgcd, _pmul,
-                      quantum_int)
+                      _canonical, _one_denominator, _padd, _pexact_div, _pgcd,
+                      _pmul, quantum_int)
 
 
 class Diagram:
@@ -382,34 +382,6 @@ class Morphism:
                 c = ca * cb
                 out[diag] = out[diag] + c if diag in out else c
         return Morphism(self.m + other.m, self.n + other.n, out, self.d)
-
-
-def _one_denominator(coeffs):
-    """(nums, den) with coeffs[i] == nums[i] / den: a nonempty list of
-    exact scalars of one backend brought to one denominator, each
-    numerator an integer polynomial (in d over RationalFunc, in delta on
-    the power basis over Q(delta)).  den is the lcm of the distinct
-    denominators: a polynomial lcm, one _pgcd per distinct RationalFunc
-    denominator, or math.lcm of the FieldElement ones."""
-    if not isinstance(coeffs[0], RationalFunc):
-        den = lcm(*(c.den for c in coeffs))
-        return [c.num if c.den == den else [x * (den // c.den) for x in c.num]
-                for c in coeffs], den
-    den = [1]
-    for cd in dict.fromkeys(c.den for c in coeffs):
-        if cd != (1,):
-            den = _pmul(den, _pexact_div(list(cd), _pgcd(den, list(cd))))
-    den = tuple(den)
-    mult = {}
-    nums = []
-    for c in coeffs:
-        if c.den == den:
-            nums.append(c.num)
-            continue
-        if c.den not in mult:
-            mult[c.den] = _pexact_div(list(den), list(c.den))
-        nums.append(_pmul(c.num, mult[c.den]))
-    return nums, den
 
 
 def _loop_folder(d, top, *dens):

@@ -135,6 +135,20 @@ def test_skein_window_shapes():
     assert all(len(r.sites) == 4 and len(r.terms) == 5 for r in rows2)
 
 
+@pytest.mark.parametrize("w,h", [(2, 3), (3, 2)])
+def test_skein_windows_on_a_non_square_torus_take_every_translation(w, h):
+    """Each orientation places its window at all w*h translations, so
+    the 2*w*h rows have distinct site sets and fall into one class per
+    orientation under the w*h translations."""
+    lat = SquareTorusLattice(w, h)
+    rows = compile_skein_instances(lat, 1)
+    assert len({frozenset(r.sites) for r in rows}) == len(rows) == 2 * w * h
+    assert sorted(r.sites[0] for r in rows) == list(range(lat.nsites))
+    group, firsts = hamiltonian._skein_classes(build_hprime(lat, 1),
+                                               list(rows))
+    assert (len(group), len(firsts)) == (w * h, 2)
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_diagram_words_rebuild_their_diagrams_without_loops(n):
     words = _diagram_words(n)
@@ -1058,11 +1072,7 @@ def _skein_variant(rows, variant):
 def _check_skein_group(cs, rows, variant):
     group, firsts = hamiltonian._skein_classes(cs, rows)
     lat = cs.lattice
-    if lat.w != lat.h:
-        # the transposed windows of a non-square torus are not all
-        # translates of one another
-        assert len(group) > 1 or variant in ("dropped", "coefficient")
-    elif variant in ("compiled", "shuffled"):
+    if variant in ("compiled", "shuffled"):
         # the w*h translations, one class per orientation
         assert (len(group), len(firsts)) == (lat.w * lat.h, 2)
     else:

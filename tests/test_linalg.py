@@ -1,11 +1,14 @@
 import random
+from bisect import bisect
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from looptl.linalg import Echelon, nullspace, rank, rref, same_span
-from looptl.scalars import SpecialField
+from looptl.scalars import D_GENERIC, RationalFunc, SpecialField
 
 
 def _reference(a, b):
@@ -230,3 +233,185 @@ def test_echelon_over_the_field_matches_sympy_over_q(shape, ell, seed):
     rows, pivots = rref(mat)
     assert len(rows) == len(pivots) == r
     assert same_span(rows, mat)
+
+
+# ---------------------------------------------------------------------------
+# the row form against the per-entry reducer it replaced
+# ---------------------------------------------------------------------------
+
+
+class _PerEntryEchelon:
+    """The reducer as it stood before rows were kept as integer
+    numerators: each row a dense list of scalars, each row operation
+    vec[j] - f * row[j] entry by entry, in the scalars' own arithmetic."""
+
+    def __init__(self, rows=()):
+        self.pivots, self.rows, self.supports = [], [], []
+        for row in rows:
+            self.add(row)
+
+    @staticmethod
+    def _subtract(vec, f, row, support):
+        for j in support:
+            vec[j] = vec[j] - f * row[j]
+
+    def reduce(self, vec):
+        vec = list(vec)
+        for c, row, support in zip(self.pivots, self.rows, self.supports):
+            if vec[c]:
+                self._subtract(vec, vec[c], row, support)
+        return vec
+
+    def add(self, vec):
+        vec = self.reduce(vec)
+        for c, x in enumerate(vec):
+            if x:
+                inv = 1 / x
+                support = [j for j in range(c, len(vec)) if vec[j]]
+                for j in support:
+                    vec[j] = vec[j] * inv
+                k = bisect(self.pivots, c)
+                self.pivots.insert(k, c)
+                self.rows.insert(k, vec)
+                self.supports.insert(k, support)
+                return True
+        return False
+
+    def reduced(self):
+        rows = [list(row) for row in self.rows]
+        supports = list(self.supports)
+        for i in reversed(range(len(rows))):
+            for j in range(i + 1, len(rows)):
+                f = rows[i][self.pivots[j]]
+                if f:
+                    self._subtract(rows[i], f, rows[j], supports[j])
+            supports[i] = [k for k in range(self.pivots[i], len(rows[i]))
+                           if rows[i][k]]
+        return rows
+
+
+def _per_entry_nullspace(mat):
+    ncols = len(mat[0]) if mat else 0
+    if not ncols:
+        return []
+    zero = mat[0][0] - mat[0][0]
+    ech = _PerEntryEchelon(mat)
+    rows, pivots = ech.reduced(), ech.pivots
+    out = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [zero] * ncols
+        vec[fc] = zero + 1
+        for row, pc in zip(rows, pivots):
+            vec[pc] = zero - row[fc]
+        out.append(vec)
+    return out
+
+
+# RationalFunc denominators that never vanish identically
+_POLY_DENS = [(1,), (2,), (1, 1), (0, 1), (-1, 0, 1), (3, -1)]
+
+
+def _scalar(kind):
+    """Strategy for one nonzero-or-zero scalar of a backend.  "mixed" is
+    Q(delta) at level 2 with its zeros as the int 0, as joint_kernel
+    feeds its exact rows."""
+    small = st.integers(-3, 3)
+    frac = st.builds(Fraction, small, st.sampled_from([1, 1, 2, 3]))
+    if kind == "fraction":
+        return frac
+    if kind == "ratfunc":
+        return st.builds(RationalFunc, st.lists(small, max_size=3),
+                         st.sampled_from(_POLY_DENS))
+    field = SpecialField(2 if kind == "mixed" else int(kind[1:]))
+    return st.builds(field.element, st.lists(frac, min_size=field.degree,
+                                             max_size=field.degree))
+
+
+_KINDS = ["l1", "l2", "l3", "l5", "fraction", "mixed", "ratfunc"]
+
+
+@st.composite
+def _matrix(draw, kind, ncols):
+    """Rows of one backend: a few generators with zeros sprinkled in,
+    then combinations of them and zero rows, shuffled."""
+    scalar = _scalar(kind)
+    zero = scalar.map(lambda x: x - x)
+    entry = st.one_of(zero, zero, scalar)
+    gens = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         max_size=4))
+    rows = list(gens)
+    for _ in range(draw(st.integers(0, 3))):
+        coeffs = draw(st.lists(scalar, min_size=len(gens),
+                               max_size=len(gens)))
+        row = [x - x for x in draw(st.lists(scalar, min_size=ncols,
+                                            max_size=ncols))]
+        for c, g in zip(coeffs, gens):
+            row = [x + c * y for x, y in zip(row, g)]
+        rows.append(row)
+    rows = draw(st.permutations(rows))
+    if kind == "mixed":
+        rows = [[x if x else 0 for x in row] for row in rows]
+    return rows
+
+
+def _same(got, want, kind):
+    """Equal in value, and in type too unless int zeros were mixed in."""
+    assert got == want
+    if kind != "mixed":
+        assert [[type(x) for x in row] for row in got] == \
+            [[type(x) for x in row] for row in want]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_row_form_matches_the_per_entry_reducer(data):
+    kind = data.draw(st.sampled_from(_KINDS), label="kind")
+    ncols = data.draw(st.integers(1, 6), label="ncols")
+    mat = data.draw(_matrix(kind, ncols), label="mat")
+    other = data.draw(_matrix(kind, ncols), label="other")
+    probe = data.draw(_matrix(kind, ncols), label="probe")
+    ech, ref = Echelon(), _PerEntryEchelon()
+    for i, row in enumerate(mat):
+        for vec in probe:
+            _same([ech.reduce(vec)], [ref.reduce(vec)], kind)
+        assert ech.add(row) == ref.add(row)
+        assert not any(ech.reduce(row))
+    assert ech.pivots == ref.pivots
+    _same(ech.rows, ref.rows, kind)
+    _same(ech.reduced(), ref.reduced(), kind)
+    assert rank(mat) == len(ref.pivots)
+    assert rref(mat) == (ref.reduced(), ref.pivots)
+    _same(nullspace(mat), _per_entry_nullspace(mat), kind)
+    want = (_PerEntryEchelon(mat).reduced()
+            == _PerEntryEchelon(other).reduced())
+    assert same_span(mat, other) == want
+    assert same_span(mat, mat + other[:1]) == (
+        _PerEntryEchelon(mat).reduced()
+        == _PerEntryEchelon(mat + other[:1]).reduced())
+
+
+def test_empty_and_zero_inputs():
+    field = SpecialField(2)
+    assert rref([]) == ([], []) and rank([]) == 0 and nullspace([]) == []
+    assert same_span([], []) and Echelon().rows == []
+    zeros = [[field.zero] * 3, [0, 0, 0]]
+    ech = Echelon(zeros)
+    assert (ech.pivots, ech.rows, ech.reduced()) == ([], [], [])
+    assert ech.reduce([0, 0, 0]) == [0, 0, 0]
+    assert nullspace(zeros) == [[field.zero if i != j else field.one
+                                 for i in range(3)] for j in range(3)]
+    assert same_span(zeros, []) and not same_span(zeros, [[0, field.one, 0]])
+
+
+def test_generic_rows_lose_their_integer_content():
+    """Rows of RationalFunc whose numerators share an integer factor with
+    the pivot's, and a denominator in d, against the per-entry reducer."""
+    d = D_GENERIC
+    mat = [[2 * d, 2 * d * d, RationalFunc(4)],
+           [d + 1, RationalFunc(0), 2 / (d + 1)],
+           [3 * d + 1, 2 * d * d, 4 + 2 / (d + 1)]]
+    ech, ref = Echelon(mat), _PerEntryEchelon(mat)
+    assert ech.pivots == ref.pivots == [0, 1]
+    _same(ech.rows, ref.rows, "ratfunc")
+    _same(ech.reduced(), ref.reduced(), "ratfunc")
+    _same(nullspace(mat), _per_entry_nullspace(mat), "ratfunc")

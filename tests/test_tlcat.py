@@ -1,6 +1,8 @@
 import functools
 from fractions import Fraction
+from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -219,6 +221,60 @@ def test_gram_exponents_count_union_find_components(m, n):
     basis, expo = gram_exponents(m, n)
     assert basis == enumerate_diagrams(m, n)
     assert expo == [[_union_find_loops(a, b) for b in basis] for a in basis]
+
+
+# -- the Gram determinant against its closed form ------------------------------
+
+
+_DET_PRIME = 1_000_003
+
+
+def _det_mod(mat, p):
+    """Determinant mod p by row reduction on int64 arrays: entries stay
+    below p, so every product stays below p^2 < 2^63."""
+    a = np.array(mat, dtype=np.int64) % p
+    det = 1
+    for k in range(len(a)):
+        nonzero = np.flatnonzero(a[k:, k])
+        if not nonzero.size:
+            return 0
+        i = k + int(nonzero[0])
+        if i != k:
+            a[[k, i]] = a[[i, k]]
+            det = -det
+        det = det * int(a[k, k]) % p
+        row = a[k, k:] * pow(int(a[k, k]), -1, p) % p
+        a[k + 1:, k:] = (a[k + 1:, k:]
+                         - np.outer(a[k + 1:, k], row) % p) % p
+    return det % p
+
+
+def _meander_det(n, d, p):
+    """prod_j U_j(d)^a(n, j) mod p (Di Francesco, Golinelli and Guitter,
+    CMP 186, 1997): U_0 = 1, U_1 = d, U_{j+1} = d U_j - U_{j-1}, and
+    a(n, j) = C(2n, n-j) - 2 C(2n, n-j-1) + C(2n, n-j-2)."""
+    u = [1, d % p]
+    for _ in range(n - 1):
+        u.append((d * u[-1] - u[-2]) % p)
+
+    def c(k):
+        return comb(2 * n, k) if k >= 0 else 0
+    out = 1
+    for j in range(1, n + 1):
+        out = out * pow(u[j], c(n - j) - 2 * c(n - j - 1) + c(n - j - 2),
+                        p) % p
+    return out
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 11])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_gram_determinant_is_the_meander_determinant(n, d):
+    """The Gram matrix d^gram_exponents(n, n) of the Markov pairing has
+    the meander determinant, checked mod a prime by an elimination that
+    shares no code with linalg or the loop walk."""
+    _, expo = gram_exponents(n, n)
+    mat = [[pow(d, e, _DET_PRIME) for e in row] for row in expo]
+    assert _det_mod(mat, _DET_PRIME) == _meander_det(n, d, _DET_PRIME)
 
 
 @pytest.mark.parametrize("n", range(8))
