@@ -13,8 +13,8 @@ polynomial for RationalFunc.  Only a row's nonzero columns (its support)
 are stored.  Clearing column c of vec (numerators vn over vd) with the
 pivot row (rn over rd, rn[c] == rd) is vn * s - f * rn over vd * s,
 where f / s is vn[c] / rd in lowest terms: f acts as one multiplication
-map per operation, and the content is divided out only after a
-rescaling (s != 1), since otherwise vd is unchanged.  Scalars are built
+map per operation, and vd gains only the cofactors s.  The content is
+divided out once per vector, when it becomes a row.  Scalars are built
 only where rows leave the class: rows, reduce and reduced, and so rref,
 nullspace and same_span.  The two backends differ only in their
 numerator arithmetic (_FieldRows, _PolyRows).
@@ -26,7 +26,7 @@ import math
 from bisect import bisect
 from fractions import Fraction
 from itertools import chain, repeat
-from operator import add, mul, sub
+from operator import add, floordiv, mul, sub
 
 from .scalars import (FieldElement, RationalFunc, SpecialField, _canonical,
                       _one_denominator, _padd, _pcontent, _pexact_div, _pgcd,
@@ -102,7 +102,8 @@ class _FieldRows:
         g = math.gcd(den[0], *chain.from_iterable(nums))
         if g == 1:
             return nums, den
-        return ([[x // g for x in v] for v in nums],
+        return (list(zip(*[map(floordiv, plane, repeat(g))
+                           for plane in zip(*nums)])),
                 tuple(x // g for x in den))
 
     def inverse(self, x):
@@ -169,9 +170,6 @@ def _eliminate(ops, vec, vd, pivots, rows):
             (vd,) = scale([vd])
         ops.less(f)(vec, support, nums)
         del vec[c]
-        if s != ops.one:
-            values, vd = ops.content(list(vec.values()), vd)
-            vec = dict(zip(vec, values))
     return vec, vd
 
 
