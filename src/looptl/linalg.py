@@ -57,9 +57,12 @@ class _FieldRows:
         self.one = (1,) + self.zero_num[1:]
 
     def encode(self, entries):
-        zero = self.field.zero
+        # the others are lifted by the field's own +, which refuses an
+        # element of another field
+        field = self.field
         nums, den = _one_denominator(
-            [x if type(x) is FieldElement else zero + x for x in entries])
+            [x if type(x) is FieldElement and x.field is field
+             else field.zero + x for x in entries])
         return nums, (den,) + self.zero_num[1:]
 
     def value(self, num, den):
@@ -205,7 +208,7 @@ class Echelon:
             if isinstance(kind, RationalFunc):
                 self._ops = _PolyRows()
             else:
-                self._ops = _FieldRows(kind and kind.field)
+                self._ops = _FieldRows(None if kind is None else kind.field)
             self._ncols = len(vec)
         nums, den = self._ops.encode([x for _, x in ent])
         return dict(zip((j for j, _ in ent), nums)), den

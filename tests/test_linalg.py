@@ -251,7 +251,7 @@ class _PerEntryEchelon:
             self.add(row)
 
     @staticmethod
-    def _subtract(vec, f, row, support):
+    def _minus(vec, f, row, support):
         for j in support:
             vec[j] = vec[j] - f * row[j]
 
@@ -259,7 +259,7 @@ class _PerEntryEchelon:
         vec = list(vec)
         for c, row, support in zip(self.pivots, self.rows, self.supports):
             if vec[c]:
-                self._subtract(vec, vec[c], row, support)
+                self._minus(vec, vec[c], row, support)
         return vec
 
     def add(self, vec):
@@ -284,7 +284,7 @@ class _PerEntryEchelon:
             for j in range(i + 1, len(rows)):
                 f = rows[i][self.pivots[j]]
                 if f:
-                    self._subtract(rows[i], f, rows[j], supports[j])
+                    self._minus(rows[i], f, rows[j], supports[j])
             supports[i] = [k for k in range(self.pivots[i], len(rows[i]))
                            if rows[i][k]]
         return rows
@@ -401,6 +401,8 @@ def test_empty_and_zero_inputs():
     assert nullspace(zeros) == [[field.zero if i != j else field.one
                                  for i in range(3)] for j in range(3)]
     assert same_span(zeros, []) and not same_span(zeros, [[0, field.one, 0]])
+    with pytest.raises(ValueError, match="different fields"):
+        Echelon([[field.one, SpecialField(3).one]])
 
 
 def test_generic_rows_lose_their_integer_content():
