@@ -11,15 +11,17 @@ sites.
 Two independent kernel solvers are provided for systems of two-term
 rows, the only kind the builders make: ratio propagation along move
 graphs (exact d-exponents) and a GF(p) rank oracle that reads only the
-coefficients, as discrete logarithms of their ratios.  Ratio
-propagation and the oracle's GF(p) rank both run hook-and-compress
-label propagation (Shiloach and Vishkin, J. Algorithms 3, 1982) over
-numpy arrays, one row at a time: the row's pairs are followed to their
-roots once, each split pair hooks once, the larger root under the
-smaller, and only the pairs whose offer lost are followed again; a
-chase writes back only the states whose label moved (path compression
-as in Tarjan, J. ACM 22, 1975).  Ratio propagation runs on the orbits
-of the lattice symmetries that map the rows onto themselves (the w*h
+coefficients, as discrete logarithms of their ratios, at a prime
+p = 1 mod 2(ell + 2), where d = zeta + 1/zeta maps to a sum of a root
+of unity and its inverse in GF(p).  Ratio propagation and the oracle's
+GF(p) rank both run hook-and-compress label propagation (Shiloach
+and Vishkin, J. Algorithms 3, 1982) over numpy arrays, one row at a
+time: the row's pairs are followed to their roots once, each split
+pair hooks once, the larger root under the smaller, and only the
+pairs whose offer lost are followed again; a chase writes back only
+the states whose label moved (path compression as in Tarjan, J. ACM
+22, 1975).  Ratio propagation runs on the orbits of the lattice
+symmetries that map the rows onto themselves (the w*h
 translations for the builders' systems), hooking one row per class;
 the oracle runs on every state.  Each solver is written separately so
 that neither can share a defect with the other.  kernel_propagate
@@ -49,8 +51,7 @@ from .errors import (ConfigInvalid, InconsistentCycle, StateSpaceTooLarge,
                      WindowDoesNotFit)
 from .lattice import ENUM_STATE_CAP, HexTorusLattice, SquareTorusLattice
 from .linalg import rank as exact_rank
-from .scalars import (FieldElement, SpecialField, _padd, _pmul, _pprem, _trim,
-                      minimal_polynomial)
+from .scalars import FieldElement, SpecialField
 from .tlcat import (catalan, identity_diagram, jones_wenzl, stack_diagrams,
                     u_diagram)
 
@@ -688,83 +689,25 @@ def _left_cosets(gens, mul):
 # ---------------------------------------------------------------------------
 
 
-def _find_prime_with_root(poly, start=1_000_003):
-    """The first prime p from start (odd) at which the integer
-    polynomial (coefficients low to high, leading one a unit mod p)
-    has a root, and its smallest root mod p.
+def _prime_and_root(ell, start=1_000_003):
+    """(p, g, root): the first prime p >= start with p = 1 mod m,
+    m = 2(ell + 2), the smallest generator g of GF(p)*, and the smallest
+    root of d's minimal polynomial mod p.
 
-    The roots mod p are those of h = gcd(f, x^p - x), a product of
-    distinct linear factors, which _split_roots splits by equal-degree
-    splitting (Cantor and Zassenhaus, Math. Comp. 36, 1981).
+    d = 2cos(2 pi/m) = zeta + 1/zeta for a primitive m-th root of unity
+    zeta, and minimal_polynomial is Phi_m rewritten in z + 1/z.  At such
+    a p, z = g^((p-1)/m) is a primitive m-th root, so the polynomial's
+    roots mod p are z^k + z^-k for k prime to m.  A system without a
+    level has d = 1 = 2cos(pi/3), the weight at ell = 1.
     """
-    def is_prime(m):
-        if m % 2 == 0:
-            return m == 2
-        f = 3
-        while f * f <= m:
-            if m % f == 0:
-                return False
-            f += 2
-        return True
-
-    p = start
-    while True:
-        while not is_prime(p):
-            p += 2
-        f = _monic_mod(poly, p)
-        h = _gcd_mod(f, _padd(_pow_mod([0, 1], p, f, p), [0, -1]), p)
-        if len(h) > 1:
-            return p, min(_split_roots(h, p))
-        p += 2
-
-
-# GF(p) polynomials are little-endian lists of residues with no
-# trailing zero, as in scalars.  The integer pseudo-remainder by a
-# monic divisor (scalars._pprem) is not scaled, so it is the remainder
-# over Z, and that reduced mod p is the remainder over GF(p).
-
-
-def _monic_mod(a, p):
-    """a over GF(p), scaled to leading coefficient one ([] for zero)."""
-    a = _trim([c % p for c in a])
-    return [c * pow(a[-1], -1, p) % p for c in a] if a else a
-
-
-def _pow_mod(a, e, f, p):
-    """a^e mod the monic f over GF(p), by squaring."""
-    out = [1]
-    while e:
-        if e & 1:
-            out = _trim([c % p for c in _pprem(_pmul(out, a), f)])
-        a = _trim([c % p for c in _pprem(_pmul(a, a), f)])
-        e >>= 1
-    return out
-
-
-def _gcd_mod(a, b, p):
-    """Monic gcd over GF(p) of a monic a and any b."""
-    b = _monic_mod(b, p)
-    while b:
-        a, b = b, _monic_mod(_pprem(a, b), p)
-    return a
-
-
-def _split_roots(h, p):
-    """The roots over GF(p) of a monic product h of distinct linear
-    factors.  For a = 0, 1, ..., gcd(h, (x + a)^((p-1)/2) - 1) and
-    gcd(h, (x + a)^((p-1)/2) + 1) hold the roots r with r + a a nonzero
-    square and a non-square; -a is a root when their degrees add up to
-    less than h's.  The first a that leaves both below h splits it."""
-    if len(h) < 3:
-        return [-h[0] % p] if len(h) == 2 else []
-    a = 0
-    while True:
-        w = _pow_mod([a, 1], (p - 1) // 2, h, p)
-        sq, non = (_gcd_mod(h, _padd(w, [s]), p) for s in (-1, 1))
-        if max(len(sq), len(non)) < len(h):
-            zero = [-a % p] if len(sq) + len(non) == len(h) else []
-            return _split_roots(sq, p) + _split_roots(non, p) + zero
-        a += 1
+    m = 2 * ((ell if ell is not None else 1) + 2)
+    p = start + (1 - start) % m
+    while any(p % f == 0 for f in range(3, math.isqrt(p) + 1, 2)):
+        p += m
+    g = _generator(p)
+    z = pow(g, (p - 1) // m, p)
+    return p, g, min((pow(z, k, p) + pow(z, -k, p)) % p
+                     for k in range(1, m) if math.gcd(k, m) == 1)
 
 
 def _generator(p):
@@ -815,7 +758,8 @@ _LOG_MASK = (1 << _LOG_SHIFT) - 1
 
 def _modular_rank(cs):
     """Rank of the expanded system of two-term rows over GF(p), with d
-    mapped to a root of its minimal polynomial mod p.
+    mapped to a root of its minimal polynomial mod p (_prime_and_root,
+    which also gives the generator g of GF(p)*).
 
     A row va*x_a + vb*x_b with both coefficients nonzero mod p ties
     x_b = r * x_a with r = -va/vb; with one nonzero coefficient it
@@ -830,8 +774,7 @@ def _modular_rank(cs):
     components).  Raises StateSpaceTooLarge, before any per-state
     array, when n * (p - 1) does not fit the packed logs.
     """
-    poly = minimal_polynomial(cs.ell) if cs.ell is not None else [-1, 1]
-    p, droot = _find_prime_with_root([int(c) for c in poly])
+    p, g, droot = _prime_and_root(cs.ell)
     nsites = cs.lattice.nsites
     n = cs.n_states
     if n * (p - 1) >= _LOG_BIAS:
@@ -841,7 +784,7 @@ def _modular_rank(cs):
     for row in cs.rows:
         va, vb = (_coeff_mod(c, p, droot) for _, c in row.terms)
         coeffs.append((row, va, vb, -va * pow(vb, -1, p) % p if vb else 0))
-    log = _discrete_logs({r for *_, r in coeffs if r}, _generator(p), p)
+    log = _discrete_logs({r for *_, r in coeffs if r}, g, p)
     index = np.arange(n, dtype=np.int64)
     pack = index << _LOG_SHIFT
     pack += _LOG_BIAS
@@ -1169,11 +1112,12 @@ def joint_kernel(cs, skein, target=None):
 
     rows = sorted(reduced, key=lambda r: [(c, repr(v)) for c, v in r])
     exact = [[0] * g0 for _ in rows]
+    mat = np.zeros((max(len(rows), 1), g0))
     for r, key in enumerate(rows):
         for c, v in key:
             exact[r][c] = v
+            mat[r, c] = float(v)
     rank = exact_rank(exact)
-    mat = np.array([[float(v) for v in r] for r in exact] or [[0.0] * g0])
     # only s and vt are read: with at least g0 rows the reduced SVD
     # already has all g0 right vectors, and no m x m U is built
     _, s, vt = np.linalg.svd(mat, full_matrices=len(mat) < g0)

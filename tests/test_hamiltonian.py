@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from sympy import n_order, primefactors
+from sympy import isprime, n_order, primefactors
 
 from looptl import hamiltonian
 from looptl.errors import (ConfigInvalid, InconsistentCycle,
@@ -20,9 +20,8 @@ from looptl.errors import (ConfigInvalid, InconsistentCycle,
 from looptl.hamiltonian import (_PROPAGATED, ConstraintSystem, Row,
                                 _coeff_mod, _column_keys, _diagram_words,
                                 _discrete_logs, _distinct_columns,
-                                _find_prime_with_root, _generator,
-                                _modular_rank, _propagate_uncached,
-                                _split_roots, build_h0, build_hprime,
+                                _generator, _modular_rank,
+                                _propagate_uncached, build_h0, build_hprime,
                                 build_ring_exchange, code_space_probe,
                                 compile_skein_instances, containment_check,
                                 joint_kernel, joint_vectors_dense,
@@ -30,7 +29,7 @@ from looptl.hamiltonian import (_PROPAGATED, ConstraintSystem, Row,
                                 pauli_expand_check, uniform_state_energy)
 from looptl.lattice import (ENUM_STATE_CAP, HexTorusLattice,
                             SquareDiskLattice, SquareTorusLattice, census)
-from looptl.scalars import SpecialField, _pmul, minimal_polynomial
+from looptl.scalars import SpecialField, minimal_polynomial
 from looptl.tlcat import (enumerate_diagrams, identity_diagram,
                           stack_diagrams, u_diagram)
 from looptl.torus_census import _TABLES
@@ -254,21 +253,17 @@ def test_kernel_propagate_caps_state_space_before_allocating():
 # ---------------------------------------------------------------------------
 
 
-def _prime_and_root(cs):
-    return _prime_and_root_at(cs.ell)
-
-
 @functools.cache
 def _prime_and_root_at(ell):
-    poly = minimal_polynomial(ell) if ell is not None else [-1, 1]
-    return _find_prime_with_root([int(c) for c in poly])
+    p, _, root = hamiltonian._prime_and_root(ell)
+    return p, root
 
 
 def _dense_rank_mod_p(cs):
     """Rank of the expanded system by plain Gaussian elimination over
     GF(p), one matrix row per (pattern row, context), built state by
     state without the package's row expansion."""
-    p, droot = _prime_and_root(cs)
+    p, droot = _prime_and_root_at(cs.ell)
     n = cs.n_states
     lines = []
     for row in cs.rows:
@@ -306,7 +301,7 @@ def _random_two_term_system(seed, ell):
     unrelated to the coefficients."""
     rng = random.Random(seed)
     lat = SquareTorusLattice(2, 2)
-    p, _ = _prime_and_root(ConstraintSystem(lat, ell, [], "synthetic"))
+    p, _ = _prime_and_root_at(ell)
     field = SpecialField(ell) if ell is not None else None
 
     def scalar(a, b=0):
@@ -362,64 +357,36 @@ def test_modular_rank_reads_coefficients_not_dexp():
     assert cs.n_states - _modular_rank(cs) == 10
 
 
-def _block_scan_prime_with_root(poly, start=1_000_003):
-    """The first prime from start with a root of poly, and its smallest
-    root, by evaluating poly at every residue in numpy blocks."""
-    def is_prime(m):
-        if m % 2 == 0:
-            return m == 2
-        f = 3
-        while f * f <= m:
-            if m % f == 0:
-                return False
-            f += 2
-        return True
-
-    p = start
-    while True:
-        while not is_prime(p):
-            p += 2
-        for lo in range(0, p, 1 << 16):
-            xs = np.arange(lo, min(p, lo + (1 << 16)), dtype=np.int64)
-            acc = np.zeros_like(xs)
-            for c in reversed(poly):
-                acc = (acc * xs + int(c)) % p
-            roots = np.flatnonzero(acc == 0)
-            if len(roots):
-                return p, lo + int(roots[0])
-        p += 2
+def _residue_scan_root(poly, p):
+    """The smallest root of poly mod p, by evaluating poly at every
+    residue in numpy blocks."""
+    for lo in range(0, p, 1 << 16):
+        xs = np.arange(lo, min(p, lo + (1 << 16)), dtype=np.int64)
+        acc = np.zeros_like(xs)
+        for c in reversed(poly):
+            acc = (acc * xs + int(c)) % p
+        roots = np.flatnonzero(acc == 0)
+        if len(roots):
+            return lo + int(roots[0])
 
 
-# d's minimal polynomial at l = 1..10 and at no level, and x(x - 5),
-# whose smallest root 0 is the -a (a = 0) that splitting sets apart
-_ROOT_POLYS = {**{"l%d" % ell: [int(c) for c in minimal_polynomial(ell)]
-                  for ell in range(1, 11)},
-               "none": [-1, 1], "x(x-5)": [0, -5, 1]}
+# pinned (p, root) at no level (ring exchange), l = 1 and l = 2
+_KNOWN_PRIME_AND_ROOT = {None: (1_000_003, 1), 1: (1_000_003, 1),
+                         2: (1_000_033, 95_913)}
 
 
-@pytest.mark.parametrize("name", list(_ROOT_POLYS))
-def test_prime_and_root_by_gcd_equal_the_residue_scan(name):
-    poly = _ROOT_POLYS[name]
-    assert _find_prime_with_root(poly) == _block_scan_prime_with_root(poly)
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_split_roots_finds_each_root_once(seed):
-    p = 1_000_003
-    rng = random.Random(seed)
-    roots = {0, 1, p - 1, p - 2} | {rng.randrange(p) for _ in range(6)}
-    h = [1]
-    for r in roots:
-        h = [c % p for c in _pmul(h, [-r, 1])]
-    assert sorted(_split_roots(h, p)) == sorted(roots)
-
-
-def test_prime_search_moves_past_primes_without_a_root():
-    # 1,000,003 is 3 mod 4, so -1 is no square there
-    p, root = _find_prime_with_root([1, 0, 1])
-    assert p > 1_000_003 and p % 4 == 1
-    assert root * root % p == p - 1
-    assert (p, root) == _block_scan_prime_with_root([1, 0, 1])
+@pytest.mark.parametrize("ell", [None, *range(1, 11)])
+def test_prime_and_root_come_from_a_root_of_unity(ell):
+    # without a level d = 1 = 2cos(pi/3), the weight at l = 1
+    m = 2 * ((ell if ell is not None else 1) + 2)
+    p, g, root = hamiltonian._prime_and_root(ell)
+    assert p % m == 1 and isprime(p)
+    assert not any(isprime(q) for q in range(1_000_003, p) if q % m == 1)
+    assert g == _generator(p)
+    poly = minimal_polynomial(ell) if ell is not None else [-1, 1]
+    assert root == _residue_scan_root([int(c) for c in poly], p)
+    if ell in _KNOWN_PRIME_AND_ROOT:
+        assert (p, root) == _KNOWN_PRIME_AND_ROOT[ell]
 
 
 @pytest.mark.parametrize("ell", [None, 2, 3])
@@ -440,8 +407,8 @@ def test_generator_and_discrete_logs(ell):
 def test_log_packing_bound_raises_before_allocating(monkeypatch):
     cs = build_hprime(SquareTorusLattice(3, 3), 2)
     # n * (p - 1) = 2^18 * (2^24 + 42) passes 2^42
-    monkeypatch.setattr(hamiltonian, "_find_prime_with_root",
-                        lambda poly: (16_777_259, 1))
+    monkeypatch.setattr(hamiltonian, "_prime_and_root",
+                        lambda ell: (16_777_259, 2, 1))
     tracemalloc.start()
     try:
         with pytest.raises(StateSpaceTooLarge):
@@ -769,7 +736,7 @@ def _small_two_term_systems(draw):
     so that many cycles do not close."""
     lat = SquareTorusLattice(draw(st.integers(1, 4)), 1)
     ell = draw(st.sampled_from([None, 2]))
-    p, _ = _prime_and_root(ConstraintSystem(lat, ell, [], "synthetic"))
+    p, _ = _prime_and_root_at(ell)
     field = SpecialField(ell) if ell is not None else None
     values = [1, -1, 2, Fraction(1, 3), Fraction(-3, 2), p]
     coeffs = st.sampled_from(
