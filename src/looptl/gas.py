@@ -440,9 +440,10 @@ def detailed_balance_check(lat, model):
     """Exact detailed balance of the sampler on every single-flip pair.
 
     For each pair a -> b = a with one bond flipped, with (C, E) from the
-    lattice census, checks exactly that the cluster-form weights satisfy
-    w_b = w_a q^dC (p/(1-p))^(-1 if the bond is |+> in a else 1) -- in
-    the level's number field -- and both ways round.  Then Metropolis
+    lattice census, checks that |dC| <= 1 and, exactly, that the
+    cluster-form weights satisfy w_b = w_a q^dC (p/(1-p))^(-1 if the
+    bond is |+> in a else 1) -- in the level's number field -- and both
+    ways round.  Then Metropolis
     acceptance min(1, w_b/w_a) balances the flows.  The sampler's float entry
     acceptance_table(model)[(dC, spin)] must lie within 1e-12 relative
     of that exact ratio, and the C the sampler reads past the state cap
@@ -480,7 +481,7 @@ def detailed_balance_check(lat, model):
                 continue
             dc = clusters[b] - clusters[a]
             spin = (a >> bond) & 1
-            if weight[b] != weight[a] * exact[(dc, spin)] or \
+            if abs(dc) > 1 or weight[b] != weight[a] * exact[(dc, spin)] or \
                     weight[a] != weight[b] * exact[(-dc, 1 - spin)]:
                 return False, pairs
             pairs += 1

@@ -389,9 +389,10 @@ def _row_states(row):
 
 def _row_symmetry(cs):
     """The symmetries of the move graph, as site permutations, identity
-    first: the elements of the lattice's census group
-    (torus_census._TABLES) that map the set of the rows' (sites,
-    patterns, dexp), compared as state masks, onto itself."""
+    first: the elements of the census tables' symmetry
+    (torus_census._TABLES; the translations of a torus, the mirrors of
+    a disk, without the point group) that map the set of the rows'
+    (sites, patterns, dexp), compared as state masks, onto itself."""
     from .torus_census import _TABLES
     perms = _TABLES[cs.lattice.kind](cs.lattice).symmetry
     images = _row_images(cs.rows, perms).tolist()

@@ -538,8 +538,9 @@ class StateCensus:
 
     Each name of CENSUS_FIELDS is a uint8 array of length 2^nsites;
     plus_edges and minus_edges are E and E*, the |+> and |-> edges.
-    ``orbits`` is the number of symmetry orbits, the states tabulated;
-    ``seconds`` is the time the build took.
+    ``orbits`` is the number of orbits of the census group (on a square
+    torus the translations times the point group about a vertex), the
+    states tabulated; ``seconds`` is the time the build took.
     """
 
     def __init__(self, columns, orbits, seconds):
@@ -569,14 +570,17 @@ def census(lat):
     StateSpaceTooLarge, before allocating anything, when 2^N exceeds
     ENUM_STATE_CAP.
 
-    Every count is invariant under the lattice's symmetry group (the
-    translations of a torus, the two mirrors and the half turn of a
-    disk), so only the least state of each orbit
-    (torus_census.canonical_states) is tabulated, by
-    the numpy kernels of torus_census over chunks of CENSUS_CHUNK
-    states, and each state reads the row of its representative.
-    tabulate_by_walls, one extract_walls call per state, is the
-    reference the census is tested against.
+    Every count is invariant under the lattice's census group: the
+    translations of a torus, times the point group about a vertex on a
+    square torus, and the two mirrors and the half turn of a disk.  The
+    least state of each translation (or mirror) orbit comes from
+    torus_census.canonical_states, and its least image under the whole
+    group from torus_census.least_images.  Only the states that are
+    their own least image are tabulated, by the numpy kernels of
+    torus_census over chunks of CENSUS_CHUNK states; each
+    representative copies its least image's row, and each state its
+    representative's.  tabulate_by_walls, one extract_walls call per
+    state, is the reference the census is tested against.
     """
     key = _spec_key(lat)
     hit = _CENSUS_CACHE.get(key)
@@ -586,22 +590,27 @@ def census(lat):
     if n > ENUM_STATE_CAP:
         raise StateSpaceTooLarge("enumeration capped at %d states"
                                  % ENUM_STATE_CAP)
-    from .torus_census import canonical_states, tabulate_states
+    from .torus_census import canonical_states, least_images, tabulate_states
     t0 = time.perf_counter()
     columns = {name: np.empty(n, np.uint8) for name in CENSUS_FIELDS}
     reps = np.concatenate([states[canon == states]
                            for states, canon, _ in canonical_states(lat)])
-    for start in range(0, len(reps), CENSUS_CHUNK):
-        chunk = reps[start:start + CENSUS_CHUNK]
+    least = least_images(lat, reps)
+    own = reps[least == reps]
+    for start in range(0, len(own), CENSUS_CHUNK):
+        chunk = own[start:start + CENSUS_CHUNK]
         for name, col in tabulate_states(lat, chunk).items():
             columns[name][chunk] = col
-    # every state reads its representative's row; the blocks are walked
-    # again so that no index array is of size 2^N
+    # every translation representative reads its least image's row, and
+    # every state its representative's; the blocks are walked again so
+    # that no index array is of size 2^N
+    for col in columns.values():
+        col[reps] = col[least]
     for states, canon, _ in canonical_states(lat):
         block = slice(states[0], states[-1] + 1)
         for col in columns.values():
             col[block] = col[canon]
-    result = StateCensus(columns, len(reps), time.perf_counter() - t0)
+    result = StateCensus(columns, len(own), time.perf_counter() - t0)
     _CENSUS_CACHE[key] = result
     return result
 

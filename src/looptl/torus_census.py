@@ -10,13 +10,19 @@ computes the cluster count alone, for the Metropolis sampler past the
 state cap.
 
 Every count is a graph invariant of the lattice, so a state and its
-images under the lattice's symmetry group share one census row: the
-w*h translations on a torus, the two mirrors and the half turn of a
-disk.
-canonical_states maps each state to the least state of its orbit and
-to a group element that takes that state back to it; lattice.census
-tabulates only the representatives, and the ratio propagation of
-hamiltonian solves its move graph on the orbits.
+images under the lattice's census group share one census row.  On the
+square torus that group is the w*h translations times the point group
+about a vertex (the quarter turns and the mirrors when w = h, else the
+two mirrors and the half turn); on the hex torus it is the
+translations, and on a disk the two mirrors and the half turn.  The
+tables keep it as two factors: symmetry, the translations (a disk's
+mirrors), and points, the point group (the identity alone off the
+square torus).  canonical_states maps each state to the least state of
+its orbit under symmetry and to an element that takes that state back
+to it; the ratio propagation of hamiltonian solves its move graph on
+those orbits.  least_images maps each such representative to its least
+image under the whole census group, and lattice.census tabulates only
+the states that are their own least image.
 
 The square torus is tabulated from its own tables, built here from the
 mid-lattice port pairing and sharing no code with extract_walls.  The
@@ -60,9 +66,11 @@ _PAIRING = {
 # vertex of the primal graph only when |+>, and of the dual one only
 # when |->; `outer` dual nodes are never counted.  symmetry holds one
 # site permutation per row, the identity first: state bit s moves to
-# bit symmetry[g][s], and every census count stays the same.
+# bit symmetry[g][s], and every census count stays the same.  points
+# holds the point group about a vertex in the same form; every product
+# of an element of symmetry with one of points keeps every count too.
 _CensusTables = namedtuple("_CensusTables", "fixed edge_keys primal dual "
-                           "walk sites outer symmetry")
+                           "walk sites outer symmetry points")
 
 
 def tabulate_states(lat, states):
@@ -138,10 +146,11 @@ def canonical_states(lat, symmetry=None):
     canon[k] back to states[k]: the inverse of the first element that
     takes states[k] to canon[k], so the identity when canon[k] is
     states[k].  The group is symmetry, site permutations with the
-    identity first (at most 256 of them), by default the census's
-    (_TABLES).  Writing x = sum_c x_c 2^(10c) by bit chunks, the image
-    of x under a site permutation is the OR over c of table_c[x_c],
-    where table_c maps a chunk to its permuted bits; over a block of
+    identity first (at most 256 of them), by default the census
+    tables' symmetry (_TABLES), without their points.  Writing x =
+    sum_c x_c 2^(10c) by bit chunks, the image of x under a site
+    permutation is the OR over c of table_c[x_c], where table_c maps a
+    chunk to its permuted bits (_chunk_tables); over a block of
     top-chunk values that is an outer OR of the tables.  Each image is
     packed above its element's index, so one minimum finds both.  The
     blocks keep every array far below 2^N entries.
@@ -155,15 +164,8 @@ def canonical_states(lat, symmetry=None):
     low_bits = max(n - 1, 0) // _CHUNK_BITS * _CHUNK_BITS
     images = []
     for g, perm in enumerate(symmetry[1:], 1):
-        tables = []
-        # a lattice without sites has one state, its own least
-        for lo in range(0, max(n, 1), _CHUNK_BITS):
-            hi = min(n, lo + _CHUNK_BITS)
-            bits = (np.arange(1 << (hi - lo))[:, None]
-                    >> np.arange(hi - lo)) & 1
-            tables.append((bits @ (1 << perm[lo:hi]) << _ELEM_BITS)
-                          .astype(dtype))
-        *low, top = tables
+        *low, top = [(table << _ELEM_BITS).astype(dtype)
+                     for table in _chunk_tables(perm, n)]
         images.append((top, functools.reduce(np.bitwise_or.outer,
                                              reversed(low),
                                              dtype(g)).ravel()))
@@ -177,6 +179,42 @@ def canonical_states(lat, symmetry=None):
             np.minimum(rows, top[r:r + _BLOCK_ROWS, None] | rest, out=rows)
         yield (states, least >> _ELEM_BITS,
                inverse[(least & ((1 << _ELEM_BITS) - 1)).astype(np.uint8)])
+
+
+def least_images(lat, states):
+    """Least image of each of the given states under every product t p
+    of an element t of the census's symmetry and an element p of its
+    points (_TABLES), block by block, as an array aligned with states.
+    A state's image under each product is read from its chunk tables,
+    as in canonical_states; each block holds at most 2^16 images."""
+    t = _TABLES[lat.kind](lat)
+    # t p sends state bit s to bit symmetry[t][points[p][s]]
+    group = np.concatenate([t.symmetry[:, p] for p in t.points])
+    tables = [table.astype(states.dtype)
+              for table in _chunk_tables(group, lat.nsites)]
+    block = max(1, (1 << 16) // len(group))
+    least = np.empty_like(states)
+    for lo in range(0, len(states), block):
+        x = states[lo:lo + block]
+        images = functools.reduce(np.bitwise_or, (
+            table[:, (x >> (c * _CHUNK_BITS)) & (table.shape[1] - 1)]
+            for c, table in enumerate(tables)))
+        least[lo:lo + block] = images.min(0)
+    return least
+
+
+def _chunk_tables(perms, n):
+    """Image bits of every value of each _CHUNK_BITS-site chunk of the
+    n sites under a site permutation, or a stack of them along the last
+    axis, as int64 arrays: a state x = sum_c x_c 2^(10c) goes to the
+    OR over c of table_c[..., x_c]."""
+    tables = []
+    # a lattice without sites has one state, its own least
+    for lo in range(0, max(n, 1), _CHUNK_BITS):
+        hi = min(n, lo + _CHUNK_BITS)
+        bits = (np.arange(1 << (hi - lo)) >> np.arange(hi - lo)[:, None]) & 1
+        tables.append((1 << perms[..., lo:hi]) @ bits)
+    return tables
 
 
 def _midpoint(lat, site):
@@ -245,9 +283,24 @@ def _torus_tables(w, h):
     coords = [lat.bond_coords(site) for site in sites]
     shifts = [[lat.bond_index(o, i + a, j + b) for o, i, j in coords]
               for b in range(h) for a in range(w)]
+    # about vertex (0, 0), the x mirror takes bond (o, i, j) to
+    # (o, -i - 1, j) or (o, -i, j); the quarter turn, a symmetry only
+    # when w = h, takes it to (1, -j, i) or (0, -j - 1, i), and the half
+    # turn to (o, -i - 1, -j) or (o, -i, -j - 1)
+    mirror = np.array([lat.bond_index(o, o - i - 1, j) for o, i, j in coords])
+    turn = np.array([lat.bond_index(1 - o, -j - o, i) if w == h else
+                     lat.bond_index(o, o - i - 1, -j - o)
+                     for o, i, j in coords])
+    turns = [sites]
+    for _ in range(3 if w == h else 1):
+        turns.append(turn[turns[-1]])
+    # the turns, then each followed by the mirror; on a torus one bond
+    # wide some coincide, and each permutation is listed once
+    points = turns + [mirror[r] for r in turns]
     return _CensusTables((), (sites, sites), _TorusGraph(primal, w * h),
                          _TorusGraph(dual, w * h), walk,
-                         np.empty(0, int), 0, np.array(shifts))
+                         np.empty(0, int), 0, np.array(shifts),
+                         np.array(list(dict.fromkeys(map(tuple, points)))))
 
 
 @functools.cache
@@ -273,7 +326,8 @@ def _disk_tables(w, h, boundary_plus):
     return _CensusTables(fixed, (bonds, bonds), _graph_of(primal),
                          _graph_of(dual), _walk_arrays(walk, None),
                          np.empty(0, int), 1,
-                         np.array(list(dict.fromkeys(mirrors)), dtype=int))
+                         np.array(list(dict.fromkeys(mirrors)), dtype=int),
+                         np.arange(lat.nsites)[None])
 
 
 @functools.cache
@@ -290,7 +344,7 @@ def _hex_tables(w, h):
               for b in range(h) for a in range(w)]
     return _CensusTables((), tuple(np.array(ends).T), graph, graph,
                          _walk_arrays(walk, wall), np.arange(w * h), 0,
-                         np.array(shifts))
+                         np.array(shifts), np.arange(lat.nsites)[None])
 
 
 _TABLES = {

@@ -1,12 +1,13 @@
 """The whole-state-space census against the per-state extract_walls
 oracle, its capacity guard, and the sampler's two ways of finding dC."""
 
+import copy
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from looptl import gas
+from looptl import gas, torus_census
 from looptl.errors import StateSpaceTooLarge
 from looptl.lattice import (CENSUS_FIELDS, ENUM_STATE_CAP, HexTorusLattice,
                             SquareDiskLattice, SquareTorusLattice, census,
@@ -114,7 +115,53 @@ def test_orbit_count_is_burnside_count(lat, orbits):
     # Burnside: orbits = (1/|G|) sum over g of 2^(cycles of g)
     fixed = sum(1 << _cycles(g) for g in group)
     assert fixed == orbits * len(group)
+    assert sum(int((canon == states).sum())
+               for states, canon, _ in canonical_states(lat)) == orbits
+    if lat.kind != "square-torus":
+        # only the square torus has a point group in the census
+        assert census(lat).orbits == orbits
+
+
+def _torus_group(lat):
+    """Every product of a translation and a point symmetry about vertex
+    (0, 0) of a square torus, as site permutations read from the bond
+    midpoints in half units: (2i + 1, 2j) for a horizontal bond and
+    (2i, 2j + 1) for a vertical one.  Each element is listed once, as an
+    element of the group; on a torus one bond wide two of them may move
+    the bonds alike."""
+    w, h = lat.w, lat.h
+    mids = []
+    for site in range(lat.nsites):
+        o, i, j = lat.bond_coords(site)
+        mids.append((2 * i + 1 - o, 2 * j + o))
+    site_at = {mid: site for site, mid in enumerate(mids)}
+    # (a, b, c, d) maps (x, y) to (ax + by, cx + dy); those that swap
+    # the axes map the torus to itself only when w = h
+    linear = [(a, 0, 0, d) for a in (1, -1) for d in (1, -1)]
+    if w == h:
+        linear += [(0, b, c, 0) for b in (1, -1) for c in (1, -1)]
+    return [[site_at[(a * x + b * y + 2 * u) % (2 * w),
+                     (c * x + d * y + 2 * v) % (2 * h)] for x, y in mids]
+            for a, b, c, d in linear for u in range(w) for v in range(h)]
+
+
+@pytest.mark.parametrize("w,h,orbits,order", [
+    (1, 1, 3, 8), (2, 2, 28, 32), (3, 2, 291, 24), (3, 3, 4172, 72),
+], ids=["1x1", "2x2", "3x2", "3x3"])
+def test_census_orbits_are_burnside_count_of_the_full_group(w, h, orbits,
+                                                            order):
+    lat = SquareTorusLattice(w, h)
+    group = _torus_group(lat)
+    assert len(group) == order
+    assert all(sorted(g) == list(range(lat.nsites)) for g in group)
+    fixed = sum(1 << _cycles(g) for g in group)
+    assert fixed == orbits * order
     assert census(lat).orbits == orbits
+    # the census's products of translations and point elements are
+    # the same permutations
+    t = _TABLES[lat.kind](lat)
+    assert {tuple(t.symmetry[k][p]) for k in range(len(t.symmetry))
+            for p in t.points} == {tuple(g) for g in group}
 
 
 def _image(perm, state):
@@ -187,21 +234,24 @@ def test_census_through_orbits_matches_every_state(lat):
         assert getattr(cen, name).tobytes() == want.tobytes(), name
 
 
-@pytest.mark.parametrize("lat,order", [
-    (SquareTorusLattice(4, 4), 16), (SquareTorusLattice(5, 3), 15),
-    (HexTorusLattice(5, 5), 25), (SquareDiskLattice(4, 3), 4),
-    (SquareDiskLattice(3, 4, boundary_plus=True), 4),
-], ids=["4x4", "5x3", "hex-5x5", "disk-4x3-minus", "disk-3x4-plus"])
-def test_walls_are_invariant_under_the_census_symmetries(lat, order):
+@pytest.mark.parametrize("lat,order,points", [
+    (SquareTorusLattice(4, 4), 16, 8), (SquareTorusLattice(5, 3), 15, 4),
+    # one bond wide, the x mirror moves no bond
+    (SquareTorusLattice(1, 4), 4, 2),
+    (HexTorusLattice(5, 5), 25, 1), (SquareDiskLattice(4, 3), 4, 1),
+    (SquareDiskLattice(3, 4, boundary_plus=True), 4, 1),
+], ids=["4x4", "5x3", "1x4", "hex-5x5", "disk-4x3-minus", "disk-3x4-plus"])
+def test_walls_are_invariant_under_the_census_symmetries(lat, order, points):
     # the census reads one row per orbit; the per-state oracle must give
     # every image of a state the counts of the state itself
     states = np.random.default_rng(20261021).integers(0, 1 << lat.nsites,
                                                       100)
     want = tabulate_by_walls(lat, states)
     bits = (states[:, None] >> np.arange(lat.nsites)) & 1
-    group = _symmetry(lat)
-    assert len(group) == order
-    for perm in group[1:]:
+    t = _TABLES[lat.kind](lat)
+    assert (len(t.symmetry), len(t.points)) == (order, points)
+    assert t.points[0].tolist() == list(range(lat.nsites))
+    for perm in [*t.symmetry[1:], *t.points[1:]]:
         images = (bits << perm).sum(1)
         assert not np.array_equal(images, states)
         _assert_columns_equal(tabulate_by_walls(lat, images), want)
@@ -246,6 +296,29 @@ def test_detailed_balance_catches_a_wrong_acceptance_entry(monkeypatch):
     table[(1, 0)] *= 1 + 1e-9
     monkeypatch.setattr(gas, "acceptance_table", lambda model: table)
     assert gas.detailed_balance_check(lat, g)[0] is False
+
+
+def test_detailed_balance_catches_a_wrong_kernel_count(monkeypatch):
+    lat = SquareTorusLattice(2, 2)
+    read = torus_census.cluster_counts
+
+    def planted(lat, states):
+        counts = read(lat, states)
+        counts[states == 17] += 1
+        return counts
+    monkeypatch.setattr(torus_census, "cluster_counts", planted)
+    assert gas.detailed_balance_check(lat, gas.potts_params(2)) == (False, 0)
+
+
+def test_detailed_balance_catches_a_shifted_census_count(monkeypatch):
+    lat = SquareTorusLattice(2, 2)
+    cen = copy.copy(census(lat))
+    cen.clusters = cen.clusters.copy()
+    # C = 2 becomes 3 next to a state with C = 1: one flip moves C by 2
+    cen.clusters[17] += 1
+    monkeypatch.setattr(gas, "census", lambda lat: cen)
+    assert gas.detailed_balance_check(lat, gas.potts_params(2)) == \
+        (False, 103)
 
 
 def test_detailed_balance_exact_in_number_field():
