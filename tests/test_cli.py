@@ -121,8 +121,7 @@ def test_tl_jw_stdout_is_pinned(capsys, flags):
 # annulus and lattice layers printed it before their forwarders and unread
 # options were deleted
 _STDOUT_SHA256 = {
-    # the census orbits went 76 -> 28 when the point group joined the
-    # translations; with 76 the digest was 4f5bff58...
+    # with the census's 28 orbits of translations times point group
     ("gas", "exact", "--torus", "2x2", "--ell", "2"):
         "d9678eab59fbf57ffafe69b845f66a23d9a9c85859422ff8649dcc54a3d4a740",
     # past the state cap: C from the census kernel and dict tallies
