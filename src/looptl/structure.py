@@ -11,10 +11,10 @@ from __future__ import annotations
 from .errors import MismatchAtGrade, SignatureMismatch
 from .linalg import Echelon, rank
 from .scalars import _one_denominator
-from .tlcat import (Morphism, _check_diagram_cap, _loop_folder, _loop_powers,
-                    cap_diagram, catalan, compose, cup_diagram,
-                    enumerate_diagrams, gram_exponents, jones_wenzl,
-                    radical_vectors, stack_diagrams, u_diagram)
+from .tlcat import (Diagram, Morphism, _check_diagram_cap, _loop_folder,
+                    _loop_powers, catalan, enumerate_diagrams,
+                    gram_exponents, jones_wenzl, radical_vectors,
+                    stack_diagrams, u_diagram)
 
 
 # ---------------------------------------------------------------------------
@@ -25,18 +25,36 @@ from .tlcat import (Morphism, _check_diagram_cap, _loop_folder, _loop_powers,
 def conditional_expectation(a):
     """The trace-preserving expectation from grade n+1 down to grade n.
 
-    Caps the last strand:  eps(a) = (1_n x cup) (a x 1) (1_n x cap).
-    Satisfies eps(1_{n+1}) = d * 1_n and preserves the Markov trace.
+    Caps the last strand, eps(a) = (1_n x cup) (a x 1) (1_n x cap), as a
+    partial trace: each diagram's top point n is joined to its bottom
+    point 2n+1 in one pass over its pairs, times d when the two are
+    already paired (the join closes a loop), and the coefficients are
+    summed per grade-n diagram.  Satisfies eps(1_{n+1}) = d * 1_n and
+    preserves the Markov trace.
     """
     if a.m != a.n:
         raise SignatureMismatch("conditional expectation needs a square input")
+    if not a.m:
+        raise SignatureMismatch(
+            "conditional expectation needs grade >= 1, not grade 0")
     n = a.m - 1
     d = a.d
-    idn = Morphism.identity(n, d)
-    cup = idn.tensor(Morphism.from_diagram(cup_diagram(), d))   # (n+2, n)
-    cap = idn.tensor(Morphism.from_diagram(cap_diagram(), d))   # (n, n+2)
-    a1 = a.tensor(Morphism.identity(1, d))                      # (n+2, n+2)
-    return compose(compose(cup, a1), cap)
+    top, bottom = n, 2 * n + 1
+    # a grade-(n+1) point's index at grade n; the two joined points map
+    # to -1, and their mates are paired to each other below
+    place = list(range(n)) + [-1] + list(range(n, 2 * n)) + [-1]
+    out = {}
+    for diag, c in a.terms.items():
+        pairs = diag.pairs
+        new = [place[q] for q in pairs[:top] + pairs[top + 1:bottom]]
+        if pairs[top] == bottom:
+            c = c * d
+        else:
+            i, j = place[pairs[top]], place[pairs[bottom]]
+            new[i], new[j] = j, i
+        key = Diagram(n, n, new)
+        out[key] = out[key] + c if key in out else c
+    return Morphism(n, n, out, d)
 
 
 # ---------------------------------------------------------------------------

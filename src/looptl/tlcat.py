@@ -122,16 +122,6 @@ def identity_diagram(n):
     return Diagram(n, n, [n + i for i in range(n)] + list(range(n)))
 
 
-def cap_diagram():
-    """The (0, 2)-diagram: an arc joining the two bottom points."""
-    return Diagram(0, 2, [1, 0])
-
-
-def cup_diagram():
-    """The (2, 0)-diagram: an arc joining the two top points."""
-    return Diagram(2, 0, [1, 0])
-
-
 def u_diagram(n, i):
     """The hook generator on strands i, i+1 (0-based) inside grade n."""
     if not 0 <= i < n - 1:
@@ -384,17 +374,38 @@ class Morphism:
         return Morphism(self.m + other.m, self.n + other.n, out, self.d)
 
 
+# _power_numerators' entries, keyed by (d, top)
+_power_table = {}
+
+
+def _power_numerators(d, top):
+    """d^0 .. d^top of an exact loop weight d over one denominator, as
+    (powers, width, den): powers[l] holds the nonzero (index, integer)
+    entries of d^l's numerator as _one_denominator gives it, width is the
+    longest numerator's length and den the common denominator.  Each
+    entry is built on first use, kept in _power_table and never changed
+    after: top is at most a grade's loop count, so the table stays
+    small."""
+    key = (d, top)
+    entry = _power_table.get(key)
+    if entry is None:
+        pnums, pden = _one_denominator([d ** l for l in range(top + 1)])
+        entry = _power_table[key] = (
+            tuple(tuple((j, y) for j, y in enumerate(p) if y)
+                  for p in pnums),
+            max(len(p) for p in pnums), pden)
+    return entry
+
+
 def _loop_folder(d, top, *dens):
     """fold(sums): the exact scalar sum_l sums[l] d^l / prod(dens),
     normalised once, or None when it is zero (which costs no gcd).  sums
     is a nonempty map from loop counts l <= top to integer polynomial
     numerators as _one_denominator gives them, dens are denominators of
-    that backend.  d^0 .. d^top are computed and brought to one
-    denominator here, once per folder; over Q(delta) each fold reduces
-    its total through the field's power table once."""
-    pnums, pden = _one_denominator([d ** l for l in range(top + 1)])
-    powers = [[(j, y) for j, y in enumerate(p) if y] for p in pnums]
-    width = max(len(p) for p in pnums)
+    that backend.  d^0 .. d^top over one denominator come from
+    _power_numerators; over Q(delta) each fold reduces its total through
+    the field's power table once."""
+    powers, width, pden = _power_numerators(d, top)
     if isinstance(d, RationalFunc):
         den = list(pden)
         for x in dens:

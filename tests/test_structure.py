@@ -4,13 +4,14 @@ from fractions import Fraction
 import pytest
 
 from looptl import structure, tlcat
-from looptl.errors import MismatchAtGrade
+from looptl.errors import MismatchAtGrade, SignatureMismatch
 from looptl.linalg import Echelon
-from looptl.scalars import SpecialField
+from looptl.scalars import D_GENERIC, RationalFunc, SpecialField
 from looptl.structure import (catalan, conditional_expectation, ideal_span,
                               radical_vectors, verify_ideal_theorem)
-from looptl.tlcat import (Morphism, compose, enumerate_diagrams, jones_wenzl,
-                          markov_trace)
+from looptl.tlcat import (Diagram, Morphism, compose, enumerate_diagrams,
+                          identity_diagram, jones_wenzl, markov_trace,
+                          tensor_diagrams)
 
 
 def test_catalan_values():
@@ -21,6 +22,73 @@ def test_conditional_expectation_scales_identity():
     p = jones_wenzl(3)
     e = conditional_expectation(Morphism.identity(3, p.d))
     assert e == Morphism.identity(2, p.d).scale(p.d)
+
+
+def test_conditional_expectation_rejects_grade_zero():
+    with pytest.raises(SignatureMismatch, match="grade >= 1, not grade 0"):
+        conditional_expectation(Morphism.identity(0, D_GENERIC))
+
+
+def _capped_composite(a):
+    """(1_n x cup) (a x 1) (1_n x cap) for a at grade n+1, built from
+    compose and tensor: the cap opens two bottom points on the right, a
+    x 1 acts on the left one, and the cup closes them again."""
+    n, d = a.m - 1, a.d
+    idn = Morphism.identity(n, d)
+    cup = idn.tensor(Morphism.from_diagram(Diagram(2, 0, [1, 0]), d))
+    cap = idn.tensor(Morphism.from_diagram(Diagram(0, 2, [1, 0]), d))
+    a1 = a.tensor(Morphism.identity(1, d))
+    return compose(compose(cup, a1), cap)
+
+
+def _random_grade(n, rng, backend):
+    """Up to 12 random terms at grade n, plus a term that pairs top point
+    n-1 with bottom point 2n-1: a random grade-(n-1) diagram beside a
+    through strand."""
+    if backend == "generic":
+        d = D_GENERIC
+
+        def coeff():
+            return RationalFunc([rng.randint(-3, 3), rng.randint(-2, 2)],
+                                [rng.randint(1, 3), rng.randint(0, 1)])
+    elif backend == "float":
+        d = 2.5
+
+        def coeff():
+            return rng.uniform(-2.0, 2.0)
+    else:
+        field = SpecialField(backend)
+        d = field.delta
+
+        def coeff():
+            return field.element([rng.randint(-3, 3) for _ in range(2)]) \
+                / field.element([rng.randint(1, 4)])
+    basis = enumerate_diagrams(n, n)
+    terms = {diag: coeff()
+             for diag in rng.sample(basis, min(12, len(basis)))}
+    through = tensor_diagrams(rng.choice(enumerate_diagrams(n - 1, n - 1)),
+                              identity_diagram(1))
+    terms[through] = coeff()
+    return Morphism(n, n, terms, d)
+
+
+@pytest.mark.parametrize("backend", ["generic", 2, 5, "float"])
+def test_conditional_expectation_is_the_capped_composite(backend):
+    """The direct partial trace equals (1_n x cup) (a x 1) (1_n x cap) on
+    random morphisms at grades 1..6, exactly over generic Q(d) and
+    Q(delta) at levels 2 and 5, and to 1e-12 relative over floats."""
+    rng = random.Random(str(backend))
+    for grade in range(1, 7):
+        for _ in range(4):
+            a = _random_grade(grade, rng, backend)
+            got, want = conditional_expectation(a), _capped_composite(a)
+            assert (got.m, got.n) == (want.m, want.n) == (grade - 1,) * 2
+            if backend != "float":
+                assert got.terms == want.terms
+                continue
+            assert got.terms.keys() == want.terms.keys()
+            for diag, c in want.terms.items():
+                assert abs(got.terms[diag] - c) <= 1e-12 * abs(c)
 
 
 def _random_square(n, rng, field):
@@ -159,3 +227,32 @@ def test_containment_check_flags_only_vectors_outside_the_radical(
     monkeypatch.setattr(structure, "ideal_span", escaped)
     with pytest.raises(MismatchAtGrade, match="escapes the radical"):
         verify_ideal_theorem(ell, ell + 2)
+
+
+def test_verify_ideal_theorem_flags_a_radical_below_the_generator(
+        monkeypatch):
+    """A rank one short at grade 1 leaves a nonzero radical below the
+    generator grade 3 (level 2)."""
+    real = structure.rank
+
+    def short(mat):
+        return real(mat) - 1
+    monkeypatch.setattr(structure, "rank", short)
+    with pytest.raises(MismatchAtGrade,
+                       match="below the generator grade at n=1"):
+        verify_ideal_theorem(2, 3)
+
+
+def test_verify_ideal_theorem_flags_an_ideal_short_of_the_radical(
+        monkeypatch):
+    """An ideal span that drops its last vector still lies in the radical,
+    but is one dimension short of it at the generator grade."""
+    real = structure.ideal_span
+
+    def dropped(gen, n):
+        rows, basis = real(gen, n)
+        return rows[:-1], basis
+    monkeypatch.setattr(structure, "ideal_span", dropped)
+    with pytest.raises(MismatchAtGrade, match="radical dim 1 != ideal dim 0 "
+                                              "at n=3"):
+        verify_ideal_theorem(2, 3)

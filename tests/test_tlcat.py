@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from looptl import tlcat
 from looptl.errors import PoleAtSpecialValue, SignatureMismatch
 from looptl.scalars import (D_GENERIC, RationalFunc, SpecialField,
-                            quantum_int, specialize)
+                            _one_denominator, quantum_int, specialize)
 from looptl.structure import catalan
 from looptl.tlcat import (Diagram, Morphism, _jw_cleared, bar, compose,
                           compose_factored, enumerate_diagrams,
@@ -503,3 +504,45 @@ def test_compose_factored_equals_compose(seed, backend):
     if l == m:
         b = b + Morphism.identity(m, b.d).scale(b.d + 1)
     assert compose_factored(a, b) == compose(a, b)
+
+
+class _ReadLog(dict):
+    """A dict that records the keys looked up through get."""
+
+    def __init__(self):
+        super().__init__()
+        self.reads = []
+
+    def get(self, key, default=None):
+        self.reads.append(key)
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("d", [D_GENERIC] + [SpecialField(ell).delta
+                                             for ell in range(1, 7)],
+                         ids=["generic"] + [f"l{ell}" for ell in range(1, 7)])
+def test_power_table_holds_one_denominator_of_the_powers(d, monkeypatch):
+    """Each (d, top) entry is d^0 .. d^top brought to one denominator:
+    the nonzero entries of each numerator, the longest numerator's length
+    and the denominator.  A compose and a markov_trace that read the
+    table leave every entry as it was."""
+    table = _ReadLog()
+    monkeypatch.setattr(tlcat, "_power_table", table)
+    for top in range(13):
+        nums, den = _one_denominator([d ** l for l in range(top + 1)])
+        want = (tuple(tuple((j, y) for j, y in enumerate(num) if y)
+                      for num in nums), max(len(num) for num in nums), den)
+        assert tlcat._power_numerators(d, top) == want
+        assert table[(d, top)] == want
+    before = dict(table)
+    del table.reads[:]
+    p = jones_wenzl(3) if d == D_GENERIC else Morphism.identity(3, d)
+    x = Morphism.identity(4, d).scale(d + 1) + Morphism.hook(4, 1, d)
+    prod = compose(x, compose(Morphism.hook(4, 2, d), x))
+    assert markov_trace(p) == _naive_trace(p)
+    assert prod == Morphism(4, 4, dict(_naive_compose(
+        x, Morphism(4, 4, dict(_naive_compose(Morphism.hook(4, 2, d), x)),
+                    d))), d)
+    assert table.reads and all(key in before for key in table.reads)
+    assert table == before
+    assert all(table[key] is entry for key, entry in before.items())
