@@ -24,9 +24,11 @@ def test_conditional_expectation_scales_identity():
     assert e == Morphism.identity(2, p.d).scale(p.d)
 
 
-def test_conditional_expectation_rejects_grade_zero():
+def test_conditional_expectation_rejects_grade_zero_and_non_square():
     with pytest.raises(SignatureMismatch, match="grade >= 1, not grade 0"):
         conditional_expectation(Morphism.identity(0, D_GENERIC))
+    with pytest.raises(SignatureMismatch, match="square input"):
+        conditional_expectation(Morphism.zero(2, 4, D_GENERIC))
 
 
 def _capped_composite(a):
