@@ -14,7 +14,7 @@ class SignatureMismatch(LoopTLError):
 
 
 class IndexOutOfRange(LoopTLError):
-    """A strand or generator index lies outside the valid range."""
+    """A strand, generator or column index lies outside the valid range."""
 
 
 class MismatchAtGrade(LoopTLError):

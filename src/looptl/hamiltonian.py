@@ -50,7 +50,7 @@ import numpy as np
 from .errors import (ConfigInvalid, InconsistentCycle, StateSpaceTooLarge,
                      WindowDoesNotFit)
 from .lattice import ENUM_STATE_CAP, HexTorusLattice, SquareTorusLattice
-from .linalg import rank as exact_rank
+from .linalg import Echelon
 from .scalars import FieldElement, SpecialField
 from .tlcat import (catalan, identity_diagram, jones_wenzl, stack_diagrams,
                     u_diagram)
@@ -1112,13 +1112,11 @@ def joint_kernel(cs, skein, target=None):
     reduced = _reduced_rows(cs, skein_rows, comp, pot)
 
     rows = sorted(reduced, key=lambda r: [(c, repr(v)) for c, v in r])
-    exact = [[0] * g0 for _ in rows]
     mat = np.zeros((max(len(rows), 1), g0))
     for r, key in enumerate(rows):
         for c, v in key:
-            exact[r][c] = v
             mat[r, c] = float(v)
-    rank = exact_rank(exact)
+    rank = len(Echelon(g0, rows).pivots)
     # only s and vt are read: with at least g0 rows the reduced SVD
     # already has all g0 right vectors, and no m x m U is built
     _, s, vt = np.linalg.svd(mat, full_matrices=len(mat) < g0)

@@ -1,23 +1,26 @@
 """Exact linear algebra over the package's scalars: one echelon reducer.
 
-Vectors are lists of exact scalars of one backend: Q(delta) elements,
-RationalFunc, or the rationals (int and Fraction), which may also be
-mixed into either of the others.  Each backend has canonical equality,
-so a reduced row echelon form can be compared entry by entry.
+Scalars are of one backend: Q(delta) elements, RationalFunc, or the
+rationals (int and Fraction), which may also be mixed into either of
+the others.  Each backend has canonical equality, so a reduced row
+echelon form can be compared entry by entry.
 
-Inside Echelon a row is integer numerators over one denominator, as
+Echelon(ncols, rows) takes a row as distinct (column, scalar) pairs in
+any order, columns in 0..ncols-1, zeros dropped; rref, rank, nullspace
+and same_span pass a dense row as enumerate(row).  Inside Echelon a
+row is integer numerators over one denominator, as
 scalars._one_denominator gives them: power-basis numerators over a
 positive integer for Q(delta), and for the rationals as the degree-1
 field (level 1, delta = 1); integer polynomials in d over one
-polynomial for RationalFunc.  Only a row's nonzero columns (its support)
-are stored.  Clearing column c of vec (numerators vn over vd) with the
-pivot row (rn over rd, rn[c] == rd) is vn * s - f * rn over vd * s,
-where f / s is vn[c] / rd in lowest terms: f acts as one multiplication
-map per operation, and vd gains only the cofactors s.  The content is
-divided out once per vector, when it becomes a row.  Scalars are built
-only where rows leave the class: rows, reduce and reduced, and so rref,
-nullspace and same_span.  The two backends differ only in their
-numerator arithmetic (_FieldRows, _PolyRows).
+polynomial for RationalFunc.  Only a row's nonzero columns (its
+support) are stored.  Clearing column c of vec (numerators vn over vd)
+with the pivot row (rn over rd, rn[c] == rd) is vn * s - f * rn over
+vd * s, where f / s is vn[c] / rd in lowest terms: f acts as one
+multiplication map per operation, and vd gains only the cofactors s.
+The content is divided out once per vector, when it becomes a row.
+Scalars are built only where rows leave the class: rows and reduced,
+and so rref, nullspace and same_span.  The two backends differ only in
+their numerator arithmetic (_FieldRows, _PolyRows).
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from fractions import Fraction
 from itertools import chain, repeat
 from operator import add, floordiv, mul, sub
 
+from .errors import IndexOutOfRange
 from .scalars import (FieldElement, RationalFunc, SpecialField, _canonical,
                       _one_denominator, _padd, _pcontent, _pexact_div, _pgcd,
                       _pmul)
@@ -177,31 +181,31 @@ def _eliminate(ops, vec, vd, pivots, rows):
 
 
 class Echelon:
-    """Row echelon form of a growing set of rows.
+    """Row echelon form of a growing set of rows of length ncols.
 
     Row i has a one in column pivots[i], zeros before it and zeros in
     every pivot column that existed when it was added; pivots ascend.
     It is stored as (support, numerators, denominator): its nonzero
     columns in ascending order, their numerators, and one denominator.
-    rows gives the rows as scalars; reduced() back-substitutes once to
-    the reduced row echelon form.
+    rows gives the rows as dense lists of scalars; reduced()
+    back-substitutes once to the reduced row echelon form.
     """
 
-    def __init__(self, rows=()):
+    def __init__(self, ncols, rows=()):
         self.pivots = []
         self._rows = []
         self._ops = None
-        self._ncols = None
+        self._ncols = ncols
         for row in rows:
             self.add(row)
 
-    def _encode(self, vec):
-        """(column -> numerator, den) of vec's nonzero entries, or
-        (None, None) for a zero vector.  The first nonzero vector fixes
-        the backend and the row length."""
-        ent = [(j, x) for j, x in enumerate(vec) if x]
+    def _encode(self, row):
+        """(column -> numerator, den) of row's nonzero (column, scalar)
+        pairs; ({}, None) when it has none.  The first nonzero row fixes
+        the backend."""
+        ent = [(j, x) for j, x in row if x]
         if not ent:
-            return None, None
+            return {}, None
         if self._ops is None:
             kind = next((x for _, x in ent if isinstance(
                 x, (FieldElement, RationalFunc))), None)
@@ -209,7 +213,6 @@ class Echelon:
                 self._ops = _PolyRows()
             else:
                 self._ops = _FieldRows(None if kind is None else kind.field)
-            self._ncols = len(vec)
         nums, den = self._ops.encode([x for _, x in ent])
         return dict(zip((j for j, _ in ent), nums)), den
 
@@ -218,28 +221,22 @@ class Echelon:
         value = self._ops.value
         out = [value(self._ops.zero_num, self._ops.one)] * self._ncols
         for j, v in items:
-            if any(v):
-                out[j] = value(v, den)
+            out[j] = value(v, den)
         return out
 
-    def reduce(self, vec):
-        """vec less the combination of rows that clears every pivot column."""
-        enc, den = self._encode(vec)
-        if enc is None:
-            return list(vec)
-        enc, den = _eliminate(self._ops, enc, den, self.pivots, self._rows)
-        return self._scalars(enc.items(), den)
-
-    def add(self, vec):
-        """Add vec's reduction as a new row; False if vec is in the span."""
-        enc, den = self._encode(vec)
-        if enc is None:
-            return False
+    def add(self, row):
+        """Add row's reduction as a new row; False if row is in the span.
+        IndexOutOfRange if its support leaves 0..ncols-1."""
+        enc, den = self._encode(row)
         ops = self._ops
         enc, _ = _eliminate(ops, enc, den, self.pivots, self._rows)
+        # pivots lie in range: elimination clears no column outside it
         support = sorted(j for j, v in enc.items() if any(v))
         if not support:
             return False
+        if support[0] < 0 or support[-1] >= self._ncols:
+            raise IndexOutOfRange("row column outside 0..%d"
+                                  % (self._ncols - 1))
         c = support[0]
         num, den = ops.inverse(enc[c])
         nums, den = ops.content(ops.times(num)([enc[j] for j in support]),
@@ -269,14 +266,19 @@ class Echelon:
                 for support, nums, den in rows]
 
 
+def _dense(mat):
+    """The Echelon of a dense matrix's rows, each fed as enumerate(row)."""
+    return Echelon(len(mat[0]) if mat else 0, map(enumerate, mat))
+
+
 def rref(mat):
     """(nonzero rows of the reduced row echelon form, pivot columns)."""
-    ech = Echelon(mat)
+    ech = _dense(mat)
     return ech.reduced(), ech.pivots
 
 
 def rank(mat):
-    return len(Echelon(mat).pivots)
+    return len(_dense(mat).pivots)
 
 
 def nullspace(mat):

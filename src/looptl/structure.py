@@ -77,8 +77,10 @@ def ideal_span(gen, n):
     hook U_i and basis diagram D_j, the index and closed-loop count of
     U_i stacked over D_j (the product v U_i) and of D_j stacked over U_i
     (U_i v): C_n * 2(n-1) stackings.  A hook product closes at most one
-    loop, so each product of the closure is a scatter of v's nonzero
-    coefficients c, each as c or c*d.  The tables live for the call.
+    loop, so each product of the closure scatters v's (index,
+    coefficient) pairs into a dict, each c as c or c*d; the dict's items
+    are the row the Echelon takes and the next frontier's terms.  The
+    tables live for the call.
     """
     m = gen.m
     if gen.n != m:
@@ -91,7 +93,6 @@ def ideal_span(gen, n):
         q = q.tensor(Morphism.identity(1, d))
     basis = enumerate_diagrams(n, n)
     index = {diag: i for i, diag in enumerate(basis)}
-    zero = d - d
     tables = []
     for i in range(n - 1):
         hook = u_diagram(n, i)
@@ -100,27 +101,23 @@ def ideal_span(gen, n):
             tables.append([(index[prod], loops) for prod, loops in stacked])
 
     def product(terms, table):
-        vec = [zero] * len(basis)
+        out = {}
         for j, c in terms:
             k, loops = table[j]
-            vec[k] = vec[k] + (c * d if loops else c)
-        return vec
+            c = c * d if loops else c
+            out[k] = out[k] + c if k in out else c
+        return out.items()
 
-    def nonzero(vec):
-        return [(j, c) for j, c in enumerate(vec) if c]
-
-    start = [zero] * len(basis)
-    for diag, c in q.terms.items():
-        start[index[diag]] = c
-    ech = Echelon([start])
-    frontier = [nonzero(start)]
+    start = [(index[diag], c) for diag, c in q.terms.items()]
+    ech = Echelon(len(basis), [start])
+    frontier = [start]
     while frontier:
         nxt = []
         for terms in frontier:
             for table in tables:
                 vec = product(terms, table)
                 if ech.add(vec):
-                    nxt.append(nonzero(vec))
+                    nxt.append(vec)
         frontier = nxt
     return ech.rows, basis
 

@@ -29,7 +29,7 @@ from looptl.hamiltonian import (_PROPAGATED, ConstraintSystem, Row,
                                 pauli_expand_check, uniform_state_energy)
 from looptl.lattice import (ENUM_STATE_CAP, HexTorusLattice,
                             SquareDiskLattice, SquareTorusLattice, census)
-from looptl.scalars import SpecialField, minimal_polynomial
+from looptl.scalars import RationalFunc, SpecialField, minimal_polynomial
 from looptl.tlcat import (enumerate_diagrams, identity_diagram,
                           stack_diagrams, u_diagram)
 from looptl.torus_census import _TABLES
@@ -355,6 +355,31 @@ def test_modular_rank_reads_coefficients_not_dexp():
     with pytest.raises(InconsistentCycle):
         kernel_propagate(cs)
     assert cs.n_states - _modular_rank(cs) == 10
+
+
+def test_propagation_checks_every_pair_after_the_orbit_solve(monkeypatch):
+    # a pot shifted by one at one state after the orbit solve: the
+    # quotient solve has already passed, and only the exact check of
+    # every row's pairs can see it
+    cs = build_hprime(SquareTorusLattice(2, 2), 2)
+    sa, sb = hamiltonian.concrete_states(cs.rows[0], cs.lattice.nsites)
+    expand = hamiltonian._expand
+
+    def shifted(work, *args):
+        out = expand(work, *args)
+        work[sa[0]] += 1
+        return out
+    monkeypatch.setattr(hamiltonian, "_expand", shifted)
+    with pytest.raises(InconsistentCycle,
+                       match="states %d, %d$" % (sa[0], sb[0])):
+        _propagate_uncached(cs)
+
+
+@pytest.mark.parametrize("coeff", [0.5, RationalFunc([0, 1])],
+                         ids=["float", "ratfunc"])
+def test_coeff_mod_rejects_a_coefficient_it_cannot_reduce(coeff):
+    with pytest.raises(ConfigInvalid, match="cannot reduce coefficient"):
+        _coeff_mod(coeff, 1_000_003, 2)
 
 
 def _residue_scan_root(poly, p):

@@ -7,6 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from looptl.errors import IndexOutOfRange
 from looptl.linalg import Echelon, nullspace, rank, rref, same_span
 from looptl.scalars import D_GENERIC, RationalFunc, SpecialField
 
@@ -126,11 +127,11 @@ def test_reducer_matches_sympy(shape, seed):
 def test_echelon_add_is_false_exactly_on_dependent_rows(seed):
     rng = random.Random(seed)
     mat = _fraction_matrix(rng, 10, 6, 4)
-    ech = Echelon()
+    ech = Echelon(6)
     for i, row in enumerate(mat):
         grows = _sympy(mat[:i + 1]).rank() > _sympy(mat[:i]).rank()
-        assert ech.add(row) == grows
-        assert not any(ech.reduce(row))
+        assert ech.add(enumerate(row)) == grows
+        assert not ech.add(enumerate(row))
     assert len(ech.rows) == _sympy(mat).rank()
 
 
@@ -354,6 +355,13 @@ def _matrix(draw, kind, ncols):
     return rows
 
 
+@st.composite
+def _pairs(draw, row):
+    """row as shuffled (column, value) pairs, some zero entries left out."""
+    return draw(st.permutations([(j, x) for j, x in enumerate(row)
+                                 if x or draw(st.booleans())]))
+
+
 def _same(got, want, kind):
     """Equal in value, and in type too unless int zeros were mixed in."""
     assert got == want
@@ -369,16 +377,17 @@ def test_row_form_matches_the_per_entry_reducer(data):
     ncols = data.draw(st.integers(1, 6), label="ncols")
     mat = data.draw(_matrix(kind, ncols), label="mat")
     other = data.draw(_matrix(kind, ncols), label="other")
-    probe = data.draw(_matrix(kind, ncols), label="probe")
-    ech, ref = Echelon(), _PerEntryEchelon()
-    for i, row in enumerate(mat):
-        for vec in probe:
-            _same([ech.reduce(vec)], [ref.reduce(vec)], kind)
-        assert ech.add(row) == ref.add(row)
-        assert not any(ech.reduce(row))
-    assert ech.pivots == ref.pivots
-    _same(ech.rows, ref.rows, kind)
-    _same(ech.reduced(), ref.reduced(), kind)
+    sparse = [data.draw(_pairs(row), label="pairs") for row in mat]
+    ech, pairs, ref = Echelon(ncols), Echelon(ncols), _PerEntryEchelon()
+    for row, terms in zip(mat, sparse):
+        grows = ech.add(enumerate(row))
+        assert grows == ref.add(row)
+        assert pairs.add(terms) == grows
+        assert not ech.add(enumerate(row))
+    for got in (ech, pairs):
+        assert got.pivots == ref.pivots
+        _same(got.rows, ref.rows, kind)
+        _same(got.reduced(), ref.reduced(), kind)
     assert rank(mat) == len(ref.pivots)
     assert rref(mat) == (ref.reduced(), ref.pivots)
     _same(nullspace(mat), _per_entry_nullspace(mat), kind)
@@ -393,16 +402,28 @@ def test_row_form_matches_the_per_entry_reducer(data):
 def test_empty_and_zero_inputs():
     field = SpecialField(2)
     assert rref([]) == ([], []) and rank([]) == 0 and nullspace([]) == []
-    assert same_span([], []) and Echelon().rows == []
+    assert same_span([], []) and Echelon(0).rows == []
     zeros = [[field.zero] * 3, [0, 0, 0]]
-    ech = Echelon(zeros)
+    ech = Echelon(3, map(enumerate, zeros))
     assert (ech.pivots, ech.rows, ech.reduced()) == ([], [], [])
-    assert ech.reduce([0, 0, 0]) == [0, 0, 0]
     assert nullspace(zeros) == [[field.zero if i != j else field.one
                                  for i in range(3)] for j in range(3)]
     assert same_span(zeros, []) and not same_span(zeros, [[0, field.one, 0]])
     with pytest.raises(ValueError, match="different fields"):
-        Echelon([[field.one, SpecialField(3).one]])
+        Echelon(2, [enumerate([field.one, SpecialField(3).one])])
+
+
+@pytest.mark.parametrize("column", [-1, 3])
+def test_echelon_rejects_a_column_outside_the_row(column):
+    """A column left of 0 or past ncols - 1 raises, also when elimination
+    clears every column of the row inside the range."""
+    ech = Echelon(3, [[(0, Fraction(1))]])
+    for row in ([(1, Fraction(2)), (column, Fraction(1))],
+                [(column, Fraction(1)), (0, Fraction(5))]):
+        with pytest.raises(IndexOutOfRange, match=r"outside 0\.\.2"):
+            ech.add(row)
+    assert ech.pivots == [0]
+    assert ech.rows == [[Fraction(1), Fraction(0), Fraction(0)]]
 
 
 def test_generic_rows_lose_their_integer_content():
@@ -412,7 +433,7 @@ def test_generic_rows_lose_their_integer_content():
     mat = [[2 * d, 2 * d * d, RationalFunc(4)],
            [d + 1, RationalFunc(0), 2 / (d + 1)],
            [3 * d + 1, 2 * d * d, 4 + 2 / (d + 1)]]
-    ech, ref = Echelon(mat), _PerEntryEchelon(mat)
+    ech, ref = Echelon(3, map(enumerate, mat)), _PerEntryEchelon(mat)
     assert ech.pivots == ref.pivots == [0, 1]
     _same(ech.rows, ref.rows, "ratfunc")
     _same(ech.reduced(), ref.reduced(), "ratfunc")

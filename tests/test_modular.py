@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from looptl import modular
 from looptl.modular import (color_reversing_count, label_count, level_table,
                             level_table_csv, s_matrix, specific_heat,
                             theory_singular, torus_dimension_estimate,
@@ -41,6 +42,23 @@ def test_singularity_rule(ell):
 def test_verlinde_genus_one_matches_label_count(ell):
     assert abs(verlinde_dimension(ell, 1) - label_count(ell)) < 1e-9
     assert torus_dimension_estimate(ell, 1) == label_count(ell)
+
+
+def test_torus_dimension_estimate_rejects_genus_below_one():
+    with pytest.raises(ValueError, match="genus must be >= 1"):
+        torus_dimension_estimate(2, 0)
+
+
+def test_torus_dimension_estimate_checks_the_label_count(monkeypatch):
+    # a label count one too high at level 3 only: the genus-1 cross-check
+    # with the Verlinde sum fails there and still passes at level 2
+    count = modular.label_count
+    monkeypatch.setattr(modular, "label_count",
+                        lambda ell: count(ell) + (ell == 3))
+    assert torus_dimension_estimate(2, 1) == 4
+    with pytest.raises(AssertionError,
+                       match="Verlinde sum 4.0.* label count 5"):
+        torus_dimension_estimate(3, 1)
 
 
 @pytest.mark.parametrize("ell,dim", [(1, 4), (2, 64), (3, 100)])

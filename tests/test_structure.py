@@ -169,7 +169,7 @@ def _reference_ideal_span(gen, n):
             vec[index[diag]] += c
         return vec
 
-    ech = Echelon([vector(q)])
+    ech = Echelon(len(basis), [enumerate(vector(q))])
     frontier = [q]
     hooks = [Morphism.hook(n, i, d) for i in range(n - 1)]
     while frontier:
@@ -177,7 +177,7 @@ def _reference_ideal_span(gen, n):
         for v in frontier:
             for h in hooks:
                 for prod in (compose(v, h), compose(h, v)):
-                    if ech.add(vector(prod)):
+                    if ech.add(enumerate(vector(prod))):
                         nxt.append(prod)
         frontier = nxt
     return ech.rows, basis
