@@ -26,7 +26,7 @@ their numerator arithmetic (_FieldRows, _PolyRows).
 from __future__ import annotations
 
 import math
-from bisect import bisect
+from bisect import bisect, insort
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import add, floordiv, mul, sub
@@ -163,18 +163,31 @@ class _PolyRows:
         return [1], list(x)
 
 
-def _eliminate(ops, vec, vd, pivots, rows):
-    """vec (column -> numerator) over vd less the multiples of rows that
-    clear their pivot columns, taken in pivot order; (vec, vd)."""
-    for c, (support, nums, rd) in zip(pivots, rows):
-        f = vec.get(c)
-        if f is None or not any(f):
+def _eliminate(ops, vec, vd, rows):
+    """vec (column -> numerator) over vd less the multiples of rows
+    (pivot column -> row) that clear their pivot columns; (vec, vd).
+
+    Only the pivot columns that are keys of vec are visited, smallest
+    first, and those that a subtracted row's support brings in join
+    them.  A row is zero left of its pivot, so this is the walk over
+    every pivot in ascending order less the columns it would skip."""
+    todo = sorted(c for c in vec if c in rows)
+    k = 0
+    while k < len(todo):
+        c = todo[k]
+        k += 1
+        f = vec[c]
+        if not any(f):
             continue
+        support, nums, rd = rows[c]
         (f,), s = ops.content([f], rd)
         if s != ops.one:
             scale = ops.times(s)
             vec = dict(zip(vec, scale(list(vec.values()))))
             (vd,) = scale([vd])
+        for j in support:
+            if j not in vec and j in rows:
+                insort(todo, j, k)
         ops.less(f)(vec, support, nums)
         del vec[c]
     return vec, vd
@@ -185,15 +198,16 @@ class Echelon:
 
     Row i has a one in column pivots[i], zeros before it and zeros in
     every pivot column that existed when it was added; pivots ascend.
-    It is stored as (support, numerators, denominator): its nonzero
-    columns in ascending order, their numerators, and one denominator.
+    It is stored under its pivot column as (support, numerators,
+    denominator): its nonzero columns in ascending order, their
+    numerators, and one denominator.
     rows gives the rows as dense lists of scalars; reduced()
     back-substitutes once to the reduced row echelon form.
     """
 
     def __init__(self, ncols, rows=()):
         self.pivots = []
-        self._rows = []
+        self._rows = {}
         self._ops = None
         self._ncols = ncols
         for row in rows:
@@ -216,11 +230,12 @@ class Echelon:
         nums, den = self._ops.encode([x for _, x in ent])
         return dict(zip((j for j, _ in ent), nums)), den
 
-    def _scalars(self, items, den):
-        """The dense row of scalars with numerators (column, num) over den."""
+    def _scalars(self, row):
+        """The dense row of scalars of a stored (support, nums, den) row."""
+        support, nums, den = row
         value = self._ops.value
         out = [value(self._ops.zero_num, self._ops.one)] * self._ncols
-        for j, v in items:
+        for j, v in zip(support, nums):
             out[j] = value(v, den)
         return out
 
@@ -229,7 +244,7 @@ class Echelon:
         IndexOutOfRange if its support leaves 0..ncols-1."""
         enc, den = self._encode(row)
         ops = self._ops
-        enc, _ = _eliminate(ops, enc, den, self.pivots, self._rows)
+        enc, _ = _eliminate(ops, enc, den, self._rows)
         # pivots lie in range: elimination clears no column outside it
         support = sorted(j for j, v in enc.items() if any(v))
         if not support:
@@ -241,29 +256,27 @@ class Echelon:
         num, den = ops.inverse(enc[c])
         nums, den = ops.content(ops.times(num)([enc[j] for j in support]),
                                 den)
-        k = bisect(self.pivots, c)
-        self.pivots.insert(k, c)
-        self._rows.insert(k, (support, nums, den))
+        self.pivots.insert(bisect(self.pivots, c), c)
+        self._rows[c] = (support, nums, den)
         return True
 
     @property
     def rows(self):
         """The rows as lists of scalars, in pivot order."""
-        return [self._scalars(zip(support, nums), den)
-                for support, nums, den in self._rows]
+        return [self._scalars(self._rows[c]) for c in self.pivots]
 
     def reduced(self):
         """Rows of the reduced row echelon form, in pivot order."""
-        ops, rows = self._ops, list(self._rows)
-        for i in reversed(range(len(rows))):
-            support, nums, den = rows[i]
-            vec, den = _eliminate(ops, dict(zip(support, nums)), den,
-                                  self.pivots[i + 1:], rows[i + 1:])
+        ops = self._ops
+        # the reduced rows after the current one, by pivot column
+        later = {}
+        for c in reversed(self.pivots):
+            support, nums, den = self._rows[c]
+            vec, den = _eliminate(ops, dict(zip(support, nums)), den, later)
             support = sorted(j for j, v in vec.items() if any(v))
             nums, den = ops.content([vec[j] for j in support], den)
-            rows[i] = (support, nums, den)
-        return [self._scalars(zip(support, nums), den)
-                for support, nums, den in rows]
+            later[c] = (support, nums, den)
+        return [self._scalars(later[c]) for c in self.pivots]
 
 
 def _dense(mat):

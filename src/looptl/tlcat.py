@@ -135,14 +135,15 @@ def u_diagram(n, i):
     return Diagram(n, n, pairs)
 
 
-def stack_diagrams(upper, lower):
-    """Glue upper's bottom edge to lower's top edge.
+def _stack_pairs(upper, lower):
+    """Glue upper's bottom edge to lower's top edge: (pairs, loops), the
+    result's pairs tuple and its closed-loop count.
 
-    Requires upper.n == lower.m; returns (diagram, closed_loop_count).
-    Each strand of the result is followed from one outer end through
-    upper.pairs and lower.pairs, crossing the interface between them;
-    every interface point that no such strand crosses lies on a closed
-    loop, and each loop is walked once to count it.
+    Requires upper.n == lower.m.  Each strand of the result is followed
+    from one outer end through upper.pairs and lower.pairs, crossing the
+    interface between them; every interface point that no such strand
+    crosses lies on a closed loop, and each loop is walked once to count
+    it.
     """
     if upper.n != lower.m:
         raise SignatureMismatch(
@@ -188,7 +189,14 @@ def stack_diagrams(upper, lower):
             j = low[k]
             if j == i:
                 break
-    return Diagram(l, n, pairs), loops
+    return tuple(pairs), loops
+
+
+def stack_diagrams(upper, lower):
+    """Glue upper's bottom edge to lower's top edge: (diagram,
+    closed_loop_count); see _stack_pairs."""
+    pairs, loops = _stack_pairs(upper, lower)
+    return Diagram(upper.m, lower.n, pairs), loops
 
 
 def tensor_diagrams(a, b):
@@ -280,16 +288,28 @@ class Morphism:
     """Formal linear combination of (m, n)-diagrams over a scalar backend.
 
     The loop weight d must be supplied as a scalar of the same backend so
-    stacking can convert closed loops into factors.
+    stacking can convert closed loops into factors.  Nothing changes
+    terms after construction, so over an exact backend the coefficients
+    over one denominator are computed on first use and kept
+    (_over_one).
     """
 
-    __slots__ = ("m", "n", "terms", "d")
+    __slots__ = ("m", "n", "terms", "d", "_one_den")
 
     def __init__(self, m, n, terms, d):
         self.m = m
         self.n = n
         self.d = d
         self.terms = {k: v for k, v in terms.items() if v}
+        self._one_den = None
+
+    def _over_one(self):
+        """(nums, den) of the nonempty exact terms' coefficients, in key
+        order, exactly as _one_denominator returns them; computed once
+        per morphism."""
+        if self._one_den is None:
+            self._one_den = _one_denominator(list(self.terms.values()))
+        return self._one_den
 
     # -- constructors -------------------------------------------------------
 
@@ -434,30 +454,31 @@ def _loop_folder(d, top, *dens):
     return fold
 
 
-def _stack_exact(upper, lower, d):
-    """The terms of `lower` stacked under `upper` over an exact backend
-    (RationalFunc or Q(delta)).
+def _stack_exact(upper, lower):
+    """The terms of morphism `lower` stacked under morphism `upper` over
+    an exact backend (RationalFunc or Q(delta)).
 
-    Each operand is first brought to one denominator (_one_denominator);
-    the integer numerator products are summed per output diagram and
-    loop count, and each output coefficient is folded with d's powers and
-    normalised once (_loop_folder): an output that sums to zero costs no
-    gcd.  Keys come out in first-stacked order, zero outputs dropped.
+    Each operand's coefficients over one denominator come from its
+    _over_one; the integer numerator products are summed per output
+    pairs tuple and loop count, and each output coefficient is folded
+    with d's powers and normalised once (_loop_folder): an output that
+    sums to zero costs no gcd.  One Diagram is built per distinct output,
+    keys in first-stacked order, zero outputs dropped.
     """
-    if not (upper and lower):
+    if not (upper.terms and lower.terms):
         return {}
-    unums, uden = _one_denominator(list(upper.values()))
-    lnums, lden = _one_denominator(list(lower.values()))
+    unums, uden = upper._over_one()
+    lnums, lden = lower._over_one()
     # each lower numerator as its nonzero entries and its degree
     lows = [(db, [(j, y) for j, y in enumerate(bn) if y], len(bn) - 1)
-            for db, bn in zip(lower, lnums)]
+            for db, bn in zip(lower.terms, lnums)]
     sums = {}
-    for da, an in zip(upper, unums):
+    for da, an in zip(upper.terms, unums):
         for db, bn, bdeg in lows:
-            diag, loops = stack_diagrams(da, db)
-            by_loops = sums.get(diag)
+            pairs, loops = _stack_pairs(da, db)
+            by_loops = sums.get(pairs)
             if by_loops is None:
-                by_loops = sums[diag] = {}
+                by_loops = sums[pairs] = {}
             need = len(an) + bdeg
             acc = by_loops.get(loops)
             if acc is None:
@@ -469,11 +490,13 @@ def _stack_exact(upper, lower, d):
                     for j, y in bn:
                         acc[i + j] += x * y
     top = max(max(by_loops) for by_loops in sums.values())
-    fold = _loop_folder(d, top, uden, lden)
-    for diag, by_loops in sums.items():
+    fold = _loop_folder(lower.d, top, uden, lden)
+    for pairs, by_loops in sums.items():
         # each output's accumulators are freed as soon as it is folded
-        sums[diag] = fold(by_loops)
-    return {diag: c for diag, c in sums.items() if c is not None}
+        sums[pairs] = fold(by_loops)
+    m, n = upper.m, lower.n
+    return {Diagram(m, n, pairs): c for pairs, c in sums.items()
+            if c is not None}
 
 
 def compose(a, b):
@@ -486,20 +509,21 @@ def compose(a, b):
             f"cannot stack ({b.m},{b.n}) over ({a.m},{a.n})")
     d = a.d
     if isinstance(d, (RationalFunc, FieldElement)):
-        return Morphism(b.m, a.n, _stack_exact(b.terms, a.terms, d), d)
+        return Morphism(b.m, a.n, _stack_exact(b, a), d)
     powers = {}
     out = {}
     for da, ca in b.terms.items():
         for db, cb in a.terms.items():
-            diag, loops = stack_diagrams(da, db)
+            pairs, loops = _stack_pairs(da, db)
             if loops not in powers:
                 powers[loops] = d ** loops
             c = ca * cb * powers[loops] if loops else ca * cb
-            if diag in out:
-                out[diag] = out[diag] + c
+            if pairs in out:
+                out[pairs] = out[pairs] + c
             else:
-                out[diag] = c
-    return Morphism(b.m, a.n, out, d)
+                out[pairs] = c
+    return Morphism(b.m, a.n, {Diagram(b.m, a.n, pairs): c
+                               for pairs, c in out.items()}, d)
 
 
 def compose_factored(a, b):
@@ -552,7 +576,7 @@ def markov_trace(a):
     if not a.terms:
         return d - d
     if isinstance(d, (RationalFunc, FieldElement)):
-        nums, den = _one_denominator(list(a.terms.values()))
+        nums, den = a._over_one()
         sums = {}
         for diag, num in zip(a.terms, nums):
             loops = trace_loops(diag)

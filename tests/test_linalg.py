@@ -356,6 +356,39 @@ def _matrix(draw, kind, ncols):
 
 
 @st.composite
+def _sparse_batch(draw, kind):
+    """(ncols, rows): two to four generators with at most three nonzero
+    columns each among up to ten, then more combinations of one or two
+    of them than there are generators, shuffled, so that most rows are
+    dependent."""
+    scalar = _scalar(kind)
+    zero = draw(scalar)
+    zero = zero - zero
+    nonzero = scalar.filter(bool)
+    ncols = draw(st.integers(4, 10))
+    gens = []
+    for _ in range(draw(st.integers(2, 4))):
+        cols = sorted(draw(st.sets(st.integers(0, ncols - 1), min_size=1,
+                                   max_size=3)))
+        row = [zero] * ncols
+        for j in cols:
+            row[j] = draw(nonzero)
+        gens.append(row)
+    rows = list(gens)
+    for _ in range(draw(st.integers(len(gens), 2 * len(gens) + 2))):
+        row = [zero] * ncols
+        for g in draw(st.lists(st.sampled_from(gens), min_size=1,
+                               max_size=2)):
+            c = draw(nonzero)
+            row = [x + c * y for x, y in zip(row, g)]
+        rows.append(row)
+    rows = draw(st.permutations(rows))
+    if kind == "mixed":
+        rows = [[x if x else 0 for x in row] for row in rows]
+    return ncols, rows
+
+
+@st.composite
 def _pairs(draw, row):
     """row as shuffled (column, value) pairs, some zero entries left out."""
     return draw(st.permutations([(j, x) for j, x in enumerate(row)
@@ -377,17 +410,20 @@ def test_row_form_matches_the_per_entry_reducer(data):
     ncols = data.draw(st.integers(1, 6), label="ncols")
     mat = data.draw(_matrix(kind, ncols), label="mat")
     other = data.draw(_matrix(kind, ncols), label="other")
-    sparse = [data.draw(_pairs(row), label="pairs") for row in mat]
-    ech, pairs, ref = Echelon(ncols), Echelon(ncols), _PerEntryEchelon()
-    for row, terms in zip(mat, sparse):
-        grows = ech.add(enumerate(row))
-        assert grows == ref.add(row)
-        assert pairs.add(terms) == grows
-        assert not ech.add(enumerate(row))
-    for got in (ech, pairs):
-        assert got.pivots == ref.pivots
-        _same(got.rows, ref.rows, kind)
-        _same(got.reduced(), ref.reduced(), kind)
+    batch = data.draw(_sparse_batch(kind), label="sparse batch")
+    # mat last: the checks after the loop read its ref
+    for width, rows in (batch, (ncols, mat)):
+        sparse = [data.draw(_pairs(row), label="pairs") for row in rows]
+        ech, pairs, ref = Echelon(width), Echelon(width), _PerEntryEchelon()
+        for row, terms in zip(rows, sparse):
+            grows = ech.add(enumerate(row))
+            assert grows == ref.add(row)
+            assert pairs.add(terms) == grows
+            assert not ech.add(enumerate(row))
+        for got in (ech, pairs):
+            assert got.pivots == ref.pivots
+            _same(got.rows, ref.rows, kind)
+            _same(got.reduced(), ref.reduced(), kind)
     assert rank(mat) == len(ref.pivots)
     assert rref(mat) == (ref.reduced(), ref.pivots)
     _same(nullspace(mat), _per_entry_nullspace(mat), kind)

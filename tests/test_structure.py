@@ -231,6 +231,17 @@ def test_containment_check_flags_only_vectors_outside_the_radical(
         verify_ideal_theorem(ell, ell + 2)
 
 
+def test_ideal_span_checks_its_generator_and_grade():
+    """A non-square generator raises; below the generator's grade the
+    span is empty, over the grade-n diagram basis."""
+    rect = Morphism.from_diagram(enumerate_diagrams(1, 3)[0], D_GENERIC)
+    with pytest.raises(SignatureMismatch, match="must be square"):
+        ideal_span(rect, 3)
+    p = jones_wenzl(3, backend="special", ell=2)
+    for n in (0, 1, 2):
+        assert ideal_span(p, n) == ([], enumerate_diagrams(n, n))
+
+
 def test_verify_ideal_theorem_flags_a_radical_below_the_generator(
         monkeypatch):
     """A rank one short at grade 1 leaves a nonzero radical below the

@@ -1,4 +1,6 @@
 import functools
+import math
+import random
 from fractions import Fraction
 from math import comb
 
@@ -8,15 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from looptl import tlcat
-from looptl.errors import PoleAtSpecialValue, SignatureMismatch
+from looptl.errors import (ConfigInvalid, IndexOutOfRange,
+                           PoleAtSpecialValue, SignatureMismatch)
 from looptl.scalars import (D_GENERIC, RationalFunc, SpecialField,
                             _one_denominator, quantum_int, specialize)
 from looptl.structure import catalan
-from looptl.tlcat import (Diagram, Morphism, _jw_cleared, bar, compose,
-                          compose_factored, enumerate_diagrams,
-                          gram_exponents, gram_matrix, identity_diagram,
-                          is_noncrossing, jones_wenzl, markov_trace,
-                          radical_basis, stack_diagrams, trace_loops)
+from looptl.tlcat import (Diagram, Morphism, _jw_cleared, bar,
+                          closure_loops, compose, compose_factored,
+                          enumerate_diagrams, gram_exponents, gram_matrix,
+                          identity_diagram, is_noncrossing, jones_wenzl,
+                          markov_trace, radical_basis, stack_diagrams,
+                          trace_loops, u_diagram)
 
 
 @pytest.mark.parametrize("m,n", [(0, 2), (1, 3), (2, 2), (3, 3), (2, 4)])
@@ -172,6 +176,47 @@ def test_signature_mismatch(d):
         markov_trace(Morphism.zero(2, 4, d))
     with pytest.raises(SignatureMismatch):
         square + rect
+
+
+# a pairing of two through-strands that cross: top 0 to bottom 1 and
+# top 1 to bottom 0
+_CROSSING = Diagram(2, 2, [3, 2, 1, 0])
+
+
+def test_diagram_inputs_are_checked():
+    with pytest.raises(SignatureMismatch, match="pairing length"):
+        Diagram(2, 2, [1, 0])
+    for i in (-1, 2):
+        with pytest.raises(IndexOutOfRange, match=r"outside 0\.\.1"):
+            u_diagram(3, i)
+    with pytest.raises(SignatureMismatch, match=r"stack \(2,2\) on \(3,3\)"):
+        stack_diagrams(identity_diagram(2), identity_diagram(3))
+    for rect in (Diagram(0, 2, [1, 0]), enumerate_diagrams(1, 3)[0]):
+        with pytest.raises(SignatureMismatch, match="square diagram"):
+            closure_loops(rect)
+
+
+def test_a_crossing_pairing_is_no_diagram_of_the_category():
+    """is_noncrossing rejects the crossing, and closing it around the
+    cylinder makes one loop that winds twice, which closure_loops
+    refuses."""
+    assert not is_noncrossing(_CROSSING)
+    with pytest.raises(AssertionError, match="wound 2 times"):
+        closure_loops(_CROSSING)
+
+
+def test_projector_inputs_are_checked():
+    with pytest.raises(ConfigInvalid, match="needs d_value"):
+        jones_wenzl(2, backend="float")
+    with pytest.raises(ConfigInvalid, match="unknown backend 'complex'"):
+        jones_wenzl(2, backend="complex")
+    with pytest.raises(IndexOutOfRange, match="grade must be >= 1"):
+        jones_wenzl(0)
+    # [3] = d^2 - 1 is 0.0 at d = 1, and [4] = d^3 - 2d is 6e-16 at
+    # d = sqrt(2): both are poles
+    for k, d in ((3, 1.0), (4, math.sqrt(2))):
+        with pytest.raises(PoleAtSpecialValue, match=f"grade {k} is singular"):
+            jones_wenzl(k, backend="float", d_value=d)
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3])
@@ -546,3 +591,70 @@ def test_power_table_holds_one_denominator_of_the_powers(d, monkeypatch):
     assert table.reads and all(key in before for key in table.reads)
     assert table == before
     assert all(table[key] is entry for key, entry in before.items())
+
+
+# -- each exact morphism over one denominator, once ---------------------------
+
+
+def _fresh(x):
+    """A copy of x with nothing computed on it yet."""
+    return Morphism(x.m, x.n, x.terms, x.d)
+
+
+@pytest.mark.parametrize("backend,ell", [("generic", None), ("special", 6)])
+def test_each_exact_morphism_is_brought_to_one_denominator_once(
+        backend, ell, monkeypatch):
+    """Across the k-1 hook composes, compose_factored(p, p) and
+    markov_trace(p), _one_denominator runs once on a fresh copy of p, and
+    once on each hook morphism the calls make; the results equal those of
+    the projector itself."""
+    k = 5
+    p = jones_wenzl(k, backend, ell=ell)
+
+    def checks(x):
+        return ([compose(Morphism.hook(k, i, x.d), x) for i in range(k - 1)],
+                compose_factored(x, x), markov_trace(x))
+    # also fills the power table for every (d, top) the checks read
+    want = checks(p)
+    calls = []
+    real = tlcat._one_denominator
+
+    def counted(coeffs):
+        calls.append(coeffs)
+        return real(coeffs)
+    monkeypatch.setattr(tlcat, "_one_denominator", counted)
+    assert checks(_fresh(p)) == want
+    coeffs = list(p.terms.values())
+    assert sum(c == coeffs for c in calls) == 1
+    # a hook in each check and one per arc in compose_factored
+    hooks = [c for c in calls if c != coeffs]
+    assert len(hooks) == 2 * (k - 1) and all(c == [p.d ** 0] for c in hooks)
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6),
+       st.sampled_from(["generic", 2, 5]))
+@settings(max_examples=60, deadline=None)
+def test_a_warm_memo_gives_the_results_of_fresh_copies(seed, backend):
+    """Each of x: (l, m), y: (m, m), z: (m, n) stacks once above and once
+    below another before the products are taken again: the products and
+    traces equal those of fresh copies and of per-pair arithmetic, keys
+    in the same order."""
+    rng = random.Random(seed)
+    if backend == "generic":
+        draw = functools.partial(_random_generic, rng)
+    else:
+        draw = functools.partial(_random_special, rng, SpecialField(backend))
+    l = rng.randint(0, 4)
+    m = rng.choice(range(l % 2, 5, 2))
+    n = rng.choice(range(m % 2, 5, 2))
+    x, y, z = draw(l, m), draw(m, m), draw(m, n)
+    pairs = [(y, x), (z, y), (y, y)]
+    for lower, upper in pairs:
+        compose(lower, upper)
+    markov_trace(y)
+    for lower, upper in pairs:
+        got = list(compose(lower, upper).terms.items())
+        assert got == list(compose(_fresh(lower),
+                                   _fresh(upper)).terms.items())
+        assert got == _naive_compose(lower, upper)
+    assert markov_trace(y) == markov_trace(_fresh(y)) == _naive_trace(y)

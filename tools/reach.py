@@ -6,7 +6,10 @@ reaches.  Run from the root of a checkout:
 It traces every thread with sys.settrace and threading.settrace from
 pytest_configure on, so module bodies count too, and keeps the line
 events of the package's own files.  A file's executable lines are the
-lines of every code object compiled from it (co_lines).  The summary
+lines of every code object compiled from it (co_lines), compiled when
+the file's first frame is traced, so that an edit made during the run
+does not move them off the lines that ran; a file that never runs is
+compiled at the end.  The summary
 prints the unreached lines per module and their total.  The line tracer
 slows the suite several times over, so the pinned wall-clock budgets
 may fail under it.  The file lives outside tests/, so the suite never
@@ -20,6 +23,7 @@ import threading
 _PACKAGE = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src", "looptl") + os.sep
 _reached = {}
+_lines = {}
 
 
 def _local(frame, event, arg):
@@ -32,6 +36,8 @@ def _global(frame, event, arg):
     name = frame.f_code.co_filename
     if not name.startswith(_PACKAGE):
         return None
+    if name not in _lines:
+        _lines[name] = _executable(name)
     _reached.setdefault(name, set()).add(frame.f_code.co_firstlineno)
     return _local
 
@@ -71,7 +77,7 @@ def pytest_terminal_summary(terminalreporter):
         if not name.endswith(".py"):
             continue
         path = _PACKAGE + name
-        lines = _executable(path)
+        lines = _lines.get(path) or _executable(path)
         unreached = lines - _reached.get(path, set())
         total += len(lines)
         missed += len(unreached)
