@@ -1,8 +1,7 @@
 import functools
-import math
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, sqrt
 
 import numpy as np
 import pytest
@@ -214,7 +213,7 @@ def test_projector_inputs_are_checked():
         jones_wenzl(0)
     # [3] = d^2 - 1 is 0.0 at d = 1, and [4] = d^3 - 2d is 6e-16 at
     # d = sqrt(2): both are poles
-    for k, d in ((3, 1.0), (4, math.sqrt(2))):
+    for k, d in ((3, 1.0), (4, sqrt(2))):
         with pytest.raises(PoleAtSpecialValue, match=f"grade {k} is singular"):
             jones_wenzl(k, backend="float", d_value=d)
 
@@ -635,10 +634,10 @@ def test_each_exact_morphism_is_brought_to_one_denominator_once(
        st.sampled_from(["generic", 2, 5]))
 @settings(max_examples=60, deadline=None)
 def test_a_warm_memo_gives_the_results_of_fresh_copies(seed, backend):
-    """Each of x: (l, m), y: (m, m), z: (m, n) stacks once above and once
-    below another before the products are taken again: the products and
-    traces equal those of fresh copies and of per-pair arithmetic, keys
-    in the same order."""
+    """x: (l, m) stacks over y: (m, m), and y over z: (m, n) and over
+    itself, once to fill each memo and once more: the products and traces
+    equal those of fresh copies and of per-pair arithmetic, keys in the
+    same order."""
     rng = random.Random(seed)
     if backend == "generic":
         draw = functools.partial(_random_generic, rng)
